@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .clustering import ClusterModel
+from .clustering import ClusterModel, _sq_dists
 from .profiles import SLOTS_PER_DAY, DailyProfile
 
 # Consistency factor making the median absolute deviation estimate a
@@ -71,8 +71,7 @@ def anomaly_scores(model: ClusterModel, profiles: Sequence[DailyProfile]) -> Ano
         raise ValueError("no profiles to score")
     meter_id = profiles[0].meter_id
     X = np.array([p.values for p in profiles], dtype=float)
-    d2 = ((X[:, None, :] - model.centroids[None, :, :]) ** 2).sum(axis=2)
-    distances = np.sqrt(d2.min(axis=1))
+    distances = np.sqrt(_sq_dists(X, model.centroids).min(axis=1))
     scores = {p.day: float(s) for p, s in zip(profiles, distances)}
 
     by_cluster: dict[int, list[float]] = {}

@@ -197,17 +197,7 @@ def _anomaly_overlay(analysis: MeterAnalysis, top_n: int) -> str:
     panels = []
     for day in analysis.report.top(top_n):
         profile = by_day[day]
-        cluster = analysis.model.assignments.get(day)
-        if cluster is None:
-            cluster = int(
-                min(
-                    range(analysis.model.k),
-                    key=lambda c: sum(
-                        (v - analysis.model.centroids[c][i]) ** 2
-                        for i, v in enumerate(profile.values)
-                    ),
-                )
-            )
+        cluster = analysis.model.assignments[day]
         title = "{} (score {:.0f} W)".format(day.isoformat(), analysis.report.scores[day])
         panels.append((title, profile.values, list(analysis.model.centroids[cluster])))
     return anomaly_chart(panels)
@@ -247,16 +237,13 @@ def _analyze_store(store: TelemetryStore, out: Path, config: AnalysisConfig) -> 
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 def analyze(csv_files, out_dir, seed, restarts, min_completeness, top_n, k, config_path) -> None:
     """Cluster daily profiles from readings CSVs and rank anomalous days."""
+    # Only given settings reach AnalysisConfig, which owns the defaults and checks.
     config_file = _load_config_file(config_path)
+    flags = {"seed": seed, "restarts": restarts, "min_completeness": min_completeness, "top_n": top_n, "k": k}
+    settings = {key: _merged(flag, config_file, key, None) for key, flag in flags.items()}
     try:
-        config = AnalysisConfig(
-            seed=int(_merged(seed, config_file, "seed", DEFAULT_SEED)),
-            restarts=int(_merged(restarts, config_file, "restarts", 10)),
-            min_completeness=float(_merged(min_completeness, config_file, "min_completeness", 0.9)),
-            top_n=int(_merged(top_n, config_file, "top_n", 3)),
-            k=_merged(k, config_file, "k", None),
-        )
-    except ValueError as exc:
+        config = AnalysisConfig().with_overrides(**{key: v for key, v in settings.items() if v is not None})
+    except (TypeError, ValueError) as exc:
         raise click.BadParameter(str(exc))
 
     store = TelemetryStore()

@@ -9,7 +9,7 @@ Nearest-centroid ties resolve to the lowest cluster index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from typing import Sequence
 
@@ -84,11 +84,13 @@ class ClusterSummary:
 
 @dataclass
 class KSelectionReport:
-    """Inertia for each candidate k and the recommended cluster count."""
+    """Inertia for each candidate k, the recommended cluster count, and the
+    scan's fit at that count (not serialized)."""
 
     k_values: tuple[int, ...]
     inertias: tuple[float, ...]
     recommended_k: int
+    model: ClusterModel = field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -106,6 +108,19 @@ def _profile_matrix(profiles: Sequence[DailyProfile]) -> tuple[np.ndarray, list[
     return X, days
 
 
+def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from every row of A to every row of B."""
+    return ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+
+
+def _centroids(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    return np.vstack([X[labels == c].mean(axis=0) for c in range(k)])
+
+
+def _inertia(X: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
+    return float(((X - centroids[labels]) ** 2).sum())
+
+
 def _plus_plus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: D^2-weighted sampling of data points.
 
@@ -115,9 +130,7 @@ def _plus_plus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     n = X.shape[0]
     chosen = [int(rng.integers(n))]
     for _ in range(1, k):
-        d2 = np.min(
-            ((X[:, None, :] - X[chosen][None, :, :]) ** 2).sum(axis=2), axis=1
-        )
+        d2 = np.min(_sq_dists(X, X[chosen]), axis=1)
         total = d2.sum()
         u = rng.random()
         if total <= 0.0:
@@ -129,10 +142,8 @@ def _plus_plus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return X[chosen].copy()
 
 
-def _assign(X: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(d2, axis=1)  # argmin takes the lowest index on ties
-    return labels, d2
+def _assign(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    return np.argmin(_sq_dists(X, centroids), axis=1)  # lowest index wins ties
 
 
 def _repair_empty(
@@ -169,8 +180,7 @@ def _single_move_polish(
     moved_any = False
     for _ in range(200 * X.shape[0]):  # hard cap against float-noise cycling
         counts = np.bincount(labels, minlength=k)
-        centroids = np.vstack([X[labels == c].mean(axis=0) for c in range(k)])
-        d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        d2 = _sq_dists(X, _centroids(X, labels, k))
         best_delta = -1e-12
         best_move = None
         for i in range(X.shape[0]):
@@ -200,32 +210,24 @@ def _lloyd(
     history: list[float] = []
     iterations = 0
     for _ in range(max_iters):
-        new_labels, d2 = _assign(X, centroids)
-        new_labels = _repair_empty(X, centroids, new_labels, k)
-        inertia = float(
-            ((X - centroids[new_labels]) ** 2).sum()
-        )
-        history.append(inertia)
+        new_labels = _repair_empty(X, centroids, _assign(X, centroids), k)
+        history.append(_inertia(X, centroids, new_labels))
         converged = labels is not None and np.array_equal(new_labels, labels)
         labels = new_labels
         if converged:
             break
         iterations += 1
-        new_centroids = np.empty_like(centroids)
-        for cluster in range(k):
-            new_centroids[cluster] = X[labels == cluster].mean(axis=0)
+        new_centroids = _centroids(X, labels, k)
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
         if shift < tol:
             # Verify the fixed point: one more assignment pass must not
             # change any label before we stop.
-            check, _ = _assign(X, centroids)
-            check = _repair_empty(X, centroids, check, k)
+            check = _repair_empty(X, centroids, _assign(X, centroids), k)
             if np.array_equal(check, labels):
-                history.append(float(((X - centroids[check]) ** 2).sum()))
+                history.append(_inertia(X, centroids, check))
                 break
-    inertia = float(((X - centroids[labels]) ** 2).sum())
-    return centroids, labels, inertia, iterations, history
+    return centroids, labels, _inertia(X, centroids, labels), iterations, history
 
 
 def kmeans_fit(
@@ -264,9 +266,8 @@ def kmeans_fit(
             labels, moved = _single_move_polish(X, labels, k)
             if not moved:
                 break
-            centroids = np.vstack([X[labels == c].mean(axis=0) for c in range(k)])
             centroids, labels, inertia, more_iters, extra = _lloyd(
-                X, centroids, k, max_iters, tol
+                X, _centroids(X, labels, k), k, max_iters, tol
             )
             iterations += more_iters
             history.extend(extra)
@@ -299,7 +300,7 @@ def select_k(
     treated as over-segmentation and end the scan: a routine that happens
     once is not a routine, and giving an atypical day its own centroid
     would hide it from the anomaly ranking.  Inputs whose profiles are
-    all within a tiny distance of each other short-circuit to k=1.
+    all within a tiny distance of each other short-circuit to one k=1 fit.
 
     Raises:
         ValueError: with fewer than ``k_max`` profiles.
@@ -309,17 +310,16 @@ def select_k(
             "need at least {} profiles to scan k=1..{}".format(k_max, k_max)
         )
     X, _ = _profile_matrix(profiles)
+    k_values = tuple(range(K_MIN, k_max + 1))
     if _max_pairwise_distance(X) < DEGENERATE_DISTANCE_FLOOR:
-        inertias = tuple(0.0 for _ in range(K_MIN, k_max + 1))
-        return KSelectionReport(tuple(range(K_MIN, k_max + 1)), inertias, 1)
+        model = kmeans_fit(profiles, K_MIN, seed=seed, restarts=restarts)
+        return KSelectionReport(k_values, tuple(0.0 for _ in k_values), K_MIN, model)
 
-    inertias = []
+    models = [kmeans_fit(profiles, k, seed=seed, restarts=restarts) for k in k_values]
+    inertias = [model.inertia for model in models]
     last_sound_k = K_MIN
-    for k in range(K_MIN, k_max + 1):
-        model = kmeans_fit(profiles, k, seed=seed, restarts=restarts)
-        inertias.append(model.inertia)
-        if k == K_MIN or (min(model.counts()) >= 2 and last_sound_k == k - 1):
-            last_sound_k = k
+    while last_sound_k < k_max and min(models[last_sound_k].counts()) >= 2:
+        last_sound_k += 1
     recommended = last_sound_k
     for k in range(K_MIN, last_sound_k):
         current, following = inertias[k - 1], inertias[k]
@@ -327,14 +327,13 @@ def select_k(
         if drop < KNEE_DROP:
             recommended = k
             break
-    return KSelectionReport(tuple(range(K_MIN, k_max + 1)), tuple(inertias), recommended)
+    return KSelectionReport(k_values, tuple(inertias), recommended, models[recommended - 1])
 
 
 def _max_pairwise_distance(X: np.ndarray) -> float:
     if X.shape[0] < 2:
         return 0.0
-    d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
-    return float(np.sqrt(d2.max()))
+    return float(np.sqrt(_sq_dists(X, X).max()))
 
 
 def mean_cluster_profiles(model: ClusterModel) -> ClusterSummary:

@@ -15,6 +15,7 @@ from .anomaly import AnomalyReport, anomaly_scores
 from .clustering import (
     ClusterModel,
     ClusterSummary,
+    DEFAULT_RESTARTS,
     KSelectionReport,
     K_MAX,
     kmeans_fit,
@@ -33,6 +34,8 @@ from .store import TelemetryStore
 
 DEFAULT_SEED = 42
 DEFAULT_TOP_N = 3
+# Settings that callers may override from text or JSON, and their parsers.
+_OVERRIDE_PARSERS = {"seed": int, "restarts": int, "min_completeness": float, "top_n": int, "k": int}
 
 
 class InsufficientDataError(RuntimeError):
@@ -42,7 +45,7 @@ class InsufficientDataError(RuntimeError):
 @dataclass(frozen=True)
 class AnalysisConfig:
     seed: int = DEFAULT_SEED
-    restarts: int = 10
+    restarts: int = DEFAULT_RESTARTS
     min_completeness: float = DEFAULT_MIN_COMPLETENESS
     top_n: int = DEFAULT_TOP_N
     tz_name: str = DEFAULT_TIMEZONE
@@ -51,6 +54,10 @@ class AnalysisConfig:
     register: ObisCode = POSITIVE_ACTIVE_ENERGY
 
     def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
+        if not 0.0 <= self.min_completeness <= 1.0:
+            raise ValueError("min_completeness must lie in 0..1")
         if self.top_n < 1:
             raise ValueError("top_n must be >= 1")
         if not 1 <= self.k_max <= K_MAX:
@@ -59,7 +66,13 @@ class AnalysisConfig:
             raise ValueError("k must lie in 1..{}".format(self.k_max))
 
     def with_overrides(self, **kwargs: Any) -> "AnalysisConfig":
-        return replace(self, **kwargs)
+        """Copy with new ``seed``, ``restarts``, ``min_completeness``, ``top_n``
+        or ``k`` values, each parsed from text or a number and checked.
+
+        Raises:
+            ValueError, TypeError: a value that does not parse or is out of range.
+        """
+        return replace(self, **{key: _OVERRIDE_PARSERS[key](value) for key, value in kwargs.items()})
 
 
 @dataclass
@@ -86,7 +99,8 @@ def meter_profiles(
 def analyze_meter(
     store: TelemetryStore, meter_id: str, config: AnalysisConfig | None = None
 ) -> MeterAnalysis:
-    """Profiles -> cluster-count scan -> k-means fit -> anomaly ranking.
+    """Profiles -> k-scan, reusing its fit at the recommended k (or one fit
+    at a fixed k) -> anomaly ranking.
 
     Raises:
         InsufficientDataError: no readings, or fewer profiles than the
@@ -101,7 +115,7 @@ def analyze_meter(
                 "{} profile(s) available, k={} requested".format(len(profiles), config.k)
             )
         selection = None
-        k = config.k
+        model = kmeans_fit(profiles, config.k, seed=config.seed, restarts=config.restarts)
     else:
         if len(profiles) < config.k_max:
             raise InsufficientDataError(
@@ -112,9 +126,8 @@ def analyze_meter(
         selection = select_k(
             profiles, seed=config.seed, restarts=config.restarts, k_max=config.k_max
         )
-        k = selection.recommended_k
+        model = selection.model
 
-    model = kmeans_fit(profiles, k, seed=config.seed, restarts=config.restarts)
     summary = mean_cluster_profiles(model)
     report = anomaly_scores(model, profiles)
     return MeterAnalysis(

@@ -21,6 +21,7 @@ import json
 import re
 import signal
 import threading
+from decimal import InvalidOperation
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -58,6 +59,8 @@ class MeterServiceHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -68,15 +71,18 @@ class MeterServiceHandler(BaseHTTPRequestHandler):
         if urlparse(self.path).path != "/v1/readings":
             self._send_error(404, "unknown endpoint")
             return
-        length = int(self.headers.get("Content-Length", "0"))
-        raw = self.rfile.read(length).decode("utf-8")
+        length = self.headers.get("Content-Length", "0")
+        if not length.isdecimal():
+            self.close_connection = True  # the body's end is unknown
+            self._send_error(400, "bad Content-Length")
+            return
         try:
             readings = [
                 reading_from_record(json.loads(line))
-                for line in raw.splitlines()
+                for line in self.rfile.read(int(length)).decode("utf-8").splitlines()
                 if line.strip()
             ]
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError, InvalidOperation) as exc:
             self._send_error(400, "bad reading record: {}".format(exc))
             return
         try:
@@ -131,19 +137,10 @@ class MeterServiceHandler(BaseHTTPRequestHandler):
     def _handle_anomalies(self, meter_id: str, query: dict[str, str]) -> None:
         if not self._require_meter(meter_id):
             return
-        config = self.config
         try:
-            overrides = {}
-            if "k" in query:
-                overrides["k"] = int(query["k"])
-            if "seed" in query:
-                overrides["seed"] = int(query["seed"])
-            if "restarts" in query:
-                overrides["restarts"] = int(query["restarts"])
-            if "min_completeness" in query:
-                overrides["min_completeness"] = float(query["min_completeness"])
-            if overrides:
-                config = config.with_overrides(**overrides)
+            config = self.config.with_overrides(
+                **{key: query[key] for key in ("k", "seed", "restarts", "min_completeness") if key in query}
+            )
         except ValueError as exc:
             self._send_error(400, str(exc))
             return

@@ -131,6 +131,27 @@ def test_analyze_malformed_row_names_the_line(runner, tmp_path):
     assert "line 3" in result.output
 
 
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (["--restarts", "0"], None),
+        (["--min-completeness", "2"], None),
+        (["--k", "7"], None),
+        ([], {"restarts": 0}),
+    ],
+)
+def test_analyze_out_of_range_setting_is_a_usage_error(runner, tmp_path, flags, config):
+    readings = tmp_path / "readings.csv"
+    readings.write_text("meter_id,timestamp,obis,value_kwh\n", encoding="utf-8")
+    if config is not None:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        flags = flags + ["--config", str(config_path)]
+    result = runner.invoke(main, ["analyze", str(readings), "--out", str(tmp_path / "x")] + flags)
+    assert result.exit_code == 2, result.output
+    assert "Invalid value" in result.output
+
+
 def test_ingest_builds_a_store_directory(runner, tmp_path):
     sims = tmp_path / "sims"
     runner.invoke(

@@ -1,16 +1,23 @@
 from __future__ import annotations
 
+from datetime import datetime, timedelta, timezone
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
 from conftest import START, profiles_through_store
+from meterwatch import clustering, pipeline
 from meterwatch.clustering import (
     kmeans_fit,
     mean_cluster_profiles,
     select_k,
 )
 from meterwatch.personas import build_persona
+from meterwatch.pipeline import AnalysisConfig, analyze_meter
+from meterwatch.protocol import POSITIVE_ACTIVE_ENERGY
 from meterwatch.simulator import simulate_period
+from meterwatch.store import MeterReading, TelemetryStore
 from oracles import exact_min_inertia, profiles_from_matrix
 
 
@@ -226,3 +233,46 @@ def test_select_k_never_gives_an_outlier_its_own_cluster():
 
     ranked = anomaly_scores(model, profiles).ranked_days
     assert ranked[0] == profiles[-1].day
+
+
+def flat_store(days: int = 10) -> TelemetryStore:
+    """A meter drawing a constant 400 W, so every daily profile is identical."""
+    start = datetime(2024, 6, 3, tzinfo=timezone.utc)
+    store = TelemetryStore()
+    store.ingest(
+        [
+            MeterReading("FLAT", start + timedelta(minutes=15 * i), POSITIVE_ACTIVE_ENERGY, Decimal(i) / 10)
+            for i in range(96 * days + 1)
+        ]
+    )
+    return store
+
+
+@pytest.mark.parametrize("degenerate", [False, True], ids=["knee", "identical-profiles"])
+def test_analysis_reports_the_scan_fit_at_the_recommended_k(s4_month, degenerate):
+    if degenerate:
+        store, meter_id = flat_store(), "FLAT"
+    else:
+        _, _, store = profiles_through_store(s4_month)
+        meter_id = s4_month.meter_id
+    config = AnalysisConfig(seed=4, restarts=3)
+    analysis = analyze_meter(store, meter_id, config)
+    k = analysis.selection.recommended_k
+    assert (k == 1) == degenerate
+    refit = kmeans_fit(analysis.profiles, k, seed=config.seed, restarts=config.restarts)
+    assert analysis.model.to_json_dict() == refit.to_json_dict()
+
+
+@pytest.mark.parametrize("k, fitted_ks", [(None, [1, 2, 3, 4, 5, 6]), (3, [3])])
+def test_analysis_fits_each_model_once(s4_month, monkeypatch, k, fitted_ks):
+    _, _, store = profiles_through_store(s4_month)
+    calls = []
+
+    def counting_fit(*args, **kwargs):
+        calls.append(args[1])
+        return kmeans_fit(*args, **kwargs)
+
+    monkeypatch.setattr(clustering, "kmeans_fit", counting_fit)
+    monkeypatch.setattr(pipeline, "kmeans_fit", counting_fit)
+    analyze_meter(store, s4_month.meter_id, AnalysisConfig(seed=4, restarts=2, k=k))
+    assert calls == fitted_ks

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -121,6 +123,30 @@ def test_malformed_record_is_400(server):
     assert err.value.code == 400
 
 
+@pytest.mark.parametrize(
+    "body, headers",
+    [
+        (b"[1,2]", {}),
+        (b"\xff\xfe not utf-8", {}),
+        (b"", {"Content-Length": "abc"}),
+        (b"", {"Content-Length": "-1"}),
+        (b'{"meter_id": "X", "timestamp": "2024-06-03T00:00:00Z", "obis": "1.8.0", "value_kwh": "abc"}', {}),
+    ],
+    ids=["not-an-object", "not-utf8", "length-not-an-integer", "negative-length", "value-not-a-number"],
+)
+def test_unreadable_post_body_is_400_json(server, body, headers):
+    base, _ = server
+    address = urllib.parse.urlsplit(base)
+    conn = http.client.HTTPConnection(address.hostname, address.port, timeout=10)
+    try:
+        conn.request("POST", "/v1/readings", body=body, headers=headers)
+        response = conn.getresponse()
+        assert response.status == 400
+        assert "error" in json.loads(response.read().decode())
+    finally:
+        conn.close()
+
+
 def test_unknown_endpoint_is_404(server):
     base, _ = server
     with pytest.raises(urllib.error.HTTPError) as err:
@@ -140,6 +166,16 @@ def test_anomalies_endpoint_accepts_overrides(server):
     with pytest.raises(urllib.error.HTTPError) as err:
         get(base, "/v1/meters/S4/anomalies?k=nope")
     assert err.value.code == 400
+
+
+@pytest.mark.parametrize("query", ["restarts=0", "min_completeness=2", "min_completeness=-0.1"])
+def test_anomalies_out_of_range_setting_is_400(server, query):
+    base, _ = server
+    post(base, "/v1/readings", ndjson(sim_readings(days=2)))
+    with pytest.raises(urllib.error.HTTPError) as err:
+        get(base, "/v1/meters/S4/anomalies?" + query)
+    assert err.value.code == 400
+    assert "error" in json.loads(err.value.read().decode())
 
 
 def test_busy_port_raises_at_startup():
