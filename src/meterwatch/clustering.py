@@ -178,27 +178,20 @@ def _single_move_polish(
     """
     labels = labels.copy()
     moved_any = False
+    rows = np.arange(X.shape[0])
     for _ in range(200 * X.shape[0]):  # hard cap against float-noise cycling
         counts = np.bincount(labels, minlength=k)
+        own = counts[labels]
         d2 = _sq_dists(X, _centroids(X, labels, k))
-        best_delta = -1e-12
-        best_move = None
-        for i in range(X.shape[0]):
-            a = labels[i]
-            if counts[a] <= 1:
-                continue
-            leave_gain = d2[i, a] * counts[a] / (counts[a] - 1.0)
-            for b in range(k):
-                if b == a:
-                    continue
-                join_cost = d2[i, b] * counts[b] / (counts[b] + 1.0)
-                delta = join_cost - leave_gain
-                if delta < best_delta:
-                    best_delta = delta
-                    best_move = (i, b)
-        if best_move is None:
+        with np.errstate(divide="ignore", invalid="ignore"):  # own <= 1 rows are masked
+            delta = d2 * counts / (counts + 1.0) - (d2[rows, labels] * own / (own - 1.0))[:, None]
+        delta[rows, labels] = np.inf
+        delta[own <= 1] = np.inf
+        # Flat argmin keeps the first minimum in point-major order.
+        i, b = divmod(int(np.argmin(delta)), k)
+        if delta[i, b] >= -1e-12:
             break
-        labels[best_move[0]] = best_move[1]
+        labels[i] = b
         moved_any = True
     return labels, moved_any
 
@@ -333,7 +326,8 @@ def select_k(
 def _max_pairwise_distance(X: np.ndarray) -> float:
     if X.shape[0] < 2:
         return 0.0
-    return float(np.sqrt(_sq_dists(X, X).max()))
+    # One row at a time: an n x 96 temporary instead of n x n x 96.
+    return float(np.sqrt(max(_sq_dists(X[i : i + 1], X).max() for i in range(X.shape[0]))))
 
 
 def mean_cluster_profiles(model: ClusterModel) -> ClusterSummary:

@@ -9,6 +9,7 @@ falling below the completeness threshold.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
@@ -33,7 +34,7 @@ class DailyProfile:
     def __post_init__(self):
         if len(self.values) != SLOTS_PER_DAY:
             raise ValueError("profile must have exactly 96 values")
-        if any(v < 0 or v != v for v in self.values):
+        if not all(0 <= v < math.inf for v in self.values):
             raise ValueError("profile values must be finite and non-negative")
 
 

@@ -71,6 +71,10 @@ class MeterServiceHandler(BaseHTTPRequestHandler):
         if urlparse(self.path).path != "/v1/readings":
             self._send_error(404, "unknown endpoint")
             return
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True  # the body's end is unknown
+            self._send_error(411, "send the body with a Content-Length")
+            return
         length = self.headers.get("Content-Length", "0")
         if not length.isdecimal():
             self.close_connection = True  # the body's end is unknown
@@ -116,6 +120,9 @@ class MeterServiceHandler(BaseHTTPRequestHandler):
         if not self._require_meter(meter_id):
             return
         span = self.store.span(meter_id, self.config.register)
+        if span is None and not {"from", "to"} <= query.keys():
+            self._send_error(409, "meter {!r} has no {} readings".format(meter_id, self.config.register))
+            return
         try:
             start = parse_rfc3339(query["from"]) if "from" in query else span[0]
             end = parse_rfc3339(query["to"]) if "to" in query else span[1]

@@ -73,8 +73,8 @@ class MeterReading:
     def __post_init__(self):
         if self.timestamp.tzinfo is None:
             raise ValueError("reading timestamps must be timezone-aware")
-        if self.value_kwh < 0:
-            raise ValueError("register values are non-negative")
+        if not 0 <= self.value_kwh < REGISTER_MODULUS_KWH:
+            raise ValueError("register values lie in [0, {}) kWh".format(REGISTER_MODULUS_KWH))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 These deliberately avoid the code paths under test: the XOR fold uses
 functools.reduce, the k-means oracle enumerates every assignment, and the
-Rand index works from the contingency table.
+Rand index works from the contingency table.  ``single_move_polish`` is the
+pair-by-pair loop that the vectorised ``clustering._single_move_polish``
+replaced, kept so the two can be compared move for move.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from operator import xor
 
 import numpy as np
 
+from meterwatch.clustering import _centroids, _sq_dists
 from meterwatch.profiles import DailyProfile
 
 
@@ -41,6 +44,36 @@ def exact_min_inertia(X: np.ndarray, k: int) -> float:
         costs[nonempty] -= within[nonempty] / sizes[nonempty]
     best = float(costs.min())
     return max(best, 0.0)
+
+
+def single_move_polish(X: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, bool]:
+    """Hartigan single-move polish, searching every (point, cluster) pair in
+    point-major order; the first strictly best move wins."""
+    labels = labels.copy()
+    moved_any = False
+    for _ in range(200 * X.shape[0]):
+        counts = np.bincount(labels, minlength=k)
+        d2 = _sq_dists(X, _centroids(X, labels, k))
+        best_delta = -1e-12
+        best_move = None
+        for i in range(X.shape[0]):
+            a = labels[i]
+            if counts[a] <= 1:
+                continue
+            leave_gain = d2[i, a] * counts[a] / (counts[a] - 1.0)
+            for b in range(k):
+                if b == a:
+                    continue
+                join_cost = d2[i, b] * counts[b] / (counts[b] + 1.0)
+                delta = join_cost - leave_gain
+                if delta < best_delta:
+                    best_delta = delta
+                    best_move = (i, b)
+        if best_move is None:
+            break
+        labels[best_move[0]] = best_move[1]
+        moved_any = True
+    return labels, moved_any
 
 
 def adjusted_rand_index(labels_a, labels_b) -> float:

@@ -5,6 +5,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import START, profiles_through_store
 from meterwatch import clustering, pipeline
@@ -18,7 +19,7 @@ from meterwatch.pipeline import AnalysisConfig, analyze_meter
 from meterwatch.protocol import POSITIVE_ACTIVE_ENERGY
 from meterwatch.simulator import simulate_period
 from meterwatch.store import MeterReading, TelemetryStore
-from oracles import exact_min_inertia, profiles_from_matrix
+from oracles import exact_min_inertia, profiles_from_matrix, single_move_polish
 
 
 def matrix(*rows):
@@ -276,3 +277,40 @@ def test_analysis_fits_each_model_once(s4_month, monkeypatch, k, fitted_ks):
     monkeypatch.setattr(pipeline, "kmeans_fit", counting_fit)
     analyze_meter(store, s4_month.meter_id, AnalysisConfig(seed=4, restarts=2, k=k))
     assert calls == fitted_ks
+
+
+@st.composite
+def polish_inputs(draw):
+    """Small (X, labels, k) with no empty cluster.  Integer-valued rows drawn
+    from a small pool repeat, so equal deltas (ties) are common."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, min(n, 6)))
+    width = draw(st.sampled_from([1, 3, 96]))
+    if draw(st.booleans()):
+        pool = draw(st.lists(st.lists(st.integers(0, 3), min_size=width, max_size=width), min_size=1, max_size=4))
+        rows = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)]
+    else:
+        value = st.floats(0, 500, allow_nan=False, allow_infinity=False)
+        rows = [draw(st.lists(value, min_size=width, max_size=width)) for _ in range(n)]
+    labels = list(range(k)) + [draw(st.integers(0, k - 1)) for _ in range(n - k)]
+    labels = draw(st.permutations(labels))
+    return np.array(rows, dtype=float), np.array(labels, dtype=np.int64), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(polish_inputs())
+def test_single_move_polish_matches_the_pairwise_loop(case):
+    X, labels, k = case
+    got_labels, got_moved = clustering._single_move_polish(X, labels, k)
+    want_labels, want_moved = single_move_polish(X, labels, k)
+    assert np.array_equal(got_labels, want_labels)
+    assert got_moved == want_moved
+
+
+def test_max_pairwise_distance_matches_the_full_matrix():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 7, 40):
+        X = rng.uniform(0, 500, size=(n, 96))
+        assert clustering._max_pairwise_distance(X) == float(np.sqrt(clustering._sq_dists(X, X).max()))
+    identical = np.full((12, 96), 7.25)
+    assert clustering._max_pairwise_distance(identical) < clustering.DEGENERATE_DISTANCE_FLOOR

@@ -83,8 +83,9 @@ def test_dst_transition_day_is_excluded():
 def test_profile_validation():
     with pytest.raises(ValueError):
         DailyProfile("M1", DAY_START_UTC.date(), (1.0,) * 95, 1.0)
-    with pytest.raises(ValueError):
-        DailyProfile("M1", DAY_START_UTC.date(), (-1.0,) + (1.0,) * 95, 1.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            DailyProfile("M1", DAY_START_UTC.date(), (bad,) + (1.0,) * 95, 1.0)
 
 
 def test_profiles_csv_has_96_value_columns(s4_month):

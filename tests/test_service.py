@@ -131,8 +131,16 @@ def test_malformed_record_is_400(server):
         (b"", {"Content-Length": "abc"}),
         (b"", {"Content-Length": "-1"}),
         (b'{"meter_id": "X", "timestamp": "2024-06-03T00:00:00Z", "obis": "1.8.0", "value_kwh": "abc"}', {}),
+        (b'{"meter_id": "X", "timestamp": "2024-06-03T00:00:00Z", "obis": "1.8.0", "value_kwh": "Infinity"}', {}),
     ],
-    ids=["not-an-object", "not-utf8", "length-not-an-integer", "negative-length", "value-not-a-number"],
+    ids=[
+        "not-an-object",
+        "not-utf8",
+        "length-not-an-integer",
+        "negative-length",
+        "value-not-a-number",
+        "value-infinite",
+    ],
 )
 def test_unreadable_post_body_is_400_json(server, body, headers):
     base, _ = server
@@ -145,6 +153,41 @@ def test_unreadable_post_body_is_400_json(server, body, headers):
         assert "error" in json.loads(response.read().decode())
     finally:
         conn.close()
+
+
+def test_chunked_post_is_411_and_closes(server):
+    base, store = server
+    address = urllib.parse.urlsplit(base)
+    conn = http.client.HTTPConnection(address.hostname, address.port, timeout=10)
+    try:
+        # A generator body makes http.client send Transfer-Encoding: chunked.
+        # The server may answer and close before the body is written; the
+        # answer can still be read.
+        try:
+            conn.request("POST", "/v1/readings", body=(chunk for chunk in [ndjson(sim_readings(days=1))]))
+        except (BrokenPipeError, ConnectionResetError):
+            pass
+        response = conn.getresponse()
+        assert response.status == 411
+        assert response.getheader("Connection") == "close"
+        assert "error" in json.loads(response.read().decode())
+    finally:
+        conn.close()
+    assert store.meters() == []
+
+
+def test_power_for_a_meter_without_the_register_is_409(server):
+    base, _ = server
+    record = {"meter_id": "X", "timestamp": "2024-06-03T00:00:00Z", "obis": "2.8.0", "value_kwh": "1.000"}
+    post(base, "/v1/readings", json.dumps(record).encode())
+    for query in ("", "?from=2024-06-03T00:00:00Z", "?to=2024-06-03T01:00:00Z"):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            get(base, "/v1/meters/X/power" + query)
+        assert err.value.code == 409
+        assert "error" in json.loads(err.value.read().decode())
+    status, body = get(base, "/v1/meters/X/power?from=2024-06-03T00:00:00Z&to=2024-06-03T00:30:00Z")
+    assert status == 200
+    assert [s["quality"] for s in body] == ["missing", "missing"]
 
 
 def test_unknown_endpoint_is_404(server):

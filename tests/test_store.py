@@ -101,8 +101,9 @@ def test_naive_timestamps_are_rejected():
 
 
 def test_negative_register_is_rejected():
-    with pytest.raises(ValueError):
-        MeterReading("M1", T0, OBIS_180, Decimal("-1"))
+    for value in ("-1", "Infinity", "1000000.000"):
+        with pytest.raises(ValueError):
+            MeterReading("M1", T0, OBIS_180, Decimal(value))
 
 
 @given(
@@ -271,11 +272,12 @@ def test_csv_roundtrip():
 
 
 def test_csv_malformed_row_names_its_line():
-    text = "meter_id,timestamp,obis,value_kwh\nM1,2024-06-03T12:00:00Z,1.8.0,1.0\nM1,not-a-time,1.8.0,2.0\n"
-    with pytest.raises(ReadingsCsvError) as err:
-        read_readings_csv(io.StringIO(text))
-    assert err.value.line_number == 3
-    assert "line 3" in str(err.value)
+    for bad_row in ("M1,not-a-time,1.8.0,2.0", "M1,2024-06-03T12:15:00Z,1.8.0,Infinity"):
+        text = "meter_id,timestamp,obis,value_kwh\nM1,2024-06-03T12:00:00Z,1.8.0,1.0\n" + bad_row + "\n"
+        with pytest.raises(ReadingsCsvError) as err:
+            read_readings_csv(io.StringIO(text))
+        assert err.value.line_number == 3
+        assert "line 3" in str(err.value)
 
 
 def test_csv_rejects_wrong_header_and_empty_file():
