@@ -153,9 +153,9 @@ def ingest(csv_files, store_dir) -> None:
     """Ingest readings CSV file(s) into a store directory."""
     store_path = Path(store_dir)
     store_path.mkdir(parents=True, exist_ok=True)
-    store = TelemetryStore(store_path / STORE_FILENAME)
     total = None
     try:
+        store = _open_store(store_path)
         for csv_file in csv_files:
             readings = read_readings_csv(csv_file)
             delta = store.ingest(readings)
@@ -166,6 +166,18 @@ def ingest(csv_files, store_dir) -> None:
     except (ReadingsCsvError, StoreError) as exc:
         raise click.ClickException(str(exc))
     click.echo(canonical_json(total.to_json_dict()))
+
+
+def _open_store(store_dir: Path) -> TelemetryStore:
+    store = TelemetryStore(store_dir / STORE_FILENAME)
+    if store.dropped_tail_bytes:
+        click.echo(
+            "dropped {} byte(s) of a torn final record from {}".format(
+                store.dropped_tail_bytes, store_dir / STORE_FILENAME
+            ),
+            err=True,
+        )
+    return store
 
 
 def _analysis_outputs(analysis: MeterAnalysis, meter_out: Path, top_n: int) -> None:
@@ -282,7 +294,10 @@ def analyze(csv_files, out_dir, seed, restarts, min_completeness, top_n, k, conf
 @click.option("--verbose", is_flag=True, default=False)
 def serve(store_dir, host, port, seed, verbose) -> None:
     """Serve ingestion and analysis endpoints over HTTP."""
-    store = TelemetryStore(Path(store_dir) / STORE_FILENAME)
+    try:
+        store = _open_store(Path(store_dir))
+    except StoreError as exc:
+        raise click.ClickException(str(exc))
     config = AnalysisConfig(seed=seed)
     try:
         server = make_server(store, config, host=host, port=port, verbose=verbose)

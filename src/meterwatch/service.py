@@ -6,7 +6,8 @@ Endpoints:
   (``meter_id``, ``timestamp``, ``obis``, ``value_kwh``); responds with
   the ingestion stats delta.
 * ``GET /v1/meters/{id}/power?from=...&to=...`` - 15-minute mean-power
-  samples (RFC 3339 bounds; defaults to the meter's full span).
+  samples (RFC 3339 bounds; defaults to the meter's full span; at most
+  ``MAX_POWER_SLOTS`` slots).
 * ``GET /v1/meters/{id}/anomalies?k=&seed=&restarts=&min_completeness=`` -
   the current anomaly report, recomputed on demand with the same defaults
   the CLI uses.
@@ -27,6 +28,7 @@ from urllib.parse import parse_qs, urlparse
 
 from .pipeline import AnalysisConfig, InsufficientDataError, analyze_meter, canonical_json
 from .store import (
+    SLOT,
     ConflictingDuplicate,
     NonMonotonicRegister,
     TelemetryStore,
@@ -37,6 +39,9 @@ from .store import (
 
 _POWER_RE = re.compile(r"^/v1/meters/([^/]+)/power$")
 _ANOMALIES_RE = re.compile(r"^/v1/meters/([^/]+)/anomalies$")
+
+# Ten years of 15-minute slots: the most one /power request may cover.
+MAX_POWER_SLOTS = 3653 * 96
 
 
 class MeterServiceHandler(BaseHTTPRequestHandler):
@@ -128,6 +133,9 @@ class MeterServiceHandler(BaseHTTPRequestHandler):
             end = parse_rfc3339(query["to"]) if "to" in query else span[1]
         except ValueError as exc:
             self._send_error(400, str(exc))
+            return
+        if (end - start) // SLOT > MAX_POWER_SLOTS:
+            self._send_error(400, "range holds more than {} slots (ten years)".format(MAX_POWER_SLOTS))
             return
         samples = self.store.mean_power_series(meter_id, self.config.register, start, end)
         payload = [

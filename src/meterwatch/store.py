@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
@@ -61,6 +62,14 @@ class ReadingsCsvError(StoreError):
         super().__init__("line {}: {}".format(line_number, reason))
         self.line_number = line_number
         self.reason = reason
+
+
+class StoreLogError(StoreError):
+    """A committed line of the store's append log does not parse."""
+
+    def __init__(self, path: Path, line_number: int, reason: str):
+        super().__init__("{} line {}: {}".format(path, line_number, reason))
+        self.line_number = line_number
 
 
 @dataclass(frozen=True)
@@ -130,29 +139,46 @@ def register_delta_kwh(old: Decimal, new: Decimal) -> Decimal:
 class TelemetryStore:
     """Single-writer reading store with an in-memory index.
 
-    When constructed with a path, accepted readings are appended to that
-    newline-delimited JSON file and replayed on open.  Reads and writes are
+    Each (meter, register) series is two parallel lists, ``times`` and
+    ``values``, kept sorted by time, so lookups and grid reads bisect
+    instead of sorting.  When constructed with a path, accepted readings
+    are appended to that newline-delimited JSON file and replayed on open.
+    A record counts as committed once its newline is on disk: a final
+    fragment without one (a torn append) is cut from the file on open and
+    its size kept in ``dropped_tail_bytes``.  Reads and writes are
     serialized through one lock; readers always observe the state left by
     the last completed ingest.
     """
 
     def __init__(self, path: str | Path | None = None):
-        self._series: dict[tuple[str, str], dict[datetime, Decimal]] = {}
+        self._series: dict[tuple[str, str], tuple[list[datetime], list[Decimal]]] = {}
         self._lock = threading.RLock()
         self._path = Path(path) if path is not None else None
         self.stats = StoreStats()
+        self.dropped_tail_bytes = 0
         if self._path is not None and self._path.exists():
             self._replay(self._path)
 
     def _replay(self, path: Path) -> None:
         readings = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    readings.append(reading_from_record(json.loads(line)))
+        committed = 0  # bytes up to and including the last newline
+        with open(path, "rb") as fh:
+            for line_number, line in enumerate(fh, start=1):
+                if not line.endswith(b"\n"):
+                    break
+                committed += len(line)
+                if line.strip():
+                    try:
+                        readings.append(reading_from_record(json.loads(line.decode("utf-8"))))
+                    except (ValueError, KeyError, TypeError, InvalidOperation) as exc:
+                        raise StoreLogError(path, line_number, str(exc)) from exc
         if readings:
             self._ingest_validated(readings, persist=False)
+        torn = path.stat().st_size - committed
+        if torn:
+            with open(path, "r+b") as fh:
+                fh.truncate(committed)
+            self.dropped_tail_bytes = torn
 
     # -- ingestion ----------------------------------------------------------
 
@@ -160,13 +186,16 @@ class TelemetryStore:
         """Validate and commit a batch atomically; returns the stats delta.
 
         Re-ingesting any batch is a no-op (identical duplicates are
-        dropped).  Nothing is committed when any reading conflicts.
+        dropped).  Nothing is committed when any reading conflicts or when
+        appending to the log fails.
 
         Raises:
             ConflictingDuplicate: same key seen with a different value.
             NonMonotonicRegister: a register decrease that is not a
                 rollover, checked against time-adjacent neighbours in the
                 merged (stored + incoming) timeline.
+            OSError: the log append failed; the log is cut back to its
+                previous length where it could be opened.
         """
         with self._lock:
             return self._ingest_validated(list(batch), persist=True)
@@ -177,9 +206,10 @@ class TelemetryStore:
         for reading in batch:
             key = (reading.meter_id, str(reading.register))
             ts = reading.timestamp.astimezone(timezone.utc)
-            existing = self._series.get(key, {}).get(ts)
-            pending = fresh.get(key, {}).get(ts)
-            known = existing if existing is not None else pending
+            pending = fresh.get(key)
+            known = pending.get(ts) if pending is not None else None
+            if known is None:
+                known = self._stored_value(key, ts)
             if known is not None:
                 if known == reading.value_kwh:
                     delta.duplicates_dropped += 1
@@ -189,46 +219,51 @@ class TelemetryStore:
                         key[0], key[1], ts.isoformat(), known, reading.value_kwh
                     )
                 )
-            fresh.setdefault(key, {})[ts] = reading.value_kwh
+            if pending is None:
+                pending = fresh[key] = {}
+            pending[ts] = reading.value_kwh
 
+        merges = []
         for key, news in fresh.items():
-            stored = self._series.get(key, {})
-            merged = sorted(list(stored.items()) + list(news.items()))
-            for (t1, v1), (t2, v2) in zip(merged, merged[1:]):
-                if t1 not in news and t2 not in news:
-                    continue  # pair already validated
-                if v2 >= v1:
-                    continue
-                if is_rollover(v1, v2):
-                    delta.rollovers_detected += 1
-                    continue
-                raise NonMonotonicRegister(
-                    "{} {}: {} -> {} between {} and {}".format(
-                        key[0], key[1], v1, v2, t1.isoformat(), t2.isoformat()
-                    )
-                )
-            if stored:
-                newest = max(stored)
-                delta.out_of_order += sum(1 for t in news if t < newest)
-
-        for key, news in fresh.items():
-            series = self._series.setdefault(key, {})
-            series.update(news)
+            times, values = self._series.get(key, ((), ()))
+            new_times = sorted(news)
+            new_values = [news[t] for t in new_times]
+            positions = _check_neighbours(key, times, values, new_times, new_values, delta)
+            if times:
+                delta.out_of_order += bisect_left(new_times, times[-1])
+            merges.append((key, positions, new_times, new_values))
             delta.readings_accepted += len(news)
+
         if persist and self._path is not None and delta.readings_accepted:
-            with open(self._path, "a", encoding="utf-8") as fh:
-                for key, news in sorted(fresh.items()):
-                    meter_id, obis = key
-                    for ts in sorted(news):
-                        record = {
-                            "meter_id": meter_id,
-                            "timestamp": rfc3339(ts),
-                            "obis": obis,
-                            "value_kwh": str(news[ts]),
-                        }
-                        fh.write(json.dumps(record, sort_keys=True) + "\n")
+            self._append(_ndjson_records(merges))
+        for key, positions, new_times, new_values in merges:
+            times, values = self._series.setdefault(key, ([], []))
+            _insert_sorted(times, positions, new_times)
+            _insert_sorted(values, positions, new_values)
         self.stats.add(delta)
         return delta
+
+    def _stored_value(self, key: tuple[str, str], ts: datetime) -> Decimal | None:
+        series = self._series.get(key)
+        if series is None:
+            return None
+        times, values = series
+        i = bisect_left(times, ts)
+        if i < len(times) and times[i] == ts:
+            return values[i]
+        return None
+
+    def _append(self, data: bytes) -> None:
+        """Append ``data`` to the log, or leave the log as it was and raise."""
+        with open(self._path, "ab", buffering=0) as fh:
+            start = fh.seek(0, os.SEEK_END)
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[fh.write(view):]
+            except OSError:
+                fh.truncate(start)
+                raise
 
     # -- queries ------------------------------------------------------------
 
@@ -244,23 +279,24 @@ class TelemetryStore:
 
     def readings(self, meter_id: str, register: ObisCode) -> list[MeterReading]:
         with self._lock:
-            series = self._series.get((meter_id, str(register)), {})
+            times, values = self._series.get((meter_id, str(register)), ((), ()))
             return [
                 MeterReading(meter_id, ts, register, value)
-                for ts, value in sorted(series.items())
+                for ts, value in zip(times, values)
             ]
 
     def span(self, meter_id: str, register: ObisCode) -> tuple[datetime, datetime] | None:
         with self._lock:
-            series = self._series.get((meter_id, str(register)), {})
-            if not series:
+            series = self._series.get((meter_id, str(register)))
+            if series is None:
                 return None
-            return min(series), max(series)
+            times = series[0]
+            return times[0], times[-1]
 
     def snapshot(self) -> dict[tuple[str, str], dict[datetime, Decimal]]:
         """Deep copy of the index, for state-equality checks."""
         with self._lock:
-            return {key: dict(series) for key, series in self._series.items()}
+            return {key: dict(zip(times, values)) for key, (times, values) in self._series.items()}
 
     # -- derivation ---------------------------------------------------------
 
@@ -274,17 +310,21 @@ class TelemetryStore:
         interpolated when its two enclosing readings are at most one hour
         apart; boundaries without such neighbours are marked missing.
         """
-        with self._lock:
-            series = self._series.get((meter_id, str(register)), {})
-            times = sorted(series)
-            values = [series[t] for t in times]
-        grid: list[GridReading] = []
-        boundary = _ceil_to_slot(start.astimezone(timezone.utc))
+        start = start.astimezone(timezone.utc)
         end = end.astimezone(timezone.utc)
-        while boundary <= end:
-            grid.append(_grid_value(times, values, boundary))
-            boundary += SLOT
-        return grid
+        with self._lock:
+            times, values = self._series.get((meter_id, str(register)), ((), ()))
+            # Every boundary in [start, end] lies between these readings.
+            lo = max(bisect_left(times, start) - 1, 0)
+            hi = bisect_right(times, end) + 1
+            times, values = times[lo:hi], values[lo:hi]
+        first = _ceil_to_slot(start)
+        if first is None or first > end:
+            return []
+        return [
+            _grid_value(times, values, first + i * SLOT)
+            for i in range((end - first) // SLOT + 1)
+        ]
 
     def mean_power_series(
         self, meter_id: str, register: ObisCode, start: datetime, end: datetime
@@ -314,7 +354,90 @@ class TelemetryStore:
         return samples
 
 
-def _ceil_to_slot(ts: datetime) -> datetime:
+def _check_neighbours(
+    key: tuple[str, str],
+    times: Sequence[datetime],
+    values: Sequence[Decimal],
+    new_times: list[datetime],
+    new_values: list[Decimal],
+    delta: StoreStats,
+) -> list[int]:
+    """Check every time-adjacent pair that holds a new reading, in time order.
+
+    ``new_times`` is sorted and disjoint from the stored ``times``.  Each
+    new reading is checked against its predecessor in the merged timeline
+    and, when that is a stored reading, against its successor; rollovers
+    are counted into ``delta``.  Returns each new reading's insertion
+    index into the stored lists.
+    """
+
+    def decrease(t1, v1, t2, v2):
+        if is_rollover(v1, v2):
+            delta.rollovers_detected += 1
+            return
+        raise NonMonotonicRegister(
+            "{} {}: {} -> {} between {} and {}".format(
+                key[0], key[1], v1, v2, t1.isoformat(), t2.isoformat()
+            )
+        )
+
+    positions = []
+    prev_t = prev_v = None
+    j = 0
+    stored = len(times)
+    last = len(new_times) - 1
+    for i, (t, v) in enumerate(zip(new_times, new_values)):
+        j = bisect_left(times, t, j)
+        positions.append(j)
+        if j > 0 and (prev_t is None or times[j - 1] > prev_t):
+            prev_t, prev_v = times[j - 1], values[j - 1]
+        if prev_t is not None and v < prev_v:
+            decrease(prev_t, prev_v, t, v)
+        if j < stored and (i == last or times[j] < new_times[i + 1]) and values[j] < v:
+            decrease(t, v, times[j], values[j])
+        prev_t, prev_v = t, v
+    return positions
+
+
+def _insert_sorted(items: list, positions: list[int], news: list) -> None:
+    """Insert ``news[i]`` before ``items[positions[i]]`` (positions non-decreasing)."""
+    first = positions[0]
+    if first == len(items):
+        items.extend(news)
+        return
+    tail = items[first:]
+    del items[first:]
+    done = first
+    for j, item in zip(positions, news):
+        items.extend(tail[done - first : j - first])
+        items.append(item)
+        done = j
+    items.extend(tail[done - first :])
+
+
+def _ndjson_records(merges: list[tuple[tuple[str, str], list[int], list[datetime], list[Decimal]]]) -> bytes:
+    """Log lines for a batch's new readings, by series key, then by time."""
+    lines = []
+    for (meter_id, obis), _, new_times, new_values in sorted(merges, key=lambda merge: merge[0]):
+        for ts, value in zip(new_times, new_values):
+            record = {
+                "meter_id": meter_id,
+                "timestamp": rfc3339(ts),
+                "obis": obis,
+                "value_kwh": str(value),
+            }
+            lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+# The last 15-minute boundary a datetime can hold.
+_LAST_SLOT = datetime.max.replace(minute=45, second=0, microsecond=0, tzinfo=timezone.utc)
+
+
+def _ceil_to_slot(ts: datetime) -> datetime | None:
+    """First 15-minute boundary at or after ``ts`` (UTC); None past the last one."""
+    if ts > _LAST_SLOT:
+        return None
     epoch = ts.replace(minute=0, second=0, microsecond=0)
     while epoch < ts:
         epoch += SLOT
@@ -353,7 +476,7 @@ def _grid_value(times: list[datetime], values: list[Decimal], boundary: datetime
 
 
 def rfc3339(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return ts.astimezone(timezone.utc).replace(tzinfo=None, microsecond=0).isoformat() + "Z"
 
 
 def parse_rfc3339(text: str) -> datetime:
@@ -363,7 +486,10 @@ def parse_rfc3339(text: str) -> datetime:
     ts = datetime.fromisoformat(raw)
     if ts.tzinfo is None:
         raise ValueError("timestamp {!r} lacks a timezone".format(text))
-    return ts.astimezone(timezone.utc)
+    try:
+        return ts.astimezone(timezone.utc)
+    except OverflowError as exc:
+        raise ValueError("timestamp {!r} lies outside the years 1-9999 in UTC".format(text)) from exc
 
 
 def reading_to_record(reading: MeterReading) -> dict:

@@ -4,13 +4,17 @@ These deliberately avoid the code paths under test: the XOR fold uses
 functools.reduce, the k-means oracle enumerates every assignment, and the
 Rand index works from the contingency table.  ``single_move_polish`` is the
 pair-by-pair loop that the vectorised ``clustering._single_move_polish``
-replaced, kept so the two can be compared move for move.
+replaced, kept so the two can be compared move for move.  ``DictStore`` is
+the in-memory telemetry store that re-sorted a whole series on every ingest
+and grid read, kept so the sorted-list ``TelemetryStore`` can be compared
+with it batch for batch.
 """
 
 from __future__ import annotations
 
 import itertools
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta, timezone
+from decimal import Decimal
 from functools import reduce
 from math import comb
 from operator import xor
@@ -19,6 +23,20 @@ import numpy as np
 
 from meterwatch.clustering import _centroids, _sq_dists
 from meterwatch.profiles import DailyProfile
+from meterwatch.store import (
+    QUALITY_INTERPOLATED,
+    QUALITY_MEASURED,
+    QUALITY_MISSING,
+    SLOT,
+    ConflictingDuplicate,
+    MeterReading,
+    NonMonotonicRegister,
+    PowerSample,
+    StoreStats,
+    _grid_value,
+    is_rollover,
+    register_delta_kwh,
+)
 
 
 def xor_fold(payload: bytes) -> int:
@@ -100,3 +118,103 @@ def profiles_from_matrix(X, meter_id: str = "T") -> list[DailyProfile]:
         DailyProfile(meter_id, first + timedelta(days=i), tuple(float(v) for v in row), 1.0)
         for i, row in enumerate(np.asarray(X, dtype=float))
     ]
+
+
+class DictStore:
+    """Unpersisted store holding each series as a ``dict[datetime, Decimal]``.
+
+    Ingest merges and sorts the whole stored series with the batch and walks
+    every adjacent pair; grid reads sort and copy the whole series.
+    """
+
+    def __init__(self):
+        self._series: dict[tuple[str, str], dict[datetime, Decimal]] = {}
+
+    def ingest(self, batch) -> StoreStats:
+        delta = StoreStats()
+        fresh: dict[tuple[str, str], dict[datetime, Decimal]] = {}
+        for reading in batch:
+            key = (reading.meter_id, str(reading.register))
+            ts = reading.timestamp.astimezone(timezone.utc)
+            existing = self._series.get(key, {}).get(ts)
+            pending = fresh.get(key, {}).get(ts)
+            known = existing if existing is not None else pending
+            if known is not None:
+                if known == reading.value_kwh:
+                    delta.duplicates_dropped += 1
+                    continue
+                raise ConflictingDuplicate(
+                    "{} {} at {}: stored {} vs new {}".format(
+                        key[0], key[1], ts.isoformat(), known, reading.value_kwh
+                    )
+                )
+            fresh.setdefault(key, {})[ts] = reading.value_kwh
+
+        for key, news in fresh.items():
+            stored = self._series.get(key, {})
+            merged = sorted(list(stored.items()) + list(news.items()))
+            for (t1, v1), (t2, v2) in zip(merged, merged[1:]):
+                if t1 not in news and t2 not in news:
+                    continue  # pair already validated
+                if v2 >= v1:
+                    continue
+                if is_rollover(v1, v2):
+                    delta.rollovers_detected += 1
+                    continue
+                raise NonMonotonicRegister(
+                    "{} {}: {} -> {} between {} and {}".format(
+                        key[0], key[1], v1, v2, t1.isoformat(), t2.isoformat()
+                    )
+                )
+            if stored:
+                newest = max(stored)
+                delta.out_of_order += sum(1 for t in news if t < newest)
+
+        for key, news in fresh.items():
+            self._series.setdefault(key, {}).update(news)
+            delta.readings_accepted += len(news)
+        return delta
+
+    def readings(self, meter_id, register) -> list[MeterReading]:
+        series = self._series.get((meter_id, str(register)), {})
+        return [MeterReading(meter_id, ts, register, value) for ts, value in sorted(series.items())]
+
+    def span(self, meter_id, register):
+        series = self._series.get((meter_id, str(register)), {})
+        if not series:
+            return None
+        return min(series), max(series)
+
+    def snapshot(self):
+        return {key: dict(series) for key, series in self._series.items()}
+
+    def align_to_grid(self, meter_id, register, start, end):
+        series = self._series.get((meter_id, str(register)), {})
+        times = sorted(series)
+        values = [series[t] for t in times]
+        grid = []
+        start = start.astimezone(timezone.utc)
+        boundary = start.replace(minute=0, second=0, microsecond=0)
+        while boundary < start:
+            boundary += SLOT
+        end = end.astimezone(timezone.utc)
+        while boundary <= end:
+            grid.append(_grid_value(times, values, boundary))
+            boundary += SLOT
+        return grid
+
+    def mean_power_series(self, meter_id, register, start, end) -> list[PowerSample]:
+        grid = self.align_to_grid(meter_id, register, start, end)
+        samples = []
+        for left, right in zip(grid, grid[1:]):
+            if left.value_kwh is None or right.value_kwh is None:
+                samples.append(PowerSample(meter_id, left.slot_start, None, QUALITY_MISSING))
+                continue
+            delta = register_delta_kwh(left.value_kwh, right.value_kwh)
+            quality = (
+                QUALITY_INTERPOLATED
+                if QUALITY_INTERPOLATED in (left.quality, right.quality)
+                else QUALITY_MEASURED
+            )
+            samples.append(PowerSample(meter_id, left.slot_start, float(delta) * 4000.0, quality))
+        return samples

@@ -171,6 +171,31 @@ def test_ingest_builds_a_store_directory(runner, tmp_path):
     assert json.loads(again.output.strip().splitlines()[-1])["duplicates_dropped"] == 96 * 2 + 1
 
 
+def test_store_log_damage_is_reported_not_a_traceback(runner, tmp_path):
+    sims = tmp_path / "sims"
+    runner.invoke(main, ["simulate", "--persona", "S1", "--days", "1", "--seed", "1", "--out", str(sims)])
+    csv_file = str(sims / "S1_readings.csv")
+    store_dir = tmp_path / "store"
+    assert runner.invoke(main, ["ingest", csv_file, "--store", str(store_dir)]).exit_code == 0
+    log = store_dir / "readings.ndjson"
+    committed = log.read_bytes()
+
+    log.write_bytes(committed + b'{"meter_id": "M1", "timest')
+    result = runner.invoke(main, ["ingest", csv_file, "--store", str(store_dir)])
+    assert result.exit_code == 0, result.output
+    assert "dropped 26 byte(s)" in result.stderr
+    assert json.loads(result.stdout.strip().splitlines()[-1])["readings_accepted"] == 0
+    assert log.read_bytes() == committed
+
+    lines = committed.splitlines(keepends=True)
+    log.write_bytes(lines[0] + b"not json\n" + b"".join(lines[1:]))
+    for args in (["ingest", csv_file, "--store", str(store_dir)], ["serve", "--store", str(store_dir), "--port", "0"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert "line 2" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_config_file_supplies_defaults_but_flags_win(runner, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"days": 3, "seed": 5}), encoding="utf-8")

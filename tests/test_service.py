@@ -14,7 +14,7 @@ from meterwatch.personas import build_persona
 from meterwatch.pipeline import AnalysisConfig, analyze_meter, canonical_json
 from meterwatch.service import make_server
 from meterwatch.simulator import simulate_period
-from meterwatch.store import TelemetryStore, reading_to_record
+from meterwatch.store import TelemetryStore, parse_rfc3339, reading_to_record
 
 
 @pytest.fixture()
@@ -63,18 +63,42 @@ def test_power_endpoint_matches_the_library(server):
     base, store = server
     readings = sim_readings(days=2)
     post(base, "/v1/readings", ndjson(readings))
-    status, body = get(
-        base, "/v1/meters/S4/power?from=2024-06-02T22:00:00Z&to=2024-06-03T00:00:00Z"
-    )
-    assert status == 200
-    span_samples = store.mean_power_series(
-        "S4",
-        AnalysisConfig().register,
-        readings[0].timestamp,
-        readings[8].timestamp,
-    )
-    assert [s["mean_power_w"] for s in body] == [s.mean_power_w for s in span_samples]
-    assert all(s["quality"] == "measured" for s in body)
+    windows = [
+        ("2024-06-02T22:00:00Z", "2024-06-03T00:00:00Z"),
+        ("9999-12-31T23:00:00Z", "9999-12-31T23:59:59Z"),  # the last slot boundaries a datetime holds
+        ("0001-01-01T00:00:00Z", "0001-01-01T00:30:00Z"),
+    ]
+    for start, end in windows:
+        status, body = get(base, "/v1/meters/S4/power?from={}&to={}".format(start, end))
+        assert status == 200
+        samples = store.mean_power_series("S4", AnalysisConfig().register, parse_rfc3339(start), parse_rfc3339(end))
+        assert [parse_rfc3339(s["slot_start"]) for s in body] == [s.slot_start for s in samples]
+        assert [s["mean_power_w"] for s in body] == [s.mean_power_w for s in samples]
+        assert [s["quality"] for s in body] == [s.quality for s in samples]
+        if start.startswith("2024"):
+            assert len(body) == 8
+            assert all(s["quality"] == "measured" for s in body)
+        else:
+            assert len(body) in (2, 3)
+            assert all(s["quality"] == "missing" for s in body)
+
+
+@pytest.mark.parametrize(
+    "query",
+    ["?from=1970-01-01T00:00:00Z&to=9999-12-31T23:59:59Z", ""],
+    ids=["explicit-range", "default-span"],
+)
+def test_power_range_over_ten_years_is_400(server, query):
+    base, _ = server
+    records = [
+        {"meter_id": "X", "timestamp": "2014-01-01T00:00:00Z", "obis": "1.8.0", "value_kwh": "1.000"},
+        {"meter_id": "X", "timestamp": "2024-01-03T00:00:00Z", "obis": "1.8.0", "value_kwh": "9.000"},
+    ]
+    post(base, "/v1/readings", "\n".join(json.dumps(r) for r in records).encode())
+    with pytest.raises(urllib.error.HTTPError) as err:
+        get(base, "/v1/meters/X/power" + query)
+    assert err.value.code == 400
+    assert "slots" in json.loads(err.value.read().decode())["error"]
 
 
 def test_anomalies_endpoint_equals_direct_analysis(server):

@@ -1,14 +1,15 @@
 from __future__ import annotations
 
 import io
+import shutil
 from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from meterwatch.personas import build_persona
-from meterwatch.protocol import ObisCode
+from meterwatch.protocol import REGISTER_MODULUS_KWH, ObisCode
 from meterwatch.simulator import simulate_period
 from meterwatch.store import (
     CSV_HEADER,
@@ -19,6 +20,8 @@ from meterwatch.store import (
     QUALITY_MEASURED,
     QUALITY_MISSING,
     ReadingsCsvError,
+    StoreError,
+    StoreLogError,
     TelemetryStore,
     parse_rfc3339,
     read_readings_csv,
@@ -26,8 +29,10 @@ from meterwatch.store import (
     rfc3339,
     write_readings_csv,
 )
+from oracles import DictStore
 
 OBIS_180 = ObisCode(1, 8, 0)
+OBIS_280 = ObisCode(2, 8, 0)
 T0 = datetime(2024, 6, 3, 12, 0, tzinfo=timezone.utc)
 
 
@@ -126,6 +131,87 @@ def test_final_state_is_arrival_order_independent(slots, rnd):
     store_b = TelemetryStore()
     store_b.ingest(shuffled)
     assert store_a.snapshot() == store_b.snapshot()
+
+
+@st.composite
+def reading_batches(draw):
+    """Readings for two meters on both registers, shuffled and split into batches.
+
+    Each series climbs from near zero or from just under the display modulus
+    (so it may roll over); then duplicates, conflicting values and drops are
+    mixed in, and readings land on and off the 15-minute grid, in UTC or
+    another offset.
+    """
+    readings = []
+    for meter in ("A", "B"):
+        for register in (OBIS_180, OBIS_280):
+            seconds = draw(st.lists(
+                st.one_of(st.integers(0, 20).map(lambda i: 900 * i), st.integers(0, 5 * 3600)),
+                max_size=10,
+                unique=True,
+            ))
+            value = draw(st.sampled_from([Decimal("0.000"), REGISTER_MODULUS_KWH - Decimal("0.500")]))
+            for offset in sorted(seconds):
+                value = (value + Decimal(draw(st.integers(0, 300))) / 1000) % REGISTER_MODULUS_KWH
+                tz = draw(st.sampled_from([timezone.utc, timezone(timedelta(hours=2))]))
+                readings.append(MeterReading(meter, (T0 + timedelta(seconds=offset)).astimezone(tz), register, value))
+    faults = draw(st.lists(st.tuples(st.sampled_from(["duplicate", "conflict", "drop"]), st.integers(0)), max_size=4))
+    for kind, index in faults:
+        if not readings:
+            break
+        base = readings[index % len(readings)]
+        if kind == "duplicate":
+            readings.append(base)
+        elif kind == "conflict":
+            value = (base.value_kwh + Decimal("0.001")) % REGISTER_MODULUS_KWH
+            readings.append(MeterReading(base.meter_id, base.timestamp, base.register, value))
+        else:
+            value = max(base.value_kwh - Decimal("0.050"), Decimal("0.000"))
+            readings.append(MeterReading(base.meter_id, base.timestamp + timedelta(seconds=7), base.register, value))
+    readings = draw(st.permutations(readings))
+    cuts = sorted(draw(st.lists(st.integers(0, len(readings)), max_size=6)))
+    return [readings[a:b] for a, b in zip([0] + cuts, cuts + [len(readings)])]
+
+
+GRID_WINDOWS = [
+    (T0 - timedelta(hours=1), T0 + timedelta(hours=6)),  # beyond the data on both sides
+    (T0 + timedelta(minutes=7), T0 + timedelta(hours=2, minutes=53)),
+    (
+        (T0 + timedelta(minutes=40)).astimezone(timezone(timedelta(hours=5, minutes=30))),
+        (T0 + timedelta(hours=3, minutes=1)).astimezone(timezone(timedelta(hours=-3))),
+    ),
+    (T0 + timedelta(hours=5, minutes=30), T0 + timedelta(hours=8)),  # after the data
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(reading_batches())
+def test_store_matches_the_dict_and_sort_oracle(batches):
+    store, oracle = TelemetryStore(), DictStore()
+    for batch in batches:
+        outcomes = []
+        for target in (store, oracle):
+            try:
+                outcomes.append(target.ingest(batch))
+            except StoreError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+    assert store.snapshot() == oracle.snapshot()
+    for meter in ("A", "B", "C"):
+        for register in (OBIS_180, OBIS_280):
+            assert store.readings(meter, register) == oracle.readings(meter, register)
+            assert store.span(meter, register) == oracle.span(meter, register)
+            for start, end in GRID_WINDOWS:
+                assert store.mean_power_series(meter, register, start, end) == oracle.mean_power_series(
+                    meter, register, start, end
+                )
+
+
+def test_stored_successor_is_checked():
+    store = TelemetryStore()
+    store.ingest([reading(0, "1.000"), reading(30, "1.200")])
+    with pytest.raises(NonMonotonicRegister, match="1.300 -> 1.200"):
+        store.ingest([reading(15, "1.300")])
 
 
 # -- grid alignment -----------------------------------------------------------
@@ -259,6 +345,46 @@ def test_store_replays_its_append_log(tmp_path):
     assert reopened.meters() == ["A", "B"]
 
 
+def test_failed_append_commits_nothing(tmp_path):
+    store_dir = tmp_path / "store"
+    store_dir.mkdir()
+    store = TelemetryStore(store_dir / "readings.ndjson")
+    store.ingest([reading(0, "1.000")])
+    state = store.snapshot()
+    shutil.rmtree(store_dir)
+    with pytest.raises(OSError):
+        store.ingest([reading(15, "1.100")])
+    assert store.snapshot() == state
+    store_dir.mkdir()
+    assert store.ingest([reading(15, "1.100")]).readings_accepted == 1
+    assert TelemetryStore(store_dir / "readings.ndjson").readings("M1", OBIS_180) == [reading(15, "1.100")]
+
+
+def test_torn_final_record_is_cut_and_reported(tmp_path):
+    path = tmp_path / "readings.ndjson"
+    store = TelemetryStore(path)
+    store.ingest(grid_batch(["1.000", "1.100"]))
+    committed = path.read_bytes()
+    torn = b'{"meter_id": "M1", "timest'
+    path.write_bytes(committed + torn)
+    reopened = TelemetryStore(path)
+    assert reopened.dropped_tail_bytes == len(torn)
+    assert reopened.snapshot() == store.snapshot()
+    assert path.read_bytes() == committed
+    assert TelemetryStore(path).dropped_tail_bytes == 0
+
+
+def test_unparsable_interior_line_names_its_line(tmp_path):
+    path = tmp_path / "readings.ndjson"
+    TelemetryStore(path).ingest(grid_batch(["1.000", "1.100"]))
+    lines = path.read_bytes().splitlines(keepends=True)
+    for bad in (b'{"meter_id": "M1", "timest\n', b'{"meter_id": "M1"}\n'):
+        path.write_bytes(lines[0] + bad + lines[1])
+        with pytest.raises(StoreLogError, match="line 2") as err:
+            TelemetryStore(path)
+        assert err.value.line_number == 2
+
+
 # -- CSV ----------------------------------------------------------------------
 
 
@@ -289,6 +415,11 @@ def test_csv_rejects_wrong_header_and_empty_file():
 
 def test_rfc3339_roundtrip():
     assert rfc3339(T0) == "2024-06-03T12:00:00Z"
+    first = datetime(1, 1, 1, tzinfo=timezone.utc)
+    assert rfc3339(first) == "0001-01-01T00:00:00Z"
+    assert parse_rfc3339(rfc3339(first)) == first
+    with pytest.raises(ValueError):
+        parse_rfc3339("0001-01-01T00:00:00+01:00")  # before year 1 in UTC
     assert parse_rfc3339("2024-06-03T12:00:00Z") == T0
     assert parse_rfc3339("2024-06-03T14:00:00+02:00") == T0
     with pytest.raises(ValueError):

@@ -12,6 +12,11 @@ script runs:
     meterwatch casestudy --out casestudy
     meterwatch analyze sim/S1_readings.csv ... sim/S4_readings.csv --out knee
     meterwatch analyze sim/S1_readings.csv ... sim/S4_readings.csv --k 3 --out k3
+    meterwatch ingest sim/S1_readings.csv ... sim/S4_readings.csv --store store
+    meterwatch ingest sim/S1_readings.csv ... sim/S4_readings.csv --store store
+
+The second ingest is a no-op re-ingest, so the persisted
+``store/readings.ndjson`` and the stats both ingests print are compared.
 
 Each command's stdout, stderr and exit code are saved beside its outputs.
 The two directories are then compared file by file; every file that
@@ -36,6 +41,8 @@ COMMANDS = [
     ("casestudy", ["casestudy", "--out", "casestudy"]),
     ("knee", ["analyze", *READINGS, "--out", "knee"]),
     ("k3", ["analyze", *READINGS, "--k", "3", "--out", "k3"]),
+    ("ingest", ["ingest", *READINGS, "--store", "store"]),
+    ("reingest", ["ingest", *READINGS, "--store", "store"]),
 ]
 
 
