@@ -33,6 +33,7 @@ from .service import make_server, run_server
 from .simulator import AnomalyScript, SimOutput, simulate_period
 from .store import (
     ReadingsCsvError,
+    SpanTooLong,
     StoreError,
     TelemetryStore,
     read_readings_csv,
@@ -227,7 +228,7 @@ def _analyze_store(store: TelemetryStore, out: Path, config: AnalysisConfig) -> 
     for meter_id in meters:
         try:
             analysis = analyze_meter(store, meter_id, config)
-        except InsufficientDataError as exc:
+        except (InsufficientDataError, SpanTooLong) as exc:
             raise click.ClickException("meter {}: {}".format(meter_id, exc))
         analyses[meter_id] = analysis
         _analysis_outputs(analysis, out / meter_id, config.top_n)

@@ -179,10 +179,11 @@ def _single_move_polish(
     labels = labels.copy()
     moved_any = False
     rows = np.arange(X.shape[0])
+    counts = np.bincount(labels, minlength=k)
+    centroids = _centroids(X, labels, k)
+    d2 = _sq_dists(X, centroids)
     for _ in range(200 * X.shape[0]):  # hard cap against float-noise cycling
-        counts = np.bincount(labels, minlength=k)
         own = counts[labels]
-        d2 = _sq_dists(X, _centroids(X, labels, k))
         with np.errstate(divide="ignore", invalid="ignore"):  # own <= 1 rows are masked
             delta = d2 * counts / (counts + 1.0) - (d2[rows, labels] * own / (own - 1.0))[:, None]
         delta[rows, labels] = np.inf
@@ -191,7 +192,14 @@ def _single_move_polish(
         i, b = divmod(int(np.argmin(delta)), k)
         if delta[i, b] >= -1e-12:
             break
+        a = labels[i]
         labels[i] = b
+        counts[a] -= 1
+        counts[b] += 1
+        # Only clusters a and b change; recompute them as _centroids would.
+        for c in (a, b):
+            centroids[c] = X[labels == c].mean(axis=0)
+        d2[:, [a, b]] = _sq_dists(X, centroids[[a, b]])
         moved_any = True
     return labels, moved_any
 

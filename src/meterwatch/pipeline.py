@@ -105,6 +105,8 @@ def analyze_meter(
     Raises:
         InsufficientDataError: no readings, or fewer profiles than the
             analysis needs (k_max for the scan, k for a fixed-k fit).
+        SpanTooLong: the meter's readings span more than
+            ``store.MAX_GRID_SLOTS`` slots.
     """
     config = config or AnalysisConfig()
     profiles, excluded = meter_profiles(store, meter_id, config)

@@ -12,13 +12,24 @@ import csv
 import math
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
+from itertools import repeat
+from operator import attrgetter, is_not, ne
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 from zoneinfo import ZoneInfo
 
+import numpy as np
+
 from .store import PowerSample, QUALITY_MISSING
 
 SLOTS_PER_DAY = 96
+
+# Day and slot assignment works in integer microseconds since the Unix epoch.
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_EPOCH_ORDINAL = _EPOCH.toordinal()
+_US = timedelta(microseconds=1)
+_DAY_US = timedelta(days=1) // _US
+_SLOT_US = timedelta(minutes=15) // _US
 
 DEFAULT_MIN_COMPLETENESS = 0.9
 DEFAULT_TIMEZONE = "Europe/Warsaw"
@@ -56,44 +67,105 @@ def build_daily_profiles(
     interpolated sample.  Days at or above ``min_completeness`` get their
     missing slots filled by linear interpolation across the day (edges
     held constant); days below it, and days with a non-96-slot local
-    calendar, are excluded with a reason.
+    calendar, are excluded with a reason.  When several samples land in
+    one slot, the last present one wins.
     """
     tz = ZoneInfo(tz_name)
-    by_day: dict[tuple[str, date], dict[int, float]] = {}
-    for sample in samples:
-        local = sample.slot_start.astimezone(tz)
-        day = local.date()
-        slot = local.hour * 4 + local.minute // 15
-        bucket = by_day.setdefault((sample.meter_id, day), {})
-        if sample.quality != QUALITY_MISSING and sample.mean_power_w is not None:
-            bucket[slot] = max(0.0, sample.mean_power_w)
-        else:
-            bucket.setdefault(slot, None)  # type: ignore[arg-type]
+    samples = list(samples)
+    if not samples:
+        return [], []
+    n = len(samples)
+    meter_col = list(map(attrgetter("meter_id"), samples))
+    meter_ids = sorted(set(meter_col))
+    rank = {meter_id: i for i, meter_id in enumerate(meter_ids)}
+    meters = np.fromiter(map(rank.__getitem__, meter_col), np.int64, n)
+    utc_us = np.fromiter(((s.slot_start - _EPOCH) // _US for s in samples), np.int64, n)
+    watts = list(map(attrgetter("mean_power_w"), samples))
+    present = np.fromiter(map(is_not, watts, repeat(None)), bool, n) & np.fromiter(
+        map(ne, map(attrgetter("quality"), samples), repeat(QUALITY_MISSING)), bool, n
+    )
+    power = np.array(watts, dtype=float)
+    power = np.where(power > 0.0, power, 0.0)  # max(0.0, w): NaN and None become 0.0
+
+    local_us = utc_us + _utc_offsets_us(utc_us, tz)
+    day = local_us // _DAY_US
+    slot = local_us % _DAY_US // _SLOT_US
+    first_day = int(day.min())
+    days_span = int(day.max()) - first_day + 1
+    groups, group_of = np.unique(meters * days_span + (day - first_day), return_inverse=True)
+
+    # One row per (meter, day), NaN where no sample is present.  Reversed,
+    # np.unique's first occurrence is the last present sample of a slot.
+    cell = (group_of * SLOTS_PER_DAY + slot)[present][::-1]
+    cell, last = np.unique(cell, return_index=True)
+    grid = np.full((len(groups), SLOTS_PER_DAY), np.nan)
+    grid.flat[cell] = power[present][::-1][last]
+    known = ~np.isnan(grid)
+    counts = known.sum(axis=1).tolist()
 
     profiles: list[DailyProfile] = []
     excluded: list[ExcludedDay] = []
-    for (meter_id, day), bucket in sorted(by_day.items()):
-        expected = _slots_in_local_day(day, tz)
+    for g, key in enumerate(groups.tolist()):
+        meter_id = meter_ids[key // days_span]
+        local_day = date.fromordinal(_EPOCH_ORDINAL + first_day + key % days_span)
+        expected = _slots_in_local_day(local_day, tz)
         if expected != SLOTS_PER_DAY:
             excluded.append(
-                ExcludedDay(meter_id, day, "{}-slot day (DST transition)".format(expected))
+                ExcludedDay(meter_id, local_day, "{}-slot day (DST transition)".format(expected))
             )
             continue
-        present = {slot: v for slot, v in bucket.items() if v is not None}
-        completeness = len(present) / SLOTS_PER_DAY
+        completeness = counts[g] / SLOTS_PER_DAY
         if completeness < min_completeness:
             excluded.append(
                 ExcludedDay(
                     meter_id,
-                    day,
+                    local_day,
                     "completeness {:.2f} below {:.2f}".format(completeness, min_completeness),
                 )
             )
             continue
-        profiles.append(
-            DailyProfile(meter_id, day, _fill_gaps(present), completeness)
-        )
+        if counts[g] == SLOTS_PER_DAY:
+            values = tuple(grid[g].tolist())
+        else:
+            slots = np.flatnonzero(known[g])
+            values = _fill_gaps(dict(zip(slots.tolist(), grid[g, slots].tolist())))
+        profiles.append(DailyProfile(meter_id, local_day, values, completeness))
     return profiles, excluded
+
+
+def _utc_offsets_us(utc_us: np.ndarray, tz: ZoneInfo) -> np.ndarray:
+    """UTC offset of ``tz`` at each instant, in microseconds.
+
+    The offset is looked up at the first and last distinct instant of
+    each UTC day that holds samples; where the two differ, the day is
+    bisected down to the transition, so ``astimezone`` runs about twice
+    per day and a few times per transition rather than once per sample.
+    An offset that changes and changes back between two instants of one
+    UTC day would be missed.
+    """
+    instants, index = np.unique(utc_us, return_inverse=True)
+    points = instants.tolist()
+    offsets = np.empty(len(points), dtype=np.int64)
+
+    def offset(i: int) -> int:
+        local = (_EPOCH + timedelta(microseconds=points[i])).astimezone(tz)
+        return local.utcoffset() // _US
+
+    def fill(lo: int, hi: int, lo_offset: int, hi_offset: int) -> None:
+        if lo_offset == hi_offset:
+            offsets[lo : hi + 1] = lo_offset
+        elif hi == lo + 1:
+            offsets[lo], offsets[hi] = lo_offset, hi_offset
+        else:
+            mid = (lo + hi) // 2
+            mid_offset = offset(mid)
+            fill(lo, mid, lo_offset, mid_offset)
+            fill(mid, hi, mid_offset, hi_offset)
+
+    days = [0, *(np.flatnonzero(np.diff(instants // _DAY_US)) + 1).tolist(), len(points)]
+    for lo, end in zip(days, days[1:]):
+        fill(lo, end - 1, offset(lo), offset(end - 1))
+    return offsets[index]
 
 
 def _slots_in_local_day(day: date, tz: ZoneInfo) -> int:

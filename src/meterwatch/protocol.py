@@ -17,6 +17,7 @@ is safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -125,10 +126,17 @@ class ObisCode:
     @classmethod
     def parse(cls, text: str) -> "ObisCode":
         """Parse a canonical ``C.Q.T`` rendering (no leading zeros)."""
-        m = _OBIS_RE.match(text)
-        if m is None:
-            raise ValueError("not an OBIS code: {!r}".format(text))
-        return cls(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+        return _parse_obis(text)
+
+
+# Every CSV row and log line names its register, and few distinct codes
+# occur, so valid parses are cached; a ValueError is raised, never cached.
+@functools.lru_cache(maxsize=256)
+def _parse_obis(text: str) -> ObisCode:
+    m = _OBIS_RE.match(text)
+    if m is None:
+        raise ValueError("not an OBIS code: {!r}".format(text))
+    return ObisCode(int(m.group(1)), int(m.group(2)), int(m.group(3)))
 
 
 # Registers the ingestion path understands.  The simulated meters emit

@@ -7,10 +7,10 @@ Endpoints:
   the ingestion stats delta.
 * ``GET /v1/meters/{id}/power?from=...&to=...`` - 15-minute mean-power
   samples (RFC 3339 bounds; defaults to the meter's full span; at most
-  ``MAX_POWER_SLOTS`` slots).
+  ``store.MAX_GRID_SLOTS`` slots, else 400).
 * ``GET /v1/meters/{id}/anomalies?k=&seed=&restarts=&min_completeness=`` -
   the current anomaly report, recomputed on demand with the same defaults
-  the CLI uses.
+  the CLI uses (409 when the meter's span exceeds ``store.MAX_GRID_SLOTS``).
 
 All logic lives in the library; handlers only translate HTTP.  An
 ``Authorization`` header is accepted and ignored (pass-through stub).
@@ -28,9 +28,9 @@ from urllib.parse import parse_qs, urlparse
 
 from .pipeline import AnalysisConfig, InsufficientDataError, analyze_meter, canonical_json
 from .store import (
-    SLOT,
     ConflictingDuplicate,
     NonMonotonicRegister,
+    SpanTooLong,
     TelemetryStore,
     parse_rfc3339,
     reading_from_record,
@@ -39,9 +39,6 @@ from .store import (
 
 _POWER_RE = re.compile(r"^/v1/meters/([^/]+)/power$")
 _ANOMALIES_RE = re.compile(r"^/v1/meters/([^/]+)/anomalies$")
-
-# Ten years of 15-minute slots: the most one /power request may cover.
-MAX_POWER_SLOTS = 3653 * 96
 
 
 class MeterServiceHandler(BaseHTTPRequestHandler):
@@ -134,10 +131,11 @@ class MeterServiceHandler(BaseHTTPRequestHandler):
         except ValueError as exc:
             self._send_error(400, str(exc))
             return
-        if (end - start) // SLOT > MAX_POWER_SLOTS:
-            self._send_error(400, "range holds more than {} slots (ten years)".format(MAX_POWER_SLOTS))
+        try:
+            samples = self.store.mean_power_series(meter_id, self.config.register, start, end)
+        except SpanTooLong as exc:
+            self._send_error(400, str(exc))
             return
-        samples = self.store.mean_power_series(meter_id, self.config.register, start, end)
         payload = [
             {
                 "meter_id": s.meter_id,
@@ -161,7 +159,7 @@ class MeterServiceHandler(BaseHTTPRequestHandler):
             return
         try:
             analysis = analyze_meter(self.store, meter_id, config)
-        except InsufficientDataError as exc:
+        except (InsufficientDataError, SpanTooLong) as exc:
             self._send_error(409, str(exc))
             return
         self._send(200, canonical_json(analysis.report.to_json_dict()))

@@ -22,8 +22,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
+from itertools import accumulate, repeat
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
+
+import numpy as np
 
 from .protocol import ObisCode, REGISTER_MODULUS_KWH
 
@@ -34,6 +37,19 @@ QUALITY_MISSING = "missing"
 SLOT = timedelta(minutes=15)
 SNAP_TOLERANCE = timedelta(seconds=90)
 MAX_INTERPOLATION_GAP = timedelta(hours=1)
+# Ten years of 15-minute slots: the longest span one grid read may cover.
+MAX_GRID_SLOTS = 3653 * 96
+
+# The grid pass works in integer microseconds since the Unix epoch.
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_US = timedelta(microseconds=1)
+_SLOT_US = SLOT // _US
+_SNAP_US = SNAP_TOLERANCE // _US
+_GAP_US = MAX_INTERPOLATION_GAP // _US
+# Quality codes of the grid pass, indexing _QUALITIES; ordered so that a
+# power sample's quality is the larger code of its two boundaries.
+_MEASURED, _INTERPOLATED, _MISSING = 0, 1, 2
+_QUALITIES = np.array([QUALITY_MEASURED, QUALITY_INTERPOLATED, QUALITY_MISSING], dtype=object)
 
 # A register drop counts as display rollover only when the old value sits
 # near the top of the range and the new one near the bottom.
@@ -53,6 +69,10 @@ class ConflictingDuplicate(StoreError):
 
 class NonMonotonicRegister(StoreError):
     """Register decreased without a plausible rollover."""
+
+
+class SpanTooLong(StoreError):
+    """A grid read would cover more than ``MAX_GRID_SLOTS`` slots."""
 
 
 class ReadingsCsvError(StoreError):
@@ -309,22 +329,12 @@ class TelemetryStore:
         earlier on ties).  Otherwise the boundary value is linearly
         interpolated when its two enclosing readings are at most one hour
         apart; boundaries without such neighbours are marked missing.
+
+        Raises:
+            SpanTooLong: [start, end] holds more than ``MAX_GRID_SLOTS`` slots.
         """
-        start = start.astimezone(timezone.utc)
-        end = end.astimezone(timezone.utc)
-        with self._lock:
-            times, values = self._series.get((meter_id, str(register)), ((), ()))
-            # Every boundary in [start, end] lies between these readings.
-            lo = max(bisect_left(times, start) - 1, 0)
-            hi = bisect_right(times, end) + 1
-            times, values = times[lo:hi], values[lo:hi]
-        first = _ceil_to_slot(start)
-        if first is None or first > end:
-            return []
-        return [
-            _grid_value(times, values, first + i * SLOT)
-            for i in range((end - first) // SLOT + 1)
-        ]
+        starts, values, codes = self._grid(meter_id, register, start, end)
+        return list(map(GridReading, starts, values, _QUALITIES[codes].tolist()))
 
     def mean_power_series(
         self, meter_id: str, register: ObisCode, start: datetime, end: datetime
@@ -333,25 +343,73 @@ class TelemetryStore:
 
         A sample is missing when either endpoint is missing, interpolated
         when either endpoint was interpolated, measured otherwise.
+
+        Raises:
+            SpanTooLong: [start, end] holds more than ``MAX_GRID_SLOTS`` slots.
         """
-        grid = self.align_to_grid(meter_id, register, start, end)
-        samples = []
-        for left, right in zip(grid, grid[1:]):
-            if left.value_kwh is None or right.value_kwh is None:
-                samples.append(
-                    PowerSample(meter_id, left.slot_start, None, QUALITY_MISSING)
+        starts, values, codes = self._grid(meter_id, register, start, end)
+        quality = _QUALITIES[np.maximum(codes[:-1], codes[1:])].tolist()
+        powers = [
+            None if a is None or b is None else float(register_delta_kwh(a, b)) * 4000.0
+            for a, b in zip(values, values[1:])
+        ]
+        return list(map(PowerSample, repeat(meter_id), starts, powers, quality))
+
+    def _grid(
+        self, meter_id: str, register: ObisCode, start: datetime, end: datetime
+    ) -> tuple[list[datetime], list[Decimal | None], np.ndarray]:
+        """Boundary times, values and quality codes for ``align_to_grid``.
+
+        One array pass: the window's reading times become epoch
+        microseconds, each boundary finds its enclosing readings by
+        ``searchsorted``, and masks pick snap, interpolation or missing.
+        Measured boundaries take the stored ``Decimal``; only interpolated
+        ones do ``Decimal`` arithmetic.
+        """
+        start = start.astimezone(timezone.utc)
+        end = end.astimezone(timezone.utc)
+        start_us, end_us = (start - _EPOCH) // _US, (end - _EPOCH) // _US
+        if (end_us - start_us) // _SLOT_US > MAX_GRID_SLOTS:
+            raise SpanTooLong(
+                "{} {}: {} to {} holds more than {} slots (ten years)".format(
+                    meter_id, register, rfc3339(start), rfc3339(end), MAX_GRID_SLOTS
                 )
-                continue
-            delta = register_delta_kwh(left.value_kwh, right.value_kwh)
-            quality = (
-                QUALITY_INTERPOLATED
-                if QUALITY_INTERPOLATED in (left.quality, right.quality)
-                else QUALITY_MEASURED
             )
-            samples.append(
-                PowerSample(meter_id, left.slot_start, float(delta) * 4000.0, quality)
-            )
-        return samples
+        with self._lock:
+            times, values = self._series.get((meter_id, str(register)), ((), ()))
+            # Every boundary in [start, end] lies between these readings.
+            lo = max(bisect_left(times, start) - 1, 0)
+            hi = bisect_right(times, end) + 1
+            times, values = times[lo:hi], values[lo:hi]
+        first_us = -(-start_us // _SLOT_US) * _SLOT_US
+        count = (end_us - first_us) // _SLOT_US + 1
+        if count <= 0:
+            return [], [], np.full(0, _MISSING)
+        first = _EPOCH + timedelta(microseconds=first_us)
+        starts = list(accumulate(repeat(SLOT, count - 1), initial=first))
+        if not times:
+            return starts, [None] * count, np.full(count, _MISSING)
+        bounds = first_us + _SLOT_US * np.arange(count, dtype=np.int64)
+        t = np.fromiter(((ts - _EPOCH) // _US for ts in times), np.int64, len(times))
+        after = np.searchsorted(t, bounds)  # first reading at or after each boundary
+        before = np.maximum(after - 1, 0)
+        has_before, has_after = after > 0, after < len(t)
+        after = np.minimum(after, len(t) - 1)
+        gap_before, gap_after = bounds - t[before], t[after] - bounds
+        snap_before = has_before & (gap_before <= _SNAP_US)
+        snap_after = has_after & (gap_after <= _SNAP_US)
+        # Nearest reading within the snap tolerance; earlier wins a tie.
+        take_after = snap_after & ~(snap_before & (gap_before <= gap_after))
+        measured = snap_before | snap_after
+        interpolated = ~measured & has_before & has_after & (t[after] - t[before] <= _GAP_US)
+        source = np.where(take_after, after, np.where(measured, before, len(t)))
+        grid_values = list(map([*values, None].__getitem__, source.tolist()))
+        for k in np.flatnonzero(interpolated).tolist():
+            i, j = int(before[k]), int(after[k])
+            fraction = (int(bounds[k]) - int(t[i])) / (int(t[j]) - int(t[i]))
+            grid_values[k] = _interpolate(values[i], values[j], fraction)
+        codes = np.where(measured, _MEASURED, np.where(interpolated, _INTERPOLATED, _MISSING))
+        return starts, grid_values, codes
 
 
 def _check_neighbours(
@@ -430,46 +488,14 @@ def _ndjson_records(merges: list[tuple[tuple[str, str], list[int], list[datetime
     return "".join(lines).encode("utf-8")
 
 
-# The last 15-minute boundary a datetime can hold.
-_LAST_SLOT = datetime.max.replace(minute=45, second=0, microsecond=0, tzinfo=timezone.utc)
-
-
-def _ceil_to_slot(ts: datetime) -> datetime | None:
-    """First 15-minute boundary at or after ``ts`` (UTC); None past the last one."""
-    if ts > _LAST_SLOT:
-        return None
-    epoch = ts.replace(minute=0, second=0, microsecond=0)
-    while epoch < ts:
-        epoch += SLOT
-    return epoch
-
-
-def _grid_value(times: list[datetime], values: list[Decimal], boundary: datetime) -> GridReading:
-    if not times:
-        return GridReading(boundary, None, QUALITY_MISSING)
-    i = bisect_left(times, boundary)
-    # Nearest reading within the snap tolerance; earlier wins a tie.
-    best = None
-    for j in (i - 1, i):
-        if 0 <= j < len(times):
-            dist = abs(times[j] - boundary)
-            if dist <= SNAP_TOLERANCE and (best is None or dist < best[0]):
-                best = (dist, j)
-    if best is not None:
-        return GridReading(boundary, values[best[1]], QUALITY_MEASURED)
-    if i == 0 or i >= len(times):
-        return GridReading(boundary, None, QUALITY_MISSING)
-    t_prev, t_next = times[i - 1], times[i]
-    if t_next - t_prev > MAX_INTERPOLATION_GAP:
-        return GridReading(boundary, None, QUALITY_MISSING)
-    v_prev, v_next = values[i - 1], values[i]
+def _interpolate(v_prev: Decimal, v_next: Decimal, fraction: float) -> Decimal:
+    """Register value ``fraction`` of the way from ``v_prev`` to ``v_next``,
+    across a rollover, to the meter's 0.001 kWh resolution."""
     if v_next < v_prev and is_rollover(v_prev, v_next):
         v_next = v_next + REGISTER_MODULUS_KWH
-    fraction = (boundary - t_prev) / (t_next - t_prev)
     value = v_prev + (v_next - v_prev) * Decimal(str(fraction))
     value = value % REGISTER_MODULUS_KWH
-    value = value.quantize(Decimal("0.001"), rounding=ROUND_HALF_EVEN)
-    return GridReading(boundary, value, QUALITY_INTERPOLATED)
+    return value.quantize(Decimal("0.001"), rounding=ROUND_HALF_EVEN)
 
 
 # -- interchange formats ------------------------------------------------------

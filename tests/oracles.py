@@ -6,34 +6,48 @@ Rand index works from the contingency table.  ``single_move_polish`` is the
 pair-by-pair loop that the vectorised ``clustering._single_move_polish``
 replaced, kept so the two can be compared move for move.  ``DictStore`` is
 the in-memory telemetry store that re-sorted a whole series on every ingest
-and grid read, kept so the sorted-list ``TelemetryStore`` can be compared
-with it batch for batch.
+and placed each grid boundary with its own bisect, kept so the sorted-list
+``TelemetryStore`` and its array grid pass can be compared with it batch
+for batch.  ``build_daily_profiles`` is the sample-by-sample profile
+builder that converted every sample to local time, kept so the array
+version can be compared with it.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from datetime import date, datetime, timedelta, timezone
-from decimal import Decimal
+from decimal import ROUND_HALF_EVEN, Decimal
 from functools import reduce
 from math import comb
 from operator import xor
+from zoneinfo import ZoneInfo
 
 import numpy as np
 
 from meterwatch.clustering import _centroids, _sq_dists
-from meterwatch.profiles import DailyProfile
+from meterwatch.profiles import (
+    SLOTS_PER_DAY,
+    DailyProfile,
+    ExcludedDay,
+    _fill_gaps,
+    _slots_in_local_day,
+)
+from meterwatch.protocol import REGISTER_MODULUS_KWH
 from meterwatch.store import (
+    MAX_INTERPOLATION_GAP,
     QUALITY_INTERPOLATED,
     QUALITY_MEASURED,
     QUALITY_MISSING,
     SLOT,
+    SNAP_TOLERANCE,
     ConflictingDuplicate,
+    GridReading,
     MeterReading,
     NonMonotonicRegister,
     PowerSample,
     StoreStats,
-    _grid_value,
     is_rollover,
     register_delta_kwh,
 )
@@ -218,3 +232,71 @@ class DictStore:
             )
             samples.append(PowerSample(meter_id, left.slot_start, float(delta) * 4000.0, quality))
         return samples
+
+
+def _grid_value(times: list[datetime], values: list[Decimal], boundary: datetime) -> GridReading:
+    if not times:
+        return GridReading(boundary, None, QUALITY_MISSING)
+    i = bisect_left(times, boundary)
+    # Nearest reading within the snap tolerance; earlier wins a tie.
+    best = None
+    for j in (i - 1, i):
+        if 0 <= j < len(times):
+            dist = abs(times[j] - boundary)
+            if dist <= SNAP_TOLERANCE and (best is None or dist < best[0]):
+                best = (dist, j)
+    if best is not None:
+        return GridReading(boundary, values[best[1]], QUALITY_MEASURED)
+    if i == 0 or i >= len(times):
+        return GridReading(boundary, None, QUALITY_MISSING)
+    t_prev, t_next = times[i - 1], times[i]
+    if t_next - t_prev > MAX_INTERPOLATION_GAP:
+        return GridReading(boundary, None, QUALITY_MISSING)
+    v_prev, v_next = values[i - 1], values[i]
+    if v_next < v_prev and is_rollover(v_prev, v_next):
+        v_next = v_next + REGISTER_MODULUS_KWH
+    fraction = (boundary - t_prev) / (t_next - t_prev)
+    value = v_prev + (v_next - v_prev) * Decimal(str(fraction))
+    value = value % REGISTER_MODULUS_KWH
+    value = value.quantize(Decimal("0.001"), rounding=ROUND_HALF_EVEN)
+    return GridReading(boundary, value, QUALITY_INTERPOLATED)
+
+
+def build_daily_profiles(samples, min_completeness: float, tz_name: str):
+    """Daily profiles built one sample at a time, each converted with ``astimezone``."""
+    tz = ZoneInfo(tz_name)
+    by_day: dict[tuple[str, date], dict[int, float]] = {}
+    for sample in samples:
+        local = sample.slot_start.astimezone(tz)
+        day = local.date()
+        slot = local.hour * 4 + local.minute // 15
+        bucket = by_day.setdefault((sample.meter_id, day), {})
+        if sample.quality != QUALITY_MISSING and sample.mean_power_w is not None:
+            bucket[slot] = max(0.0, sample.mean_power_w)
+        else:
+            bucket.setdefault(slot, None)  # type: ignore[arg-type]
+
+    profiles: list[DailyProfile] = []
+    excluded: list[ExcludedDay] = []
+    for (meter_id, day), bucket in sorted(by_day.items()):
+        expected = _slots_in_local_day(day, tz)
+        if expected != SLOTS_PER_DAY:
+            excluded.append(
+                ExcludedDay(meter_id, day, "{}-slot day (DST transition)".format(expected))
+            )
+            continue
+        present = {slot: v for slot, v in bucket.items() if v is not None}
+        completeness = len(present) / SLOTS_PER_DAY
+        if completeness < min_completeness:
+            excluded.append(
+                ExcludedDay(
+                    meter_id,
+                    day,
+                    "completeness {:.2f} below {:.2f}".format(completeness, min_completeness),
+                )
+            )
+            continue
+        profiles.append(
+            DailyProfile(meter_id, day, _fill_gaps(present), completeness)
+        )
+    return profiles, excluded

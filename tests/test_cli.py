@@ -196,6 +196,20 @@ def test_store_log_damage_is_reported_not_a_traceback(runner, tmp_path):
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+def test_analyze_over_ten_years_names_the_span(runner, tmp_path):
+    csv_file = tmp_path / "far.csv"
+    csv_file.write_text(
+        "meter_id,timestamp,obis,value_kwh\n"
+        "X,0001-01-01T00:00:00Z,1.8.0,1.000\n"
+        "X,9999-12-31T00:00:00Z,1.8.0,9.000\n",
+        encoding="utf-8",
+    )
+    result = runner.invoke(main, ["analyze", str(csv_file), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert "0001-01-01T00:00:00Z to 9999-12-31T00:00:00Z" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_config_file_supplies_defaults_but_flags_win(runner, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"days": 3, "seed": 5}), encoding="utf-8")

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import io
-from datetime import datetime, timedelta, timezone
+import math
+from datetime import date, datetime, time, timedelta, timezone
+from zoneinfo import ZoneInfo
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from conftest import profiles_through_store
 from meterwatch.profiles import (
     DailyProfile,
@@ -13,8 +17,10 @@ from meterwatch.profiles import (
 )
 from meterwatch.store import (
     PowerSample,
+    QUALITY_INTERPOLATED,
     QUALITY_MEASURED,
     QUALITY_MISSING,
+    SLOT,
 )
 
 # Local midnight in Warsaw during summer time is 22:00 UTC the evening before.
@@ -99,3 +105,68 @@ def test_profiles_csv_has_96_value_columns(s4_month):
     assert header[3] == "s00"
     assert header[-1] == "s95"
     assert len(lines) == 4
+
+
+PROFILE_ZONES = ["Europe/Warsaw", "UTC", "Asia/Kathmandu", "Australia/Lord_Howe", "America/St_Johns"]
+# Offset changes: Warsaw and St John's DST in 2024, Lord Howe's half-hour
+# DST in 2024, Kathmandu's +05:30 -> +05:45 on 1986-01-01; and a plain day.
+FIRST_DAYS = [
+    date(2024, 3, 31), date(2024, 10, 27), date(2024, 3, 10), date(2024, 11, 3),
+    date(2024, 4, 7), date(2024, 10, 6), date(1986, 1, 1), date(2024, 6, 3),
+]
+
+
+@st.composite
+def profile_inputs(draw):
+    """Up to three local days of samples for one or two meters around an
+    offset change, with missing, ``None`` and repeated samples, shuffled.
+
+    Each day loses either no slots, exactly as many as the completeness
+    floor allows, one more, or all of them.  Per-sample choices come from one seeded
+    ``random.Random`` to keep examples fast.
+    """
+    tz_name = draw(st.sampled_from(PROFILE_ZONES))
+    tz = ZoneInfo(tz_name)
+    first_day = draw(st.sampled_from(FIRST_DAYS)) - timedelta(days=draw(st.integers(0, 1)))
+    start = datetime.combine(first_day, time(0, 0), tzinfo=tz).astimezone(timezone.utc)
+    start += SLOT * draw(st.sampled_from([0, 0, -3, 5]))
+    allowed = draw(st.integers(0, 12))
+    rnd = draw(st.randoms(use_true_random=True))
+    samples = []
+    for meter in draw(st.sampled_from([["M1"], ["M2", "M1"]])):
+        days = draw(st.integers(1, 3))
+        missing = set()
+        for d in range(days):
+            lost = rnd.choice([0, 0, allowed, allowed, allowed + 1, 96])
+            missing |= {96 * d + i for i in rnd.sample(range(96), lost)}
+        for i in range(96 * days):
+            ts = start + i * SLOT
+            if rnd.random() < 0.1:
+                ts = ts.astimezone(rnd.choice([tz, timezone(timedelta(hours=-3))]))
+            if i in missing:
+                value, quality = rnd.choice([(None, QUALITY_MISSING), (None, QUALITY_MEASURED), (12.5, QUALITY_MISSING)])
+            else:
+                value = rnd.choice([rnd.uniform(-50.0, 5000.0), 0.0, -0.0, math.nan, 250.0])
+                quality = rnd.choice([QUALITY_MEASURED, QUALITY_INTERPOLATED])
+            samples.append(PowerSample(meter, ts, value, quality))
+    for _ in range(rnd.randint(0, 3)):
+        if samples:
+            base = rnd.choice(samples)
+            value, quality = rnd.choice([(None, QUALITY_MISSING), (77.0, QUALITY_MEASURED)])
+            samples.append(PowerSample(base.meter_id, base.slot_start, value, quality))
+    rnd.shuffle(samples)
+    return samples, (96 - allowed) / 96, tz_name
+
+
+@settings(max_examples=200, deadline=None)
+@given(profile_inputs())
+def test_profiles_match_the_sample_by_sample_builder(inputs):
+    samples, min_completeness, tz_name = inputs
+    profiles, excluded = build_daily_profiles(samples, min_completeness, tz_name)
+    expected_profiles, expected_excluded = oracles.build_daily_profiles(samples, min_completeness, tz_name)
+    assert excluded == expected_excluded
+    assert [(p.meter_id, p.day, p.completeness) for p in profiles] == [
+        (p.meter_id, p.day, p.completeness) for p in expected_profiles
+    ]
+    for profile, expected in zip(profiles, expected_profiles):
+        assert [v.hex() for v in profile.values] == [float(v).hex() for v in expected.values]

@@ -194,6 +194,14 @@ def test_obis_rejects_non_canonical_text(text):
         ObisCode.parse(text)
 
 
+def test_obis_parse_cache_keeps_errors_uncached():
+    assert ObisCode.parse("1.8.0") is ObisCode.parse("1.8.0")
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"not an OBIS code: '01\.8\.0'"):
+            ObisCode.parse("01.8.0")
+    assert ObisCode.parse("2.8.0") == ObisCode(2, 8, 0)
+
+
 def test_obis_component_range_is_validated():
     with pytest.raises(ValueError):
         ObisCode(100, 8, 0)

@@ -101,6 +101,20 @@ def test_power_range_over_ten_years_is_400(server, query):
     assert "slots" in json.loads(err.value.read().decode())["error"]
 
 
+def test_anomalies_over_ten_years_is_409(server):
+    base, _ = server
+    records = [
+        {"meter_id": "X", "timestamp": "0001-01-01T00:00:00Z", "obis": "1.8.0", "value_kwh": "1.000"},
+        {"meter_id": "X", "timestamp": "9999-12-31T00:00:00Z", "obis": "1.8.0", "value_kwh": "9.000"},
+    ]
+    post(base, "/v1/readings", "\n".join(json.dumps(r) for r in records).encode())
+    for path, status in (("/v1/meters/X/anomalies", 409), ("/v1/meters/X/power", 400)):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            get(base, path)
+        assert err.value.code == status
+        assert "slots" in json.loads(err.value.read().decode())["error"]
+
+
 def test_anomalies_endpoint_equals_direct_analysis(server):
     base, store = server
     readings = sim_readings(days=12)

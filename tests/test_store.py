@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meterwatch.personas import build_persona
+from meterwatch.pipeline import InsufficientDataError, analyze_meter
 from meterwatch.protocol import REGISTER_MODULUS_KWH, ObisCode
 from meterwatch.simulator import simulate_period
 from meterwatch.store import (
     CSV_HEADER,
+    MAX_GRID_SLOTS,
+    SLOT,
     ConflictingDuplicate,
     MeterReading,
     NonMonotonicRegister,
@@ -20,6 +23,7 @@ from meterwatch.store import (
     QUALITY_MEASURED,
     QUALITY_MISSING,
     ReadingsCsvError,
+    SpanTooLong,
     StoreError,
     StoreLogError,
     TelemetryStore,
@@ -202,6 +206,9 @@ def test_store_matches_the_dict_and_sort_oracle(batches):
             assert store.readings(meter, register) == oracle.readings(meter, register)
             assert store.span(meter, register) == oracle.span(meter, register)
             for start, end in GRID_WINDOWS:
+                assert store.align_to_grid(meter, register, start, end) == oracle.align_to_grid(
+                    meter, register, start, end
+                )
                 assert store.mean_power_series(meter, register, start, end) == oracle.mean_power_series(
                     meter, register, start, end
                 )
@@ -235,6 +242,24 @@ def test_reading_within_tolerance_snaps_to_boundary():
     grid = store.align_to_grid("M1", OBIS_180, T0, T0)
     assert grid[0].value_kwh == Decimal("2.000")
     assert grid[0].quality == QUALITY_MEASURED
+
+
+def test_nearest_reading_snaps_and_the_earlier_wins_a_tie():
+    def grid_value(before_s: int, after_s: int) -> Decimal:
+        store = TelemetryStore()
+        store.ingest([
+            MeterReading("M1", T0 - timedelta(seconds=before_s), OBIS_180, Decimal("1.000")),
+            MeterReading("M1", T0 + timedelta(seconds=after_s), OBIS_180, Decimal("1.010")),
+        ])
+        [boundary] = store.align_to_grid("M1", OBIS_180, T0, T0)
+        assert boundary.quality == QUALITY_MEASURED
+        return boundary.value_kwh
+
+    assert grid_value(60, 60) == Decimal("1.000")
+    assert grid_value(90, 90) == Decimal("1.000")
+    assert grid_value(60, 30) == Decimal("1.010")
+    assert grid_value(30, 60) == Decimal("1.000")
+    assert grid_value(91, 90) == Decimal("1.010")
 
 
 def test_short_gap_is_interpolated_linearly():
@@ -275,6 +300,37 @@ def test_two_hour_gap_leaves_interior_missing():
     assert all(g.quality == QUALITY_MISSING and g.value_kwh is None for g in interior)
     assert grid[0].quality == QUALITY_MEASURED
     assert grid[-1].quality == QUALITY_MEASURED
+
+
+def two_readings(first: datetime, last: datetime) -> TelemetryStore:
+    store = TelemetryStore()
+    store.ingest([
+        MeterReading("M1", first, OBIS_180, Decimal("1.000")),
+        MeterReading("M1", last, OBIS_180, Decimal("9.000")),
+    ])
+    return store
+
+
+def test_grid_over_ten_years_is_refused_before_it_is_built():
+    first = datetime(1, 1, 1, tzinfo=timezone.utc)
+    last = datetime(9999, 12, 31, tzinfo=timezone.utc)
+    store = two_readings(first, last)
+    for read in (store.align_to_grid, store.mean_power_series):
+        with pytest.raises(SpanTooLong, match="0001-01-01T00:00:00Z to 9999-12-31T00:00:00Z"):
+            read("M1", OBIS_180, first, last)
+    with pytest.raises(SpanTooLong):
+        analyze_meter(store, "M1")
+    limit = first + MAX_GRID_SLOTS * SLOT
+    assert len(store.mean_power_series("M1", OBIS_180, first, limit)) == MAX_GRID_SLOTS
+    with pytest.raises(SpanTooLong):
+        store.mean_power_series("M1", OBIS_180, first, limit + SLOT)
+    assert len(store.mean_power_series("M1", OBIS_180, last - SLOT, last)) == 1
+
+
+def test_readings_three_years_apart_are_too_few_not_too_long():
+    store = two_readings(T0, T0 + timedelta(days=3 * 365))
+    with pytest.raises(InsufficientDataError, match="0 profile"):
+        analyze_meter(store, "M1")
 
 
 # -- mean power ---------------------------------------------------------------

@@ -18,6 +18,17 @@ script runs:
 The second ingest is a no-op re-ingest, so the persisted
 ``store/readings.ndjson`` and the stats both ingests print are compared.
 
+The simulated readings all sit on the 15-minute grid with none missing,
+so the script then writes a "gappy" copy of them (``write_gappy``: seeded
+drops, readings shifted 30-89 s and 91-600 s, runs of 1.5 h and 3 h cut
+out, and S4 lifted by 999 990 kWh so its register rolls over) and runs
+
+    meterwatch analyze gappy/S1_readings.csv ... gappy/S4_readings.csv --out gappy_knee
+    meterwatch analyze gappy/S1_readings.csv ... gappy/S4_readings.csv --k 3 --out gappy_k3
+
+so snapped, interpolated and missing grid values, filled and excluded
+days and the rollover are compared too.
+
 Each command's stdout, stderr and exit code are saved beside its outputs.
 The two directories are then compared file by file; every file that
 differs or exists on one side only is printed.  Exit code 0 means the
@@ -28,14 +39,20 @@ only.
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
 import os
+import random
 import subprocess
 import sys
 import tempfile
+from datetime import datetime, timedelta
+from decimal import Decimal
 from pathlib import Path
 
-READINGS = ["sim/S{}_readings.csv".format(i) for i in range(1, 5)]
+PERSONAS = ["S{}".format(i) for i in range(1, 5)]
+READINGS = ["sim/{}_readings.csv".format(p) for p in PERSONAS]
+GAPPY = ["gappy/{}_readings.csv".format(p) for p in PERSONAS]
 COMMANDS = [
     ("simulate", ["simulate", "--days", "365", "--seed", "42", "--out", "sim"]),
     ("casestudy", ["casestudy", "--out", "casestudy"]),
@@ -44,12 +61,51 @@ COMMANDS = [
     ("ingest", ["ingest", *READINGS, "--store", "store"]),
     ("reingest", ["ingest", *READINGS, "--store", "store"]),
 ]
+GAPPY_COMMANDS = [
+    ("gappy_knee", ["analyze", *GAPPY, "--out", "gappy_knee"]),
+    ("gappy_k3", ["analyze", *GAPPY, "--k", "3", "--out", "gappy_k3"]),
+]
+# Runs of readings cut out, as (first row, rows): 3 h leaves the day below
+# the 0.9 completeness floor, 1.5 h leaves it above (its slots are filled).
+CUTS = [(40 * 96 + 30, 12), (100 * 96 + 50, 6)]
+ROLLOVER_LIFT_KWH = Decimal(999990)
+REGISTER_MODULUS_KWH = Decimal(1000000)
 
 
-def run_side(src: Path, side_dir: Path) -> None:
-    side_dir.mkdir(parents=True)
-    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
-    for name, args in COMMANDS:
+def write_gappy(sim_dir: Path, out_dir: Path) -> None:
+    """Copy the simulated readings CSVs with deterministic damage.
+
+    Per persona, seeded by its index: about 2% of readings dropped, 2%
+    moved 30-89 s later (they still snap to their boundary) and 2% moved
+    91-600 s later (their boundary is interpolated); the rows in ``CUTS``
+    dropped (gaps over 1 h leave boundaries missing); and S4's register
+    lifted by 999 990 kWh modulo 10**6, so it rolls over.  Readings only
+    move forward by less than one slot, so every register stays monotonic.
+    """
+    out_dir.mkdir()
+    cut = {row for first, length in CUTS for row in range(first, first + length)}
+    for index, persona in enumerate(PERSONAS):
+        rnd = random.Random(index)
+        with open(sim_dir / "{}_readings.csv".format(persona), newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        with open(out_dir / "{}_readings.csv".format(persona), "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row_number, (meter_id, timestamp, obis, value) in enumerate(rows):
+                roll = rnd.random()
+                if row_number in cut or roll < 0.02:
+                    continue
+                if roll < 0.06:
+                    shift = rnd.randint(30, 89) if roll < 0.04 else rnd.randint(91, 600)
+                    moved = datetime.fromisoformat(timestamp.replace("Z", "+00:00")) + timedelta(seconds=shift)
+                    timestamp = moved.strftime("%Y-%m-%dT%H:%M:%SZ")
+                if persona == "S4":
+                    value = str((Decimal(value) + ROLLOVER_LIFT_KWH) % REGISTER_MODULUS_KWH)
+                writer.writerow([meter_id, timestamp, obis, value])
+
+
+def run_commands(commands, side_dir: Path, env: dict) -> None:
+    for name, args in commands:
         print("{}: meterwatch {}".format(side_dir.name, " ".join(args)), flush=True)
         done = subprocess.run(
             [sys.executable, "-m", "meterwatch.cli", *args],
@@ -60,6 +116,14 @@ def run_side(src: Path, side_dir: Path) -> None:
         (side_dir / "{}.stdout".format(name)).write_bytes(done.stdout)
         (side_dir / "{}.stderr".format(name)).write_bytes(done.stderr)
         (side_dir / "{}.exit".format(name)).write_text("{}\n".format(done.returncode))
+
+
+def run_side(src: Path, side_dir: Path) -> None:
+    side_dir.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    run_commands(COMMANDS, side_dir, env)
+    write_gappy(side_dir / "sim", side_dir / "gappy")
+    run_commands(GAPPY_COMMANDS, side_dir, env)
 
 
 def relative_files(root: Path) -> set[str]:
