@@ -158,8 +158,7 @@ def ingest(csv_files, store_dir) -> None:
     try:
         store = _open_store(store_path)
         for csv_file in csv_files:
-            readings = read_readings_csv(csv_file)
-            delta = store.ingest(readings)
+            delta = store.ingest(read_readings_csv(csv_file))
             if total is None:
                 total = delta
             else:
@@ -262,8 +261,7 @@ def analyze(csv_files, out_dir, seed, restarts, min_completeness, top_n, k, conf
     store = TelemetryStore()
     try:
         for csv_file in csv_files:
-            readings = read_readings_csv(csv_file)
-            store.ingest(readings)
+            store.ingest(read_readings_csv(csv_file))
     except (ReadingsCsvError, StoreError) as exc:
         raise click.ClickException(str(exc))
 

@@ -175,131 +175,59 @@ def uniform_template(name: str = "uniform") -> RoutineTemplate:
 # -- appliance factories -----------------------------------------------------
 
 
+def _burst(name: str, power_w: float, windows, **options) -> AppliancePattern:
+    """A scheduled-burst appliance; ``windows`` holds ``ScheduleWindow`` arguments."""
+    schedule = tuple(ScheduleWindow(*window) for window in windows)
+    return AppliancePattern(name, power_w, MODE_BURST, schedule=schedule, **options)
+
+
 def _fridge() -> AppliancePattern:
-    return AppliancePattern(
-        "fridge", FRIDGE_W, MODE_CONTINUOUS, duty=FRIDGE_DUTY, duty_jitter=0.08
-    )
+    return AppliancePattern("fridge", FRIDGE_W, MODE_CONTINUOUS, duty=FRIDGE_DUTY, duty_jitter=0.08)
 
 
 def _kettle() -> AppliancePattern:
     # ~4 minutes of boiling within the morning window.
-    return AppliancePattern(
-        "kettle",
-        KETTLE_W,
-        MODE_BURST,
-        schedule=(ScheduleWindow(26, 38),),
-        duty=4.0 / 15.0,
-        power_noise=0.01,
-    )
+    return _burst("kettle", KETTLE_W, [(26, 38)], duty=4.0 / 15.0, power_noise=0.01)
 
 
 def _hairdryer() -> AppliancePattern:
-    return AppliancePattern(
-        "hairdryer",
-        HAIRDRYER_W,
-        MODE_BURST,
-        schedule=(ScheduleWindow(28, 38),),
-        duty=5.0 / 15.0,
-        power_noise=0.01,
-    )
+    return _burst("hairdryer", HAIRDRYER_W, [(28, 38)], duty=5.0 / 15.0, power_noise=0.01)
 
 
 def _oven() -> AppliancePattern:
-    return AppliancePattern(
-        "oven",
-        OVEN_W,
-        MODE_BURST,
-        schedule=(ScheduleWindow(42, 70),),
-        duty=0.75,
-        duration_slots=4,
-        power_noise=0.01,
-    )
+    return _burst("oven", OVEN_W, [(42, 70)], duty=0.75, duration_slots=4, power_noise=0.01)
 
 
 def _washing_machine(probability: float = 1.0) -> AppliancePattern:
     # Heat, tumble, tumble, spin.
-    return AppliancePattern(
-        "washing machine",
-        WASHER_PEAK_W,
-        MODE_BURST,
-        schedule=(ScheduleWindow(36, 70, probability=probability),),
-        duration_slots=4,
-        cycle=(1.0, 0.2, 0.15, 0.3),
-        power_noise=0.01,
-    )
+    return _burst("washing machine", WASHER_PEAK_W, [(36, 70, ALL_DAYS, probability)], duration_slots=4,
+                  cycle=(1.0, 0.2, 0.15, 0.3), power_noise=0.01)
 
 
 def _dishwasher() -> AppliancePattern:
     # Two heating phases separated by low-power circulation.
-    return AppliancePattern(
-        "dishwasher",
-        DISHWASHER_PEAK_W,
-        MODE_BURST,
-        schedule=(ScheduleWindow(48, 88),),
-        duration_slots=4,
-        cycle=(1.0, 0.2, 1.0, 0.13),
-        power_noise=0.01,
-    )
+    return _burst("dishwasher", DISHWASHER_PEAK_W, [(48, 88)], duration_slots=4, cycle=(1.0, 0.2, 1.0, 0.13),
+                  power_noise=0.01)
 
 
 def _iron() -> AppliancePattern:
-    return AppliancePattern(
-        "iron",
-        IRON_W,
-        MODE_BURST,
-        schedule=(ScheduleWindow(52, 68),),
-        duty=0.5,
-        duration_slots=2,
-        power_noise=0.01,
-    )
+    return _burst("iron", IRON_W, [(52, 68)], duty=0.5, duration_slots=2, power_noise=0.01)
 
 
 def _tv() -> AppliancePattern:
-    return AppliancePattern(
-        "TV",
-        TV_W,
-        MODE_BURST,
-        schedule=(ScheduleWindow(74, 90),),
-        duration_slots=12,
-        power_noise=0.03,
-    )
+    return _burst("TV", TV_W, [(74, 90)], duration_slots=12, power_noise=0.03)
 
 
 def _led_lighting() -> AppliancePattern:
-    return AppliancePattern(
-        "LED lighting",
-        LED_LIGHT_W,
-        MODE_BURST,
-        schedule=(
-            ScheduleWindow(22, 34),
-            ScheduleWindow(74, 92),
-        ),
-        duration_slots=6,
-        power_noise=0.05,
-    )
+    return _burst("LED lighting", LED_LIGHT_W, [(22, 34), (74, 92)], duration_slots=6, power_noise=0.05)
 
 
 def _bulb_lighting() -> AppliancePattern:
-    return AppliancePattern(
-        "regular lighting",
-        BULB_LIGHT_W,
-        MODE_BURST,
-        schedule=(ScheduleWindow(74, 90),),
-        duration_slots=8,
-        power_noise=0.05,
-    )
+    return _burst("regular lighting", BULB_LIGHT_W, [(74, 90)], duration_slots=8, power_noise=0.05)
 
 
 def _ac() -> AppliancePattern:
-    return AppliancePattern(
-        "A/C",
-        AC_W,
-        MODE_BURST,
-        schedule=(ScheduleWindow(56, 80),),
-        duty=0.6,
-        duration_slots=10,
-        power_noise=0.01,
-    )
+    return _burst("A/C", AC_W, [(56, 80)], duty=0.6, duration_slots=10, power_noise=0.01)
 
 
 def _alarm() -> AppliancePattern:

@@ -34,6 +34,8 @@ from .store import TelemetryStore
 
 DEFAULT_SEED = 42
 DEFAULT_TOP_N = 3
+# Restarts per fit; the bound keeps one analysis request's cost bounded.
+MAX_RESTARTS = 100
 # Settings that callers may override from text or JSON, and their parsers.
 _OVERRIDE_PARSERS = {"seed": int, "restarts": int, "min_completeness": float, "top_n": int, "k": int}
 
@@ -54,8 +56,8 @@ class AnalysisConfig:
     register: ObisCode = POSITIVE_ACTIVE_ENERGY
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        if not 1 <= self.restarts <= MAX_RESTARTS:
+            raise ValueError("restarts must lie in 1..{}".format(MAX_RESTARTS))
         if not 0.0 <= self.min_completeness <= 1.0:
             raise ValueError("min_completeness must lie in 0..1")
         if self.top_n < 1:

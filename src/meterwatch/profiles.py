@@ -20,7 +20,7 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .store import PowerSample, QUALITY_MISSING
+from .store import PowerSample, PowerSeries, QUALITY_MISSING
 
 SLOTS_PER_DAY = 96
 
@@ -63,6 +63,9 @@ def build_daily_profiles(
 ) -> tuple[list[DailyProfile], list[ExcludedDay]]:
     """Group samples into per-day profiles; fill small gaps by interpolation.
 
+    A ``PowerSeries`` is read as its arrays; any other iterable of
+    samples, which may mix meters, is first turned into the same columns.
+
     Completeness is the fraction of the 96 slots carrying a measured or
     interpolated sample.  Days at or above ``min_completeness`` get their
     missing slots filled by linear interpolation across the day (edges
@@ -71,21 +74,26 @@ def build_daily_profiles(
     one slot, the last present one wins.
     """
     tz = ZoneInfo(tz_name)
-    samples = list(samples)
-    if not samples:
+    if isinstance(samples, PowerSeries):
+        meter_ids, utc_us, watts = [samples.meter_id], samples.starts_us, samples.watts
+        meters = np.zeros(len(utc_us), np.int64)
+        present = ~np.isnan(watts)
+    else:
+        samples = list(samples)
+        n = len(samples)
+        meter_col = list(map(attrgetter("meter_id"), samples))
+        meter_ids = sorted(set(meter_col))
+        rank = {meter_id: i for i, meter_id in enumerate(meter_ids)}
+        meters = np.fromiter(map(rank.__getitem__, meter_col), np.int64, n)
+        utc_us = np.fromiter(((s.slot_start - _EPOCH) // _US for s in samples), np.int64, n)
+        raw = list(map(attrgetter("mean_power_w"), samples))
+        present = np.fromiter(map(is_not, raw, repeat(None)), bool, n) & np.fromiter(
+            map(ne, map(attrgetter("quality"), samples), repeat(QUALITY_MISSING)), bool, n
+        )
+        watts = np.array(raw, dtype=float)
+    if not len(utc_us):
         return [], []
-    n = len(samples)
-    meter_col = list(map(attrgetter("meter_id"), samples))
-    meter_ids = sorted(set(meter_col))
-    rank = {meter_id: i for i, meter_id in enumerate(meter_ids)}
-    meters = np.fromiter(map(rank.__getitem__, meter_col), np.int64, n)
-    utc_us = np.fromiter(((s.slot_start - _EPOCH) // _US for s in samples), np.int64, n)
-    watts = list(map(attrgetter("mean_power_w"), samples))
-    present = np.fromiter(map(is_not, watts, repeat(None)), bool, n) & np.fromiter(
-        map(ne, map(attrgetter("quality"), samples), repeat(QUALITY_MISSING)), bool, n
-    )
-    power = np.array(watts, dtype=float)
-    power = np.where(power > 0.0, power, 0.0)  # max(0.0, w): NaN and None become 0.0
+    power = np.where(watts > 0.0, watts, 0.0)  # max(0.0, w): NaN and None become 0.0
 
     local_us = utc_us + _utc_offsets_us(utc_us, tz)
     day = local_us // _DAY_US
@@ -109,27 +117,17 @@ def build_daily_profiles(
         meter_id = meter_ids[key // days_span]
         local_day = date.fromordinal(_EPOCH_ORDINAL + first_day + key % days_span)
         expected = _slots_in_local_day(local_day, tz)
-        if expected != SLOTS_PER_DAY:
-            excluded.append(
-                ExcludedDay(meter_id, local_day, "{}-slot day (DST transition)".format(expected))
-            )
-            continue
         completeness = counts[g] / SLOTS_PER_DAY
-        if completeness < min_completeness:
-            excluded.append(
-                ExcludedDay(
-                    meter_id,
-                    local_day,
-                    "completeness {:.2f} below {:.2f}".format(completeness, min_completeness),
-                )
-            )
-            continue
-        if counts[g] == SLOTS_PER_DAY:
-            values = tuple(grid[g].tolist())
+        if expected != SLOTS_PER_DAY:
+            excluded.append(ExcludedDay(meter_id, local_day, "{}-slot day (DST transition)".format(expected)))
+        elif completeness < min_completeness:
+            reason = "completeness {:.2f} below {:.2f}".format(completeness, min_completeness)
+            excluded.append(ExcludedDay(meter_id, local_day, reason))
         else:
-            slots = np.flatnonzero(known[g])
-            values = _fill_gaps(dict(zip(slots.tolist(), grid[g, slots].tolist())))
-        profiles.append(DailyProfile(meter_id, local_day, values, completeness))
+            values = grid[g].tolist()
+            if counts[g] < SLOTS_PER_DAY:
+                values = _fill_gaps({slot: values[slot] for slot in np.flatnonzero(known[g]).tolist()})
+            profiles.append(DailyProfile(meter_id, local_day, tuple(values), completeness))
     return profiles, excluded
 
 

@@ -139,20 +139,8 @@ def _parse_obis(text: str) -> ObisCode:
     return ObisCode(int(m.group(1)), int(m.group(2)), int(m.group(3)))
 
 
-# Registers the ingestion path understands.  The simulated meters emit
-# positive active energy only; real meters may expose the rest.
+# The register the simulated meters emit and the analysis reads.
 POSITIVE_ACTIVE_ENERGY = ObisCode(1, 8, 0)
-NEGATIVE_ACTIVE_ENERGY = ObisCode(2, 8, 0)
-POSITIVE_REACTIVE_ENERGY = ObisCode(3, 8, 0)
-NEGATIVE_REACTIVE_ENERGY = ObisCode(4, 8, 0)
-ABSOLUTE_ACTIVE_ENERGY = ObisCode(15, 8, 0)
-KNOWN_REGISTERS = (
-    POSITIVE_ACTIVE_ENERGY,
-    NEGATIVE_ACTIVE_ENERGY,
-    POSITIVE_REACTIVE_ENERGY,
-    NEGATIVE_REACTIVE_ENERGY,
-    ABSOLUTE_ACTIVE_ENERGY,
-)
 
 
 @dataclass(frozen=True)

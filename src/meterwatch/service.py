@@ -37,6 +37,8 @@ from .store import (
     rfc3339,
 )
 
+# Largest accepted POST body: about ten meter-years of NDJSON records.
+MAX_BODY_BYTES = 32 * 2**20
 _POWER_RE = re.compile(r"^/v1/meters/([^/]+)/power$")
 _ANOMALIES_RE = re.compile(r"^/v1/meters/([^/]+)/anomalies$")
 
@@ -81,6 +83,10 @@ class MeterServiceHandler(BaseHTTPRequestHandler):
         if not length.isdecimal():
             self.close_connection = True  # the body's end is unknown
             self._send_error(400, "bad Content-Length")
+            return
+        if int(length) > MAX_BODY_BYTES:
+            self.close_connection = True  # the body is left unread
+            self._send_error(413, "body over {} bytes".format(MAX_BODY_BYTES))
             return
         try:
             readings = [

@@ -95,10 +95,6 @@ class SimOutput:
     truth_labels: dict[date, str]
     slot_powers_w: np.ndarray  # shape (n_days, 96), the pre-quantization truth
 
-    @property
-    def days(self) -> list[date]:
-        return sorted(self.truth_labels)
-
 
 @dataclass(frozen=True)
 class _Activation:

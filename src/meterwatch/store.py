@@ -6,6 +6,10 @@ the display modulus) before committing anything, so the final store state
 does not depend on arrival order.  Persistence is an append-only
 newline-delimited JSON file with the whole index held in memory.
 
+Inside, a reading is two integers: epoch microseconds and its register
+value in Wh (the meter's 0.001 kWh resolution); ``datetime`` and
+``Decimal`` appear only in the CSV, log and HTTP formats and the views.
+
 Power derivation: cumulative readings are snapped or interpolated onto
 the 15-minute grid, then each slot's mean power is the energy delta
 between consecutive grid values divided by the slot length
@@ -15,20 +19,23 @@ between consecutive grid values divided by the slot length
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
+import re
 import threading
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
+from decimal import Decimal, InvalidOperation
 from itertools import accumulate, repeat
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 
-from .protocol import ObisCode, REGISTER_MODULUS_KWH
+from .protocol import ObisCode, REGISTER_MODULUS_KWH, REGISTER_RESOLUTION_KWH
 
 QUALITY_MEASURED = "measured"
 QUALITY_INTERPOLATED = "interpolated"
@@ -40,7 +47,6 @@ MAX_INTERPOLATION_GAP = timedelta(hours=1)
 # Ten years of 15-minute slots: the longest span one grid read may cover.
 MAX_GRID_SLOTS = 3653 * 96
 
-# The grid pass works in integer microseconds since the Unix epoch.
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _US = timedelta(microseconds=1)
 _SLOT_US = SLOT // _US
@@ -51,10 +57,11 @@ _GAP_US = MAX_INTERPOLATION_GAP // _US
 _MEASURED, _INTERPOLATED, _MISSING = 0, 1, 2
 _QUALITIES = np.array([QUALITY_MEASURED, QUALITY_INTERPOLATED, QUALITY_MISSING], dtype=object)
 
+_MODULUS_WH = int(REGISTER_MODULUS_KWH) * 1000
 # A register drop counts as display rollover only when the old value sits
 # near the top of the range and the new one near the bottom.
-_ROLLOVER_HIGH = REGISTER_MODULUS_KWH * Decimal("0.9")
-_ROLLOVER_LOW = REGISTER_MODULUS_KWH * Decimal("0.1")
+_ROLLOVER_HIGH_WH = _MODULUS_WH * 9 // 10
+_ROLLOVER_LOW_WH = _MODULUS_WH // 10
 
 CSV_HEADER = ["meter_id", "timestamp", "obis", "value_kwh"]
 
@@ -104,6 +111,8 @@ class MeterReading:
             raise ValueError("reading timestamps must be timezone-aware")
         if not 0 <= self.value_kwh < REGISTER_MODULUS_KWH:
             raise ValueError("register values lie in [0, {}) kWh".format(REGISTER_MODULUS_KWH))
+        if self.value_kwh % REGISTER_RESOLUTION_KWH:
+            raise ValueError("register value {} is finer than 0.001 kWh".format(self.value_kwh))
 
 
 @dataclass(frozen=True)
@@ -121,6 +130,69 @@ class PowerSample:
     slot_start: datetime
     mean_power_w: float | None
     quality: str
+
+
+class ReadingColumns(Sequence):
+    """A batch of readings as runs ``(meter_id, register, times, values)``
+    of int epoch microseconds and Wh, one meter and register per run.
+    Items are ``MeterReading``s built on access."""
+
+    def __init__(self, readings: Iterable[MeterReading] = ()):
+        self.runs: list[tuple[str, ObisCode, list[int], list[int]]] = []
+        for reading in readings:
+            self.add(reading)
+
+    def add(self, r: MeterReading) -> None:
+        if not self.runs or self.runs[-1][:2] != (r.meter_id, r.register):
+            self.runs.append((r.meter_id, r.register, [], []))
+        self.runs[-1][2].append(_to_us(r.timestamp))
+        self.runs[-1][3].append(int(r.value_kwh.scaleb(3)))
+
+    def __len__(self) -> int:
+        return sum(len(times) for _, _, times, _ in self.runs)
+
+    def __iter__(self):
+        for meter_id, register, times, values in self.runs:
+            for us, wh in zip(times, values):
+                yield MeterReading(meter_id, _to_datetime(us), register, _to_kwh(wh))
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (list, tuple, ReadingColumns)) else NotImplemented
+
+
+class PowerSeries(Sequence):
+    """One meter's mean-power samples as arrays: slot starts in epoch
+    microseconds, watts (NaN when missing) and quality codes.  Items are
+    ``PowerSample``s built on access."""
+
+    def __init__(self, meter_id: str, starts_us: np.ndarray, watts: np.ndarray, codes: np.ndarray):
+        self.meter_id = meter_id
+        self.starts_us, self.watts, self.codes = starts_us, watts, codes
+
+    def __len__(self) -> int:
+        return len(self.starts_us)
+
+    def __iter__(self):
+        return self._samples(self.starts_us, self.watts, self.codes)
+
+    def __getitem__(self, index):
+        columns = (np.atleast_1d(column[index]) for column in (self.starts_us, self.watts, self.codes))
+        samples = self._samples(*columns)
+        return list(samples) if isinstance(index, slice) else next(samples)
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (list, tuple, PowerSeries)) else NotImplemented
+
+    def _samples(self, starts_us, watts, codes):
+        powers = watts.astype(object)
+        powers[codes == _MISSING] = None
+        # Stepping from the first start is much cheaper than converting each one.
+        steps = (timedelta(0, 0, step) for step in np.diff(starts_us).tolist())
+        starts = accumulate(steps, initial=_to_datetime(int(starts_us[0]))) if len(starts_us) else ()
+        return map(PowerSample, repeat(self.meter_id), starts, powers.tolist(), _QUALITIES[codes].tolist())
 
 
 @dataclass
@@ -145,10 +217,6 @@ class StoreStats:
         }
 
 
-def is_rollover(old: Decimal, new: Decimal) -> bool:
-    return new < old and old > _ROLLOVER_HIGH and new < _ROLLOVER_LOW
-
-
 def register_delta_kwh(old: Decimal, new: Decimal) -> Decimal:
     """Energy between two register values, unwrapping the display rollover."""
     if new >= old:
@@ -156,22 +224,38 @@ def register_delta_kwh(old: Decimal, new: Decimal) -> Decimal:
     return new - old + REGISTER_MODULUS_KWH
 
 
+def _is_rollover(old_wh: int, new_wh: int) -> bool:
+    return new_wh < old_wh and old_wh > _ROLLOVER_HIGH_WH and new_wh < _ROLLOVER_LOW_WH
+
+
+def _to_us(ts: datetime) -> int:
+    return (ts - _EPOCH) // _US
+
+
+def _to_datetime(us: int) -> datetime:
+    return _EPOCH + timedelta(0, 0, us)
+
+
+def _to_kwh(wh: int) -> Decimal:
+    return Decimal(wh).scaleb(-3)
+
+
 class TelemetryStore:
     """Single-writer reading store with an in-memory index.
 
-    Each (meter, register) series is two parallel lists, ``times`` and
-    ``values``, kept sorted by time, so lookups and grid reads bisect
-    instead of sorting.  When constructed with a path, accepted readings
-    are appended to that newline-delimited JSON file and replayed on open.
-    A record counts as committed once its newline is on disk: a final
-    fragment without one (a torn append) is cut from the file on open and
-    its size kept in ``dropped_tail_bytes``.  Reads and writes are
-    serialized through one lock; readers always observe the state left by
-    the last completed ingest.
+    Each (meter, register) series is two parallel lists of ints, ``times``
+    (epoch microseconds) and ``values`` (Wh), kept sorted by time, so
+    lookups and grid reads bisect instead of sorting.  When constructed
+    with a path, accepted readings are appended to that newline-delimited
+    JSON file and replayed on open.  A record counts as committed once its
+    newline is on disk: a final fragment without one (a torn append) is
+    cut from the file on open and its size kept in ``dropped_tail_bytes``.
+    Reads and writes are serialized through one lock; readers always
+    observe the state left by the last completed ingest.
     """
 
     def __init__(self, path: str | Path | None = None):
-        self._series: dict[tuple[str, str], tuple[list[datetime], list[Decimal]]] = {}
+        self._series: dict[tuple[str, str], tuple[list[int], list[int]]] = {}
         self._lock = threading.RLock()
         self._path = Path(path) if path is not None else None
         self.stats = StoreStats()
@@ -180,7 +264,7 @@ class TelemetryStore:
             self._replay(self._path)
 
     def _replay(self, path: Path) -> None:
-        readings = []
+        readings = ReadingColumns()
         committed = 0  # bytes up to and including the last newline
         with open(path, "rb") as fh:
             for line_number, line in enumerate(fh, start=1):
@@ -189,11 +273,11 @@ class TelemetryStore:
                 committed += len(line)
                 if line.strip():
                     try:
-                        readings.append(reading_from_record(json.loads(line.decode("utf-8"))))
+                        readings.add(reading_from_record(json.loads(line.decode("utf-8"))))
                     except (ValueError, KeyError, TypeError, InvalidOperation) as exc:
                         raise StoreLogError(path, line_number, str(exc)) from exc
         if readings:
-            self._ingest_validated(readings, persist=False)
+            self._ingest(readings, persist=False)
         torn = path.stat().st_size - committed
         if torn:
             with open(path, "r+b") as fh:
@@ -217,37 +301,38 @@ class TelemetryStore:
             OSError: the log append failed; the log is cut back to its
                 previous length where it could be opened.
         """
+        columns = batch if isinstance(batch, ReadingColumns) else ReadingColumns(batch)
         with self._lock:
-            return self._ingest_validated(list(batch), persist=True)
+            return self._ingest(columns, persist=True)
 
-    def _ingest_validated(self, batch: Sequence[MeterReading], persist: bool) -> StoreStats:
+    def _ingest(self, batch: ReadingColumns, persist: bool) -> StoreStats:
         delta = StoreStats()
-        fresh: dict[tuple[str, str], dict[datetime, Decimal]] = {}
-        for reading in batch:
-            key = (reading.meter_id, str(reading.register))
-            ts = reading.timestamp.astimezone(timezone.utc)
-            pending = fresh.get(key)
-            known = pending.get(ts) if pending is not None else None
-            if known is None:
-                known = self._stored_value(key, ts)
-            if known is not None:
-                if known == reading.value_kwh:
+        fresh: dict[tuple[str, str], dict[int, int]] = {}
+        for meter_id, register, run_times, run_values in batch.runs:
+            key = (meter_id, str(register))
+            pending = fresh.setdefault(key, {})
+            times, values = self._series.get(key, ((), ()))
+            for t, v in zip(run_times, run_values):
+                known = pending.get(t)
+                if known is None and times:
+                    i = bisect_left(times, t)
+                    if i < len(times) and times[i] == t:
+                        known = values[i]
+                if known is None:
+                    pending[t] = v
+                elif known == v:
                     delta.duplicates_dropped += 1
-                    continue
-                raise ConflictingDuplicate(
-                    "{} {} at {}: stored {} vs new {}".format(
-                        key[0], key[1], ts.isoformat(), known, reading.value_kwh
-                    )
-                )
-            if pending is None:
-                pending = fresh[key] = {}
-            pending[ts] = reading.value_kwh
+                else:
+                    raise ConflictingDuplicate("{} {} at {}: stored {} vs new {}".format(
+                        *key, _to_datetime(t).isoformat(), _to_kwh(known), _to_kwh(v)))
 
         merges = []
         for key, news in fresh.items():
+            if not news:
+                continue
             times, values = self._series.get(key, ((), ()))
             new_times = sorted(news)
-            new_values = [news[t] for t in new_times]
+            new_values = list(map(news.__getitem__, new_times))
             positions = _check_neighbours(key, times, values, new_times, new_values, delta)
             if times:
                 delta.out_of_order += bisect_left(new_times, times[-1])
@@ -262,16 +347,6 @@ class TelemetryStore:
             _insert_sorted(values, positions, new_values)
         self.stats.add(delta)
         return delta
-
-    def _stored_value(self, key: tuple[str, str], ts: datetime) -> Decimal | None:
-        series = self._series.get(key)
-        if series is None:
-            return None
-        times, values = series
-        i = bisect_left(times, ts)
-        if i < len(times) and times[i] == ts:
-            return values[i]
-        return None
 
     def _append(self, data: bytes) -> None:
         """Append ``data`` to the log, or leave the log as it was and raise."""
@@ -291,38 +366,24 @@ class TelemetryStore:
         with self._lock:
             return sorted({meter for meter, _ in self._series})
 
-    def registers(self, meter_id: str) -> list[ObisCode]:
-        with self._lock:
-            return sorted(
-                ObisCode.parse(obis) for meter, obis in self._series if meter == meter_id
-            )
-
     def readings(self, meter_id: str, register: ObisCode) -> list[MeterReading]:
         with self._lock:
             times, values = self._series.get((meter_id, str(register)), ((), ()))
-            return [
-                MeterReading(meter_id, ts, register, value)
-                for ts, value in zip(times, values)
-            ]
+            return [MeterReading(meter_id, _to_datetime(us), register, _to_kwh(wh)) for us, wh in zip(times, values)]
 
     def span(self, meter_id: str, register: ObisCode) -> tuple[datetime, datetime] | None:
         with self._lock:
-            series = self._series.get((meter_id, str(register)))
-            if series is None:
-                return None
-            times = series[0]
-            return times[0], times[-1]
+            times = self._series.get((meter_id, str(register)), ((),))[0]
+            return (_to_datetime(times[0]), _to_datetime(times[-1])) if times else None
 
     def snapshot(self) -> dict[tuple[str, str], dict[datetime, Decimal]]:
         """Deep copy of the index, for state-equality checks."""
         with self._lock:
-            return {key: dict(zip(times, values)) for key, (times, values) in self._series.items()}
+            return {key: dict(zip(map(_to_datetime, t), map(_to_kwh, v))) for key, (t, v) in self._series.items()}
 
     # -- derivation ---------------------------------------------------------
 
-    def align_to_grid(
-        self, meter_id: str, register: ObisCode, start: datetime, end: datetime
-    ) -> list[GridReading]:
+    def align_to_grid(self, meter_id: str, register: ObisCode, start: datetime, end: datetime) -> list[GridReading]:
         """Place readings onto each 15-minute boundary in [start, end].
 
         A reading within 90 s of a boundary snaps to it (nearest wins,
@@ -333,64 +394,51 @@ class TelemetryStore:
         Raises:
             SpanTooLong: [start, end] holds more than ``MAX_GRID_SLOTS`` slots.
         """
-        starts, values, codes = self._grid(meter_id, register, start, end)
-        return list(map(GridReading, starts, values, _QUALITIES[codes].tolist()))
+        bounds, wh, codes = self._grid(meter_id, register, start, end)
+        values = [None if code == _MISSING else _to_kwh(v) for v, code in zip(wh.tolist(), codes.tolist())]
+        return list(map(GridReading, map(_to_datetime, bounds.tolist()), values, _QUALITIES[codes].tolist()))
 
-    def mean_power_series(
-        self, meter_id: str, register: ObisCode, start: datetime, end: datetime
-    ) -> list[PowerSample]:
+    def mean_power_series(self, meter_id: str, register: ObisCode, start: datetime, end: datetime) -> PowerSeries:
         """15-minute mean power from consecutive grid values.
 
         A sample is missing when either endpoint is missing, interpolated
-        when either endpoint was interpolated, measured otherwise.
+        when either endpoint was interpolated, measured otherwise.  Each
+        present sample's power is ``(Δ Wh / 1000.0) * 4000.0``, the same
+        float as ``float(register_delta_kwh(a, b)) * 4000.0``.
 
         Raises:
             SpanTooLong: [start, end] holds more than ``MAX_GRID_SLOTS`` slots.
         """
-        starts, values, codes = self._grid(meter_id, register, start, end)
-        quality = _QUALITIES[np.maximum(codes[:-1], codes[1:])].tolist()
-        powers = [
-            None if a is None or b is None else float(register_delta_kwh(a, b)) * 4000.0
-            for a, b in zip(values, values[1:])
-        ]
-        return list(map(PowerSample, repeat(meter_id), starts, powers, quality))
+        bounds, wh, codes = self._grid(meter_id, register, start, end)
+        delta = np.diff(wh)
+        delta[delta < 0] += _MODULUS_WH
+        codes = np.maximum(codes[:-1], codes[1:])
+        watts = np.where(codes == _MISSING, np.nan, (delta / 1000.0) * 4000.0)
+        return PowerSeries(meter_id, bounds[:-1], watts, codes)
 
-    def _grid(
-        self, meter_id: str, register: ObisCode, start: datetime, end: datetime
-    ) -> tuple[list[datetime], list[Decimal | None], np.ndarray]:
-        """Boundary times, values and quality codes for ``align_to_grid``.
+    def _grid(self, meter_id: str, register: ObisCode, start: datetime, end: datetime) -> tuple[np.ndarray, ...]:
+        """Boundary times (epoch µs), values (Wh) and quality codes.
 
-        One array pass: the window's reading times become epoch
-        microseconds, each boundary finds its enclosing readings by
+        One array pass: each boundary finds its enclosing readings by
         ``searchsorted``, and masks pick snap, interpolation or missing.
-        Measured boundaries take the stored ``Decimal``; only interpolated
-        ones do ``Decimal`` arithmetic.
+        A missing boundary's value is 0.
         """
-        start = start.astimezone(timezone.utc)
-        end = end.astimezone(timezone.utc)
-        start_us, end_us = (start - _EPOCH) // _US, (end - _EPOCH) // _US
+        start_us, end_us = _to_us(start), _to_us(end)
         if (end_us - start_us) // _SLOT_US > MAX_GRID_SLOTS:
-            raise SpanTooLong(
-                "{} {}: {} to {} holds more than {} slots (ten years)".format(
-                    meter_id, register, rfc3339(start), rfc3339(end), MAX_GRID_SLOTS
-                )
-            )
+            raise SpanTooLong("{} {}: {} to {} holds more than {} slots (ten years)".format(
+                meter_id, register, rfc3339(start), rfc3339(end), MAX_GRID_SLOTS))
         with self._lock:
             times, values = self._series.get((meter_id, str(register)), ((), ()))
             # Every boundary in [start, end] lies between these readings.
-            lo = max(bisect_left(times, start) - 1, 0)
-            hi = bisect_right(times, end) + 1
-            times, values = times[lo:hi], values[lo:hi]
+            lo = max(bisect_left(times, start_us) - 1, 0)
+            hi = bisect_right(times, end_us) + 1
+            t = np.array(times[lo:hi], dtype=np.int64)
+            v = np.array(values[lo:hi], dtype=np.int64)
         first_us = -(-start_us // _SLOT_US) * _SLOT_US
-        count = (end_us - first_us) // _SLOT_US + 1
-        if count <= 0:
-            return [], [], np.full(0, _MISSING)
-        first = _EPOCH + timedelta(microseconds=first_us)
-        starts = list(accumulate(repeat(SLOT, count - 1), initial=first))
-        if not times:
-            return starts, [None] * count, np.full(count, _MISSING)
+        count = max((end_us - first_us) // _SLOT_US + 1, 0)
         bounds = first_us + _SLOT_US * np.arange(count, dtype=np.int64)
-        t = np.fromiter(((ts - _EPOCH) // _US for ts in times), np.int64, len(times))
+        if not len(t):
+            return bounds, np.zeros(count, np.int64), np.full(count, _MISSING)
         after = np.searchsorted(t, bounds)  # first reading at or after each boundary
         before = np.maximum(after - 1, 0)
         has_before, has_after = after > 0, after < len(t)
@@ -402,22 +450,36 @@ class TelemetryStore:
         take_after = snap_after & ~(snap_before & (gap_before <= gap_after))
         measured = snap_before | snap_after
         interpolated = ~measured & has_before & has_after & (t[after] - t[before] <= _GAP_US)
-        source = np.where(take_after, after, np.where(measured, before, len(t)))
-        grid_values = list(map([*values, None].__getitem__, source.tolist()))
+        wh = np.where(take_after, v[after], np.where(measured, v[before], 0))
         for k in np.flatnonzero(interpolated).tolist():
             i, j = int(before[k]), int(after[k])
-            fraction = (int(bounds[k]) - int(t[i])) / (int(t[j]) - int(t[i]))
-            grid_values[k] = _interpolate(values[i], values[j], fraction)
+            wh[k] = _interpolate_wh(int(v[i]), int(v[j]), int(bounds[k] - t[i]), int(t[j] - t[i]))
         codes = np.where(measured, _MEASURED, np.where(interpolated, _INTERPOLATED, _MISSING))
-        return starts, grid_values, codes
+        return bounds, wh, codes
+
+
+def _interpolate_wh(v_prev: int, v_next: int, elapsed_us: int, gap_us: int) -> int:
+    """Register value ``elapsed_us / gap_us`` of the way from ``v_prev`` to
+    ``v_next`` (Wh), across a rollover, rounded half-even to whole Wh.
+
+    Exact integer arithmetic on the decimal the float fraction's ``repr``
+    prints, as the ``Decimal`` formula it replaces read it.  Interpolated
+    boundaries lie over 90 s from both readings, at most 1 h apart, so the
+    fraction is in (0.025, 0.975) with at most 18 decimals, and the kWh sum
+    (below 2·10⁶, at most 21 decimals) fits 28 digits: that formula never
+    rounded before its final quantize.
+    """
+    if v_next < v_prev and _is_rollover(v_prev, v_next):
+        v_next += _MODULUS_WH
+    whole, _, decimals = repr(elapsed_us / gap_us).partition(".")
+    scale = 10 ** len(decimals)
+    exact = (v_prev * scale + (v_next - v_prev) * int(whole + decimals)) % (_MODULUS_WH * scale)
+    wh, rest = divmod(exact, scale)
+    return wh + (2 * rest > scale or (2 * rest == scale and wh % 2))
 
 
 def _check_neighbours(
-    key: tuple[str, str],
-    times: Sequence[datetime],
-    values: Sequence[Decimal],
-    new_times: list[datetime],
-    new_values: list[Decimal],
+    key: tuple[str, str], times: Sequence[int], values: Sequence[int], new_times: list[int], new_values: list[int],
     delta: StoreStats,
 ) -> list[int]:
     """Check every time-adjacent pair that holds a new reading, in time order.
@@ -430,20 +492,13 @@ def _check_neighbours(
     """
 
     def decrease(t1, v1, t2, v2):
-        if is_rollover(v1, v2):
-            delta.rollovers_detected += 1
-            return
-        raise NonMonotonicRegister(
-            "{} {}: {} -> {} between {} and {}".format(
-                key[0], key[1], v1, v2, t1.isoformat(), t2.isoformat()
-            )
-        )
+        if not _is_rollover(v1, v2):
+            raise NonMonotonicRegister("{} {}: {} -> {} between {} and {}".format(
+                *key, _to_kwh(v1), _to_kwh(v2), _to_datetime(t1).isoformat(), _to_datetime(t2).isoformat()))
+        delta.rollovers_detected += 1
 
-    positions = []
-    prev_t = prev_v = None
-    j = 0
-    stored = len(times)
-    last = len(new_times) - 1
+    positions, prev_t, prev_v, j = [], None, None, 0
+    stored, last = len(times), len(new_times) - 1
     for i, (t, v) in enumerate(zip(new_times, new_values)):
         j = bisect_left(times, t, j)
         positions.append(j)
@@ -473,29 +528,13 @@ def _insert_sorted(items: list, positions: list[int], news: list) -> None:
     items.extend(tail[done - first :])
 
 
-def _ndjson_records(merges: list[tuple[tuple[str, str], list[int], list[datetime], list[Decimal]]]) -> bytes:
+def _ndjson_records(merges: list[tuple[tuple[str, str], list[int], list[int], list[int]]]) -> bytes:
     """Log lines for a batch's new readings, by series key, then by time."""
     lines = []
     for (meter_id, obis), _, new_times, new_values in sorted(merges, key=lambda merge: merge[0]):
-        for ts, value in zip(new_times, new_values):
-            record = {
-                "meter_id": meter_id,
-                "timestamp": rfc3339(ts),
-                "obis": obis,
-                "value_kwh": str(value),
-            }
-            lines.append(json.dumps(record, sort_keys=True) + "\n")
+        for us, wh in zip(new_times, new_values):
+            lines.append(json.dumps(_record(meter_id, us, obis, wh), sort_keys=True) + "\n")
     return "".join(lines).encode("utf-8")
-
-
-def _interpolate(v_prev: Decimal, v_next: Decimal, fraction: float) -> Decimal:
-    """Register value ``fraction`` of the way from ``v_prev`` to ``v_next``,
-    across a rollover, to the meter's 0.001 kWh resolution."""
-    if v_next < v_prev and is_rollover(v_prev, v_next):
-        v_next = v_next + REGISTER_MODULUS_KWH
-    value = v_prev + (v_next - v_prev) * Decimal(str(fraction))
-    value = value % REGISTER_MODULUS_KWH
-    return value.quantize(Decimal("0.001"), rounding=ROUND_HALF_EVEN)
 
 
 # -- interchange formats ------------------------------------------------------
@@ -518,22 +557,18 @@ def parse_rfc3339(text: str) -> datetime:
         raise ValueError("timestamp {!r} lies outside the years 1-9999 in UTC".format(text)) from exc
 
 
+def _record(meter_id: str, us: int, obis: str, wh: int) -> dict:
+    """A reading as the four text fields of the log and HTTP records."""
+    return {"meter_id": meter_id, "timestamp": rfc3339(_to_datetime(us)), "obis": obis, "value_kwh": str(_to_kwh(wh))}
+
+
 def reading_to_record(reading: MeterReading) -> dict:
-    return {
-        "meter_id": reading.meter_id,
-        "timestamp": rfc3339(reading.timestamp),
-        "obis": str(reading.register),
-        "value_kwh": str(reading.value_kwh),
-    }
+    return _record(reading.meter_id, _to_us(reading.timestamp), str(reading.register), int(reading.value_kwh.scaleb(3)))
 
 
 def reading_from_record(record: dict) -> MeterReading:
-    return MeterReading(
-        meter_id=str(record["meter_id"]),
-        timestamp=parse_rfc3339(str(record["timestamp"])),
-        register=ObisCode.parse(str(record["obis"])),
-        value_kwh=Decimal(str(record["value_kwh"])),
-    )
+    meter_id, timestamp, obis, value = (str(record[key]) for key in ("meter_id", "timestamp", "obis", "value_kwh"))
+    return MeterReading(meter_id, parse_rfc3339(timestamp), ObisCode.parse(obis), Decimal(value))
 
 
 def write_readings_csv(target: str | Path | TextIO, readings: Iterable[MeterReading]) -> None:
@@ -552,43 +587,91 @@ def write_readings_csv(target: str | Path | TextIO, readings: Iterable[MeterRead
         _write(target)
 
 
-def read_readings_csv(source: str | Path | TextIO) -> list[MeterReading]:
+def read_readings_csv(source: str | Path | TextIO) -> ReadingColumns:
     """Parse a readings CSV; malformed rows name their line number.
+
+    Files of canonical rows (``…Z`` times, ``d.ddd`` values, ``\\n`` line
+    ends) are parsed as whole columns; any other file row by row.
 
     Raises:
         ReadingsCsvError: missing/invalid header or an unparsable row.
     """
-
-    def _read(fh: TextIO) -> list[MeterReading]:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ReadingsCsvError(1, "empty file; expected header {}".format(",".join(CSV_HEADER)))
-        if [h.strip() for h in header] != CSV_HEADER:
-            raise ReadingsCsvError(
-                1, "bad header {!r}; expected {}".format(",".join(header), ",".join(CSV_HEADER))
-            )
-        readings = []
-        for line_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ReadingsCsvError(line_number, "expected 4 columns, got {}".format(len(row)))
-            try:
-                readings.append(
-                    MeterReading(
-                        meter_id=row[0],
-                        timestamp=parse_rfc3339(row[1]),
-                        register=ObisCode.parse(row[2]),
-                        value_kwh=Decimal(row[3]),
-                    )
-                )
-            except (ValueError, InvalidOperation) as exc:
-                raise ReadingsCsvError(line_number, str(exc)) from exc
-        return readings
-
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
-            return _read(fh)
-    return _read(source)
+            text = fh.read()
+    else:
+        text = source.read()
+    columns = _read_canonical_csv(text)
+    return columns if columns is not None else _read_csv_rows(io.StringIO(text, newline=""))
+
+
+# One canonical CSV row, then every following row of the same meter and register.
+_CSV_RUN = re.compile(
+    r'([^,"\r\n\x00]+),\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ,([^,"\r\n\x00]+),\d{1,6}\.\d{3}\n'
+    r"(?:\1,\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ,\2,\d{1,6}\.\d{3}\n)*",
+    re.ASCII,
+)
+_YEAR_1_S = _to_us(datetime(1, 1, 1, tzinfo=timezone.utc)) // 1_000_000
+
+
+def _read_canonical_csv(text: str) -> ReadingColumns | None:
+    """Columns of a file made only of canonical rows, else ``None``.
+
+    ``_CSV_RUN`` validates the rows run by run; numpy parses the times
+    (refusing ones that do not exist) and the values are summed digits.
+    """
+    header = ",".join(CSV_HEADER) + "\n"
+    if not text.startswith(header) or not text.isascii():
+        return None
+    body, pos, runs = text[len(header):], 0, []
+    while pos < len(body):
+        match = _CSV_RUN.match(body, pos)
+        if match is None:
+            return None
+        pos = match.end()
+        runs.append((match.group(1), match.group(2), pos))
+    data = np.frombuffer(body.encode("ascii"), np.uint8)
+    line_ends = np.flatnonzero(data == ord("\n"))
+    commas = np.flatnonzero(data == ord(",")).reshape(-1, 3)
+    try:
+        seconds = data[commas[:, :1] + np.arange(1, 20)].view("S19")[:, 0].astype("datetime64[s]").astype(np.int64)
+    except ValueError:
+        return None
+    if len(seconds) and seconds.min() < _YEAR_1_S:
+        return None
+    # Value digits right to left from the newline: three decimals, the dot, up to six more.
+    places = line_ends[:, None] - np.array([1, 2, 3, 5, 6, 7, 8, 9, 10])
+    digits = np.where(places > commas[:, 2:], data[np.maximum(places, 0)] - ord("0"), 0)
+    wh = digits.astype(np.int64) @ (10 ** np.arange(9))
+    columns, row = ReadingColumns(), 0
+    for meter_id, obis, end in runs:
+        try:
+            register = ObisCode.parse(obis)
+        except ValueError:
+            return None
+        stop = int(np.searchsorted(line_ends, end - 1)) + 1
+        columns.runs.append((meter_id, register, (seconds[row:stop] * 1_000_000).tolist(), wh[row:stop].tolist()))
+        row = stop
+    return columns
+
+
+def _read_csv_rows(fh: TextIO) -> ReadingColumns:
+    """Parse a readings CSV row by row."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ReadingsCsvError(1, "empty file; expected header {}".format(",".join(CSV_HEADER)))
+    if [h.strip() for h in header] != CSV_HEADER:
+        raise ReadingsCsvError(1, "bad header {!r}; expected {}".format(",".join(header), ",".join(CSV_HEADER)))
+    readings = ReadingColumns()
+    for line_number, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise ReadingsCsvError(line_number, "expected 4 columns, got {}".format(len(row)))
+        try:
+            readings.add(MeterReading(row[0], parse_rfc3339(row[1]), ObisCode.parse(row[2]), Decimal(row[3])))
+        except (ValueError, InvalidOperation) as exc:
+            raise ReadingsCsvError(line_number, str(exc)) from exc
+    return readings

@@ -8,9 +8,10 @@ replaced, kept so the two can be compared move for move.  ``DictStore`` is
 the in-memory telemetry store that re-sorted a whole series on every ingest
 and placed each grid boundary with its own bisect, kept so the sorted-list
 ``TelemetryStore`` and its array grid pass can be compared with it batch
-for batch.  ``build_daily_profiles`` is the sample-by-sample profile
-builder that converted every sample to local time, kept so the array
-version can be compared with it.
+for batch.  ``_interpolate`` is the store's ``Decimal`` interpolation,
+kept as the reference for its integer version.  ``build_daily_profiles``
+is the sample-by-sample profile builder that converted every sample to
+local time, kept so the array version can be compared with it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from meterwatch.store import (
     NonMonotonicRegister,
     PowerSample,
     StoreStats,
-    is_rollover,
     register_delta_kwh,
 )
 
@@ -252,14 +252,22 @@ def _grid_value(times: list[datetime], values: list[Decimal], boundary: datetime
     t_prev, t_next = times[i - 1], times[i]
     if t_next - t_prev > MAX_INTERPOLATION_GAP:
         return GridReading(boundary, None, QUALITY_MISSING)
-    v_prev, v_next = values[i - 1], values[i]
+    fraction = (boundary - t_prev) / (t_next - t_prev)
+    return GridReading(boundary, _interpolate(values[i - 1], values[i], fraction), QUALITY_INTERPOLATED)
+
+
+def is_rollover(old: Decimal, new: Decimal) -> bool:
+    return new < old and old > REGISTER_MODULUS_KWH * Decimal("0.9") and new < REGISTER_MODULUS_KWH * Decimal("0.1")
+
+
+def _interpolate(v_prev: Decimal, v_next: Decimal, fraction: float) -> Decimal:
+    """Register value ``fraction`` of the way from ``v_prev`` to ``v_next``,
+    across a rollover, to the meter's 0.001 kWh resolution, in ``Decimal``."""
     if v_next < v_prev and is_rollover(v_prev, v_next):
         v_next = v_next + REGISTER_MODULUS_KWH
-    fraction = (boundary - t_prev) / (t_next - t_prev)
     value = v_prev + (v_next - v_prev) * Decimal(str(fraction))
     value = value % REGISTER_MODULUS_KWH
-    value = value.quantize(Decimal("0.001"), rounding=ROUND_HALF_EVEN)
-    return GridReading(boundary, value, QUALITY_INTERPOLATED)
+    return value.quantize(Decimal("0.001"), rounding=ROUND_HALF_EVEN)
 
 
 def build_daily_profiles(samples, min_completeness: float, tz_name: str):

@@ -138,6 +138,7 @@ def test_analyze_malformed_row_names_the_line(runner, tmp_path):
         (["--min-completeness", "2"], None),
         (["--k", "7"], None),
         ([], {"restarts": 0}),
+        (["--restarts", "1000000"], None),
     ],
 )
 def test_analyze_out_of_range_setting_is_a_usage_error(runner, tmp_path, flags, config):

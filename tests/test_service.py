@@ -12,7 +12,7 @@ import pytest
 from conftest import START
 from meterwatch.personas import build_persona
 from meterwatch.pipeline import AnalysisConfig, analyze_meter, canonical_json
-from meterwatch.service import make_server
+from meterwatch.service import MAX_BODY_BYTES, make_server
 from meterwatch.simulator import simulate_period
 from meterwatch.store import TelemetryStore, parse_rfc3339, reading_to_record
 
@@ -170,6 +170,7 @@ def test_malformed_record_is_400(server):
         (b"", {"Content-Length": "-1"}),
         (b'{"meter_id": "X", "timestamp": "2024-06-03T00:00:00Z", "obis": "1.8.0", "value_kwh": "abc"}', {}),
         (b'{"meter_id": "X", "timestamp": "2024-06-03T00:00:00Z", "obis": "1.8.0", "value_kwh": "Infinity"}', {}),
+        (b'{"meter_id": "X", "timestamp": "2024-06-03T00:00:00Z", "obis": "1.8.0", "value_kwh": "1.0005"}', {}),
     ],
     ids=[
         "not-an-object",
@@ -178,6 +179,7 @@ def test_malformed_record_is_400(server):
         "negative-length",
         "value-not-a-number",
         "value-infinite",
+        "value-finer-than-a-wh",
     ],
 )
 def test_unreadable_post_body_is_400_json(server, body, headers):
@@ -207,6 +209,25 @@ def test_chunked_post_is_411_and_closes(server):
             pass
         response = conn.getresponse()
         assert response.status == 411
+        assert response.getheader("Connection") == "close"
+        assert "error" in json.loads(response.read().decode())
+    finally:
+        conn.close()
+    assert store.meters() == []
+
+
+def test_oversized_post_is_413_and_closes(server):
+    base, store = server
+    address = urllib.parse.urlsplit(base)
+    conn = http.client.HTTPConnection(address.hostname, address.port, timeout=10)
+    try:
+        # Declares a body far over the cap and sends none of it: the answer
+        # must come without the server waiting for the body.
+        conn.putrequest("POST", "/v1/readings")
+        conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+        conn.endheaders()
+        response = conn.getresponse()
+        assert response.status == 413
         assert response.getheader("Connection") == "close"
         assert "error" in json.loads(response.read().decode())
     finally:
@@ -249,7 +270,7 @@ def test_anomalies_endpoint_accepts_overrides(server):
     assert err.value.code == 400
 
 
-@pytest.mark.parametrize("query", ["restarts=0", "min_completeness=2", "min_completeness=-0.1"])
+@pytest.mark.parametrize("query", ["restarts=0", "restarts=1000000", "min_completeness=2", "min_completeness=-0.1"])
 def test_anomalies_out_of_range_setting_is_400(server, query):
     base, _ = server
     post(base, "/v1/readings", ndjson(sim_readings(days=2)))

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import io
+import json
 import shutil
 from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from meterwatch.personas import build_persona
 from meterwatch.pipeline import InsufficientDataError, analyze_meter
@@ -30,10 +31,13 @@ from meterwatch.store import (
     parse_rfc3339,
     read_readings_csv,
     register_delta_kwh,
+    _interpolate_wh,
+    _read_canonical_csv,
+    _read_csv_rows,
     rfc3339,
     write_readings_csv,
 )
-from oracles import DictStore
+from oracles import DictStore, _interpolate
 
 OBIS_180 = ObisCode(1, 8, 0)
 OBIS_280 = ObisCode(2, 8, 0)
@@ -110,7 +114,7 @@ def test_naive_timestamps_are_rejected():
 
 
 def test_negative_register_is_rejected():
-    for value in ("-1", "Infinity", "1000000.000"):
+    for value in ("-1", "Infinity", "1000000.000", "1.0005"):
         with pytest.raises(ValueError):
             MeterReading("M1", T0, OBIS_180, Decimal(value))
 
@@ -434,7 +438,8 @@ def test_unparsable_interior_line_names_its_line(tmp_path):
     path = tmp_path / "readings.ndjson"
     TelemetryStore(path).ingest(grid_batch(["1.000", "1.100"]))
     lines = path.read_bytes().splitlines(keepends=True)
-    for bad in (b'{"meter_id": "M1", "timest\n', b'{"meter_id": "M1"}\n'):
+    finer_than_a_wh = b'{"meter_id": "M1", "obis": "1.8.0", "timestamp": "2024-06-03T12:07:00Z", "value_kwh": "1.0005"}\n'
+    for bad in (b'{"meter_id": "M1", "timest\n', b'{"meter_id": "M1"}\n', finer_than_a_wh):
         path.write_bytes(lines[0] + bad + lines[1])
         with pytest.raises(StoreLogError, match="line 2") as err:
             TelemetryStore(path)
@@ -454,7 +459,7 @@ def test_csv_roundtrip():
 
 
 def test_csv_malformed_row_names_its_line():
-    for bad_row in ("M1,not-a-time,1.8.0,2.0", "M1,2024-06-03T12:15:00Z,1.8.0,Infinity"):
+    for bad_row in ("M1,not-a-time,1.8.0,2.0", "M1,2024-06-03T12:15:00Z,1.8.0,Infinity", "M1,2024-06-03T12:15:00Z,1.8.0,1.0005"):
         text = "meter_id,timestamp,obis,value_kwh\nM1,2024-06-03T12:00:00Z,1.8.0,1.0\n" + bad_row + "\n"
         with pytest.raises(ReadingsCsvError) as err:
             read_readings_csv(io.StringIO(text))
@@ -467,6 +472,92 @@ def test_csv_rejects_wrong_header_and_empty_file():
         read_readings_csv(io.StringIO("a,b,c,d\n"))
     with pytest.raises(ReadingsCsvError):
         read_readings_csv(io.StringIO(""))
+
+
+def test_canonical_file_is_read_as_columns():
+    batch = grid_batch(["0.000", "12.345", "999999.999"]) + grid_batch(["7.000"], meter="M10")
+    buf = io.StringIO()
+    write_readings_csv(buf, batch)
+    columns = _read_canonical_csv(buf.getvalue())
+    assert columns is not None
+    assert [run[0] for run in columns.runs] == ["M1", "M10"]
+    assert columns == batch
+    assert columns[-1] == batch[-1] and columns[1:3] == batch[1:3]
+
+
+CSV_TEXT = "meter_id,timestamp,obis,value_kwh\n"
+
+
+@st.composite
+def csv_texts(draw):
+    """Readings CSV text: all rows canonical, or canonical and non-canonical
+    rows mixed (offsets, dates that do not exist, short, long or too fine
+    values, CRLF, quoting, bad fields, no final newline)."""
+
+    def pick(canonical, others):
+        return draw(st.sampled_from(canonical if strict else canonical + others))
+
+    strict = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        meter = pick(["S1", "S10", "M 1"], ['"S1"', "", "S1,x"])
+        ts = draw(st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)))
+        fields = [ts.year, ts.month, ts.day, ts.hour, ts.minute, ts.second]
+        if draw(st.integers(0, 9)) == 0:  # a date or time that may not exist
+            fields = [draw(st.integers(0, 9999)), *(draw(st.integers(0, 61)) for _ in range(5))]
+        timestamp = "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}".format(*fields) + pick(["Z"], ["+02:00", "Q"])
+        obis = pick(["1.8.0", "2.8.0"], ["01.8.0"])
+        value = pick(["{}.{:03d}"], ["{}", "{}.5", "{}.{:03d}5", "1{:06d}.000"])
+        value = value.format(draw(st.integers(0, 999999)), draw(st.integers(0, 999)))
+        rows.append(",".join([meter, timestamp, obis, value]) + pick(["\n"], ["\r\n"]))
+    text = CSV_TEXT + "".join(rows)
+    return text if strict or not rows or draw(st.booleans()) else text.rstrip("\n")
+
+
+def parse_outcome(parse, text):
+    try:
+        return list(parse(io.StringIO(text, newline="")))
+    except ReadingsCsvError as exc:
+        return ("ReadingsCsvError", exc.line_number, str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_texts())
+@example(CSV_TEXT + "S1,2024-02-29T23:59:59Z,1.8.0,999999.999\nS1,2024-03-01T00:00:00Z,1.8.0,0.001\n")
+@example(CSV_TEXT + "S1,2023-02-29T00:00:00Z,1.8.0,1.000\n")
+@example(CSV_TEXT + "S1,0000-06-01T00:00:00Z,1.8.0,1.000\n")
+@example(CSV_TEXT + "S1,0001-01-01T00:00:00Z,1.8.0,0.000\nS10,9999-12-31T23:59:59Z,2.8.0,1.000\n")
+def test_csv_columns_match_the_row_parser(text):
+    rows = parse_outcome(_read_csv_rows, text)
+    columns = _read_canonical_csv(text)
+    if columns is not None:
+        assert list(columns) == rows
+    assert parse_outcome(read_readings_csv, text) == rows
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(st.integers(0, 10**9 - 1), st.integers(10**9 - 10**6, 10**9 - 1)),
+    st.one_of(st.integers(0, 10**9 - 1), st.integers(0, 10**6)),
+    st.integers(180_000_002, 3_600_000_000).flatmap(
+        lambda gap: st.tuples(st.integers(90_000_001, gap - 90_000_001), st.just(gap))
+    ),
+)
+@example(999_999_999, 999_999, (90_000_001, 3_600_000_000))
+@example(999_999_999, 2, (600_000_000, 3_600_000_000))  # 3 Wh * 0.16666666666666666: just under a tie
+@example(999_000_000, 500, (1_800_000_000, 3_600_000_000))
+def test_integer_interpolation_matches_the_decimal_formula(v_prev, v_next, times):
+    elapsed, gap = times
+    expected = _interpolate(Decimal(v_prev).scaleb(-3), Decimal(v_next).scaleb(-3), elapsed / gap)
+    assert Decimal(_interpolate_wh(v_prev, v_next, elapsed, gap)).scaleb(-3) == expected
+
+
+def test_log_values_have_three_decimals(tmp_path):
+    # 2.0000 is a whole number of Wh, so it is accepted despite four decimals.
+    path = tmp_path / "readings.ndjson"
+    TelemetryStore(path).ingest([reading(0, "1"), reading(15, "1.5"), reading(30, "2.0000")])
+    logged = [json.loads(line)["value_kwh"] for line in path.read_text(encoding="utf-8").splitlines()]
+    assert logged == ["1.000", "1.500", "2.000"]
 
 
 def test_rfc3339_roundtrip():

@@ -29,6 +29,14 @@ out, and S4 lifted by 999 990 kWh so its register rolls over) and runs
 so snapped, interpolated and missing grid values, filled and excluded
 days and the rollover are compared too.
 
+Finally it writes a non-canonical copy of the simulated readings
+(``write_noncanonical``: CRLF line ends, every seventh timestamp at
+``+02:00``, values without trailing zeros such as ``12`` and ``1.5``, one
+quoted meter id), which the CSV reader parses row by row rather than as
+columns, and runs
+
+    meterwatch analyze noncanonical/S1_readings.csv ... --out noncanonical_knee
+
 Each command's stdout, stderr and exit code are saved beside its outputs.
 The two directories are then compared file by file; every file that
 differs or exists on one side only is printed.  Exit code 0 means the
@@ -46,7 +54,7 @@ import random
 import subprocess
 import sys
 import tempfile
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 from pathlib import Path
 
@@ -61,9 +69,11 @@ COMMANDS = [
     ("ingest", ["ingest", *READINGS, "--store", "store"]),
     ("reingest", ["ingest", *READINGS, "--store", "store"]),
 ]
+NONCANONICAL = ["noncanonical/{}_readings.csv".format(p) for p in PERSONAS]
 GAPPY_COMMANDS = [
     ("gappy_knee", ["analyze", *GAPPY, "--out", "gappy_knee"]),
     ("gappy_k3", ["analyze", *GAPPY, "--k", "3", "--out", "gappy_k3"]),
+    ("noncanonical_knee", ["analyze", *NONCANONICAL, "--out", "noncanonical_knee"]),
 ]
 # Runs of readings cut out, as (first row, rows): 3 h leaves the day below
 # the 0.9 completeness floor, 1.5 h leaves it above (its slots are filled).
@@ -104,6 +114,25 @@ def write_gappy(sim_dir: Path, out_dir: Path) -> None:
                 writer.writerow([meter_id, timestamp, obis, value])
 
 
+def write_noncanonical(sim_dir: Path, out_dir: Path) -> None:
+    """Copy the simulated readings CSVs as equal readings in non-canonical text:
+    CRLF line ends, every seventh timestamp at +02:00, values with trailing
+    zeros (and a bare trailing dot) removed, and the first row's meter id quoted."""
+    out_dir.mkdir()
+    plus_two = timezone(timedelta(hours=2))
+    for persona in PERSONAS:
+        with open(sim_dir / "{}_readings.csv".format(persona), newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        with open(out_dir / "{}_readings.csv".format(persona), "w", newline="", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\r\n")
+            for row_number, (meter_id, timestamp, obis, value) in enumerate(rows):
+                if row_number % 7 == 3:
+                    moved = datetime.fromisoformat(timestamp.replace("Z", "+00:00")).astimezone(plus_two)
+                    timestamp = moved.isoformat()
+                meter_text = '"{}"'.format(meter_id) if row_number == 0 else meter_id
+                fh.write(",".join([meter_text, timestamp, obis, value.rstrip("0").rstrip(".")]) + "\r\n")
+
+
 def run_commands(commands, side_dir: Path, env: dict) -> None:
     for name, args in commands:
         print("{}: meterwatch {}".format(side_dir.name, " ".join(args)), flush=True)
@@ -123,6 +152,7 @@ def run_side(src: Path, side_dir: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     run_commands(COMMANDS, side_dir, env)
     write_gappy(side_dir / "sim", side_dir / "gappy")
+    write_noncanonical(side_dir / "sim", side_dir / "noncanonical")
     run_commands(GAPPY_COMMANDS, side_dir, env)
 
 
