@@ -35,6 +35,7 @@ from .store import (
     ReadingsCsvError,
     SpanTooLong,
     StoreError,
+    StoreStats,
     TelemetryStore,
     read_readings_csv,
     write_readings_csv,
@@ -52,14 +53,23 @@ CASESTUDY_SCRIPT_OFFSETS = {
 }
 
 
-def _load_config_file(path: str | None) -> dict:
+def _load_json_object(path: str | None, option: str = "--config") -> dict:
+    """The JSON object in ``path`` ({} without one); anything else is a usage error."""
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as exc:
+        raise _usage_error(option, path, exc)
     if not isinstance(data, dict):
-        raise click.ClickException("config file must hold a JSON object")
+        raise _usage_error(option, path, "must hold a JSON object")
     return data
+
+
+def _usage_error(option: str, source: str, reason) -> click.BadParameter:
+    """Exit 2 naming the option and the file (or value) it gave."""
+    return click.BadParameter("{}: {}".format(source, reason), param_hint="'{}'".format(option))
 
 
 def _merged(flag_value, config: dict, key: str, default):
@@ -82,8 +92,8 @@ def _parse_scripts(entries, start: date) -> list[AnomalyScript]:
         elif "day_offset" in entry:
             day = start + timedelta(days=int(entry["day_offset"]))
         else:
-            raise click.ClickException("script entry needs a day or day_offset")
-        scripts.append(AnomalyScript(entry["kind"], day, entry.get("parameters")))
+            raise ValueError("script entry needs a day or day_offset")
+        scripts.append(AnomalyScript(entry.get("kind"), day, entry.get("parameters")))
     return scripts
 
 
@@ -121,20 +131,23 @@ def _simulate_one(
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 def simulate(personas, days, seed, start_text, scripts_path, config_path, out_dir) -> None:
     """Write synthetic readings CSV and truth-label JSON per persona."""
-    config = _load_config_file(config_path)
-    personas = tuple(personas) or tuple(config.get("personas", PERSONA_IDS))
-    days = int(_merged(days, config, "days", DEFAULT_DAYS))
-    seed = int(_merged(seed, config, "seed", DEFAULT_SEED))
-    start = date.fromisoformat(_merged(start_text, config, "start", DEFAULT_START))
+    config = _load_json_object(config_path)
+    try:
+        personas = tuple(personas) or tuple(config.get("personas", PERSONA_IDS))
+        days = int(_merged(days, config, "days", DEFAULT_DAYS))
+        seed = int(_merged(seed, config, "seed", DEFAULT_SEED))
+        start = date.fromisoformat(_merged(start_text, config, "start", DEFAULT_START))
+    except (TypeError, ValueError) as exc:
+        raise _usage_error("--config", config_path, exc) if config_path else _usage_error("--start", start_text, exc)
     if days < 1:
         raise click.BadParameter("--days must be >= 1")
 
     scripts_by_persona: dict[str, list[AnomalyScript]] = {}
-    if scripts_path is not None:
-        with open(scripts_path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        for pid, entries in raw.items():
+    try:
+        for pid, entries in _load_json_object(scripts_path, "--scripts").items():
             scripts_by_persona[pid] = _parse_scripts(entries, start)
+    except (TypeError, ValueError) as exc:
+        raise _usage_error("--scripts", scripts_path, exc)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -154,15 +167,11 @@ def ingest(csv_files, store_dir) -> None:
     """Ingest readings CSV file(s) into a store directory."""
     store_path = Path(store_dir)
     store_path.mkdir(parents=True, exist_ok=True)
-    total = None
+    total = StoreStats()
     try:
         store = _open_store(store_path)
         for csv_file in csv_files:
-            delta = store.ingest(read_readings_csv(csv_file))
-            if total is None:
-                total = delta
-            else:
-                total.add(delta)
+            total.add(store.ingest(read_readings_csv(csv_file)))
     except (ReadingsCsvError, StoreError) as exc:
         raise click.ClickException(str(exc))
     click.echo(canonical_json(total.to_json_dict()))
@@ -250,7 +259,7 @@ def _analyze_store(store: TelemetryStore, out: Path, config: AnalysisConfig) -> 
 def analyze(csv_files, out_dir, seed, restarts, min_completeness, top_n, k, config_path) -> None:
     """Cluster daily profiles from readings CSVs and rank anomalous days."""
     # Only given settings reach AnalysisConfig, which owns the defaults and checks.
-    config_file = _load_config_file(config_path)
+    config_file = _load_json_object(config_path)
     flags = {"seed": seed, "restarts": restarts, "min_completeness": min_completeness, "top_n": top_n, "k": k}
     settings = {key: _merged(flag, config_file, key, None) for key, flag in flags.items()}
     try:

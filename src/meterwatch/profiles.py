@@ -12,24 +12,18 @@ import csv
 import math
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
-from itertools import repeat
-from operator import attrgetter, is_not, ne
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .store import PowerSample, PowerSeries, QUALITY_MISSING
-
-SLOTS_PER_DAY = 96
+from .personas import SLOTS_PER_DAY
+from .store import _EPOCH, _SLOT_US, _US, PowerSeries
 
 # Day and slot assignment works in integer microseconds since the Unix epoch.
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _EPOCH_ORDINAL = _EPOCH.toordinal()
-_US = timedelta(microseconds=1)
 _DAY_US = timedelta(days=1) // _US
-_SLOT_US = timedelta(minutes=15) // _US
 
 DEFAULT_MIN_COMPLETENESS = 0.9
 DEFAULT_TIMEZONE = "Europe/Warsaw"
@@ -57,92 +51,67 @@ class ExcludedDay:
 
 
 def build_daily_profiles(
-    samples: Iterable[PowerSample],
+    series: PowerSeries,
     min_completeness: float = DEFAULT_MIN_COMPLETENESS,
     tz_name: str = DEFAULT_TIMEZONE,
 ) -> tuple[list[DailyProfile], list[ExcludedDay]]:
-    """Group samples into per-day profiles; fill small gaps by interpolation.
-
-    A ``PowerSeries`` is read as its arrays; any other iterable of
-    samples, which may mix meters, is first turned into the same columns.
+    """Group one meter's samples into per-day profiles; fill small gaps by interpolation.
 
     Completeness is the fraction of the 96 slots carrying a measured or
     interpolated sample.  Days at or above ``min_completeness`` get their
     missing slots filled by linear interpolation across the day (edges
     held constant); days below it, and days with a non-96-slot local
-    calendar, are excluded with a reason.  When several samples land in
-    one slot, the last present one wins.
+    calendar, are excluded with a reason.  Two samples share a local slot
+    only where the offset turns back, on such a day.
     """
     tz = ZoneInfo(tz_name)
-    if isinstance(samples, PowerSeries):
-        meter_ids, utc_us, watts = [samples.meter_id], samples.starts_us, samples.watts
-        meters = np.zeros(len(utc_us), np.int64)
-        present = ~np.isnan(watts)
-    else:
-        samples = list(samples)
-        n = len(samples)
-        meter_col = list(map(attrgetter("meter_id"), samples))
-        meter_ids = sorted(set(meter_col))
-        rank = {meter_id: i for i, meter_id in enumerate(meter_ids)}
-        meters = np.fromiter(map(rank.__getitem__, meter_col), np.int64, n)
-        utc_us = np.fromiter(((s.slot_start - _EPOCH) // _US for s in samples), np.int64, n)
-        raw = list(map(attrgetter("mean_power_w"), samples))
-        present = np.fromiter(map(is_not, raw, repeat(None)), bool, n) & np.fromiter(
-            map(ne, map(attrgetter("quality"), samples), repeat(QUALITY_MISSING)), bool, n
-        )
-        watts = np.array(raw, dtype=float)
+    utc_us, watts = series.starts_us, series.watts
     if not len(utc_us):
         return [], []
-    power = np.where(watts > 0.0, watts, 0.0)  # max(0.0, w): NaN and None become 0.0
+    present = ~np.isnan(watts)
+    power = np.where(watts > 0.0, watts, 0.0)  # max(0.0, w)
 
     local_us = utc_us + _utc_offsets_us(utc_us, tz)
-    day = local_us // _DAY_US
+    days, day_of = np.unique(local_us // _DAY_US, return_inverse=True)
     slot = local_us % _DAY_US // _SLOT_US
-    first_day = int(day.min())
-    days_span = int(day.max()) - first_day + 1
-    groups, group_of = np.unique(meters * days_span + (day - first_day), return_inverse=True)
 
-    # One row per (meter, day), NaN where no sample is present.  Reversed,
-    # np.unique's first occurrence is the last present sample of a slot.
-    cell = (group_of * SLOTS_PER_DAY + slot)[present][::-1]
-    cell, last = np.unique(cell, return_index=True)
-    grid = np.full((len(groups), SLOTS_PER_DAY), np.nan)
-    grid.flat[cell] = power[present][::-1][last]
+    # One row per local day, NaN where no sample is present.
+    grid = np.full((len(days), SLOTS_PER_DAY), np.nan)
+    grid[day_of[present], slot[present]] = power[present]
     known = ~np.isnan(grid)
     counts = known.sum(axis=1).tolist()
 
     profiles: list[DailyProfile] = []
     excluded: list[ExcludedDay] = []
-    for g, key in enumerate(groups.tolist()):
-        meter_id = meter_ids[key // days_span]
-        local_day = date.fromordinal(_EPOCH_ORDINAL + first_day + key % days_span)
+    for g, day in enumerate(days.tolist()):
+        local_day = date.fromordinal(_EPOCH_ORDINAL + day)
         expected = _slots_in_local_day(local_day, tz)
         completeness = counts[g] / SLOTS_PER_DAY
         if expected != SLOTS_PER_DAY:
-            excluded.append(ExcludedDay(meter_id, local_day, "{}-slot day (DST transition)".format(expected)))
+            excluded.append(ExcludedDay(series.meter_id, local_day, "{}-slot day (DST transition)".format(expected)))
         elif completeness < min_completeness:
             reason = "completeness {:.2f} below {:.2f}".format(completeness, min_completeness)
-            excluded.append(ExcludedDay(meter_id, local_day, reason))
+            excluded.append(ExcludedDay(series.meter_id, local_day, reason))
         else:
             values = grid[g].tolist()
             if counts[g] < SLOTS_PER_DAY:
                 values = _fill_gaps({slot: values[slot] for slot in np.flatnonzero(known[g]).tolist()})
-            profiles.append(DailyProfile(meter_id, local_day, tuple(values), completeness))
+            profiles.append(DailyProfile(series.meter_id, local_day, tuple(values), completeness))
     return profiles, excluded
 
 
 def _utc_offsets_us(utc_us: np.ndarray, tz: ZoneInfo) -> np.ndarray:
-    """UTC offset of ``tz`` at each instant, in microseconds.
+    """UTC offset of ``tz`` at each of the strictly increasing instants, in
+    microseconds.
 
-    The offset is looked up at the first and last distinct instant of
-    each UTC day that holds samples; where the two differ, the day is
-    bisected down to the transition, so ``astimezone`` runs about twice
-    per day and a few times per transition rather than once per sample.
-    An offset that changes and changes back between two instants of one
-    UTC day would be missed.
+    The offset is looked up at the first and last instant of each UTC day
+    that holds samples; where the two differ, the day is bisected down to
+    the transition, so ``astimezone`` runs about twice per day and a few
+    times per transition rather than once per sample.  An offset that
+    changes and changes back between two instants of one UTC day would be
+    missed.
     """
-    instants, index = np.unique(utc_us, return_inverse=True)
-    points = instants.tolist()
+    points = utc_us.tolist()
     offsets = np.empty(len(points), dtype=np.int64)
 
     def offset(i: int) -> int:
@@ -160,10 +129,10 @@ def _utc_offsets_us(utc_us: np.ndarray, tz: ZoneInfo) -> np.ndarray:
             fill(lo, mid, lo_offset, mid_offset)
             fill(mid, hi, mid_offset, hi_offset)
 
-    days = [0, *(np.flatnonzero(np.diff(instants // _DAY_US)) + 1).tolist(), len(points)]
+    days = [0, *(np.flatnonzero(np.diff(utc_us // _DAY_US)) + 1).tolist(), len(points)]
     for lo, end in zip(days, days[1:]):
         fill(lo, end - 1, offset(lo), offset(end - 1))
-    return offsets[index]
+    return offsets
 
 
 def _slots_in_local_day(day: date, tz: ZoneInfo) -> int:

@@ -34,16 +34,14 @@ from .personas import (
 )
 from .protocol import (
     POSITIVE_ACTIVE_ENERGY,
-    REGISTER_MODULUS_KWH,
     DataLine,
     ReadoutFrame,
     Unit,
     encode_readout,
     format_register_kwh,
 )
-from .store import MeterReading
-
-DEFAULT_TIMEZONE = "Europe/Warsaw"
+from .profiles import DEFAULT_TIMEZONE
+from .store import REGISTER_MODULUS_WH, MeterReading
 
 KIND_ABSENCE_MORNING = "absence-morning"
 KIND_SHIFTED_MORNING = "shifted-morning"
@@ -56,7 +54,6 @@ ANOMALY_KINDS = (
     KIND_FULL_ABSENCE,
 )
 
-_REGISTER_MODULUS_WH = int(REGISTER_MODULUS_KWH) * 1000
 _UWH_PER_WH = 1_000_000
 
 # An appliance activates only where its routine concentrates at least
@@ -312,7 +309,7 @@ def simulate_period(
 
 
 def _reading(meter_id: str, ts: datetime, register_wh: int) -> MeterReading:
-    value = (Decimal(register_wh % _REGISTER_MODULUS_WH) / 1000).quantize(Decimal("0.001"))
+    value = (Decimal(register_wh % REGISTER_MODULUS_WH) / 1000).quantize(Decimal("0.001"))
     return MeterReading(meter_id, ts, POSITIVE_ACTIVE_ENERGY, value)
 
 

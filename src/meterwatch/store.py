@@ -25,13 +25,12 @@ import os
 import re
 import threading
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal, InvalidOperation
 from itertools import accumulate, repeat
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -49,6 +48,7 @@ MAX_GRID_SLOTS = 3653 * 96
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _US = timedelta(microseconds=1)
+_SECOND = timedelta(seconds=1)
 _SLOT_US = SLOT // _US
 _SNAP_US = SNAP_TOLERANCE // _US
 _GAP_US = MAX_INTERPOLATION_GAP // _US
@@ -57,11 +57,11 @@ _GAP_US = MAX_INTERPOLATION_GAP // _US
 _MEASURED, _INTERPOLATED, _MISSING = 0, 1, 2
 _QUALITIES = np.array([QUALITY_MEASURED, QUALITY_INTERPOLATED, QUALITY_MISSING], dtype=object)
 
-_MODULUS_WH = int(REGISTER_MODULUS_KWH) * 1000
+REGISTER_MODULUS_WH = int(REGISTER_MODULUS_KWH) * 1000
 # A register drop counts as display rollover only when the old value sits
 # near the top of the range and the new one near the bottom.
-_ROLLOVER_HIGH_WH = _MODULUS_WH * 9 // 10
-_ROLLOVER_LOW_WH = _MODULUS_WH // 10
+_ROLLOVER_HIGH_WH = REGISTER_MODULUS_WH * 9 // 10
+_ROLLOVER_LOW_WH = REGISTER_MODULUS_WH // 10
 
 CSV_HEADER = ["meter_id", "timestamp", "obis", "value_kwh"]
 
@@ -109,19 +109,12 @@ class MeterReading:
     def __post_init__(self):
         if self.timestamp.tzinfo is None:
             raise ValueError("reading timestamps must be timezone-aware")
+        if (self.timestamp - _EPOCH) % _SECOND:
+            raise ValueError("timestamp {} is not a whole second".format(self.timestamp.isoformat()))
         if not 0 <= self.value_kwh < REGISTER_MODULUS_KWH:
             raise ValueError("register values lie in [0, {}) kWh".format(REGISTER_MODULUS_KWH))
         if self.value_kwh % REGISTER_RESOLUTION_KWH:
             raise ValueError("register value {} is finer than 0.001 kWh".format(self.value_kwh))
-
-
-@dataclass(frozen=True)
-class GridReading:
-    """A register value placed on a 15-minute boundary."""
-
-    slot_start: datetime
-    value_kwh: Decimal | None
-    quality: str
 
 
 @dataclass(frozen=True)
@@ -132,10 +125,10 @@ class PowerSample:
     quality: str
 
 
-class ReadingColumns(Sequence):
+class ReadingColumns:
     """A batch of readings as runs ``(meter_id, register, times, values)``
     of int epoch microseconds and Wh, one meter and register per run.
-    Items are ``MeterReading``s built on access."""
+    Iterating yields ``MeterReading``s, built as it goes."""
 
     def __init__(self, readings: Iterable[MeterReading] = ()):
         self.runs: list[tuple[str, ObisCode, list[int], list[int]]] = []
@@ -156,17 +149,11 @@ class ReadingColumns(Sequence):
             for us, wh in zip(times, values):
                 yield MeterReading(meter_id, _to_datetime(us), register, _to_kwh(wh))
 
-    def __getitem__(self, index):
-        return list(self)[index]
 
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, (list, tuple, ReadingColumns)) else NotImplemented
-
-
-class PowerSeries(Sequence):
+class PowerSeries:
     """One meter's mean-power samples as arrays: slot starts in epoch
-    microseconds, watts (NaN when missing) and quality codes.  Items are
-    ``PowerSample``s built on access."""
+    microseconds, watts (NaN exactly when missing) and quality codes.
+    Iterating yields ``PowerSample``s, built as it goes."""
 
     def __init__(self, meter_id: str, starts_us: np.ndarray, watts: np.ndarray, codes: np.ndarray):
         self.meter_id = meter_id
@@ -176,23 +163,12 @@ class PowerSeries(Sequence):
         return len(self.starts_us)
 
     def __iter__(self):
-        return self._samples(self.starts_us, self.watts, self.codes)
-
-    def __getitem__(self, index):
-        columns = (np.atleast_1d(column[index]) for column in (self.starts_us, self.watts, self.codes))
-        samples = self._samples(*columns)
-        return list(samples) if isinstance(index, slice) else next(samples)
-
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, (list, tuple, PowerSeries)) else NotImplemented
-
-    def _samples(self, starts_us, watts, codes):
-        powers = watts.astype(object)
-        powers[codes == _MISSING] = None
+        powers = self.watts.astype(object)
+        powers[self.codes == _MISSING] = None
         # Stepping from the first start is much cheaper than converting each one.
-        steps = (timedelta(0, 0, step) for step in np.diff(starts_us).tolist())
-        starts = accumulate(steps, initial=_to_datetime(int(starts_us[0]))) if len(starts_us) else ()
-        return map(PowerSample, repeat(self.meter_id), starts, powers.tolist(), _QUALITIES[codes].tolist())
+        steps = (timedelta(0, 0, step) for step in np.diff(self.starts_us).tolist())
+        starts = accumulate(steps, initial=_to_datetime(int(self.starts_us[0]))) if len(self) else ()
+        return map(PowerSample, repeat(self.meter_id), starts, powers.tolist(), _QUALITIES[self.codes].tolist())
 
 
 @dataclass
@@ -383,21 +359,6 @@ class TelemetryStore:
 
     # -- derivation ---------------------------------------------------------
 
-    def align_to_grid(self, meter_id: str, register: ObisCode, start: datetime, end: datetime) -> list[GridReading]:
-        """Place readings onto each 15-minute boundary in [start, end].
-
-        A reading within 90 s of a boundary snaps to it (nearest wins,
-        earlier on ties).  Otherwise the boundary value is linearly
-        interpolated when its two enclosing readings are at most one hour
-        apart; boundaries without such neighbours are marked missing.
-
-        Raises:
-            SpanTooLong: [start, end] holds more than ``MAX_GRID_SLOTS`` slots.
-        """
-        bounds, wh, codes = self._grid(meter_id, register, start, end)
-        values = [None if code == _MISSING else _to_kwh(v) for v, code in zip(wh.tolist(), codes.tolist())]
-        return list(map(GridReading, map(_to_datetime, bounds.tolist()), values, _QUALITIES[codes].tolist()))
-
     def mean_power_series(self, meter_id: str, register: ObisCode, start: datetime, end: datetime) -> PowerSeries:
         """15-minute mean power from consecutive grid values.
 
@@ -411,7 +372,7 @@ class TelemetryStore:
         """
         bounds, wh, codes = self._grid(meter_id, register, start, end)
         delta = np.diff(wh)
-        delta[delta < 0] += _MODULUS_WH
+        delta[delta < 0] += REGISTER_MODULUS_WH
         codes = np.maximum(codes[:-1], codes[1:])
         watts = np.where(codes == _MISSING, np.nan, (delta / 1000.0) * 4000.0)
         return PowerSeries(meter_id, bounds[:-1], watts, codes)
@@ -470,10 +431,10 @@ def _interpolate_wh(v_prev: int, v_next: int, elapsed_us: int, gap_us: int) -> i
     rounded before its final quantize.
     """
     if v_next < v_prev and _is_rollover(v_prev, v_next):
-        v_next += _MODULUS_WH
+        v_next += REGISTER_MODULUS_WH
     whole, _, decimals = repr(elapsed_us / gap_us).partition(".")
     scale = 10 ** len(decimals)
-    exact = (v_prev * scale + (v_next - v_prev) * int(whole + decimals)) % (_MODULUS_WH * scale)
+    exact = (v_prev * scale + (v_next - v_prev) * int(whole + decimals)) % (REGISTER_MODULUS_WH * scale)
     wh, rest = divmod(exact, scale)
     return wh + (2 * rest > scale or (2 * rest == scale and wh % 2))
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from decimal import ROUND_HALF_EVEN, Decimal
 from functools import reduce
@@ -44,7 +45,6 @@ from meterwatch.store import (
     SLOT,
     SNAP_TOLERANCE,
     ConflictingDuplicate,
-    GridReading,
     MeterReading,
     NonMonotonicRegister,
     PowerSample,
@@ -132,6 +132,15 @@ def profiles_from_matrix(X, meter_id: str = "T") -> list[DailyProfile]:
         DailyProfile(meter_id, first + timedelta(days=i), tuple(float(v) for v in row), 1.0)
         for i, row in enumerate(np.asarray(X, dtype=float))
     ]
+
+
+@dataclass(frozen=True)
+class GridReading:
+    """A register value placed on a 15-minute boundary."""
+
+    slot_start: datetime
+    value_kwh: Decimal | None
+    quality: str
 
 
 class DictStore:

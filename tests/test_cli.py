@@ -153,6 +153,32 @@ def test_analyze_out_of_range_setting_is_a_usage_error(runner, tmp_path, flags, 
     assert "Invalid value" in result.output
 
 
+@pytest.mark.parametrize(
+    "command, option, text",
+    [
+        ("simulate", "--scripts", '{"S1": [{"kind": "nap", "day": "2024-06-05"}]}'),
+        ("simulate", "--scripts", '{"S1": [{"day": "2024-06-05"}]}'),
+        ("simulate", "--scripts", '{"S1": [{"kind": "full-absence", "day": "June 5"}]}'),
+        ("simulate", "--scripts", '[{"kind": "full-absence", "day": "2024-06-05"}]'),
+        ("simulate", "--config", '{"days": "x"}'),
+        ("analyze", "--config", "not json"),
+    ],
+    ids=["unknown-kind", "no-kind", "day-not-iso", "scripts-a-list", "days-not-a-number", "config-not-json"],
+)
+def test_bad_settings_file_is_a_usage_error(runner, tmp_path, command, option, text):
+    settings = tmp_path / "settings.json"
+    settings.write_text(text, encoding="utf-8")
+    readings = tmp_path / "readings.csv"
+    readings.write_text("meter_id,timestamp,obis,value_kwh\n", encoding="utf-8")
+    args = ["simulate", "--persona", "S1"] if command == "simulate" else ["analyze", str(readings)]
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "out"), option, str(settings)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "settings.json" in result.output and option in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_ingest_builds_a_store_directory(runner, tmp_path):
     sims = tmp_path / "sims"
     runner.invoke(

@@ -5,6 +5,7 @@ import math
 from datetime import date, datetime, time, timedelta, timezone
 from zoneinfo import ZoneInfo
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,26 +16,17 @@ from meterwatch.profiles import (
     build_daily_profiles,
     write_profiles_csv,
 )
-from meterwatch.store import (
-    PowerSample,
-    QUALITY_INTERPOLATED,
-    QUALITY_MEASURED,
-    QUALITY_MISSING,
-    SLOT,
-)
+from meterwatch.store import _INTERPOLATED, _MEASURED, _MISSING, _SLOT_US, _to_us, PowerSeries
 
 # Local midnight in Warsaw during summer time is 22:00 UTC the evening before.
 DAY_START_UTC = datetime(2024, 6, 2, 22, 0, tzinfo=timezone.utc)
 
 
-def day_samples(values, meter="M1", start=DAY_START_UTC):
-    samples = []
-    for i, v in enumerate(values):
-        quality = QUALITY_MEASURED if v is not None else QUALITY_MISSING
-        samples.append(
-            PowerSample(meter, start + timedelta(minutes=15 * i), v, quality)
-        )
-    return samples
+def day_samples(values, meter="M1", start=DAY_START_UTC) -> PowerSeries:
+    """Consecutive 15-minute samples from ``start``; ``None`` is a missing one."""
+    starts = _to_us(start) + _SLOT_US * np.arange(len(values), dtype=np.int64)
+    watts = np.array([math.nan if v is None else v for v in values])
+    return PowerSeries(meter, starts, watts, np.where(np.isnan(watts), _MISSING, _MEASURED))
 
 
 def test_full_day_of_constant_power():
@@ -118,8 +110,8 @@ FIRST_DAYS = [
 
 @st.composite
 def profile_inputs(draw):
-    """Up to three local days of samples for one or two meters around an
-    offset change, with missing, ``None`` and repeated samples, shuffled.
+    """Up to three local days of one meter's samples around an offset
+    change, with missing (NaN) and absent slots, as a ``PowerSeries``.
 
     Each day loses either no slots, exactly as many as the completeness
     floor allows, one more, or all of them.  Per-sample choices come from one seeded
@@ -129,41 +121,35 @@ def profile_inputs(draw):
     tz = ZoneInfo(tz_name)
     first_day = draw(st.sampled_from(FIRST_DAYS)) - timedelta(days=draw(st.integers(0, 1)))
     start = datetime.combine(first_day, time(0, 0), tzinfo=tz).astimezone(timezone.utc)
-    start += SLOT * draw(st.sampled_from([0, 0, -3, 5]))
+    start_us = _to_us(start) + _SLOT_US * draw(st.sampled_from([0, 0, -3, 5]))
     allowed = draw(st.integers(0, 12))
     rnd = draw(st.randoms(use_true_random=True))
-    samples = []
-    for meter in draw(st.sampled_from([["M1"], ["M2", "M1"]])):
-        days = draw(st.integers(1, 3))
-        missing = set()
-        for d in range(days):
-            lost = rnd.choice([0, 0, allowed, allowed, allowed + 1, 96])
-            missing |= {96 * d + i for i in rnd.sample(range(96), lost)}
-        for i in range(96 * days):
-            ts = start + i * SLOT
-            if rnd.random() < 0.1:
-                ts = ts.astimezone(rnd.choice([tz, timezone(timedelta(hours=-3))]))
-            if i in missing:
-                value, quality = rnd.choice([(None, QUALITY_MISSING), (None, QUALITY_MEASURED), (12.5, QUALITY_MISSING)])
-            else:
-                value = rnd.choice([rnd.uniform(-50.0, 5000.0), 0.0, -0.0, math.nan, 250.0])
-                quality = rnd.choice([QUALITY_MEASURED, QUALITY_INTERPOLATED])
-            samples.append(PowerSample(meter, ts, value, quality))
-    for _ in range(rnd.randint(0, 3)):
-        if samples:
-            base = rnd.choice(samples)
-            value, quality = rnd.choice([(None, QUALITY_MISSING), (77.0, QUALITY_MEASURED)])
-            samples.append(PowerSample(base.meter_id, base.slot_start, value, quality))
-    rnd.shuffle(samples)
-    return samples, (96 - allowed) / 96, tz_name
+    days = draw(st.integers(1, 3))
+    missing = set()
+    for d in range(days):
+        lost = rnd.choice([0, 0, allowed, allowed, allowed + 1, 96])
+        missing |= {96 * d + i for i in rnd.sample(range(96), lost)}
+    starts, watts, codes = [], [], []
+    for i in range(96 * days):
+        if i in missing and rnd.random() < 0.3:
+            continue  # absent: the series skips the slot
+        starts.append(start_us + i * _SLOT_US)
+        if i in missing:
+            watts.append(math.nan)
+            codes.append(_MISSING)
+        else:
+            watts.append(rnd.choice([rnd.uniform(-50.0, 5000.0), 0.0, -0.0, 250.0]))
+            codes.append(rnd.choice([_MEASURED, _INTERPOLATED]))
+    series = PowerSeries("M1", np.array(starts, np.int64), np.array(watts, float), np.array(codes, np.int64))
+    return series, (96 - allowed) / 96, tz_name
 
 
 @settings(max_examples=200, deadline=None)
 @given(profile_inputs())
 def test_profiles_match_the_sample_by_sample_builder(inputs):
-    samples, min_completeness, tz_name = inputs
-    profiles, excluded = build_daily_profiles(samples, min_completeness, tz_name)
-    expected_profiles, expected_excluded = oracles.build_daily_profiles(samples, min_completeness, tz_name)
+    series, min_completeness, tz_name = inputs
+    profiles, excluded = build_daily_profiles(series, min_completeness, tz_name)
+    expected_profiles, expected_excluded = oracles.build_daily_profiles(list(series), min_completeness, tz_name)
     assert excluded == expected_excluded
     assert [(p.meter_id, p.day, p.completeness) for p in profiles] == [
         (p.meter_id, p.day, p.completeness) for p in expected_profiles

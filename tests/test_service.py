@@ -195,6 +195,28 @@ def test_unreadable_post_body_is_400_json(server, body, headers):
         conn.close()
 
 
+def test_sub_second_timestamp_is_400_and_the_store_reopens(tmp_path):
+    # Log lines keep whole seconds, so .2 and .7 would share one key on reopening.
+    path = tmp_path / "readings.ndjson"
+    srv = make_server(TelemetryStore(path), AnalysisConfig(), port=0)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    base = "http://127.0.0.1:{}".format(srv.server_address[1])
+    record = {"meter_id": "M1", "obis": "1.8.0", "value_kwh": "1.000"}
+    try:
+        for timestamp, value in (("2024-06-03T12:00:00.2Z", "1.000"), ("2024-06-03T12:00:00.7Z", "2.000")):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                post(base, "/v1/readings", json.dumps(dict(record, timestamp=timestamp, value_kwh=value)).encode())
+            assert err.value.code == 400
+            assert "not a whole second" in json.loads(err.value.read().decode())["error"]
+        status, body = post(base, "/v1/readings", json.dumps(dict(record, timestamp="2024-06-03T12:00:00.000Z")).encode())
+        assert status == 200 and body["readings_accepted"] == 1
+    finally:
+        srv.shutdown()
+        srv.server_close()
+    [reading] = TelemetryStore(path).readings("M1", AnalysisConfig().register)
+    assert reading.timestamp == parse_rfc3339("2024-06-03T12:00:00Z")
+
+
 def test_chunked_post_is_411_and_closes(server):
     base, store = server
     address = urllib.parse.urlsplit(base)

@@ -31,13 +31,17 @@ from meterwatch.store import (
     parse_rfc3339,
     read_readings_csv,
     register_delta_kwh,
+    _MISSING,
+    _QUALITIES,
     _interpolate_wh,
     _read_canonical_csv,
     _read_csv_rows,
+    _to_datetime,
+    _to_kwh,
     rfc3339,
     write_readings_csv,
 )
-from oracles import DictStore, _interpolate
+from oracles import DictStore, GridReading, _interpolate
 
 OBIS_180 = ObisCode(1, 8, 0)
 OBIS_280 = ObisCode(2, 8, 0)
@@ -50,6 +54,15 @@ def reading(minutes: float, value: str, meter: str = "M1") -> MeterReading:
 
 def grid_batch(values: list[str], meter: str = "M1") -> list[MeterReading]:
     return [reading(15 * i, v, meter) for i, v in enumerate(values)]
+
+
+def grid(store: TelemetryStore, start: datetime, end: datetime, meter: str = "M1", register=OBIS_180):
+    """The store's grid pass (bounds in µs, Wh, codes) as the oracle's ``GridReading``s."""
+    bounds, wh, codes = store._grid(meter, register, start, end)
+    return [
+        GridReading(_to_datetime(us), None if code == _MISSING else _to_kwh(v), _QUALITIES[code])
+        for us, v, code in zip(bounds.tolist(), wh.tolist(), codes.tolist())
+    ]
 
 
 # -- ingestion ----------------------------------------------------------------
@@ -81,10 +94,8 @@ def test_rollover_is_accepted_and_counted():
     delta = store.ingest(grid_batch(["999999.900", "0.100"]))
     assert delta.rollovers_detected == 1
     assert register_delta_kwh(Decimal("999999.900"), Decimal("0.100")) == Decimal("0.200")
-    samples = store.mean_power_series(
-        "M1", OBIS_180, T0, T0 + timedelta(minutes=15)
-    )
-    assert samples[0].mean_power_w == pytest.approx(800.0)
+    [sample] = store.mean_power_series("M1", OBIS_180, T0, T0 + timedelta(minutes=15))
+    assert sample.mean_power_w == pytest.approx(800.0)
 
 
 def test_plain_decrease_is_rejected():
@@ -111,6 +122,15 @@ def test_out_of_order_arrivals_are_counted_but_kept():
 def test_naive_timestamps_are_rejected():
     with pytest.raises(ValueError):
         MeterReading("M1", datetime(2024, 6, 3, 12, 0), OBIS_180, Decimal("1"))
+
+
+def test_sub_second_timestamps_are_rejected():
+    # Whole seconds of the UTC instant count, not of the wall clock.
+    odd_offset = timezone(timedelta(hours=1, microseconds=500))
+    MeterReading("M1", T0.astimezone(odd_offset), OBIS_180, Decimal("1"))
+    for ts in (T0.replace(microsecond=1), T0.replace(tzinfo=odd_offset)):
+        with pytest.raises(ValueError, match="not a whole second"):
+            MeterReading("M1", ts, OBIS_180, Decimal("1"))
 
 
 def test_negative_register_is_rejected():
@@ -194,6 +214,7 @@ GRID_WINDOWS = [
 
 @settings(max_examples=300, deadline=None)
 @given(reading_batches())
+@example([[MeterReading("A", T0 + timedelta(seconds=s), OBIS_180, Decimal(v)) for s, v in ((-60, "1"), (60, "2"))]])
 def test_store_matches_the_dict_and_sort_oracle(batches):
     store, oracle = TelemetryStore(), DictStore()
     for batch in batches:
@@ -210,10 +231,8 @@ def test_store_matches_the_dict_and_sort_oracle(batches):
             assert store.readings(meter, register) == oracle.readings(meter, register)
             assert store.span(meter, register) == oracle.span(meter, register)
             for start, end in GRID_WINDOWS:
-                assert store.align_to_grid(meter, register, start, end) == oracle.align_to_grid(
-                    meter, register, start, end
-                )
-                assert store.mean_power_series(meter, register, start, end) == oracle.mean_power_series(
+                assert grid(store, start, end, meter, register) == oracle.align_to_grid(meter, register, start, end)
+                assert list(store.mean_power_series(meter, register, start, end)) == oracle.mean_power_series(
                     meter, register, start, end
                 )
 
@@ -232,8 +251,7 @@ def test_exact_boundary_readings_align_identically():
     store = TelemetryStore()
     batch = grid_batch(["1.000", "1.100", "1.300"])
     store.ingest(batch)
-    grid = store.align_to_grid("M1", OBIS_180, T0, T0 + timedelta(minutes=30))
-    assert [(g.value_kwh, g.quality) for g in grid] == [
+    assert [(g.value_kwh, g.quality) for g in grid(store, T0, T0 + timedelta(minutes=30))] == [
         (Decimal("1.000"), QUALITY_MEASURED),
         (Decimal("1.100"), QUALITY_MEASURED),
         (Decimal("1.300"), QUALITY_MEASURED),
@@ -243,9 +261,9 @@ def test_exact_boundary_readings_align_identically():
 def test_reading_within_tolerance_snaps_to_boundary():
     store = TelemetryStore()
     store.ingest([MeterReading("M1", T0 + timedelta(seconds=30), OBIS_180, Decimal("2.000"))])
-    grid = store.align_to_grid("M1", OBIS_180, T0, T0)
-    assert grid[0].value_kwh == Decimal("2.000")
-    assert grid[0].quality == QUALITY_MEASURED
+    [boundary] = grid(store, T0, T0)
+    assert boundary.value_kwh == Decimal("2.000")
+    assert boundary.quality == QUALITY_MEASURED
 
 
 def test_nearest_reading_snaps_and_the_earlier_wins_a_tie():
@@ -255,7 +273,7 @@ def test_nearest_reading_snaps_and_the_earlier_wins_a_tie():
             MeterReading("M1", T0 - timedelta(seconds=before_s), OBIS_180, Decimal("1.000")),
             MeterReading("M1", T0 + timedelta(seconds=after_s), OBIS_180, Decimal("1.010")),
         ])
-        [boundary] = store.align_to_grid("M1", OBIS_180, T0, T0)
+        [boundary] = grid(store, T0, T0)
         assert boundary.quality == QUALITY_MEASURED
         return boundary.value_kwh
 
@@ -274,15 +292,15 @@ def test_short_gap_is_interpolated_linearly():
             MeterReading("M1", T0 + timedelta(minutes=60), OBIS_180, Decimal("1.400")),
         ]
     )
-    grid = store.align_to_grid("M1", OBIS_180, T0, T0 + timedelta(minutes=60))
-    assert [g.quality for g in grid] == [
+    boundaries = grid(store, T0, T0 + timedelta(minutes=60))
+    assert [g.quality for g in boundaries] == [
         QUALITY_MEASURED,
         QUALITY_INTERPOLATED,
         QUALITY_INTERPOLATED,
         QUALITY_INTERPOLATED,
         QUALITY_MEASURED,
     ]
-    assert [g.value_kwh for g in grid] == [
+    assert [g.value_kwh for g in boundaries] == [
         Decimal("1.000"),
         Decimal("1.100"),
         Decimal("1.200"),
@@ -299,11 +317,10 @@ def test_two_hour_gap_leaves_interior_missing():
             MeterReading("M1", T0 + timedelta(hours=2), OBIS_180, Decimal("2.000")),
         ]
     )
-    grid = store.align_to_grid("M1", OBIS_180, T0, T0 + timedelta(hours=2))
-    interior = grid[1:-1]
+    first, *interior, last = grid(store, T0, T0 + timedelta(hours=2))
     assert all(g.quality == QUALITY_MISSING and g.value_kwh is None for g in interior)
-    assert grid[0].quality == QUALITY_MEASURED
-    assert grid[-1].quality == QUALITY_MEASURED
+    assert first.quality == QUALITY_MEASURED
+    assert last.quality == QUALITY_MEASURED
 
 
 def two_readings(first: datetime, last: datetime) -> TelemetryStore:
@@ -319,7 +336,7 @@ def test_grid_over_ten_years_is_refused_before_it_is_built():
     first = datetime(1, 1, 1, tzinfo=timezone.utc)
     last = datetime(9999, 12, 31, tzinfo=timezone.utc)
     store = two_readings(first, last)
-    for read in (store.align_to_grid, store.mean_power_series):
+    for read in (store._grid, store.mean_power_series):
         with pytest.raises(SpanTooLong, match="0001-01-01T00:00:00Z to 9999-12-31T00:00:00Z"):
             read("M1", OBIS_180, first, last)
     with pytest.raises(SpanTooLong):
@@ -345,8 +362,9 @@ def test_tenth_kwh_in_a_slot_is_400_watts():
     store.ingest(grid_batch(["1.000", "1.100"]))
     samples = store.mean_power_series("M1", OBIS_180, T0, T0 + timedelta(minutes=15))
     assert len(samples) == 1
-    assert samples[0].mean_power_w == pytest.approx(400.0)
-    assert samples[0].quality == QUALITY_MEASURED
+    [sample] = list(samples)
+    assert sample.mean_power_w == pytest.approx(400.0)
+    assert sample.quality == QUALITY_MEASURED
 
 
 def test_constant_register_means_zero_power():
@@ -439,7 +457,8 @@ def test_unparsable_interior_line_names_its_line(tmp_path):
     TelemetryStore(path).ingest(grid_batch(["1.000", "1.100"]))
     lines = path.read_bytes().splitlines(keepends=True)
     finer_than_a_wh = b'{"meter_id": "M1", "obis": "1.8.0", "timestamp": "2024-06-03T12:07:00Z", "value_kwh": "1.0005"}\n'
-    for bad in (b'{"meter_id": "M1", "timest\n', b'{"meter_id": "M1"}\n', finer_than_a_wh):
+    sub_second = b'{"meter_id": "M1", "obis": "1.8.0", "timestamp": "2024-06-03T12:07:00.5Z", "value_kwh": "1.050"}\n'
+    for bad in (b'{"meter_id": "M1", "timest\n', b'{"meter_id": "M1"}\n', finer_than_a_wh, sub_second):
         path.write_bytes(lines[0] + bad + lines[1])
         with pytest.raises(StoreLogError, match="line 2") as err:
             TelemetryStore(path)
@@ -455,11 +474,16 @@ def test_csv_roundtrip():
     write_readings_csv(buf, batch)
     text = buf.getvalue()
     assert text.splitlines()[0] == ",".join(CSV_HEADER)
-    assert read_readings_csv(io.StringIO(text)) == batch
+    assert list(read_readings_csv(io.StringIO(text))) == batch
 
 
 def test_csv_malformed_row_names_its_line():
-    for bad_row in ("M1,not-a-time,1.8.0,2.0", "M1,2024-06-03T12:15:00Z,1.8.0,Infinity", "M1,2024-06-03T12:15:00Z,1.8.0,1.0005"):
+    for bad_row in (
+        "M1,not-a-time,1.8.0,2.0",
+        "M1,2024-06-03T12:15:00Z,1.8.0,Infinity",
+        "M1,2024-06-03T12:15:00Z,1.8.0,1.0005",
+        "M1,2024-06-03T12:15:00.5Z,1.8.0,2.0",
+    ):
         text = "meter_id,timestamp,obis,value_kwh\nM1,2024-06-03T12:00:00Z,1.8.0,1.0\n" + bad_row + "\n"
         with pytest.raises(ReadingsCsvError) as err:
             read_readings_csv(io.StringIO(text))
@@ -481,8 +505,8 @@ def test_canonical_file_is_read_as_columns():
     columns = _read_canonical_csv(buf.getvalue())
     assert columns is not None
     assert [run[0] for run in columns.runs] == ["M1", "M10"]
-    assert columns == batch
-    assert columns[-1] == batch[-1] and columns[1:3] == batch[1:3]
+    assert list(columns) == batch
+    assert len(columns) == len(batch)
 
 
 CSV_TEXT = "meter_id,timestamp,obis,value_kwh\n"

@@ -40,8 +40,9 @@ columns, and runs
 Each command's stdout, stderr and exit code are saved beside its outputs.
 The two directories are then compared file by file; every file that
 differs or exists on one side only is printed.  Exit code 0 means the
-trees are identical, 1 means at least one file differs.  Standard library
-only.
+trees are identical, 1 means at least one file differs.  The line totals
+of both sides' ``meterwatch/*.py`` (as ``wc -l`` counts them) are printed
+too, for information only.  Standard library only.
 """
 
 from __future__ import annotations
@@ -172,6 +173,10 @@ def differing_files(left: Path, right: Path) -> list[str]:
     return report
 
 
+def line_total(src: Path) -> int:
+    return sum(path.read_bytes().count(b"\n") for path in (src / "meterwatch").glob("*.py"))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", type=Path)
@@ -190,6 +195,8 @@ def main() -> int:
     report = differing_files(work / "parent", work / "change")
     for line in report:
         print(line)
+    for side, src in (("parent", args.parent_src), ("change", args.change_src)):
+        print("{}: {} lines in {}".format(side, line_total(src), src / "meterwatch" / "*.py"))
     print("{} file(s) differ under {}".format(len(report), work))
     return 1 if report else 0
 
