@@ -133,7 +133,10 @@ def simulate(personas, days, seed, start_text, scripts_path, config_path, out_di
     """Write synthetic readings CSV and truth-label JSON per persona."""
     config = _load_json_object(config_path)
     try:
-        personas = tuple(personas) or tuple(config.get("personas", PERSONA_IDS))
+        listed = config.get("personas", list(PERSONA_IDS))
+        if not isinstance(listed, list) or not set(listed) <= set(PERSONA_IDS):
+            raise ValueError("personas must be a list of {}".format(", ".join(PERSONA_IDS)))
+        personas = tuple(personas) or tuple(listed)
         days = int(_merged(days, config, "days", DEFAULT_DAYS))
         seed = int(_merged(seed, config, "seed", DEFAULT_SEED))
         start = date.fromisoformat(_merged(start_text, config, "start", DEFAULT_START))

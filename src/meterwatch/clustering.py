@@ -18,8 +18,7 @@ import numpy as np
 from .profiles import DailyProfile
 
 DEFAULT_RESTARTS = 10
-DEFAULT_MAX_ITERS = 300
-DEFAULT_TOL = 1e-6
+MAX_LLOYD_PASSES = 300
 K_MIN = 1
 K_MAX = 6
 
@@ -205,29 +204,20 @@ def _single_move_polish(
 
 
 def _lloyd(
-    X: np.ndarray, centroids: np.ndarray, k: int, max_iters: int, tol: float
+    X: np.ndarray, centroids: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, float, int, list[float]]:
+    """Assign and recompute until an assignment pass changes no label."""
     labels = None
     history: list[float] = []
     iterations = 0
-    for _ in range(max_iters):
+    for _ in range(MAX_LLOYD_PASSES):
         new_labels = _repair_empty(X, centroids, _assign(X, centroids), k)
         history.append(_inertia(X, centroids, new_labels))
-        converged = labels is not None and np.array_equal(new_labels, labels)
-        labels = new_labels
-        if converged:
+        if labels is not None and np.array_equal(new_labels, labels):
             break
+        labels = new_labels
         iterations += 1
-        new_centroids = _centroids(X, labels, k)
-        shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
-        centroids = new_centroids
-        if shift < tol:
-            # Verify the fixed point: one more assignment pass must not
-            # change any label before we stop.
-            check = _repair_empty(X, centroids, _assign(X, centroids), k)
-            if np.array_equal(check, labels):
-                history.append(_inertia(X, centroids, check))
-                break
+        centroids = _centroids(X, labels, k)
     return centroids, labels, _inertia(X, centroids, labels), iterations, history
 
 
@@ -236,8 +226,6 @@ def kmeans_fit(
     k: int,
     seed: int = 0,
     restarts: int = DEFAULT_RESTARTS,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    tol: float = DEFAULT_TOL,
 ) -> ClusterModel:
     """Fit k clusters, keeping the best of ``restarts`` seeded attempts.
 
@@ -259,17 +247,13 @@ def kmeans_fit(
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
         centroids = _plus_plus_init(X, k, rng)
-        centroids, labels, inertia, iterations, history = _lloyd(
-            X, centroids, k, max_iters, tol
-        )
+        centroids, labels, inertia, iterations, history = _lloyd(X, centroids, k)
         # Alternate Lloyd with the single-move polish until neither improves.
         for _ in range(32):
             labels, moved = _single_move_polish(X, labels, k)
             if not moved:
                 break
-            centroids, labels, inertia, more_iters, extra = _lloyd(
-                X, _centroids(X, labels, k), k, max_iters, tol
-            )
+            centroids, labels, inertia, more_iters, extra = _lloyd(X, _centroids(X, labels, k), k)
             iterations += more_iters
             history.extend(extra)
         if best is None or inertia < best[0]:
@@ -292,9 +276,8 @@ def select_k(
     profiles: Sequence[DailyProfile],
     seed: int = 0,
     restarts: int = DEFAULT_RESTARTS,
-    k_max: int = K_MAX,
 ) -> KSelectionReport:
-    """Fit k=1..k_max and recommend the knee of the inertia curve.
+    """Fit k=1..6 and recommend the knee of the inertia curve.
 
     The recommendation is the smallest k whose relative inertia drop to
     k+1 falls below 15%.  Cluster counts that isolate a single day are
@@ -304,14 +287,12 @@ def select_k(
     all within a tiny distance of each other short-circuit to one k=1 fit.
 
     Raises:
-        ValueError: with fewer than ``k_max`` profiles.
+        ValueError: with fewer than ``K_MAX`` profiles.
     """
-    if len(profiles) < k_max:
-        raise ValueError(
-            "need at least {} profiles to scan k=1..{}".format(k_max, k_max)
-        )
+    if len(profiles) < K_MAX:
+        raise ValueError("need at least {} profiles to scan k=1..{}".format(K_MAX, K_MAX))
     X, _ = _profile_matrix(profiles)
-    k_values = tuple(range(K_MIN, k_max + 1))
+    k_values = tuple(range(K_MIN, K_MAX + 1))
     if _max_pairwise_distance(X) < DEGENERATE_DISTANCE_FLOOR:
         model = kmeans_fit(profiles, K_MIN, seed=seed, restarts=restarts)
         return KSelectionReport(k_values, tuple(0.0 for _ in k_values), K_MIN, model)
@@ -319,7 +300,7 @@ def select_k(
     models = [kmeans_fit(profiles, k, seed=seed, restarts=restarts) for k in k_values]
     inertias = [model.inertia for model in models]
     last_sound_k = K_MIN
-    while last_sound_k < k_max and min(models[last_sound_k].counts()) >= 2:
+    while last_sound_k < K_MAX and min(models[last_sound_k].counts()) >= 2:
         last_sound_k += 1
     recommended = last_sound_k
     for k in range(K_MIN, last_sound_k):

@@ -52,7 +52,6 @@ class AnalysisConfig:
     top_n: int = DEFAULT_TOP_N
     tz_name: str = DEFAULT_TIMEZONE
     k: int | None = None  # None = pick by the knee rule
-    k_max: int = K_MAX
     register: ObisCode = POSITIVE_ACTIVE_ENERGY
 
     def __post_init__(self):
@@ -62,10 +61,8 @@ class AnalysisConfig:
             raise ValueError("min_completeness must lie in 0..1")
         if self.top_n < 1:
             raise ValueError("top_n must be >= 1")
-        if not 1 <= self.k_max <= K_MAX:
-            raise ValueError("k_max must lie in 1..{}".format(K_MAX))
-        if self.k is not None and not 1 <= self.k <= self.k_max:
-            raise ValueError("k must lie in 1..{}".format(self.k_max))
+        if self.k is not None and not 1 <= self.k <= K_MAX:
+            raise ValueError("k must lie in 1..{}".format(K_MAX))
 
     def with_overrides(self, **kwargs: Any) -> "AnalysisConfig":
         """Copy with new ``seed``, ``restarts``, ``min_completeness``, ``top_n``
@@ -106,7 +103,7 @@ def analyze_meter(
 
     Raises:
         InsufficientDataError: no readings, or fewer profiles than the
-            analysis needs (k_max for the scan, k for a fixed-k fit).
+            analysis needs (K_MAX for the scan, k for a fixed-k fit).
         SpanTooLong: the meter's readings span more than
             ``store.MAX_GRID_SLOTS`` slots.
     """
@@ -121,15 +118,11 @@ def analyze_meter(
         selection = None
         model = kmeans_fit(profiles, config.k, seed=config.seed, restarts=config.restarts)
     else:
-        if len(profiles) < config.k_max:
+        if len(profiles) < K_MAX:
             raise InsufficientDataError(
-                "{} profile(s) available; scanning k=1..{} needs at least {}".format(
-                    len(profiles), config.k_max, config.k_max
-                )
+                "{0} profile(s) available; scanning k=1..{1} needs at least {1}".format(len(profiles), K_MAX)
             )
-        selection = select_k(
-            profiles, seed=config.seed, restarts=config.restarts, k_max=config.k_max
-        )
+        selection = select_k(profiles, seed=config.seed, restarts=config.restarts)
         model = selection.model
 
     summary = mean_cluster_profiles(model)

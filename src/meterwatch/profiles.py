@@ -3,7 +3,7 @@
 Days follow the meter's civil calendar (default Europe/Warsaw) while the
 underlying samples stay in UTC.  Days whose local calendar does not have
 exactly 96 slots (DST transitions) are excluded and reported, as are days
-falling below the completeness threshold.
+falling below the completeness threshold and days with no sample at all.
 """
 
 from __future__ import annotations
@@ -60,9 +60,9 @@ def build_daily_profiles(
     Completeness is the fraction of the 96 slots carrying a measured or
     interpolated sample.  Days at or above ``min_completeness`` get their
     missing slots filled by linear interpolation across the day (edges
-    held constant); days below it, and days with a non-96-slot local
-    calendar, are excluded with a reason.  Two samples share a local slot
-    only where the offset turns back, on such a day.
+    held constant); days below it, days with no sample, and days with a
+    non-96-slot local calendar are excluded with a reason.  Two samples
+    share a local slot only where the offset turns back, on such a day.
     """
     tz = ZoneInfo(tz_name)
     utc_us, watts = series.starts_us, series.watts
@@ -78,8 +78,8 @@ def build_daily_profiles(
     # One row per local day, NaN where no sample is present.
     grid = np.full((len(days), SLOTS_PER_DAY), np.nan)
     grid[day_of[present], slot[present]] = power[present]
-    known = ~np.isnan(grid)
-    counts = known.sum(axis=1).tolist()
+    counts = (~np.isnan(grid)).sum(axis=1).tolist()
+    filled = _fill_gaps(grid)
 
     profiles: list[DailyProfile] = []
     excluded: list[ExcludedDay] = []
@@ -92,11 +92,10 @@ def build_daily_profiles(
         elif completeness < min_completeness:
             reason = "completeness {:.2f} below {:.2f}".format(completeness, min_completeness)
             excluded.append(ExcludedDay(series.meter_id, local_day, reason))
+        elif not counts[g]:
+            excluded.append(ExcludedDay(series.meter_id, local_day, "no samples"))
         else:
-            values = grid[g].tolist()
-            if counts[g] < SLOTS_PER_DAY:
-                values = _fill_gaps({slot: values[slot] for slot in np.flatnonzero(known[g]).tolist()})
-            profiles.append(DailyProfile(series.meter_id, local_day, tuple(values), completeness))
+            profiles.append(DailyProfile(series.meter_id, local_day, tuple(filled[g].tolist()), completeness))
     return profiles, excluded
 
 
@@ -105,11 +104,9 @@ def _utc_offsets_us(utc_us: np.ndarray, tz: ZoneInfo) -> np.ndarray:
     microseconds.
 
     The offset is looked up at the first and last instant of each UTC day
-    that holds samples; where the two differ, the day is bisected down to
-    the transition, so ``astimezone`` runs about twice per day and a few
-    times per transition rather than once per sample.  An offset that
-    changes and changes back between two instants of one UTC day would be
-    missed.
+    that holds samples, and at every instant of a day where the two differ
+    (a transition, about twice a year).  An offset that changes and changes
+    back between two instants of one UTC day would be missed.
     """
     points = utc_us.tolist()
     offsets = np.empty(len(points), dtype=np.int64)
@@ -118,20 +115,10 @@ def _utc_offsets_us(utc_us: np.ndarray, tz: ZoneInfo) -> np.ndarray:
         local = (_EPOCH + timedelta(microseconds=points[i])).astimezone(tz)
         return local.utcoffset() // _US
 
-    def fill(lo: int, hi: int, lo_offset: int, hi_offset: int) -> None:
-        if lo_offset == hi_offset:
-            offsets[lo : hi + 1] = lo_offset
-        elif hi == lo + 1:
-            offsets[lo], offsets[hi] = lo_offset, hi_offset
-        else:
-            mid = (lo + hi) // 2
-            mid_offset = offset(mid)
-            fill(lo, mid, lo_offset, mid_offset)
-            fill(mid, hi, mid_offset, hi_offset)
-
     days = [0, *(np.flatnonzero(np.diff(utc_us // _DAY_US)) + 1).tolist(), len(points)]
     for lo, end in zip(days, days[1:]):
-        fill(lo, end - 1, offset(lo), offset(end - 1))
+        first, last = offset(lo), offset(end - 1)
+        offsets[lo:end] = first if first == last else [offset(i) for i in range(lo, end)]
     return offsets
 
 
@@ -145,26 +132,27 @@ def _slots_in_local_day(day: date, tz: ZoneInfo) -> int:
     return int((end - start) / timedelta(minutes=15))
 
 
-def _fill_gaps(present: dict[int, float]) -> tuple[float, ...]:
-    """Linear interpolation between known slots; edges held constant."""
-    known = sorted(present)
-    values = [0.0] * SLOTS_PER_DAY
-    for slot in range(SLOTS_PER_DAY):
-        if slot in present:
-            values[slot] = present[slot]
-            continue
-        prev = max((s for s in known if s < slot), default=None)
-        nxt = min((s for s in known if s > slot), default=None)
-        if prev is None and nxt is None:
-            raise ValueError("cannot fill a day with no present slots")
-        if prev is None:
-            values[slot] = present[nxt]
-        elif nxt is None:
-            values[slot] = present[prev]
-        else:
-            frac = (slot - prev) / (nxt - prev)
-            values[slot] = present[prev] + (present[nxt] - present[prev]) * frac
-    return tuple(values)
+def _fill_gaps(grid: np.ndarray) -> np.ndarray:
+    """Fill the NaN slots of a (days x 96) grid by linear interpolation
+    between each row's nearest known slots, holding the edges constant; a
+    row with no known slot stays NaN.
+
+    ``before + (after - before) * ((slot - prev) / (nxt - prev))`` runs the
+    same IEEE operations as the per-slot loop ``tests/oracles.py`` keeps;
+    ``np.interp`` does not.
+    """
+    known = ~np.isnan(grid)
+    slot = np.arange(SLOTS_PER_DAY)
+    prev = np.maximum.accumulate(np.where(known, slot, -1), axis=1)
+    nxt = np.minimum.accumulate(np.where(known, slot, SLOTS_PER_DAY)[:, ::-1], axis=1)[:, ::-1]
+    # An edge run holds its one known neighbour; a row with none reads slot 0, NaN.
+    prev = np.where(prev < 0, nxt, prev)
+    nxt = np.where(nxt == SLOTS_PER_DAY, prev, nxt)
+    rows = np.arange(len(grid))[:, None]
+    before, after = grid[rows, prev % SLOTS_PER_DAY], grid[rows, nxt % SLOTS_PER_DAY]
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 where prev == nxt
+        inner = before + (after - before) * ((slot - prev) / (nxt - prev))
+    return np.where(prev == nxt, before, inner)
 
 
 def write_profiles_csv(target: str | Path | TextIO, profiles: Sequence[DailyProfile]) -> None:

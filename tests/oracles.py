@@ -11,7 +11,10 @@ and placed each grid boundary with its own bisect, kept so the sorted-list
 for batch.  ``_interpolate`` is the store's ``Decimal`` interpolation,
 kept as the reference for its integer version.  ``build_daily_profiles``
 is the sample-by-sample profile builder that converted every sample to
-local time, kept so the array version can be compared with it.
+local time, kept so the array version can be compared with it; its
+``fill_gaps`` is the per-slot loop behind the masked grid fill.  ``lloyd``
+is the k-means loop that also stopped once no centroid moved by ``tol``,
+after one more assignment pass confirmed the labels.
 """
 
 from __future__ import annotations
@@ -28,14 +31,8 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from meterwatch.clustering import _centroids, _sq_dists
-from meterwatch.profiles import (
-    SLOTS_PER_DAY,
-    DailyProfile,
-    ExcludedDay,
-    _fill_gaps,
-    _slots_in_local_day,
-)
+from meterwatch.clustering import _assign, _centroids, _inertia, _repair_empty, _sq_dists
+from meterwatch.profiles import SLOTS_PER_DAY, DailyProfile, ExcludedDay, _slots_in_local_day
 from meterwatch.protocol import REGISTER_MODULUS_KWH
 from meterwatch.store import (
     MAX_INTERPOLATION_GAP,
@@ -106,6 +103,31 @@ def single_move_polish(X: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.nd
         labels[best_move[0]] = best_move[1]
         moved_any = True
     return labels, moved_any
+
+
+def lloyd(X: np.ndarray, centroids: np.ndarray, k: int, max_iters: int = 300, tol: float = 1e-6):
+    """Lloyd iterations that stop when the labels repeat, or when no centroid
+    moves by ``tol`` and one more assignment pass leaves every label."""
+    labels = None
+    history: list[float] = []
+    iterations = 0
+    for _ in range(max_iters):
+        new_labels = _repair_empty(X, centroids, _assign(X, centroids), k)
+        history.append(_inertia(X, centroids, new_labels))
+        converged = labels is not None and np.array_equal(new_labels, labels)
+        labels = new_labels
+        if converged:
+            break
+        iterations += 1
+        new_centroids = _centroids(X, labels, k)
+        shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        centroids = new_centroids
+        if shift < tol:
+            check = _repair_empty(X, centroids, _assign(X, centroids), k)
+            if np.array_equal(check, labels):
+                history.append(_inertia(X, centroids, check))
+                break
+    return centroids, labels, _inertia(X, centroids, labels), iterations, history
 
 
 def adjusted_rand_index(labels_a, labels_b) -> float:
@@ -313,7 +335,32 @@ def build_daily_profiles(samples, min_completeness: float, tz_name: str):
                 )
             )
             continue
+        if not present:
+            excluded.append(ExcludedDay(meter_id, day, "no samples"))
+            continue
         profiles.append(
-            DailyProfile(meter_id, day, _fill_gaps(present), completeness)
+            DailyProfile(meter_id, day, fill_gaps(present), completeness)
         )
     return profiles, excluded
+
+
+def fill_gaps(present: dict[int, float]) -> tuple[float, ...]:
+    """Linear interpolation between known slots; edges held constant."""
+    known = sorted(present)
+    values = [0.0] * SLOTS_PER_DAY
+    for slot in range(SLOTS_PER_DAY):
+        if slot in present:
+            values[slot] = present[slot]
+            continue
+        prev = max((s for s in known if s < slot), default=None)
+        nxt = min((s for s in known if s > slot), default=None)
+        if prev is None and nxt is None:
+            raise ValueError("cannot fill a day with no present slots")
+        if prev is None:
+            values[slot] = present[nxt]
+        elif nxt is None:
+            values[slot] = present[prev]
+        else:
+            frac = (slot - prev) / (nxt - prev)
+            values[slot] = present[prev] + (present[nxt] - present[prev]) * frac
+    return tuple(values)

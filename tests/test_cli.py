@@ -161,9 +161,14 @@ def test_analyze_out_of_range_setting_is_a_usage_error(runner, tmp_path, flags, 
         ("simulate", "--scripts", '{"S1": [{"kind": "full-absence", "day": "June 5"}]}'),
         ("simulate", "--scripts", '[{"kind": "full-absence", "day": "2024-06-05"}]'),
         ("simulate", "--config", '{"days": "x"}'),
+        ("simulate", "--config", '{"personas": "S1"}'),
+        ("simulate", "--config", '{"personas": ["S9"]}'),
         ("analyze", "--config", "not json"),
     ],
-    ids=["unknown-kind", "no-kind", "day-not-iso", "scripts-a-list", "days-not-a-number", "config-not-json"],
+    ids=[
+        "unknown-kind", "no-kind", "day-not-iso", "scripts-a-list", "days-not-a-number",
+        "personas-not-a-list", "unknown-persona", "config-not-json",
+    ],
 )
 def test_bad_settings_file_is_a_usage_error(runner, tmp_path, command, option, text):
     settings = tmp_path / "settings.json"
@@ -177,6 +182,23 @@ def test_bad_settings_file_is_a_usage_error(runner, tmp_path, command, option, t
     assert "Traceback" not in result.output
     assert "settings.json" in result.output and option in result.output
     assert not (tmp_path / "out").exists()
+
+
+def test_day_without_readings_is_excluded_with_no_completeness_floor(runner, tmp_path):
+    sims = tmp_path / "sims"
+    runner.invoke(main, ["simulate", "--persona", "S1", "--days", "12", "--seed", "1", "--out", str(sims)])
+    csv_file = sims / "S1_readings.csv"
+    # 2024-06-09 in Warsaw (summer time) runs from 22:00 UTC the evening before.
+    kept = [
+        line for line in read(csv_file).splitlines()
+        if not "S1,2024-06-08T22:00:00Z" <= line < "S1,2024-06-09T22:00:00Z"
+    ]
+    csv_file.write_text("\n".join(kept) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["analyze", str(csv_file), "--min-completeness", "0", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    excluded = json.loads(read(out / "S1" / "excluded_days.json"))
+    assert {"day": "2024-06-09", "reason": "no samples"} in excluded
 
 
 def test_ingest_builds_a_store_directory(runner, tmp_path):

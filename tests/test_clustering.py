@@ -19,7 +19,7 @@ from meterwatch.pipeline import AnalysisConfig, analyze_meter
 from meterwatch.protocol import POSITIVE_ACTIVE_ENERGY
 from meterwatch.simulator import simulate_period
 from meterwatch.store import MeterReading, TelemetryStore
-from oracles import exact_min_inertia, profiles_from_matrix, single_move_polish
+from oracles import exact_min_inertia, lloyd, profiles_from_matrix, single_move_polish
 
 
 def matrix(*rows):
@@ -305,6 +305,22 @@ def test_single_move_polish_matches_the_pairwise_loop(case):
     want_labels, want_moved = single_move_polish(X, labels, k)
     assert np.array_equal(got_labels, want_labels)
     assert got_moved == want_moved
+
+
+@settings(max_examples=300, deadline=None)
+@given(polish_inputs(), st.sampled_from([1.0, 1e-7]), st.integers(0, 2**32 - 1))
+def test_lloyd_matches_the_tolerance_loop(case, scale, seed):
+    """Stopping on unchanged labels alone ends where the loop that also
+    stopped on a centroid shift under 1e-6 did; scaled by 1e-7 every shift
+    is under it, so its confirming pass both holds and fails."""
+    X, _, k = case
+    X = X * scale
+    init = clustering._plus_plus_init(X, k, np.random.default_rng([seed, 0]))
+    got = clustering._lloyd(X, init.copy(), k)
+    want = lloyd(X, init.copy(), k)
+    assert np.array_equal(got[1], want[1])
+    assert [v.hex() for v in got[0].ravel().tolist()] == [v.hex() for v in want[0].ravel().tolist()]
+    assert got[2:] == want[2:]
 
 
 def test_max_pairwise_distance_matches_the_full_matrix():

@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import profiles_through_store
 from meterwatch.profiles import (
+    SLOTS_PER_DAY,
     DailyProfile,
+    _fill_gaps,
     build_daily_profiles,
     write_profiles_csv,
 )
@@ -65,6 +67,14 @@ def test_simulated_month_retains_all_days(s4_month):
     assert len(profiles) == 30
     assert excluded == []
     assert all(p.completeness == 1.0 for p in profiles)
+
+
+def test_day_without_samples_is_excluded_at_any_floor():
+    values = [200.0] * 96 + [None] * 96 + [300.0] * 96
+    for floor, reason in ((0.0, "no samples"), (0.5, "completeness 0.00 below 0.50")):
+        profiles, excluded = build_daily_profiles(day_samples(values), min_completeness=floor)
+        assert [p.day.isoformat() for p in profiles] == ["2024-06-03", "2024-06-05"]
+        assert [(e.day.isoformat(), e.reason) for e in excluded] == [("2024-06-04", reason)]
 
 
 def test_dst_transition_day_is_excluded():
@@ -156,3 +166,35 @@ def test_profiles_match_the_sample_by_sample_builder(inputs):
     ]
     for profile, expected in zip(profiles, expected_profiles):
         assert [v.hex() for v in profile.values] == [float(v).hex() for v in expected.values]
+
+
+@st.composite
+def gap_grids(draw):
+    """(days x 96) grids with NaN gaps.  Each row keeps 0-96 known slots,
+    often with a missing run at either edge or both; rows with no known
+    slot occur.  Values come from one seeded ``random.Random``."""
+    rnd = draw(st.randoms(use_true_random=True))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        lead = draw(st.sampled_from([0, 0, 1, 30]))
+        trail = draw(st.sampled_from([0, 0, 1, 30]))
+        inside = range(lead, SLOTS_PER_DAY - trail)
+        known = rnd.sample(inside, draw(st.integers(0, len(inside))))
+        row = [math.nan] * SLOTS_PER_DAY
+        for slot in known:
+            row[slot] = rnd.choice([rnd.uniform(0.0, 5000.0), 0.0, 250.0, rnd.uniform(0.0, 1e-3)])
+        rows.append(row)
+    return np.array(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gap_grids())
+def test_fill_gaps_matches_the_per_slot_loop(grid):
+    filled = _fill_gaps(grid)
+    assert filled.shape == grid.shape
+    for row, got in zip(grid.tolist(), filled.tolist()):
+        present = {slot: v for slot, v in enumerate(row) if not math.isnan(v)}
+        if present:
+            assert [v.hex() for v in got] == [v.hex() for v in oracles.fill_gaps(present)]
+        else:
+            assert all(math.isnan(v) for v in got)

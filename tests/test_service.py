@@ -6,6 +6,8 @@ import threading
 import urllib.error
 import urllib.parse
 import urllib.request
+from datetime import timedelta
+from zoneinfo import ZoneInfo
 
 import pytest
 
@@ -122,6 +124,19 @@ def test_anomalies_endpoint_equals_direct_analysis(server):
     status, body = get(base, "/v1/meters/S4/anomalies")
     assert status == 200
     direct = analyze_meter(store, "S4", AnalysisConfig())
+    assert canonical_json(body) == canonical_json(direct.report.to_json_dict())
+
+
+def test_anomalies_with_no_completeness_floor_skip_a_day_without_samples(server):
+    base, store = server
+    gap_day = START + timedelta(days=6)
+    warsaw = ZoneInfo("Europe/Warsaw")
+    readings = [r for r in sim_readings(days=12, persona="S1") if r.timestamp.astimezone(warsaw).date() != gap_day]
+    post(base, "/v1/readings", ndjson(readings))
+    status, body = get(base, "/v1/meters/S1/anomalies?min_completeness=0")
+    assert status == 200
+    assert gap_day.isoformat() not in body["scores"] and len(body["scores"]) == 11
+    direct = analyze_meter(store, "S1", AnalysisConfig(min_completeness=0.0))
     assert canonical_json(body) == canonical_json(direct.report.to_json_dict())
 
 

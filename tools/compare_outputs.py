@@ -25,9 +25,11 @@ out, and S4 lifted by 999 990 kWh so its register rolls over) and runs
 
     meterwatch analyze gappy/S1_readings.csv ... gappy/S4_readings.csv --out gappy_knee
     meterwatch analyze gappy/S1_readings.csv ... gappy/S4_readings.csv --k 3 --out gappy_k3
+    meterwatch analyze gappy/S1_readings.csv ... gappy/S4_readings.csv --min-completeness 0 --out gappy_all
 
 so snapped, interpolated and missing grid values, filled and excluded
-days and the rollover are compared too.
+days and the rollover are compared too; with no completeness floor the
+days that lost 3 h are filled as well.
 
 Finally it writes a non-canonical copy of the simulated readings
 (``write_noncanonical``: CRLF line ends, every seventh timestamp at
@@ -74,6 +76,7 @@ NONCANONICAL = ["noncanonical/{}_readings.csv".format(p) for p in PERSONAS]
 GAPPY_COMMANDS = [
     ("gappy_knee", ["analyze", *GAPPY, "--out", "gappy_knee"]),
     ("gappy_k3", ["analyze", *GAPPY, "--k", "3", "--out", "gappy_k3"]),
+    ("gappy_all", ["analyze", *GAPPY, "--min-completeness", "0", "--out", "gappy_all"]),
     ("noncanonical_knee", ["analyze", *NONCANONICAL, "--out", "noncanonical_knee"]),
 ]
 # Runs of readings cut out, as (first row, rows): 3 h leaves the day below
