@@ -26,7 +26,7 @@ from .personas import (
     load_persona,
 )
 from .pipeline import AnalysisConfig, InsufficientDataError, analyze_meter
-from .profiles import DailyProfile, ExcludedDay, build_daily_profiles
+from .profiles import DailyProfiles, ExcludedDay, build_daily_profiles
 from .protocol import (
     DataLine,
     IdentificationMessage,
@@ -61,7 +61,7 @@ __all__ = [
     "AppliancePattern",
     "ClusterModel",
     "ClusterSummary",
-    "DailyProfile",
+    "DailyProfiles",
     "DataLine",
     "ExcludedDay",
     "HouseholdPersona",

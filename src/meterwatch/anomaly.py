@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import ClusterModel, _sq_dists
-from .profiles import SLOTS_PER_DAY, DailyProfile
+from .profiles import DailyProfiles
 
 # Consistency factor making the median absolute deviation estimate a
 # standard deviation for normally distributed scores.
@@ -50,7 +50,7 @@ class AnomalyReport:
         }
 
 
-def anomaly_scores(model: ClusterModel, profiles: Sequence[DailyProfile]) -> AnomalyReport:
+def anomaly_scores(model: ClusterModel, profiles: DailyProfiles) -> AnomalyReport:
     """Score and rank the given days against the model's centroids.
 
     Ranking is by descending score with earlier dates winning ties.  The
@@ -58,21 +58,12 @@ def anomaly_scores(model: ClusterModel, profiles: Sequence[DailyProfile]) -> Ano
     on (falling back to all scored days if none of them are present).
 
     Raises:
-        ValueError: if any profile does not have exactly 96 values.
+        ValueError: if there are no profiles.
     """
-    for profile in profiles:
-        if len(profile.values) != SLOTS_PER_DAY:
-            raise ValueError(
-                "profile for {} has {} values; expected {}".format(
-                    profile.day, len(profile.values), SLOTS_PER_DAY
-                )
-            )
-    if not profiles:
+    if not len(profiles):
         raise ValueError("no profiles to score")
-    meter_id = profiles[0].meter_id
-    X = np.array([p.values for p in profiles], dtype=float)
-    distances = np.sqrt(_sq_dists(X, model.centroids).min(axis=1))
-    scores = {p.day: float(s) for p, s in zip(profiles, distances)}
+    distances = np.sqrt(_sq_dists(profiles.values, model.centroids).min(axis=1))
+    scores = dict(zip(profiles.days, distances.tolist()))
 
     by_cluster: dict[int, list[float]] = {}
     for d in sorted(scores):
@@ -86,7 +77,7 @@ def anomaly_scores(model: ClusterModel, profiles: Sequence[DailyProfile]) -> Ano
     ranked = tuple(sorted(scores, key=lambda d: (-scores[d], d)))
     flagged = tuple(d for d in ranked if scores[d] > threshold)
     return AnomalyReport(
-        meter_id=meter_id,
+        meter_id=profiles.meter_id,
         k=model.k,
         scores=scores,
         ranked_days=ranked,

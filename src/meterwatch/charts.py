@@ -11,8 +11,10 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 from .clustering import ClusterModel
-from .profiles import SLOTS_PER_DAY, DailyProfile
+from .profiles import SLOTS_PER_DAY, DailyProfiles
 
 PANEL_W = 320
 PANEL_H = 220
@@ -61,8 +63,18 @@ def _panel_frame(x0: float, title: str, y_max: float) -> list[str]:
     return parts
 
 
-def _document(panels: int, body: list[str]) -> str:
-    width = PANEL_W * panels
+def _chart(panels: Sequence[tuple[str, Sequence[tuple[str, Sequence[float]]]]]) -> str:
+    """A row of panels, each ``(title, [(css_class, values), ...])``, on one
+    power scale: 5% above the highest value drawn, at least 1 W."""
+    top = max((np.max(values) for _, lines in panels for _, values in lines if len(values)), default=0.0)
+    y_max = max(float(top) * 1.05, 1.0)
+    body: list[str] = []
+    for index, (title, lines) in enumerate(panels):
+        x0 = float(index * PANEL_W)
+        body.extend(_panel_frame(x0, title, y_max))
+        for css_class, values in lines:
+            body.append('<polyline class="{}" points="{}"/>'.format(css_class, _points(values, y_max, x0)))
+    width = PANEL_W * max(len(panels), 1)
     head = (
         '<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         'viewBox="0 0 {w} {h}">'.format(w=width, h=PANEL_H)
@@ -70,54 +82,25 @@ def _document(panels: int, body: list[str]) -> str:
     return head + "<style>" + _STYLE + "</style>" + "".join(body) + "</svg>"
 
 
-def _scale(*value_groups: Sequence[Sequence[float]]) -> float:
-    top = 0.0
-    for group in value_groups:
-        for values in group:
-            if len(values):
-                top = max(top, max(values))
-    return max(top * 1.05, 1.0)
+def cluster_chart(profiles: DailyProfiles, model: ClusterModel) -> str:
+    """One panel per cluster: member day lines plus the thick mean profile.
 
-
-def cluster_chart(profiles: Sequence[DailyProfile], model: ClusterModel) -> str:
-    """One panel per cluster: member day lines plus the thick mean profile."""
-    by_day = {p.day: p for p in profiles}
-    y_max = _scale([p.values for p in profiles], list(model.centroids))
-    body: list[str] = []
+    ``profiles`` must be the days the model was fitted on; the power scale
+    covers the lines drawn, so days the model was not fitted on do not
+    stretch it.
+    """
+    labels = np.array([model.assignments[day] for day in profiles.days], dtype=np.int64)
+    panels = []
     for cluster in range(model.k):
-        x0 = float(cluster * PANEL_W)
-        members = [d for d, c in sorted(model.assignments.items()) if c == cluster]
-        body.extend(
-            _panel_frame(x0, "cluster {} ({} days)".format(cluster + 1, len(members)), y_max)
-        )
-        for day in members:
-            if day in by_day:
-                body.append(
-                    '<polyline class="member" points="{}"/>'.format(
-                        _points(by_day[day].values, y_max, x0)
-                    )
-                )
-        body.append(
-            '<polyline class="mean" points="{}"/>'.format(
-                _points(list(model.centroids[cluster]), y_max, x0)
-            )
-        )
-    return _document(model.k, body)
+        members = profiles.values[labels == cluster].tolist()
+        lines = [("member", values) for values in members] + [("mean", model.centroids[cluster].tolist())]
+        panels.append(("cluster {} ({} days)".format(cluster + 1, len(members)), lines))
+    return _chart(panels)
 
 
 def user_means_chart(user_centroids: Mapping[str, Sequence[Sequence[float]]]) -> str:
     """One panel per user showing that user's mean cluster profiles."""
-    users = sorted(user_centroids)
-    y_max = _scale(*[user_centroids[u] for u in users])
-    body: list[str] = []
-    for index, user in enumerate(users):
-        x0 = float(index * PANEL_W)
-        body.extend(_panel_frame(x0, user, y_max))
-        for centroid in user_centroids[user]:
-            body.append(
-                '<polyline class="mean" points="{}"/>'.format(_points(centroid, y_max, x0))
-            )
-    return _document(max(len(users), 1), body)
+    return _chart([(user, [("mean", c) for c in user_centroids[user]]) for user in sorted(user_centroids)])
 
 
 def anomaly_chart(
@@ -127,13 +110,4 @@ def anomaly_chart(
 
     ``anomalies`` holds (title, day_values, nearest_centroid) triples.
     """
-    y_max = _scale(
-        [values for _, values, _ in anomalies], [mean for _, _, mean in anomalies]
-    )
-    body: list[str] = []
-    for index, (title, values, mean) in enumerate(anomalies):
-        x0 = float(index * PANEL_W)
-        body.extend(_panel_frame(x0, title, y_max))
-        body.append('<polyline class="mean" points="{}"/>'.format(_points(mean, y_max, x0)))
-        body.append('<polyline class="anomaly" points="{}"/>'.format(_points(values, y_max, x0)))
-    return _document(max(len(anomalies), 1), body)
+    return _chart([(title, [("mean", mean), ("anomaly", values)]) for title, values, mean in anomalies])

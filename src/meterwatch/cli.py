@@ -60,7 +60,7 @@ def _load_json_object(path: str | None, option: str = "--config") -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise _usage_error(option, path, exc)
     if not isinstance(data, dict):
         raise _usage_error(option, path, "must hold a JSON object")
@@ -217,13 +217,12 @@ def _analysis_outputs(analysis: MeterAnalysis, meter_out: Path, top_n: int) -> N
 
 
 def _anomaly_overlay(analysis: MeterAnalysis, top_n: int) -> str:
-    by_day = {p.day: p for p in analysis.profiles}
+    profiles, model = analysis.profiles, analysis.model
     panels = []
     for day in analysis.report.top(top_n):
-        profile = by_day[day]
-        cluster = analysis.model.assignments[day]
         title = "{} (score {:.0f} W)".format(day.isoformat(), analysis.report.scores[day])
-        panels.append((title, profile.values, list(analysis.model.centroids[cluster])))
+        values = profiles.values[profiles.days.index(day)].tolist()
+        panels.append((title, values, model.centroids[model.assignments[day]].tolist()))
     return anomaly_chart(panels)
 
 
@@ -320,12 +319,15 @@ def serve(store_dir, host, port, seed, verbose) -> None:
 
 @main.command()
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
-@click.option("--days", type=int, default=DEFAULT_DAYS, show_default=True)
+@click.option("--days", type=click.IntRange(min=1), default=DEFAULT_DAYS, show_default=True)
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 @click.option("--start", "start_text", default=DEFAULT_START, show_default=True)
 def casestudy(out_dir, days, seed, start_text) -> None:
     """Simulate S1..S4 for a month and run the full analysis on each."""
-    start = date.fromisoformat(start_text)
+    try:
+        start = date.fromisoformat(start_text)
+    except ValueError as exc:
+        raise _usage_error("--start", start_text, exc)
     out = Path(out_dir)
     sim_dir = out / "simulated"
     sim_dir.mkdir(parents=True, exist_ok=True)

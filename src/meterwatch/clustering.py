@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Sequence
 
 import numpy as np
 
-from .profiles import DailyProfile
+from .profiles import DailyProfiles
 
 DEFAULT_RESTARTS = 10
 MAX_LLOYD_PASSES = 300
@@ -97,14 +96,6 @@ class KSelectionReport:
             "inertias": list(self.inertias),
             "recommended_k": self.recommended_k,
         }
-
-
-def _profile_matrix(profiles: Sequence[DailyProfile]) -> tuple[np.ndarray, list[date]]:
-    if not profiles:
-        raise ValueError("no profiles to cluster")
-    days = [p.day for p in profiles]
-    X = np.array([p.values for p in profiles], dtype=float)
-    return X, days
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -222,7 +213,7 @@ def _lloyd(
 
 
 def kmeans_fit(
-    profiles: Sequence[DailyProfile],
+    profiles: DailyProfiles,
     k: int,
     seed: int = 0,
     restarts: int = DEFAULT_RESTARTS,
@@ -234,7 +225,7 @@ def kmeans_fit(
     """
     if not K_MIN <= k <= K_MAX:
         raise ValueError("k must lie in {}..{}".format(K_MIN, K_MAX))
-    X, days = _profile_matrix(profiles)
+    X = profiles.values
     if len(profiles) < k:
         raise ValueError(
             "need at least {} profiles for k={}, got {}".format(k, k, len(profiles))
@@ -259,11 +250,10 @@ def kmeans_fit(
         if best is None or inertia < best[0]:
             best = (inertia, restart, centroids, labels, iterations, history)
     inertia, restart, centroids, labels, iterations, history = best
-    assignments = {day: int(label) for day, label in zip(days, labels)}
     return ClusterModel(
         k=k,
         centroids=centroids,
-        assignments=assignments,
+        assignments=dict(zip(profiles.days, labels.tolist())),
         inertia=inertia,
         seed=seed,
         iterations=iterations,
@@ -273,7 +263,7 @@ def kmeans_fit(
 
 
 def select_k(
-    profiles: Sequence[DailyProfile],
+    profiles: DailyProfiles,
     seed: int = 0,
     restarts: int = DEFAULT_RESTARTS,
 ) -> KSelectionReport:
@@ -291,7 +281,7 @@ def select_k(
     """
     if len(profiles) < K_MAX:
         raise ValueError("need at least {} profiles to scan k=1..{}".format(K_MAX, K_MAX))
-    X, _ = _profile_matrix(profiles)
+    X = profiles.values
     k_values = tuple(range(K_MIN, K_MAX + 1))
     if _max_pairwise_distance(X) < DEGENERATE_DISTANCE_FLOOR:
         model = kmeans_fit(profiles, K_MIN, seed=seed, restarts=restarts)

@@ -22,14 +22,8 @@ from .clustering import (
     mean_cluster_profiles,
     select_k,
 )
-from .profiles import (
-    DEFAULT_MIN_COMPLETENESS,
-    DEFAULT_TIMEZONE,
-    DailyProfile,
-    ExcludedDay,
-    build_daily_profiles,
-)
-from .protocol import POSITIVE_ACTIVE_ENERGY, ObisCode
+from .profiles import DEFAULT_MIN_COMPLETENESS, DailyProfiles, ExcludedDay, build_daily_profiles
+from .protocol import POSITIVE_ACTIVE_ENERGY
 from .store import TelemetryStore
 
 DEFAULT_SEED = 42
@@ -50,9 +44,7 @@ class AnalysisConfig:
     restarts: int = DEFAULT_RESTARTS
     min_completeness: float = DEFAULT_MIN_COMPLETENESS
     top_n: int = DEFAULT_TOP_N
-    tz_name: str = DEFAULT_TIMEZONE
     k: int | None = None  # None = pick by the knee rule
-    register: ObisCode = POSITIVE_ACTIVE_ENERGY
 
     def __post_init__(self):
         if not 1 <= self.restarts <= MAX_RESTARTS:
@@ -77,7 +69,7 @@ class AnalysisConfig:
 @dataclass
 class MeterAnalysis:
     meter_id: str
-    profiles: list[DailyProfile]
+    profiles: DailyProfiles
     excluded: list[ExcludedDay]
     selection: KSelectionReport | None
     model: ClusterModel
@@ -87,12 +79,12 @@ class MeterAnalysis:
 
 def meter_profiles(
     store: TelemetryStore, meter_id: str, config: AnalysisConfig
-) -> tuple[list[DailyProfile], list[ExcludedDay]]:
-    span = store.span(meter_id, config.register)
+) -> tuple[DailyProfiles, list[ExcludedDay]]:
+    span = store.span(meter_id, POSITIVE_ACTIVE_ENERGY)
     if span is None:
         raise InsufficientDataError("no readings for meter {!r}".format(meter_id))
-    samples = store.mean_power_series(meter_id, config.register, span[0], span[1])
-    return build_daily_profiles(samples, config.min_completeness, config.tz_name)
+    samples = store.mean_power_series(meter_id, POSITIVE_ACTIVE_ENERGY, span[0], span[1])
+    return build_daily_profiles(samples, config.min_completeness)
 
 
 def analyze_meter(

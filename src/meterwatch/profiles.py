@@ -9,11 +9,10 @@ falling below the completeness threshold and days with no sample at all.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import TextIO
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -29,18 +28,27 @@ DEFAULT_MIN_COMPLETENESS = 0.9
 DEFAULT_TIMEZONE = "Europe/Warsaw"
 
 
-@dataclass(frozen=True)
-class DailyProfile:
+@dataclass(frozen=True, eq=False)
+class DailyProfiles:
+    """One meter's kept days as a (days x 96) matrix of mean power in watts.
+
+    Row ``i`` holds local day ``days[i]``, its gaps filled, and
+    ``completeness[i]`` is the fraction of its slots that had a sample.
+    """
+
     meter_id: str
-    day: date
-    values: tuple[float, ...]
-    completeness: float
+    days: tuple[date, ...]
+    values: np.ndarray
+    completeness: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.values) != SLOTS_PER_DAY:
-            raise ValueError("profile must have exactly 96 values")
-        if not all(0 <= v < math.inf for v in self.values):
+        if np.shape(self.values) != (len(self.days), SLOTS_PER_DAY) or len(self.completeness) != len(self.days):
+            raise ValueError("profiles need 96 values and one completeness per day")
+        if not (np.isfinite(self.values).all() and (self.values >= 0).all()):
             raise ValueError("profile values must be finite and non-negative")
+
+    def __len__(self) -> int:
+        return len(self.days)
 
 
 @dataclass(frozen=True)
@@ -54,8 +62,8 @@ def build_daily_profiles(
     series: PowerSeries,
     min_completeness: float = DEFAULT_MIN_COMPLETENESS,
     tz_name: str = DEFAULT_TIMEZONE,
-) -> tuple[list[DailyProfile], list[ExcludedDay]]:
-    """Group one meter's samples into per-day profiles; fill small gaps by interpolation.
+) -> tuple[DailyProfiles, list[ExcludedDay]]:
+    """Group one meter's samples into daily profiles; fill small gaps by interpolation.
 
     Completeness is the fraction of the 96 slots carrying a measured or
     interpolated sample.  Days at or above ``min_completeness`` get their
@@ -67,7 +75,7 @@ def build_daily_profiles(
     tz = ZoneInfo(tz_name)
     utc_us, watts = series.starts_us, series.watts
     if not len(utc_us):
-        return [], []
+        return DailyProfiles(series.meter_id, (), np.empty((0, SLOTS_PER_DAY)), ()), []
     present = ~np.isnan(watts)
     power = np.where(watts > 0.0, watts, 0.0)  # max(0.0, w)
 
@@ -81,10 +89,10 @@ def build_daily_profiles(
     counts = (~np.isnan(grid)).sum(axis=1).tolist()
     filled = _fill_gaps(grid)
 
-    profiles: list[DailyProfile] = []
+    kept: list[int] = []
+    local_days = [date.fromordinal(_EPOCH_ORDINAL + day) for day in days.tolist()]
     excluded: list[ExcludedDay] = []
-    for g, day in enumerate(days.tolist()):
-        local_day = date.fromordinal(_EPOCH_ORDINAL + day)
+    for g, local_day in enumerate(local_days):
         expected = _slots_in_local_day(local_day, tz)
         completeness = counts[g] / SLOTS_PER_DAY
         if expected != SLOTS_PER_DAY:
@@ -95,7 +103,13 @@ def build_daily_profiles(
         elif not counts[g]:
             excluded.append(ExcludedDay(series.meter_id, local_day, "no samples"))
         else:
-            profiles.append(DailyProfile(series.meter_id, local_day, tuple(filled[g].tolist()), completeness))
+            kept.append(g)
+    profiles = DailyProfiles(
+        series.meter_id,
+        tuple(local_days[g] for g in kept),
+        filled[kept],
+        tuple(counts[g] / SLOTS_PER_DAY for g in kept),
+    )
     return profiles, excluded
 
 
@@ -155,7 +169,7 @@ def _fill_gaps(grid: np.ndarray) -> np.ndarray:
     return np.where(prev == nxt, before, inner)
 
 
-def write_profiles_csv(target: str | Path | TextIO, profiles: Sequence[DailyProfile]) -> None:
+def write_profiles_csv(target: str | Path | TextIO, profiles: DailyProfiles) -> None:
     """Export profiles with one column per slot (s00..s95)."""
 
     def _write(fh: TextIO) -> None:
@@ -164,10 +178,10 @@ def write_profiles_csv(target: str | Path | TextIO, profiles: Sequence[DailyProf
             ["meter_id", "day", "completeness"]
             + ["s{:02d}".format(i) for i in range(SLOTS_PER_DAY)]
         )
-        for p in profiles:
+        for day, completeness, values in zip(profiles.days, profiles.completeness, profiles.values.tolist()):
             writer.writerow(
-                [p.meter_id, p.day.isoformat(), "{:.4f}".format(p.completeness)]
-                + ["{:.3f}".format(v) for v in p.values]
+                [profiles.meter_id, day.isoformat(), "{:.4f}".format(completeness)]
+                + ["{:.3f}".format(v) for v in values]
             )
 
     if isinstance(target, (str, Path)):

@@ -27,6 +27,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from .pipeline import AnalysisConfig, InsufficientDataError, analyze_meter, canonical_json
+from .protocol import POSITIVE_ACTIVE_ENERGY
 from .store import (
     ConflictingDuplicate,
     NonMonotonicRegister,
@@ -94,7 +95,7 @@ class MeterServiceHandler(BaseHTTPRequestHandler):
                 for line in self.rfile.read(int(length)).decode("utf-8").splitlines()
                 if line.strip()
             ]
-        except (ValueError, KeyError, TypeError, InvalidOperation) as exc:
+        except (ValueError, KeyError, TypeError, InvalidOperation, RecursionError) as exc:
             self._send_error(400, "bad reading record: {}".format(exc))
             return
         try:
@@ -127,9 +128,9 @@ class MeterServiceHandler(BaseHTTPRequestHandler):
     def _handle_power(self, meter_id: str, query: dict[str, str]) -> None:
         if not self._require_meter(meter_id):
             return
-        span = self.store.span(meter_id, self.config.register)
+        span = self.store.span(meter_id, POSITIVE_ACTIVE_ENERGY)
         if span is None and not {"from", "to"} <= query.keys():
-            self._send_error(409, "meter {!r} has no {} readings".format(meter_id, self.config.register))
+            self._send_error(409, "meter {!r} has no {} readings".format(meter_id, POSITIVE_ACTIVE_ENERGY))
             return
         try:
             start = parse_rfc3339(query["from"]) if "from" in query else span[0]
@@ -138,7 +139,7 @@ class MeterServiceHandler(BaseHTTPRequestHandler):
             self._send_error(400, str(exc))
             return
         try:
-            samples = self.store.mean_power_series(meter_id, self.config.register, start, end)
+            samples = self.store.mean_power_series(meter_id, POSITIVE_ACTIVE_ENERGY, start, end)
         except SpanTooLong as exc:
             self._send_error(400, str(exc))
             return

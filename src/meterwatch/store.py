@@ -250,7 +250,7 @@ class TelemetryStore:
                 if line.strip():
                     try:
                         readings.add(reading_from_record(json.loads(line.decode("utf-8"))))
-                    except (ValueError, KeyError, TypeError, InvalidOperation) as exc:
+                    except (ValueError, KeyError, TypeError, InvalidOperation, RecursionError) as exc:
                         raise StoreLogError(path, line_number, str(exc)) from exc
         if readings:
             self._ingest(readings, persist=False)

@@ -11,10 +11,11 @@ and placed each grid boundary with its own bisect, kept so the sorted-list
 for batch.  ``_interpolate`` is the store's ``Decimal`` interpolation,
 kept as the reference for its integer version.  ``build_daily_profiles``
 is the sample-by-sample profile builder that converted every sample to
-local time, kept so the array version can be compared with it; its
-``fill_gaps`` is the per-slot loop behind the masked grid fill.  ``lloyd``
-is the k-means loop that also stopped once no centroid moved by ``tol``,
-after one more assignment pass confirmed the labels.
+local time and made one ``ProfileDay`` record per day, kept so the array
+version can be compared with it row by row; its ``fill_gaps`` is the
+per-slot loop behind the masked grid fill.  ``lloyd`` is the k-means loop
+that also stopped once no centroid moved by ``tol``, after one more
+assignment pass confirmed the labels.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 
 from meterwatch.clustering import _assign, _centroids, _inertia, _repair_empty, _sq_dists
-from meterwatch.profiles import SLOTS_PER_DAY, DailyProfile, ExcludedDay, _slots_in_local_day
+from meterwatch.profiles import SLOTS_PER_DAY, DailyProfiles, ExcludedDay, _slots_in_local_day
 from meterwatch.protocol import REGISTER_MODULUS_KWH
 from meterwatch.store import (
     MAX_INTERPOLATION_GAP,
@@ -147,13 +148,22 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
     return (sum_ij - expected) / (maximum - expected)
 
 
-def profiles_from_matrix(X, meter_id: str = "T") -> list[DailyProfile]:
+def profiles_from_matrix(X, meter_id: str = "T") -> DailyProfiles:
     """Wrap a (n, 96) matrix as daily profiles on consecutive dates."""
-    first = date(2024, 6, 1)
-    return [
-        DailyProfile(meter_id, first + timedelta(days=i), tuple(float(v) for v in row), 1.0)
-        for i, row in enumerate(np.asarray(X, dtype=float))
-    ]
+    X = np.array(X, dtype=float)
+    days = tuple(date(2024, 6, 1) + timedelta(days=i) for i in range(len(X)))
+    return DailyProfiles(meter_id, days, X, (1.0,) * len(X))
+
+
+def profile_rows(profiles: DailyProfiles, rows) -> DailyProfiles:
+    """The given rows of ``profiles``, in the given order."""
+    rows = list(rows)
+    return DailyProfiles(
+        profiles.meter_id,
+        tuple(profiles.days[i] for i in rows),
+        profiles.values[rows],
+        tuple(profiles.completeness[i] for i in rows),
+    )
 
 
 @dataclass(frozen=True)
@@ -301,6 +311,16 @@ def _interpolate(v_prev: Decimal, v_next: Decimal, fraction: float) -> Decimal:
     return value.quantize(Decimal("0.001"), rounding=ROUND_HALF_EVEN)
 
 
+@dataclass(frozen=True)
+class ProfileDay:
+    """One day of the reference builder's output."""
+
+    meter_id: str
+    day: date
+    values: tuple[float, ...]
+    completeness: float
+
+
 def build_daily_profiles(samples, min_completeness: float, tz_name: str):
     """Daily profiles built one sample at a time, each converted with ``astimezone``."""
     tz = ZoneInfo(tz_name)
@@ -315,7 +335,7 @@ def build_daily_profiles(samples, min_completeness: float, tz_name: str):
         else:
             bucket.setdefault(slot, None)  # type: ignore[arg-type]
 
-    profiles: list[DailyProfile] = []
+    profiles: list[ProfileDay] = []
     excluded: list[ExcludedDay] = []
     for (meter_id, day), bucket in sorted(by_day.items()):
         expected = _slots_in_local_day(day, tz)
@@ -339,7 +359,7 @@ def build_daily_profiles(samples, min_completeness: float, tz_name: str):
             excluded.append(ExcludedDay(meter_id, day, "no samples"))
             continue
         profiles.append(
-            DailyProfile(meter_id, day, fill_gaps(present), completeness)
+            ProfileDay(meter_id, day, fill_gaps(present), completeness)
         )
     return profiles, excluded
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from meterwatch.anomaly import anomaly_scores, robust_threshold
 from meterwatch.clustering import kmeans_fit
-from meterwatch.profiles import DailyProfile
-from oracles import profiles_from_matrix
+from meterwatch.profiles import DailyProfiles
+from oracles import profile_rows, profiles_from_matrix
 
 FIRST = date(2024, 6, 1)
 
@@ -26,12 +26,13 @@ def test_single_hot_slot_scores_its_amplitude():
     base = np.zeros((4, 96))
     profiles = profiles_from_matrix(base)
     model = kmeans_fit(profiles, 1, seed=0, restarts=2)
-    spike = np.zeros(96)
-    spike[40] = 500.0
-    odd = DailyProfile("T", FIRST + timedelta(days=30), tuple(spike), 1.0)
-    report = anomaly_scores(model, list(profiles) + [odd])
-    assert report.scores[odd.day] == pytest.approx(500.0)
-    assert report.ranked_days[0] == odd.day
+    spike = np.zeros((1, 96))
+    spike[0, 40] = 500.0
+    odd_day = FIRST + timedelta(days=30)
+    scored = DailyProfiles("T", profiles.days + (odd_day,), np.vstack([base, spike]), (1.0,) * 5)
+    report = anomaly_scores(model, scored)
+    assert report.scores[odd_day] == pytest.approx(500.0)
+    assert report.ranked_days[0] == odd_day
 
 
 def test_ranking_breaks_ties_by_earlier_date():
@@ -51,7 +52,7 @@ def test_score_map_is_permutation_independent():
     profiles = profiles_from_matrix(rng.uniform(0, 400, (12, 96)))
     model = kmeans_fit(profiles, 3, seed=2, restarts=4)
     forward = anomaly_scores(model, profiles)
-    backward = anomaly_scores(model, list(reversed(profiles)))
+    backward = anomaly_scores(model, profile_rows(profiles, reversed(range(len(profiles)))))
     assert forward.scores == backward.scores
     assert forward.ranked_days == backward.ranked_days
     assert forward.threshold == backward.threshold
@@ -59,15 +60,17 @@ def test_score_map_is_permutation_independent():
 
 
 def test_wrong_length_profile_is_rejected():
-    class Stub:
-        meter_id = "T"
-        day = FIRST
-        values = (1.0,) * 95
-
-    profiles = profiles_from_matrix(np.zeros((3, 96)))
-    model = kmeans_fit(profiles, 1, seed=0, restarts=2)
-    with pytest.raises(ValueError):
-        anomaly_scores(model, [Stub()])
+    days = tuple(FIRST + timedelta(days=i) for i in range(3))
+    with pytest.raises(ValueError, match="96 values"):
+        DailyProfiles("T", days, np.zeros((3, 95)), (1.0,) * 3)
+    with pytest.raises(ValueError, match="one completeness per day"):
+        DailyProfiles("T", days, np.zeros((3, 96)), (1.0,) * 4)
+    for bad in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            DailyProfiles("T", days, np.full((3, 96), bad), (1.0,) * 3)
+    model = kmeans_fit(profiles_from_matrix(np.zeros((3, 96))), 1, seed=0, restarts=2)
+    with pytest.raises(ValueError, match="no profiles to score"):
+        anomaly_scores(model, profiles_from_matrix(np.zeros((0, 96))))
 
 
 def test_single_outlier_is_flagged_against_quiet_days():
@@ -79,7 +82,7 @@ def test_single_outlier_is_flagged_against_quiet_days():
     profiles = profiles_from_matrix(X)
     model = kmeans_fit(profiles, 1, seed=4, restarts=3)
     report = anomaly_scores(model, profiles)
-    outlier_day = profiles[-1].day
+    outlier_day = profiles.days[-1]
     assert report.ranked_days[0] == outlier_day
     assert outlier_day in report.flagged
     assert len(report.flagged) <= 3
@@ -93,7 +96,7 @@ def test_three_simultaneous_outliers_do_not_mask_each_other():
     profiles = profiles_from_matrix(X)
     model = kmeans_fit(profiles, 1, seed=4, restarts=3)
     report = anomaly_scores(model, profiles)
-    outliers = {profiles[i].day for i in (27, 28, 29)}
+    outliers = {profiles.days[i] for i in (27, 28, 29)}
     assert set(report.ranked_days[:3]) == outliers
     assert outliers <= set(report.flagged)
 

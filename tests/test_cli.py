@@ -164,10 +164,13 @@ def test_analyze_out_of_range_setting_is_a_usage_error(runner, tmp_path, flags, 
         ("simulate", "--config", '{"personas": "S1"}'),
         ("simulate", "--config", '{"personas": ["S9"]}'),
         ("analyze", "--config", "not json"),
+        ("simulate", "--scripts", "[" * 100000),
+        ("analyze", "--config", "[" * 100000),
     ],
     ids=[
         "unknown-kind", "no-kind", "day-not-iso", "scripts-a-list", "days-not-a-number",
         "personas-not-a-list", "unknown-persona", "config-not-json",
+        "scripts-nested-too-deep", "config-nested-too-deep",
     ],
 )
 def test_bad_settings_file_is_a_usage_error(runner, tmp_path, command, option, text):
@@ -286,6 +289,17 @@ def test_casestudy_runs_end_to_end(runner, tmp_path):
     assert "S1" in summary and "top anomalous days" in summary
     truth = json.loads(read(out / "simulated" / "S1_truth.json"))
     assert "absence-morning" in truth["labels"].values()
+
+
+@pytest.mark.parametrize(
+    "flags, option", [(["--start", "June"], "--start"), (["--days", "0"], "--days")], ids=["start-not-iso", "no-days"]
+)
+def test_casestudy_bad_option_is_a_usage_error(runner, tmp_path, flags, option):
+    result = runner.invoke(main, ["casestudy", *flags, "--out", str(tmp_path / "case")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output and option in result.output
+    assert not (tmp_path / "case").exists()
 
 
 def test_store_directory_comes_from_the_environment(runner, tmp_path):

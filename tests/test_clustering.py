@@ -19,7 +19,7 @@ from meterwatch.pipeline import AnalysisConfig, analyze_meter
 from meterwatch.protocol import POSITIVE_ACTIVE_ENERGY
 from meterwatch.simulator import simulate_period
 from meterwatch.store import MeterReading, TelemetryStore
-from oracles import exact_min_inertia, lloyd, profiles_from_matrix, single_move_polish
+from oracles import exact_min_inertia, lloyd, profile_rows, profiles_from_matrix, single_move_polish
 
 
 def matrix(*rows):
@@ -41,7 +41,7 @@ def test_three_level_instance_matches_exhaustive_partition():
     # optimal partition is {0, 2} vs {10}: 96 * (1^2 + 1^2) = 192
     assert model.inertia == pytest.approx(192.0, abs=1e-9)
     assert model.inertia == pytest.approx(exact_min_inertia(X, 2), abs=1e-9)
-    labels = [model.assignments[p.day] for p in profiles]
+    labels = [model.assignments[day] for day in profiles.days]
     assert labels[0] == labels[1] != labels[2]
 
 
@@ -97,7 +97,7 @@ def test_termination_is_a_fixed_point():
     model = kmeans_fit(profiles, 3, seed=8, restarts=4)
     d2 = ((X[:, None, :] - model.centroids[None, :, :]) ** 2).sum(axis=2)
     relabels = d2.argmin(axis=1)
-    assert [model.assignments[p.day] for p in profiles] == list(relabels)
+    assert [model.assignments[day] for day in profiles.days] == list(relabels)
 
 
 def test_model_invariants_hold_after_fit():
@@ -105,7 +105,7 @@ def test_model_invariants_hold_after_fit():
     X = rng.uniform(0, 300, size=(15, 96))
     profiles = profiles_from_matrix(X)
     model = kmeans_fit(profiles, 3, seed=2, restarts=5)
-    labels = np.array([model.assignments[p.day] for p in profiles])
+    labels = np.array([model.assignments[day] for day in profiles.days])
     # every assignment points at the nearest centroid, lowest index on ties
     d2 = ((X[:, None, :] - model.centroids[None, :, :]) ** 2).sum(axis=2)
     assert np.array_equal(labels, d2.argmin(axis=1))
@@ -204,7 +204,7 @@ def test_most_typical_s4_routine_peaks_morning_and_evening(s4_profiles):
 
 
 def test_model_serializes_to_plain_json(s4_profiles):
-    model = kmeans_fit(s4_profiles[:10], 2, seed=1, restarts=3)
+    model = kmeans_fit(profile_rows(s4_profiles, range(10)), 2, seed=1, restarts=3)
     data = model.to_json_dict()
     assert data["k"] == 2
     assert len(data["centroids"]) == 2
@@ -233,7 +233,7 @@ def test_select_k_never_gives_an_outlier_its_own_cluster():
     from meterwatch.anomaly import anomaly_scores
 
     ranked = anomaly_scores(model, profiles).ranked_days
-    assert ranked[0] == profiles[-1].day
+    assert ranked[0] == profiles.days[-1]
 
 
 def flat_store(days: int = 10) -> TelemetryStore:

@@ -13,7 +13,7 @@ import oracles
 from conftest import profiles_through_store
 from meterwatch.profiles import (
     SLOTS_PER_DAY,
-    DailyProfile,
+    DailyProfiles,
     _fill_gaps,
     build_daily_profiles,
     write_profiles_csv,
@@ -35,16 +35,16 @@ def test_full_day_of_constant_power():
     profiles, excluded = build_daily_profiles(day_samples([400.0] * 96))
     assert excluded == []
     assert len(profiles) == 1
-    profile = profiles[0]
-    assert profile.day.isoformat() == "2024-06-03"
-    assert profile.values == (400.0,) * 96
-    assert profile.completeness == 1.0
+    assert profiles.meter_id == "M1"
+    assert profiles.days == (date(2024, 6, 3),)
+    assert profiles.values.tolist() == [[400.0] * 96]
+    assert profiles.completeness == (1.0,)
 
 
 def test_half_missing_day_is_excluded_with_reason():
     values = [300.0] * 50 + [None] * 46
     profiles, excluded = build_daily_profiles(day_samples(values), min_completeness=0.9)
-    assert profiles == []
+    assert len(profiles) == 0
     assert len(excluded) == 1
     assert "0.52" in excluded[0].reason
 
@@ -54,11 +54,11 @@ def test_small_gaps_are_interpolated_and_edges_held():
     assert len(values) == 96
     profiles, excluded = build_daily_profiles(day_samples(values), min_completeness=0.9)
     assert len(profiles) == 1
-    p = profiles[0].values
+    p = profiles.values[0]
     assert p[0] == 100.0  # edge held from first present slot
     assert p[42] == pytest.approx(200.0)  # linear ramp 100 -> 400
     assert p[43] == pytest.approx(300.0)
-    assert profiles[0].completeness == pytest.approx(93 / 96)
+    assert profiles.completeness[0] == pytest.approx(93 / 96)
 
 
 def test_simulated_month_retains_all_days(s4_month):
@@ -66,14 +66,14 @@ def test_simulated_month_retains_all_days(s4_month):
     assert len(profiles) >= 25
     assert len(profiles) == 30
     assert excluded == []
-    assert all(p.completeness == 1.0 for p in profiles)
+    assert profiles.completeness == (1.0,) * 30
 
 
 def test_day_without_samples_is_excluded_at_any_floor():
     values = [200.0] * 96 + [None] * 96 + [300.0] * 96
     for floor, reason in ((0.0, "no samples"), (0.5, "completeness 0.00 below 0.50")):
         profiles, excluded = build_daily_profiles(day_samples(values), min_completeness=floor)
-        assert [p.day.isoformat() for p in profiles] == ["2024-06-03", "2024-06-05"]
+        assert profiles.days == (date(2024, 6, 3), date(2024, 6, 5))
         assert [(e.day.isoformat(), e.reason) for e in excluded] == [("2024-06-04", reason)]
 
 
@@ -82,24 +82,30 @@ def test_dst_transition_day_is_excluded():
     start = datetime(2024, 10, 26, 22, 0, tzinfo=timezone.utc)
     samples = day_samples([100.0] * 100, start=start)
     profiles, excluded = build_daily_profiles(samples)
-    assert profiles == []
+    assert len(profiles) == 0
     assert len(excluded) == 1
     assert excluded[0].day.isoformat() == "2024-10-27"
     assert "100-slot" in excluded[0].reason
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError):
-        DailyProfile("M1", DAY_START_UTC.date(), (1.0,) * 95, 1.0)
-    for bad in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            DailyProfile("M1", DAY_START_UTC.date(), (bad,) + (1.0,) * 95, 1.0)
+    days = tuple(date(2024, 6, 3) + timedelta(days=i) for i in range(3))
+    DailyProfiles("M1", days, np.ones((3, 96)), (1.0,) * 3)
+    with pytest.raises(ValueError, match="96 values"):
+        DailyProfiles("M1", days, np.ones((3, 95)), (1.0,) * 3)
+    with pytest.raises(ValueError, match="one completeness per day"):
+        DailyProfiles("M1", days, np.ones((3, 96)), (1.0,) * 2)
+    for bad in (-1.0, float("nan"), float("inf"), float("-inf")):
+        values = np.ones((3, 96))
+        values[1, 40] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            DailyProfiles("M1", days, values, (1.0,) * 3)
 
 
 def test_profiles_csv_has_96_value_columns(s4_month):
     profiles, _, _ = profiles_through_store(s4_month)
     buf = io.StringIO()
-    write_profiles_csv(buf, profiles[:3])
+    write_profiles_csv(buf, oracles.profile_rows(profiles, range(3)))
     lines = buf.getvalue().splitlines()
     header = lines[0].split(",")
     assert header[:3] == ["meter_id", "day", "completeness"]
@@ -161,11 +167,11 @@ def test_profiles_match_the_sample_by_sample_builder(inputs):
     profiles, excluded = build_daily_profiles(series, min_completeness, tz_name)
     expected_profiles, expected_excluded = oracles.build_daily_profiles(list(series), min_completeness, tz_name)
     assert excluded == expected_excluded
-    assert [(p.meter_id, p.day, p.completeness) for p in profiles] == [
+    assert [(profiles.meter_id, day, c) for day, c in zip(profiles.days, profiles.completeness)] == [
         (p.meter_id, p.day, p.completeness) for p in expected_profiles
     ]
-    for profile, expected in zip(profiles, expected_profiles):
-        assert [v.hex() for v in profile.values] == [float(v).hex() for v in expected.values]
+    for row, expected in zip(profiles.values.tolist(), expected_profiles):
+        assert [v.hex() for v in row] == [float(v).hex() for v in expected.values]
 
 
 @st.composite

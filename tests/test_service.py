@@ -14,6 +14,7 @@ import pytest
 from conftest import START
 from meterwatch.personas import build_persona
 from meterwatch.pipeline import AnalysisConfig, analyze_meter, canonical_json
+from meterwatch.protocol import POSITIVE_ACTIVE_ENERGY
 from meterwatch.service import MAX_BODY_BYTES, make_server
 from meterwatch.simulator import simulate_period
 from meterwatch.store import TelemetryStore, parse_rfc3339, reading_to_record
@@ -73,7 +74,7 @@ def test_power_endpoint_matches_the_library(server):
     for start, end in windows:
         status, body = get(base, "/v1/meters/S4/power?from={}&to={}".format(start, end))
         assert status == 200
-        samples = store.mean_power_series("S4", AnalysisConfig().register, parse_rfc3339(start), parse_rfc3339(end))
+        samples = store.mean_power_series("S4", POSITIVE_ACTIVE_ENERGY, parse_rfc3339(start), parse_rfc3339(end))
         assert [parse_rfc3339(s["slot_start"]) for s in body] == [s.slot_start for s in samples]
         assert [s["mean_power_w"] for s in body] == [s.mean_power_w for s in samples]
         assert [s["quality"] for s in body] == [s.quality for s in samples]
@@ -186,6 +187,7 @@ def test_malformed_record_is_400(server):
         (b'{"meter_id": "X", "timestamp": "2024-06-03T00:00:00Z", "obis": "1.8.0", "value_kwh": "abc"}', {}),
         (b'{"meter_id": "X", "timestamp": "2024-06-03T00:00:00Z", "obis": "1.8.0", "value_kwh": "Infinity"}', {}),
         (b'{"meter_id": "X", "timestamp": "2024-06-03T00:00:00Z", "obis": "1.8.0", "value_kwh": "1.0005"}', {}),
+        (b"[" * 100000, {}),
     ],
     ids=[
         "not-an-object",
@@ -195,6 +197,7 @@ def test_malformed_record_is_400(server):
         "value-not-a-number",
         "value-infinite",
         "value-finer-than-a-wh",
+        "nested-too-deep",
     ],
 )
 def test_unreadable_post_body_is_400_json(server, body, headers):
@@ -228,7 +231,7 @@ def test_sub_second_timestamp_is_400_and_the_store_reopens(tmp_path):
     finally:
         srv.shutdown()
         srv.server_close()
-    [reading] = TelemetryStore(path).readings("M1", AnalysisConfig().register)
+    [reading] = TelemetryStore(path).readings("M1", POSITIVE_ACTIVE_ENERGY)
     assert reading.timestamp == parse_rfc3339("2024-06-03T12:00:00Z")
 
 

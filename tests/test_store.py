@@ -458,7 +458,8 @@ def test_unparsable_interior_line_names_its_line(tmp_path):
     lines = path.read_bytes().splitlines(keepends=True)
     finer_than_a_wh = b'{"meter_id": "M1", "obis": "1.8.0", "timestamp": "2024-06-03T12:07:00Z", "value_kwh": "1.0005"}\n'
     sub_second = b'{"meter_id": "M1", "obis": "1.8.0", "timestamp": "2024-06-03T12:07:00.5Z", "value_kwh": "1.050"}\n'
-    for bad in (b'{"meter_id": "M1", "timest\n', b'{"meter_id": "M1"}\n', finer_than_a_wh, sub_second):
+    nested_too_deep = b"[" * 100000 + b"\n"
+    for bad in (b'{"meter_id": "M1", "timest\n', b'{"meter_id": "M1"}\n', finer_than_a_wh, sub_second, nested_too_deep):
         path.write_bytes(lines[0] + bad + lines[1])
         with pytest.raises(StoreLogError, match="line 2") as err:
             TelemetryStore(path)

@@ -12,11 +12,15 @@ script runs:
     meterwatch casestudy --out casestudy
     meterwatch analyze sim/S1_readings.csv ... sim/S4_readings.csv --out knee
     meterwatch analyze sim/S1_readings.csv ... sim/S4_readings.csv --k 3 --out k3
+    meterwatch analyze sim/S3_readings.csv --top-n 1 --out s3_top1
+    meterwatch analyze sim/S1_readings.csv ... sim/S4_readings.csv --top-n 6 --out knee_top6
     meterwatch ingest sim/S1_readings.csv ... sim/S4_readings.csv --store store
     meterwatch ingest sim/S1_readings.csv ... sim/S4_readings.csv --store store
 
 The second ingest is a no-op re-ingest, so the persisted
 ``store/readings.ndjson`` and the stats both ingests print are compared.
+The ``--top-n`` runs put one-panel and six-panel anomaly charts, and a
+one-panel user means chart, under the comparison.
 
 The simulated readings all sit on the 15-minute grid with none missing,
 so the script then writes a "gappy" copy of them (``write_gappy``: seeded
@@ -69,6 +73,8 @@ COMMANDS = [
     ("casestudy", ["casestudy", "--out", "casestudy"]),
     ("knee", ["analyze", *READINGS, "--out", "knee"]),
     ("k3", ["analyze", *READINGS, "--k", "3", "--out", "k3"]),
+    ("s3_top1", ["analyze", READINGS[2], "--top-n", "1", "--out", "s3_top1"]),
+    ("knee_top6", ["analyze", *READINGS, "--top-n", "6", "--out", "knee_top6"]),
     ("ingest", ["ingest", *READINGS, "--store", "store"]),
     ("reingest", ["ingest", *READINGS, "--store", "store"]),
 ]
