@@ -11,7 +11,9 @@ come from a JSON config file (``--config``); explicit flags win.
 
 from __future__ import annotations
 
+import io
 import json
+import os
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -19,6 +21,7 @@ import click
 
 from . import __version__
 from .charts import anomaly_chart, cluster_chart, user_means_chart
+from .clustering import K_MAX
 from .personas import PERSONA_IDS, build_persona
 from .pipeline import (
     AnalysisConfig,
@@ -28,7 +31,7 @@ from .pipeline import (
     analyze_meter,
     canonical_json,
 )
-from .profiles import write_profiles_csv
+from .profiles import regular_days, write_profiles_csv
 from .service import make_server, run_server
 from .simulator import AnomalyScript, SimOutput, simulate_period
 from .store import (
@@ -192,28 +195,25 @@ def _open_store(store_dir: Path) -> TelemetryStore:
     return store
 
 
-def _analysis_outputs(analysis: MeterAnalysis, meter_out: Path, top_n: int) -> None:
-    meter_out.mkdir(parents=True, exist_ok=True)
-    write_profiles_csv(meter_out / "profiles.csv", analysis.profiles)
-    _write_json(meter_out / "cluster_model.json", analysis.model.to_json_dict())
-    _write_json(meter_out / "cluster_summary.json", analysis.summary.to_json_dict())
+def _analysis_outputs(analysis: MeterAnalysis, top_n: int) -> dict[str, str]:
+    """The text of each file written for one meter, by file name."""
+    profiles_csv = io.StringIO()
+    write_profiles_csv(profiles_csv, analysis.profiles)
+    files = {
+        "profiles.csv": profiles_csv.getvalue(),
+        "cluster_model.json": _json_text(analysis.model.to_json_dict()),
+        "cluster_summary.json": _json_text(analysis.summary.to_json_dict()),
+    }
     if analysis.selection is not None:
-        _write_json(meter_out / "k_selection.json", analysis.selection.to_json_dict())
-    _write_json(meter_out / "anomaly_report.json", analysis.report.to_json_dict())
+        files["k_selection.json"] = _json_text(analysis.selection.to_json_dict())
+    files["anomaly_report.json"] = _json_text(analysis.report.to_json_dict())
     if analysis.excluded:
-        _write_json(
-            meter_out / "excluded_days.json",
-            [
-                {"day": e.day.isoformat(), "reason": e.reason}
-                for e in analysis.excluded
-            ],
+        files["excluded_days.json"] = _json_text(
+            [{"day": e.day.isoformat(), "reason": e.reason} for e in analysis.excluded]
         )
-    (meter_out / "clusters.svg").write_text(
-        cluster_chart(analysis.profiles, analysis.model), encoding="utf-8"
-    )
-    (meter_out / "anomalies.svg").write_text(
-        _anomaly_overlay(analysis, top_n), encoding="utf-8"
-    )
+    files["clusters.svg"] = cluster_chart(analysis.profiles, analysis.model)
+    files["anomalies.svg"] = _anomaly_overlay(analysis, top_n)
+    return files
 
 
 def _anomaly_overlay(analysis: MeterAnalysis, top_n: int) -> str:
@@ -226,22 +226,80 @@ def _anomaly_overlay(analysis: MeterAnalysis, top_n: int) -> str:
     return anomaly_chart(panels)
 
 
-def _write_json(path: Path, data) -> None:
-    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+def _json_text(data) -> str:
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def _meter_outputs(
+    store: TelemetryStore, config: AnalysisConfig, meter_id: str
+) -> tuple[MeterAnalysis, dict[str, str]] | str:
+    """One meter's analysis and output files, or the message it fails with."""
+    try:
+        analysis = analyze_meter(store, meter_id, config)
+    except (InsufficientDataError, SpanTooLong) as exc:
+        return "meter {}: {}".format(meter_id, exc)
+    return analysis, _analysis_outputs(analysis, config.top_n)
+
+
+# The run's store and config; set only in pool workers, by _init_worker.
+_worker_inputs: tuple[TelemetryStore, AnalysisConfig] | None = None
+
+
+def _init_worker(store: TelemetryStore, config: AnalysisConfig) -> None:
+    global _worker_inputs
+    _worker_inputs = (store, config)
+
+
+def _worker_meter_outputs(meter_id: str) -> tuple[MeterAnalysis, dict[str, str]] | str:
+    return _meter_outputs(*_worker_inputs, meter_id)
 
 
 def _analyze_store(store: TelemetryStore, out: Path, config: AnalysisConfig) -> dict[str, MeterAnalysis]:
+    """Analyse the meters in one worker process per available CPU, up to
+    the meter count (with one, or where the CPUs available to this process
+    cannot be read, in this process), and write each meter's
+    files in meter order. The first meter that fails stops the run, with
+    the files of the meters before it written, as a one-by-one run would.
+
+    Forked workers inherit the store, so its readings are never pickled.
+    """
     meters = store.meters()
     if not meters:
         raise click.ClickException("no readings")
+    # Without sched_getaffinity (macOS, Windows: the latter cannot fork
+    # either), the meters are analysed in this process.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(meters))
+    if workers == 1:
+        return _write_outputs(out, meters, (_meter_outputs(store, config, m) for m in meters))
+    # Imported here: at module level they would add about 1.3 MB to every
+    # command's memory, `serve` included, which never starts a pool.
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=get_context("fork"),
+        initializer=_init_worker,
+        initargs=(store, config),
+    )
+    try:
+        return _write_outputs(out, meters, pool.map(_worker_meter_outputs, meters))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _write_outputs(out: Path, meters: list[str], results) -> dict[str, MeterAnalysis]:
     analyses: dict[str, MeterAnalysis] = {}
-    for meter_id in meters:
-        try:
-            analysis = analyze_meter(store, meter_id, config)
-        except (InsufficientDataError, SpanTooLong) as exc:
-            raise click.ClickException("meter {}: {}".format(meter_id, exc))
+    for meter_id, result in zip(meters, results):
+        if isinstance(result, str):
+            raise click.ClickException(result)
+        analysis, files = result
+        meter_out = out / meter_id
+        meter_out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (meter_out / name).write_text(text, encoding="utf-8")
         analyses[meter_id] = analysis
-        _analysis_outputs(analysis, out / meter_id, config.top_n)
     chart = user_means_chart(
         {m: [list(row) for row in a.summary.centroids] for m, a in analyses.items()}
     )
@@ -319,7 +377,7 @@ def serve(store_dir, host, port, seed, verbose) -> None:
 
 @main.command()
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
-@click.option("--days", type=click.IntRange(min=1), default=DEFAULT_DAYS, show_default=True)
+@click.option("--days", type=click.IntRange(min=K_MAX), default=DEFAULT_DAYS, show_default=True)
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 @click.option("--start", "start_text", default=DEFAULT_START, show_default=True)
 def casestudy(out_dir, days, seed, start_text) -> None:
@@ -328,6 +386,10 @@ def casestudy(out_dir, days, seed, start_text) -> None:
         start = date.fromisoformat(start_text)
     except ValueError as exc:
         raise _usage_error("--start", start_text, exc)
+    usable = regular_days(start, days)
+    if usable < K_MAX:
+        reason = "{} of the days from {} are not DST transition days; scanning k needs {}".format(usable, start, K_MAX)
+        raise _usage_error("--days", str(days), reason)
     out = Path(out_dir)
     sim_dir = out / "simulated"
     sim_dir.mkdir(parents=True, exist_ok=True)

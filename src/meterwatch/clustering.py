@@ -283,7 +283,7 @@ def select_k(
         raise ValueError("need at least {} profiles to scan k=1..{}".format(K_MAX, K_MAX))
     X = profiles.values
     k_values = tuple(range(K_MIN, K_MAX + 1))
-    if _max_pairwise_distance(X) < DEGENERATE_DISTANCE_FLOOR:
+    if _is_degenerate(X):
         model = kmeans_fit(profiles, K_MIN, seed=seed, restarts=restarts)
         return KSelectionReport(k_values, tuple(0.0 for _ in k_values), K_MIN, model)
 
@@ -302,11 +302,10 @@ def select_k(
     return KSelectionReport(k_values, tuple(inertias), recommended, models[recommended - 1])
 
 
-def _max_pairwise_distance(X: np.ndarray) -> float:
-    if X.shape[0] < 2:
-        return 0.0
-    # One row at a time: an n x 96 temporary instead of n x n x 96.
-    return float(np.sqrt(max(_sq_dists(X[i : i + 1], X).max() for i in range(X.shape[0]))))
+def _is_degenerate(X: np.ndarray) -> bool:
+    """Whether every pairwise distance lies under the floor; one row at a
+    time (an n x 96 temporary), stopping at the first row that proves spread."""
+    return all(np.sqrt(_sq_dists(X[i : i + 1], X).max()) < DEGENERATE_DISTANCE_FLOOR for i in range(X.shape[0]))
 
 
 def mean_cluster_profiles(model: ClusterModel) -> ClusterSummary:

@@ -136,6 +136,13 @@ def _utc_offsets_us(utc_us: np.ndarray, tz: ZoneInfo) -> np.ndarray:
     return offsets
 
 
+def regular_days(start: date, days: int, tz_name: str = DEFAULT_TIMEZONE) -> int:
+    """How many of the ``days`` local days from ``start`` have 96 slots,
+    that is, are not excluded as DST transition days."""
+    tz = ZoneInfo(tz_name)
+    return sum(_slots_in_local_day(start + timedelta(days=i), tz) == SLOTS_PER_DAY for i in range(days))
+
+
 def _slots_in_local_day(day: date, tz: ZoneInfo) -> int:
     # Same-tzinfo subtraction is wall-clock arithmetic; go through UTC so
     # DST transition days really count 92 or 100 slots.

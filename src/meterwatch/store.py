@@ -283,10 +283,12 @@ class TelemetryStore:
 
     def _ingest(self, batch: ReadingColumns, persist: bool) -> StoreStats:
         delta = StoreStats()
+        # Keys in the order of their first fresh reading, which decides the
+        # decrease reported when several keys hold one.
         fresh: dict[tuple[str, str], dict[int, int]] = {}
         for meter_id, register, run_times, run_values in batch.runs:
             key = (meter_id, str(register))
-            pending = fresh.setdefault(key, {})
+            pending = fresh.get(key, {})
             times, values = self._series.get(key, ((), ()))
             for t, v in zip(run_times, run_values):
                 known = pending.get(t)
@@ -301,11 +303,11 @@ class TelemetryStore:
                 else:
                     raise ConflictingDuplicate("{} {} at {}: stored {} vs new {}".format(
                         *key, _to_datetime(t).isoformat(), _to_kwh(known), _to_kwh(v)))
+            if pending:
+                fresh.setdefault(key, pending)
 
         merges = []
         for key, news in fresh.items():
-            if not news:
-                continue
             times, values = self._series.get(key, ((), ()))
             new_times = sorted(news)
             new_values = list(map(news.__getitem__, new_times))

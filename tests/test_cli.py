@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from meterwatch import cli
 from meterwatch.cli import main
 
 
@@ -292,7 +294,15 @@ def test_casestudy_runs_end_to_end(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags, option", [(["--start", "June"], "--start"), (["--days", "0"], "--days")], ids=["start-not-iso", "no-days"]
+    "flags, option",
+    [
+        (["--start", "June"], "--start"),
+        (["--days", "0"], "--days"),
+        (["--days", "5"], "--days"),
+        # 2024-10-27 has 100 slots in the default zone and is excluded.
+        (["--days", "6", "--start", "2024-10-25"], "--days"),
+    ],
+    ids=["start-not-iso", "no-days", "fewer-days-than-the-scan", "dst-day-leaves-too-few"],
 )
 def test_casestudy_bad_option_is_a_usage_error(runner, tmp_path, flags, option):
     result = runner.invoke(main, ["casestudy", *flags, "--out", str(tmp_path / "case")])
@@ -300,6 +310,90 @@ def test_casestudy_bad_option_is_a_usage_error(runner, tmp_path, flags, option):
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output and option in result.output
     assert not (tmp_path / "case").exists()
+
+
+def tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """A setter of the CPUs ``analyze`` sees; it returns the list that
+    records the worker count of each pool started after the call."""
+    pools = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    def recording_pool(workers, **kwargs):
+        pools.append(workers)
+        return real_pool(workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+
+    def set_cpus(ids):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(ids))
+        pools.clear()
+        return pools
+
+    return set_cpus
+
+
+@pytest.fixture(scope="module")
+def sims(tmp_path_factory):
+    """Eight days of S1, S3 and S4 and three days of S2."""
+    out = tmp_path_factory.mktemp("sims")
+    runner = CliRunner()
+    for persona, days in (("S1", "8"), ("S2", "3"), ("S3", "8"), ("S4", "8")):
+        args = ["simulate", "--persona", persona, "--days", days, "--seed", "5", "--out", str(out)]
+        assert runner.invoke(main, args).exit_code == 0
+    return out
+
+
+# CPUs seen, and the worker counts of the pools started: none on one CPU.
+WORKERS = [({0}, []), ({0, 1}, [2])]
+
+
+def test_analyze_writes_the_same_tree_with_one_worker_and_with_two(runner, tmp_path, sims, cpus):
+    csv_files = [str(sims / "{}_readings.csv".format(p)) for p in ("S1", "S3", "S4")]
+    runs = []
+    for cpu_ids, pools in WORKERS:
+        started = cpus(cpu_ids)
+        out = tmp_path / "cpus{}".format(len(cpu_ids))
+        result = runner.invoke(main, ["analyze", *csv_files, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert started == pools
+        runs.append((result.output, tree(out)))
+    assert "user_means.svg" in runs[0][1] and "S4/anomalies.svg" in runs[0][1]
+    assert runs[0] == runs[1]
+
+
+def test_analyze_runs_in_process_where_the_cpus_cannot_be_read(runner, tmp_path, sims, cpus, monkeypatch):
+    csv_files = [str(sims / "{}_readings.csv".format(p)) for p in ("S1", "S3")]
+    cpus({0, 1})
+    pooled = runner.invoke(main, ["analyze", *csv_files, "--out", str(tmp_path / "pooled")])
+    started = cpus(())
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    alone = runner.invoke(main, ["analyze", *csv_files, "--out", str(tmp_path / "alone")])
+    assert pooled.exit_code == alone.exit_code == 0, alone.output
+    assert started == []
+    assert (pooled.output, tree(tmp_path / "pooled")) == (alone.output, tree(tmp_path / "alone"))
+
+
+@pytest.mark.parametrize("cpu_ids, pools", WORKERS, ids=["one-cpu", "two-cpus"])
+def test_analyze_stops_at_the_first_failing_meter(runner, tmp_path, sims, cpus, cpu_ids, pools):
+    """S2 holds three days, too few to scan k: S1's files are written as in
+    a run without S2, and no file of S2 or of S3 after it."""
+    csv_files = [str(sims / "{}_readings.csv".format(p)) for p in ("S1", "S2", "S3")]
+    started = cpus(cpu_ids)
+    result = runner.invoke(main, ["analyze", *csv_files, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "meter S2: 3 profile(s) available; scanning k=1..6 needs at least 6" in result.output
+    assert started == pools
+    cpus({0})
+    alone = runner.invoke(main, ["analyze", csv_files[0], "--out", str(tmp_path / "alone")])
+    assert alone.exit_code == 0, alone.output
+    s1_files = {name: data for name, data in tree(tmp_path / "alone").items() if name.startswith("S1/")}
+    assert tree(tmp_path / "out") == s1_files
 
 
 def test_store_directory_comes_from_the_environment(runner, tmp_path):

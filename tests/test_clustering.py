@@ -323,10 +323,24 @@ def test_lloyd_matches_the_tolerance_loop(case, scale, seed):
     assert got[2:] == want[2:]
 
 
-def test_max_pairwise_distance_matches_the_full_matrix():
-    rng = np.random.default_rng(31)
-    for n in (1, 2, 7, 40):
-        X = rng.uniform(0, 500, size=(n, 96))
-        assert clustering._max_pairwise_distance(X) == float(np.sqrt(clustering._sq_dists(X, X).max()))
-    identical = np.full((12, 96), 7.25)
-    assert clustering._max_pairwise_distance(identical) < clustering.DEGENERATE_DISTANCE_FLOOR
+def full_matrix_is_degenerate(X):
+    return bool(np.sqrt(clustering._sq_dists(X, X).max()) < clustering.DEGENERATE_DISTANCE_FLOOR)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.sampled_from([1.0, 2.4e-7, 1e-9]), st.integers(0, 2**32 - 1))
+def test_degenerate_check_matches_the_full_matrix(n, spread, seed):
+    """Slots spread by 2.4e-7 put the largest distance near the 1e-6 floor,
+    on either side of it."""
+    X = 7.25 + np.random.default_rng(seed).uniform(0, spread, size=(n, 96))
+    assert clustering._is_degenerate(X) == full_matrix_is_degenerate(X)
+
+
+def test_degenerate_check_looks_past_a_central_first_row():
+    """Row 0 lies within the floor of every row, rows 1 and 2 lie 1.2e-6 apart."""
+    X = np.full((8, 96), 7.25)
+    X[1, 0] += 6e-7
+    X[2, 0] -= 6e-7
+    assert not full_matrix_is_degenerate(X)
+    assert not clustering._is_degenerate(X)
+    assert clustering._is_degenerate(np.full((12, 96), 7.25))

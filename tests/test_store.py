@@ -215,6 +215,17 @@ GRID_WINDOWS = [
 @settings(max_examples=300, deadline=None)
 @given(reading_batches())
 @example([[MeterReading("A", T0 + timedelta(seconds=s), OBIS_180, Decimal(v)) for s, v in ((-60, "1"), (60, "2"))]])
+# A's first reading in the second batch is a duplicate, so B's decrease is
+# the first one met among fresh readings and is the one reported.
+@example([
+    [MeterReading("A", T0, OBIS_180, Decimal("0.005"))],
+    [
+        MeterReading("A", T0, OBIS_180, Decimal("0.005")),
+        MeterReading("B", T0, OBIS_180, Decimal("0.005")),
+        MeterReading("B", T0 + timedelta(minutes=15), OBIS_180, Decimal("0.001")),
+        MeterReading("A", T0 + timedelta(minutes=15), OBIS_180, Decimal("0.001")),
+    ],
+])
 def test_store_matches_the_dict_and_sort_oracle(batches):
     store, oracle = TelemetryStore(), DictStore()
     for batch in batches:

@@ -43,6 +43,12 @@ columns, and runs
 
     meterwatch analyze noncanonical/S1_readings.csv ... --out noncanonical_knee
 
+and, on a copy of S2's first three days (``write_short``), one command
+that fails at its second meter, so its exit code, message and the files
+it leaves (S1's only) are compared as well:
+
+    meterwatch analyze sim/S1_readings.csv short/S2_readings.csv sim/S3_readings.csv sim/S4_readings.csv --out short_s2
+
 Each command's stdout, stderr and exit code are saved beside its outputs.
 The two directories are then compared file by file; every file that
 differs or exists on one side only is printed.  Exit code 0 means the
@@ -79,11 +85,13 @@ COMMANDS = [
     ("reingest", ["ingest", *READINGS, "--store", "store"]),
 ]
 NONCANONICAL = ["noncanonical/{}_readings.csv".format(p) for p in PERSONAS]
-GAPPY_COMMANDS = [
+SHORT_DAYS = 3
+DERIVED_COMMANDS = [
     ("gappy_knee", ["analyze", *GAPPY, "--out", "gappy_knee"]),
     ("gappy_k3", ["analyze", *GAPPY, "--k", "3", "--out", "gappy_k3"]),
     ("gappy_all", ["analyze", *GAPPY, "--min-completeness", "0", "--out", "gappy_all"]),
     ("noncanonical_knee", ["analyze", *NONCANONICAL, "--out", "noncanonical_knee"]),
+    ("short_s2", ["analyze", READINGS[0], "short/S2_readings.csv", *READINGS[2:], "--out", "short_s2"]),
 ]
 # Runs of readings cut out, as (first row, rows): 3 h leaves the day below
 # the 0.9 completeness floor, 1.5 h leaves it above (its slots are filled).
@@ -143,6 +151,15 @@ def write_noncanonical(sim_dir: Path, out_dir: Path) -> None:
                 fh.write(",".join([meter_text, timestamp, obis, value.rstrip("0").rstrip(".")]) + "\r\n")
 
 
+def write_short(sim_dir: Path, out_dir: Path) -> None:
+    """Copy S2's simulated readings for its first ``SHORT_DAYS`` days only,
+    too few daily profiles for the k scan."""
+    out_dir.mkdir()
+    with open(sim_dir / "S2_readings.csv", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    (out_dir / "S2_readings.csv").write_text("".join(lines[: 1 + 96 * SHORT_DAYS]), encoding="utf-8")
+
+
 def run_commands(commands, side_dir: Path, env: dict) -> None:
     for name, args in commands:
         print("{}: meterwatch {}".format(side_dir.name, " ".join(args)), flush=True)
@@ -163,7 +180,8 @@ def run_side(src: Path, side_dir: Path) -> None:
     run_commands(COMMANDS, side_dir, env)
     write_gappy(side_dir / "sim", side_dir / "gappy")
     write_noncanonical(side_dir / "sim", side_dir / "noncanonical")
-    run_commands(GAPPY_COMMANDS, side_dir, env)
+    write_short(side_dir / "sim", side_dir / "short")
+    run_commands(DERIVED_COMMANDS, side_dir, env)
 
 
 def relative_files(root: Path) -> set[str]:
