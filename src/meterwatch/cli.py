@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import json
 import os
+from contextlib import contextmanager
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -35,7 +36,6 @@ from .profiles import regular_days, write_profiles_csv
 from .service import make_server, run_server
 from .simulator import AnomalyScript, SimOutput, simulate_period
 from .store import (
-    ReadingsCsvError,
     SpanTooLong,
     StoreError,
     StoreStats,
@@ -43,6 +43,11 @@ from .store import (
     read_readings_csv,
     write_readings_csv,
 )
+
+try:
+    import fcntl
+except ImportError:  # not POSIX (Windows): store writers are not locked out
+    fcntl = None
 
 DEFAULT_START = "2024-06-03"
 DEFAULT_DAYS = 30
@@ -175,24 +180,42 @@ def ingest(csv_files, store_dir) -> None:
     store_path.mkdir(parents=True, exist_ok=True)
     total = StoreStats()
     try:
-        store = _open_store(store_path)
-        for csv_file in csv_files:
-            total.add(store.ingest(read_readings_csv(csv_file)))
-    except (ReadingsCsvError, StoreError) as exc:
+        with _open_store(store_path) as store:
+            for csv_file in csv_files:
+                total.add(store.ingest(read_readings_csv(csv_file)))
+    except StoreError as exc:
         raise click.ClickException(str(exc))
     click.echo(canonical_json(total.to_json_dict()))
 
 
-def _open_store(store_dir: Path) -> TelemetryStore:
-    store = TelemetryStore(store_dir / STORE_FILENAME)
-    if store.dropped_tail_bytes:
-        click.echo(
-            "dropped {} byte(s) of a torn final record from {}".format(
-                store.dropped_tail_bytes, store_dir / STORE_FILENAME
-            ),
-            err=True,
-        )
-    return store
+@contextmanager
+def _open_store(store_dir: Path):
+    """The store in ``store_dir``, written by this process alone until the block ends.
+
+    An exclusive, non-blocking ``flock`` on the directory itself, held by
+    ``serve`` and ``ingest``, makes a second writer fail with a
+    ``StoreError`` before it reads or appends to the log.  The lock goes
+    with the descriptor.  Without ``fcntl`` (not POSIX) nothing is locked.
+    """
+    fd = os.open(store_dir, os.O_RDONLY) if fcntl is not None else None
+    try:
+        if fd is not None:
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise StoreError("store {} is in use by another meterwatch serve or ingest".format(store_dir)) from None
+        store = TelemetryStore(store_dir / STORE_FILENAME)
+        if store.dropped_tail_bytes:
+            click.echo(
+                "dropped {} byte(s) of a torn final record from {}".format(
+                    store.dropped_tail_bytes, store_dir / STORE_FILENAME
+                ),
+                err=True,
+            )
+        yield store
+    finally:
+        if fd is not None:
+            os.close(fd)
 
 
 def _analysis_outputs(analysis: MeterAnalysis, top_n: int) -> dict[str, str]:
@@ -331,7 +354,7 @@ def analyze(csv_files, out_dir, seed, restarts, min_completeness, top_n, k, conf
     try:
         for csv_file in csv_files:
             store.ingest(read_readings_csv(csv_file))
-    except (ReadingsCsvError, StoreError) as exc:
+    except StoreError as exc:
         raise click.ClickException(str(exc))
 
     out = Path(out_dir)
@@ -363,16 +386,15 @@ def analyze(csv_files, out_dir, seed, restarts, min_completeness, top_n, k, conf
 def serve(store_dir, host, port, seed, verbose) -> None:
     """Serve ingestion and analysis endpoints over HTTP."""
     try:
-        store = _open_store(Path(store_dir))
+        with _open_store(Path(store_dir)) as store:
+            try:
+                server = make_server(store, AnalysisConfig(seed=seed), host=host, port=port, verbose=verbose)
+            except OSError as exc:
+                raise click.ClickException("cannot bind {}:{}: {}".format(host, port, exc))
+            click.echo("serving on http://{}:{}".format(host, port))
+            run_server(server)
     except StoreError as exc:
         raise click.ClickException(str(exc))
-    config = AnalysisConfig(seed=seed)
-    try:
-        server = make_server(store, config, host=host, port=port, verbose=verbose)
-    except OSError as exc:
-        raise click.ClickException("cannot bind {}:{}: {}".format(host, port, exc))
-    click.echo("serving on http://{}:{}".format(host, port))
-    run_server(server)
 
 
 @main.command()

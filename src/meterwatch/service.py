@@ -2,8 +2,8 @@
 
 Endpoints:
 
-* ``POST /v1/readings`` - newline-delimited JSON reading records
-  (``meter_id``, ``timestamp``, ``obis``, ``value_kwh``); responds with
+* ``POST /v1/readings`` - newline-delimited JSON reading records, read
+  by ``store.read_readings_ndjson`` as the store's log is; responds with
   the ingestion stats delta.
 * ``GET /v1/meters/{id}/power?from=...&to=...`` - 15-minute mean-power
   samples (RFC 3339 bounds; defaults to the meter's full span; at most
@@ -18,11 +18,10 @@ All logic lives in the library; handlers only translate HTTP.  An
 
 from __future__ import annotations
 
-import json
+import io
 import re
 import signal
 import threading
-from decimal import InvalidOperation
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -31,21 +30,26 @@ from .protocol import POSITIVE_ACTIVE_ENERGY
 from .store import (
     ConflictingDuplicate,
     NonMonotonicRegister,
+    ReadingsFormatError,
     SpanTooLong,
     TelemetryStore,
     parse_rfc3339,
-    reading_from_record,
+    read_readings_ndjson,
     rfc3339,
 )
 
 # Largest accepted POST body: about ten meter-years of NDJSON records.
 MAX_BODY_BYTES = 32 * 2**20
+# Seconds one socket read or write may wait before the connection is
+# closed: an idle keep-alive connection, or a request that stalls.
+IDLE_TIMEOUT_S = 60
 _POWER_RE = re.compile(r"^/v1/meters/([^/]+)/power$")
 _ANOMALIES_RE = re.compile(r"^/v1/meters/([^/]+)/anomalies$")
 
 
 class MeterServiceHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    timeout = IDLE_TIMEOUT_S
 
     @property
     def store(self) -> TelemetryStore:
@@ -90,12 +94,8 @@ class MeterServiceHandler(BaseHTTPRequestHandler):
             self._send_error(413, "body over {} bytes".format(MAX_BODY_BYTES))
             return
         try:
-            readings = [
-                reading_from_record(json.loads(line))
-                for line in self.rfile.read(int(length)).decode("utf-8").splitlines()
-                if line.strip()
-            ]
-        except (ValueError, KeyError, TypeError, InvalidOperation, RecursionError) as exc:
+            readings = read_readings_ndjson(io.BytesIO(self.rfile.read(int(length))))
+        except ReadingsFormatError as exc:
             self._send_error(400, "bad reading record: {}".format(exc))
             return
         try:

@@ -28,7 +28,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal, InvalidOperation
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, takewhile
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -82,8 +82,8 @@ class SpanTooLong(StoreError):
     """A grid read would cover more than ``MAX_GRID_SLOTS`` slots."""
 
 
-class ReadingsCsvError(StoreError):
-    """A readings CSV file violates the expected format."""
+class ReadingsFormatError(StoreError):
+    """A readings CSV file or NDJSON record violates the expected format."""
 
     def __init__(self, line_number: int, reason: str):
         super().__init__("line {}: {}".format(line_number, reason))
@@ -240,20 +240,20 @@ class TelemetryStore:
             self._replay(self._path)
 
     def _replay(self, path: Path) -> None:
-        readings = ReadingColumns()
         committed = 0  # bytes up to and including the last newline
-        with open(path, "rb") as fh:
-            for line_number, line in enumerate(fh, start=1):
-                if not line.endswith(b"\n"):
-                    break
+
+        def committed_lines(fh):
+            nonlocal committed
+            for line in takewhile(lambda line: line.endswith(b"\n"), fh):
                 committed += len(line)
-                if line.strip():
-                    try:
-                        readings.add(reading_from_record(json.loads(line.decode("utf-8"))))
-                    except (ValueError, KeyError, TypeError, InvalidOperation, RecursionError) as exc:
-                        raise StoreLogError(path, line_number, str(exc)) from exc
-        if readings:
-            self._ingest(readings, persist=False)
+                yield line
+
+        with open(path, "rb") as fh:
+            try:
+                readings = read_readings_ndjson(committed_lines(fh))
+            except ReadingsFormatError as exc:
+                raise StoreLogError(path, exc.line_number, exc.reason) from exc
+        self._ingest(readings, persist=False)
         torn = path.stat().st_size - committed
         if torn:
             with open(path, "r+b") as fh:
@@ -353,11 +353,6 @@ class TelemetryStore:
         with self._lock:
             times = self._series.get((meter_id, str(register)), ((),))[0]
             return (_to_datetime(times[0]), _to_datetime(times[-1])) if times else None
-
-    def snapshot(self) -> dict[tuple[str, str], dict[datetime, Decimal]]:
-        """Deep copy of the index, for state-equality checks."""
-        with self._lock:
-            return {key: dict(zip(map(_to_datetime, t), map(_to_kwh, v))) for key, (t, v) in self._series.items()}
 
     # -- derivation ---------------------------------------------------------
 
@@ -496,7 +491,8 @@ def _ndjson_records(merges: list[tuple[tuple[str, str], list[int], list[int], li
     lines = []
     for (meter_id, obis), _, new_times, new_values in sorted(merges, key=lambda merge: merge[0]):
         for us, wh in zip(new_times, new_values):
-            lines.append(json.dumps(_record(meter_id, us, obis, wh), sort_keys=True) + "\n")
+            record = dict(zip(CSV_HEADER, (meter_id, rfc3339(_to_datetime(us)), obis, str(_to_kwh(wh)))))
+            lines.append(json.dumps(record, sort_keys=True) + "\n")
     return "".join(lines).encode("utf-8")
 
 
@@ -520,18 +516,27 @@ def parse_rfc3339(text: str) -> datetime:
         raise ValueError("timestamp {!r} lies outside the years 1-9999 in UTC".format(text)) from exc
 
 
-def _record(meter_id: str, us: int, obis: str, wh: int) -> dict:
-    """A reading as the four text fields of the log and HTTP records."""
-    return {"meter_id": meter_id, "timestamp": rfc3339(_to_datetime(us)), "obis": obis, "value_kwh": str(_to_kwh(wh))}
+def _reading(meter_id: str, timestamp: str, obis: str, value_kwh: str) -> MeterReading:
+    """A reading from the text fields of a CSV row or NDJSON record."""
+    return MeterReading(meter_id, parse_rfc3339(timestamp), ObisCode.parse(obis), Decimal(value_kwh))
 
 
-def reading_to_record(reading: MeterReading) -> dict:
-    return _record(reading.meter_id, _to_us(reading.timestamp), str(reading.register), int(reading.value_kwh.scaleb(3)))
+def read_readings_ndjson(lines: Iterable[bytes]) -> ReadingColumns:
+    """Columns of newline-delimited JSON reading records, one per line.
 
-
-def reading_from_record(record: dict) -> MeterReading:
-    meter_id, timestamp, obis, value = (str(record[key]) for key in ("meter_id", "timestamp", "obis", "value_kwh"))
-    return MeterReading(meter_id, parse_rfc3339(timestamp), ObisCode.parse(obis), Decimal(value))
+    ``lines`` yields lines framed by ``b"\\n"`` alone, as a binary file or
+    ``io.BytesIO`` does; a ``\\r`` before the newline is JSON whitespace,
+    and blank lines are skipped.  Raises ``ReadingsFormatError`` naming the line.
+    """
+    columns = ReadingColumns()
+    for line_number, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                record = json.loads(line.decode("utf-8"))
+                columns.add(_reading(*(str(record[key]) for key in CSV_HEADER)))
+            except (ValueError, KeyError, TypeError, InvalidOperation, RecursionError) as exc:
+                raise ReadingsFormatError(line_number, str(exc)) from exc
+    return columns
 
 
 def write_readings_csv(target: str | Path | TextIO, readings: Iterable[MeterReading]) -> None:
@@ -557,7 +562,7 @@ def read_readings_csv(source: str | Path | TextIO) -> ReadingColumns:
     ends) are parsed as whole columns; any other file row by row.
 
     Raises:
-        ReadingsCsvError: missing/invalid header or an unparsable row.
+        ReadingsFormatError: missing/invalid header or an unparsable row.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
@@ -624,17 +629,17 @@ def _read_csv_rows(fh: TextIO) -> ReadingColumns:
     try:
         header = next(reader)
     except StopIteration:
-        raise ReadingsCsvError(1, "empty file; expected header {}".format(",".join(CSV_HEADER)))
+        raise ReadingsFormatError(1, "empty file; expected header {}".format(",".join(CSV_HEADER)))
     if [h.strip() for h in header] != CSV_HEADER:
-        raise ReadingsCsvError(1, "bad header {!r}; expected {}".format(",".join(header), ",".join(CSV_HEADER)))
+        raise ReadingsFormatError(1, "bad header {!r}; expected {}".format(",".join(header), ",".join(CSV_HEADER)))
     readings = ReadingColumns()
     for line_number, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != 4:
-            raise ReadingsCsvError(line_number, "expected 4 columns, got {}".format(len(row)))
+            raise ReadingsFormatError(line_number, "expected 4 columns, got {}".format(len(row)))
         try:
-            readings.add(MeterReading(row[0], parse_rfc3339(row[1]), ObisCode.parse(row[2]), Decimal(row[3])))
+            readings.add(_reading(*row))
         except (ValueError, InvalidOperation) as exc:
-            raise ReadingsCsvError(line_number, str(exc)) from exc
+            raise ReadingsFormatError(line_number, str(exc)) from exc
     return readings

@@ -15,16 +15,22 @@ local time and made one ``ProfileDay`` record per day, kept so the array
 version can be compared with it row by row; its ``fill_gaps`` is the
 per-slot loop behind the masked grid fill.  ``lloyd`` is the k-means loop
 that also stopped once no centroid moved by ``tol``, after one more
-assignment pass confirmed the labels.
+assignment pass confirmed the labels.  ``replay_log`` and ``post_readings``
+are the two NDJSON parsers that ``store.read_readings_ndjson`` replaced:
+the store's log replay and the service's ``POST`` body parser, which split
+a decoded body with ``str.splitlines``.  ``reading_to_record`` and
+``snapshot`` are views of a reading and of a store's index that only the
+tests use.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 from functools import reduce
 from math import comb
 from operator import xor
@@ -34,7 +40,7 @@ import numpy as np
 
 from meterwatch.clustering import _assign, _centroids, _inertia, _repair_empty, _sq_dists
 from meterwatch.profiles import SLOTS_PER_DAY, DailyProfiles, ExcludedDay, _slots_in_local_day
-from meterwatch.protocol import REGISTER_MODULUS_KWH
+from meterwatch.protocol import REGISTER_MODULUS_KWH, ObisCode
 from meterwatch.store import (
     MAX_INTERPOLATION_GAP,
     QUALITY_INTERPOLATED,
@@ -46,8 +52,15 @@ from meterwatch.store import (
     MeterReading,
     NonMonotonicRegister,
     PowerSample,
+    ReadingColumns,
+    StoreLogError,
     StoreStats,
+    TelemetryStore,
+    _to_datetime,
+    _to_kwh,
+    parse_rfc3339,
     register_delta_kwh,
+    rfc3339,
 )
 
 
@@ -384,3 +397,52 @@ def fill_gaps(present: dict[int, float]) -> tuple[float, ...]:
             frac = (slot - prev) / (nxt - prev)
             values[slot] = present[prev] + (present[nxt] - present[prev]) * frac
     return tuple(values)
+
+
+# -- NDJSON reading records ----------------------------------------------------
+
+
+def reading_to_record(reading: MeterReading) -> dict:
+    """A reading as the four text fields of a log line or ``POST`` record,
+    its value with three decimals."""
+    value = _to_kwh(int(reading.value_kwh.scaleb(3)))
+    return {"meter_id": reading.meter_id, "timestamp": rfc3339(reading.timestamp), "obis": str(reading.register),
+            "value_kwh": str(value)}
+
+
+def snapshot(store: TelemetryStore) -> dict[tuple[str, str], dict[datetime, Decimal]]:
+    """Deep copy of a store's index, for state-equality checks."""
+    with store._lock:
+        return {key: dict(zip(map(_to_datetime, t), map(_to_kwh, v))) for key, (t, v) in store._series.items()}
+
+
+def reading_from_record(record: dict) -> MeterReading:
+    meter_id, timestamp, obis, value = (str(record[key]) for key in ("meter_id", "timestamp", "obis", "value_kwh"))
+    return MeterReading(meter_id, parse_rfc3339(timestamp), ObisCode.parse(obis), Decimal(value))
+
+
+# What both parsers refused a record for.
+RECORD_ERRORS = (ValueError, KeyError, TypeError, InvalidOperation, RecursionError)
+
+
+def replay_log(path) -> tuple[ReadingColumns, int]:
+    """The log's committed lines as columns, and their bytes; a final line
+    without a newline is not committed.  Raises ``StoreLogError``."""
+    readings = ReadingColumns()
+    committed = 0  # bytes up to and including the last newline
+    with open(path, "rb") as fh:
+        for line_number, line in enumerate(fh, start=1):
+            if not line.endswith(b"\n"):
+                break
+            committed += len(line)
+            if line.strip():
+                try:
+                    readings.add(reading_from_record(json.loads(line.decode("utf-8"))))
+                except RECORD_ERRORS as exc:
+                    raise StoreLogError(path, line_number, str(exc)) from exc
+    return readings, committed
+
+
+def post_readings(body: bytes) -> list[MeterReading]:
+    """A ``POST /v1/readings`` body's readings; raises one of ``RECORD_ERRORS``."""
+    return [reading_from_record(json.loads(line)) for line in body.decode("utf-8").splitlines() if line.strip()]

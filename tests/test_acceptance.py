@@ -32,12 +32,15 @@ from meterwatch.protocol import (
 )
 from meterwatch.service import make_server
 from meterwatch.simulator import AnomalyScript, simulate_period
-from meterwatch.store import (
-    MeterReading,
-    TelemetryStore,
+from meterwatch.store import MeterReading, TelemetryStore
+from oracles import (
+    adjusted_rand_index,
+    exact_min_inertia,
+    profile_rows,
+    profiles_from_matrix,
     reading_to_record,
+    snapshot,
 )
-from oracles import adjusted_rand_index, exact_min_inertia, profile_rows, profiles_from_matrix
 
 from datetime import datetime, timezone
 from decimal import Decimal
@@ -291,11 +294,11 @@ def test_criterion_7_invariant_suites():
         store = TelemetryStore()
         batch = _batch_from(seed, size)
         store.ingest(batch)
-        state = store.snapshot()
+        state = snapshot(store)
         delta = store.ingest(batch)
         assert delta.readings_accepted == 0
         assert delta.duplicates_dropped == size
-        assert store.snapshot() == state
+        assert snapshot(store) == state
 
     @_CASES
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.randoms(use_true_random=False))
@@ -308,7 +311,7 @@ def test_criterion_7_invariant_suites():
         rnd.shuffle(shuffled)
         store_b = TelemetryStore()
         store_b.ingest(shuffled)
-        assert store_a.snapshot() == store_b.snapshot()
+        assert snapshot(store_a) == snapshot(store_b)
 
     @_CASES
     @given(st.integers(0, 2**32 - 1), st.integers(3, 7), st.integers(1, 2))

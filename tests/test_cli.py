@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -248,6 +249,39 @@ def test_store_log_damage_is_reported_not_a_traceback(runner, tmp_path):
         assert result.exit_code == 1, result.output
         assert "line 2" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.skipif(cli.fcntl is None, reason="store locking needs fcntl (POSIX)")
+def test_second_store_writer_exits_1_and_leaves_the_log_unchanged(runner, tmp_path):
+    sims = tmp_path / "sims"
+    runner.invoke(main, ["simulate", "--persona", "S1", "--days", "1", "--seed", "1", "--out", str(sims)])
+    csv_file = str(sims / "S1_readings.csv")
+    other = tmp_path / "other.csv"
+    other.write_text("meter_id,timestamp,obis,value_kwh\nS9,2024-06-03T00:00:00Z,1.8.0,123.000\n", encoding="utf-8")
+    store_dir = tmp_path / "store"
+    assert runner.invoke(main, ["ingest", csv_file, "--store", str(store_dir)]).exit_code == 0
+    log = store_dir / "readings.ndjson"
+    committed = log.read_bytes()
+
+    # A writer such as a running `serve` holds the directory's lock.
+    fd = os.open(store_dir, os.O_RDONLY)
+    try:
+        cli.fcntl.flock(fd, cli.fcntl.LOCK_EX | cli.fcntl.LOCK_NB)
+        writers = (["ingest", str(other), "--store", str(store_dir)], ["serve", "--store", str(store_dir), "--port", "0"])
+        for args in writers:
+            result = runner.invoke(main, args)
+            assert result.exit_code == 1, result.output
+            assert "store {} is in use".format(store_dir) in result.output
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+            assert log.read_bytes() == committed
+    finally:
+        os.close(fd)
+
+    # Each command releases the lock when it ends.
+    for _ in range(2):
+        result = runner.invoke(main, ["ingest", csv_file, "--store", str(store_dir)])
+        assert result.exit_code == 0, result.output
+    assert log.read_bytes() == committed
 
 
 def test_analyze_over_ten_years_names_the_span(runner, tmp_path):

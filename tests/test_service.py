@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -15,9 +17,10 @@ from conftest import START
 from meterwatch.personas import build_persona
 from meterwatch.pipeline import AnalysisConfig, analyze_meter, canonical_json
 from meterwatch.protocol import POSITIVE_ACTIVE_ENERGY
-from meterwatch.service import MAX_BODY_BYTES, make_server
+from meterwatch.service import IDLE_TIMEOUT_S, MAX_BODY_BYTES, MeterServiceHandler, make_server
 from meterwatch.simulator import simulate_period
-from meterwatch.store import TelemetryStore, parse_rfc3339, reading_to_record
+from meterwatch.store import StoreLogError, TelemetryStore, parse_rfc3339
+from oracles import RECORD_ERRORS, post_readings, reading_to_record, snapshot
 
 
 @pytest.fixture()
@@ -328,3 +331,112 @@ def test_busy_port_raises_at_startup():
             make_server(store, AnalysisConfig(), port=first.server_address[1])
     finally:
         first.server_close()
+
+
+def record(index: int, meter: str = "M1") -> bytes:
+    """One reading record as UTF-8 JSON, any line break in ``meter`` kept raw."""
+    fields = {"meter_id": meter, "obis": "1.8.0", "value_kwh": "{}.000".format(index)}
+    fields["timestamp"] = "2024-06-03T{:02d}:00:00Z".format(index)
+    return json.dumps(fields, ensure_ascii=False).encode("utf-8")
+
+
+def post_status(base, body: bytes) -> tuple[int, dict]:
+    try:
+        return post(base, "/v1/readings", body)
+    except urllib.error.HTTPError as err:
+        return err.code, json.loads(err.read().decode())
+
+
+@pytest.mark.parametrize("line_break", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])
+def test_raw_line_break_inside_a_string_is_accepted_as_replay_reads_it(server, tmp_path, line_break):
+    # Only b"\n" ends a record, in a POST body as in the store's log.
+    base, store = server
+    body = record(1, "M" + line_break + "1") + b"\n" + record(2, "M" + line_break + "1")
+    assert post_status(base, body) == (200, {"duplicates_dropped": 0, "out_of_order": 0,
+                                             "readings_accepted": 2, "rollovers_detected": 0})
+    log = tmp_path / "readings.ndjson"
+    log.write_bytes(body + b"\n")
+    assert snapshot(store) == snapshot(TelemetryStore(log))
+    assert store.meters() == ["M" + line_break + "1"]
+
+
+@pytest.mark.parametrize(
+    "separator",
+    ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+    ids=["CR", "VT", "FF", "FS", "GS", "RS", "NEL", "U+2028", "U+2029"],
+)
+def test_records_split_by_another_line_break_are_400(server, separator):
+    base, store = server
+    status, body = post_status(base, record(1) + separator.encode("utf-8") + record(2))
+    assert status == 400
+    assert body["error"].startswith("bad reading record: line 1: ")
+    assert store.meters() == []
+
+
+@pytest.mark.parametrize(
+    "bad, line_number",
+    [
+        (b'{"meter_id": "M1"}', 3),
+        (b"[1, 2]", 3),
+        (record(3).replace(b"3.000", b"abc"), 3),
+        (record(3).replace(b"3.000", b"3.0005"), 3),
+        (record(3).replace(b":00:00Z", b":00:00.5Z"), 3),
+    ],
+    ids=["missing-field", "not-an-object", "value-not-a-number", "value-finer-than-a-wh", "sub-second"],
+)
+def test_400_names_the_line_with_the_old_reason(server, bad, line_number):
+    base, store = server
+    body = record(1) + b"\n\r\n" + bad + b"\n" + record(2) + b"\n"
+    with pytest.raises(RECORD_ERRORS) as old:
+        post_readings(body)
+    assert post_status(base, body) == (400, {"error": "bad reading record: line {}: {}".format(line_number, old.value)})
+    assert store.meters() == []
+
+
+@pytest.mark.parametrize("bad", [b'{"meter_id": "M1", "timest', b'{"meter_id": '], ids=["in-a-string", "at-the-end"])
+def test_400_for_a_record_cut_short_gives_the_log_replay_reason(server, tmp_path, bad):
+    # The JSON position counts the line's newline, as a log line's always did.
+    base, _ = server
+    body = record(1) + b"\n\r\n" + bad + b"\n" + record(2) + b"\n"
+    status, answer = post_status(base, body)
+    assert status == 400 and answer["error"].startswith("bad reading record: line 3: ")
+    reason = answer["error"][len("bad reading record: line 3: "):]
+    log = tmp_path / "readings.ndjson"
+    log.write_bytes(body)
+    with pytest.raises(StoreLogError) as replayed:
+        TelemetryStore(log)
+    assert str(replayed.value) == "{} line 3: {}".format(log, reason)
+
+
+def test_non_utf8_byte_position_counts_from_its_line(server):
+    base, _ = server
+    line = record(2, "M\u00e9").replace("\u00e9".encode("utf-8"), b"\xe9")
+    body = record(1) + b"\n" + line + b"\n"
+    with pytest.raises(UnicodeDecodeError) as in_line:
+        line.decode("utf-8")
+    with pytest.raises(UnicodeDecodeError) as in_body:
+        body.decode("utf-8")
+    assert in_line.value.start == in_body.value.start - len(record(1)) - 1
+    status, answer = post_status(base, body)
+    assert (status, answer["error"]) == (400, "bad reading record: line 2: {}".format(in_line.value))
+
+
+def test_idle_and_stalled_connections_are_closed(server, monkeypatch):
+    base, _ = server
+    assert MeterServiceHandler.timeout == IDLE_TIMEOUT_S > 0
+    monkeypatch.setattr(MeterServiceHandler, "timeout", 0.5)
+    address = urllib.parse.urlsplit(base)
+    idle = socket.create_connection((address.hostname, address.port), timeout=5)
+    stalled = socket.create_connection((address.hostname, address.port), timeout=5)
+    try:
+        stalled.sendall(b"POST /v1/readings HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n0123456789")
+        started = time.monotonic()
+        for sock in (idle, stalled):
+            try:
+                assert sock.recv(1024) == b""  # closed with nothing answered
+            except ConnectionResetError:
+                pass
+        assert time.monotonic() - started < 2
+    finally:
+        idle.close()
+        stalled.close()

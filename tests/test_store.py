@@ -3,8 +3,10 @@ from __future__ import annotations
 import io
 import json
 import shutil
+import tempfile
 from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,13 +25,15 @@ from meterwatch.store import (
     QUALITY_INTERPOLATED,
     QUALITY_MEASURED,
     QUALITY_MISSING,
-    ReadingsCsvError,
+    ReadingColumns,
+    ReadingsFormatError,
     SpanTooLong,
     StoreError,
     StoreLogError,
     TelemetryStore,
     parse_rfc3339,
     read_readings_csv,
+    read_readings_ndjson,
     register_delta_kwh,
     _MISSING,
     _QUALITIES,
@@ -41,7 +45,7 @@ from meterwatch.store import (
     rfc3339,
     write_readings_csv,
 )
-from oracles import DictStore, GridReading, _interpolate
+from oracles import RECORD_ERRORS, DictStore, GridReading, _interpolate, post_readings, replay_log, snapshot
 
 OBIS_180 = ObisCode(1, 8, 0)
 OBIS_280 = ObisCode(2, 8, 0)
@@ -72,21 +76,21 @@ def test_reingesting_a_batch_changes_nothing():
     store = TelemetryStore()
     batch = grid_batch(["1.000", "1.100", "1.250"])
     first = store.ingest(batch)
-    state = store.snapshot()
+    state = snapshot(store)
     second = store.ingest(batch)
     assert first.readings_accepted == 3
     assert second.readings_accepted == 0
     assert second.duplicates_dropped == len(batch)
-    assert store.snapshot() == state
+    assert snapshot(store) == state
 
 
 def test_conflicting_duplicate_is_rejected_without_commit():
     store = TelemetryStore()
     store.ingest([reading(0, "5.000")])
-    state = store.snapshot()
+    state = snapshot(store)
     with pytest.raises(ConflictingDuplicate):
         store.ingest([reading(15, "5.100"), reading(0, "6.000")])
-    assert store.snapshot() == state
+    assert snapshot(store) == state
 
 
 def test_rollover_is_accepted_and_counted():
@@ -158,7 +162,7 @@ def test_final_state_is_arrival_order_independent(slots, rnd):
     rnd.shuffle(shuffled)
     store_b = TelemetryStore()
     store_b.ingest(shuffled)
-    assert store_a.snapshot() == store_b.snapshot()
+    assert snapshot(store_a) == snapshot(store_b)
 
 
 @st.composite
@@ -236,7 +240,7 @@ def test_store_matches_the_dict_and_sort_oracle(batches):
             except StoreError as exc:
                 outcomes.append((type(exc), str(exc)))
         assert outcomes[0] == outcomes[1]
-    assert store.snapshot() == oracle.snapshot()
+    assert snapshot(store) == oracle.snapshot()
     for meter in ("A", "B", "C"):
         for register in (OBIS_180, OBIS_280):
             assert store.readings(meter, register) == oracle.readings(meter, register)
@@ -430,7 +434,7 @@ def test_store_replays_its_append_log(tmp_path):
     store.ingest(grid_batch(["1.000", "1.100", "999999.999"], meter="A"))
     store.ingest(grid_batch(["7.000", "7.500"], meter="B"))
     reopened = TelemetryStore(path)
-    assert reopened.snapshot() == store.snapshot()
+    assert snapshot(reopened) == snapshot(store)
     assert reopened.meters() == ["A", "B"]
 
 
@@ -439,11 +443,11 @@ def test_failed_append_commits_nothing(tmp_path):
     store_dir.mkdir()
     store = TelemetryStore(store_dir / "readings.ndjson")
     store.ingest([reading(0, "1.000")])
-    state = store.snapshot()
+    state = snapshot(store)
     shutil.rmtree(store_dir)
     with pytest.raises(OSError):
         store.ingest([reading(15, "1.100")])
-    assert store.snapshot() == state
+    assert snapshot(store) == state
     store_dir.mkdir()
     assert store.ingest([reading(15, "1.100")]).readings_accepted == 1
     assert TelemetryStore(store_dir / "readings.ndjson").readings("M1", OBIS_180) == [reading(15, "1.100")]
@@ -458,7 +462,7 @@ def test_torn_final_record_is_cut_and_reported(tmp_path):
     path.write_bytes(committed + torn)
     reopened = TelemetryStore(path)
     assert reopened.dropped_tail_bytes == len(torn)
-    assert reopened.snapshot() == store.snapshot()
+    assert snapshot(reopened) == snapshot(store)
     assert path.read_bytes() == committed
     assert TelemetryStore(path).dropped_tail_bytes == 0
 
@@ -475,6 +479,107 @@ def test_unparsable_interior_line_names_its_line(tmp_path):
         with pytest.raises(StoreLogError, match="line 2") as err:
             TelemetryStore(path)
         assert err.value.line_number == 2
+
+
+# -- NDJSON -------------------------------------------------------------------
+
+
+def record_line(index: int, meter: str = "M1", ascii_only: bool = True) -> bytes:
+    """The ``index``-th reading of one rising series as a record: a key
+    always comes with the same value, so records never conflict."""
+    timestamp = rfc3339(T0 + timedelta(minutes=15 * index))
+    record = {"meter_id": meter, "timestamp": timestamp, "obis": "1.8.0", "value_kwh": "{}.250".format(index)}
+    return json.dumps(record, ensure_ascii=ascii_only).encode("utf-8")
+
+
+BLANK_LINES = [b"", b" ", b"\t", b"\r", b" \t\r", b"\x0b", b"\x0c"]
+BAD_RECORDS = [
+    b'{"meter_id": "M1"}',
+    b"[1, 2]",
+    b'"text"',
+    b"42",
+    b"not json",
+    b'{"meter_id": "M1", "timest',
+    record_line(1).replace(b"1.250", b"abc"),
+    record_line(1).replace(b"1.250", b"1.0005"),
+    record_line(1).replace(b":15:00Z", b":15:00.5Z"),
+    record_line(1).replace(b"1.8.0", b"01.8.0"),
+    b"\xff\xfe" + record_line(2),
+    record_line(2).replace(b"M1", b"M\xe9"),
+    b"[" * 100000,
+]
+
+
+def ndjson_lines(raw_line_breaks: bool):
+    """One NDJSON line without its newline: mostly valid records, some
+    blank, some bad; with ``raw_line_breaks``, also records whose meter id
+    holds a raw U+2028, U+2029 or U+0085."""
+    meters = ["M1", "M2", "M\u20281"]
+    valid = st.builds(record_line, st.integers(0, 12), st.sampled_from(meters))
+    kinds = [valid, valid, valid, st.sampled_from(BLANK_LINES), st.sampled_from(BAD_RECORDS)]
+    if raw_line_breaks:
+        raw_meters = st.sampled_from(["M\u2028", "M\u2029", "M\x85"])
+        kinds.append(st.builds(record_line, st.integers(0, 12), raw_meters, st.just(False)))
+    return st.one_of(kinds)
+
+
+@st.composite
+def ndjson_logs(draw):
+    """Log bytes: lines ended by ``\\n`` or ``\\r\\n``, then maybe a torn tail."""
+    lines = draw(st.lists(st.tuples(ndjson_lines(True), st.sampled_from([b"\n", b"\r\n"])), max_size=8))
+    tail = draw(st.one_of(st.just(b""), ndjson_lines(True)))
+    return b"".join(line + end for line, end in lines) + tail
+
+
+class ReplaySpy(TelemetryStore):
+    """A store that keeps the columns its log replay ingests."""
+
+    replayed: list = []
+
+    def _ingest(self, batch, persist):
+        if not persist:
+            self.replayed = batch.runs
+        return super()._ingest(batch, persist)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ndjson_logs())
+@example(b"")
+@example(record_line(0) + b"\n" + record_line(1))
+@example(record_line(0) + b"\n\n \r\n" + BAD_RECORDS[-1] + b"\n" + record_line(1)[:9])
+def test_log_replay_matches_the_old_replay_loop(log):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "readings.ndjson"
+        path.write_bytes(log)
+        try:
+            columns, committed = replay_log(path)
+            oracle = TelemetryStore()
+            oracle.ingest(columns)
+            expected = (columns.runs, snapshot(oracle), oracle.stats, len(log) - committed, log[:committed])
+        except StoreLogError as exc:
+            expected = ("StoreLogError", exc.line_number, str(exc), log)
+        try:
+            store = ReplaySpy(path)
+            actual = (store.replayed, snapshot(store), store.stats, store.dropped_tail_bytes, path.read_bytes())
+        except StoreLogError as exc:
+            actual = ("StoreLogError", exc.line_number, str(exc), path.read_bytes())
+    assert actual == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ndjson_lines(False), max_size=8), st.sampled_from([b"\n", b"\r\n"]), st.booleans())
+@example([record_line(0), b"", record_line(1)], b"\r\n", False)
+def test_post_body_reader_matches_the_old_splitlines_parser(lines, newline, final_newline):
+    body = newline.join(lines) + (newline if final_newline else b"")
+    try:
+        expected = ReadingColumns(post_readings(body)).runs
+    except RECORD_ERRORS:
+        expected = "refused"
+    try:
+        actual = read_readings_ndjson(io.BytesIO(body)).runs
+    except ReadingsFormatError:
+        actual = "refused"
+    assert actual == expected
 
 
 # -- CSV ----------------------------------------------------------------------
@@ -497,16 +602,16 @@ def test_csv_malformed_row_names_its_line():
         "M1,2024-06-03T12:15:00.5Z,1.8.0,2.0",
     ):
         text = "meter_id,timestamp,obis,value_kwh\nM1,2024-06-03T12:00:00Z,1.8.0,1.0\n" + bad_row + "\n"
-        with pytest.raises(ReadingsCsvError) as err:
+        with pytest.raises(ReadingsFormatError) as err:
             read_readings_csv(io.StringIO(text))
         assert err.value.line_number == 3
         assert "line 3" in str(err.value)
 
 
 def test_csv_rejects_wrong_header_and_empty_file():
-    with pytest.raises(ReadingsCsvError):
+    with pytest.raises(ReadingsFormatError):
         read_readings_csv(io.StringIO("a,b,c,d\n"))
-    with pytest.raises(ReadingsCsvError):
+    with pytest.raises(ReadingsFormatError):
         read_readings_csv(io.StringIO(""))
 
 
@@ -553,8 +658,8 @@ def csv_texts(draw):
 def parse_outcome(parse, text):
     try:
         return list(parse(io.StringIO(text, newline="")))
-    except ReadingsCsvError as exc:
-        return ("ReadingsCsvError", exc.line_number, str(exc))
+    except ReadingsFormatError as exc:
+        return ("ReadingsFormatError", exc.line_number, str(exc))
 
 
 @settings(max_examples=400, deadline=None)

@@ -49,6 +49,15 @@ it leaves (S1's only) are compared as well:
 
     meterwatch analyze sim/S1_readings.csv short/S2_readings.csv sim/S3_readings.csv sim/S4_readings.csv --out short_s2
 
+Last, it starts ``meterwatch serve --store serve/store`` on a fresh
+store and a free loopback port, with no prior ``ingest``, POSTs each of
+``sim/S1_readings.csv`` ... ``sim/S4_readings.csv`` to ``/v1/readings``
+as one NDJSON body (one record per row, ``\\n`` after each), reads
+``GET /v1/meters/S1/anomalies``, and stops the server with SIGTERM.  The
+four responses, the anomalies response, the store's log
+(``serve/store/readings.ndjson``) and the server's exit code, stderr and
+stdout (its port masked) are compared.
+
 Each command's stdout, stderr and exit code are saved beside its outputs.
 The two directories are then compared file by file; every file that
 differs or exists on one side only is printed.  Exit code 0 means the
@@ -62,11 +71,16 @@ from __future__ import annotations
 import argparse
 import csv
 import filecmp
+import http.client
+import json
 import os
 import random
+import signal
+import socket
 import subprocess
 import sys
 import tempfile
+import time
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 from pathlib import Path
@@ -174,6 +188,67 @@ def run_commands(commands, side_dir: Path, env: dict) -> None:
         (side_dir / "{}.exit".format(name)).write_text("{}\n".format(done.returncode))
 
 
+def free_port() -> int:
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]
+
+
+def ndjson_body(csv_path: Path) -> bytes:
+    """A readings CSV as one NDJSON body: one record per row, each ending with a newline."""
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    return "".join(json.dumps(dict(zip(header, row))) + "\n" for row in rows).encode("utf-8")
+
+
+def run_serve(side_dir: Path, env: dict) -> None:
+    """POST the simulated years to a fresh ``serve`` and save what it answers."""
+    out = side_dir / "serve"
+    (out / "store").mkdir(parents=True)
+    port = free_port()
+    print("{}: meterwatch serve --store serve/store --port {}".format(side_dir.name, port), flush=True)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "meterwatch.cli", "serve", "--store", "serve/store", "--port", str(port)],
+        cwd=side_dir, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while proc.poll() is None:
+            try:
+                socket.create_connection(("127.0.0.1", port), timeout=1).close()
+                break
+            except OSError:
+                if time.monotonic() > deadline:
+                    raise
+                time.sleep(0.05)
+        requests = [
+            ("post_{}".format(p), "POST", "/v1/readings", ndjson_body(side_dir / "sim" / "{}_readings.csv".format(p)))
+            for p in PERSONAS
+        ]
+        requests.append(("anomalies_S1", "GET", "/v1/meters/S1/anomalies", None))
+        for name, method, path, body in requests:
+            if proc.poll() is not None:  # it never started listening; its exit code and stderr say why
+                break
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=600)
+            try:
+                conn.request(method, path, body=body)
+                response = conn.getresponse()
+                (out / "{}.response".format(name)).write_bytes(b"%d\n" % response.status + response.read())
+            finally:
+                conn.close()
+    finally:
+        if proc.poll() is None:
+            proc.send_signal(signal.SIGTERM)
+        try:
+            stdout, stderr = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            stdout, stderr = proc.communicate()
+    (side_dir / "serve.stdout").write_bytes(stdout.replace(b":%d" % port, b":PORT"))
+    (side_dir / "serve.stderr").write_bytes(stderr)
+    (side_dir / "serve.exit").write_text("{}\n".format(proc.returncode))
+
+
 def run_side(src: Path, side_dir: Path) -> None:
     side_dir.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
@@ -182,6 +257,7 @@ def run_side(src: Path, side_dir: Path) -> None:
     write_noncanonical(side_dir / "sim", side_dir / "noncanonical")
     write_short(side_dir / "sim", side_dir / "short")
     run_commands(DERIVED_COMMANDS, side_dir, env)
+    run_serve(side_dir, env)
 
 
 def relative_files(root: Path) -> set[str]:
