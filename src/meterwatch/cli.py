@@ -391,7 +391,7 @@ def serve(store_dir, host, port, seed, verbose) -> None:
                 server = make_server(store, AnalysisConfig(seed=seed), host=host, port=port, verbose=verbose)
             except OSError as exc:
                 raise click.ClickException("cannot bind {}:{}: {}".format(host, port, exc))
-            click.echo("serving on http://{}:{}".format(host, port))
+            click.echo("serving on http://{}:{}".format(host, server.server_address[1]))
             run_server(server)
     except StoreError as exc:
         raise click.ClickException(str(exc))

@@ -12,18 +12,18 @@ Endpoints:
   the current anomaly report, recomputed on demand with the same defaults
   the CLI uses (409 when the meter's span exceeds ``store.MAX_GRID_SLOTS``).
 
-All logic lives in the library; handlers only translate HTTP.  An
+A meter ``{id}`` is percent-decoded (UTF-8).  All logic lives in the
+library; handlers only translate HTTP.  An
 ``Authorization`` header is accepted and ignored (pass-through stub).
 """
 
 from __future__ import annotations
 
-import io
 import re
 import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs, unquote, urlparse
 
 from .pipeline import AnalysisConfig, InsufficientDataError, analyze_meter, canonical_json
 from .protocol import POSITIVE_ACTIVE_ENERGY
@@ -94,7 +94,7 @@ class MeterServiceHandler(BaseHTTPRequestHandler):
             self._send_error(413, "body over {} bytes".format(MAX_BODY_BYTES))
             return
         try:
-            readings = read_readings_ndjson(io.BytesIO(self.rfile.read(int(length))))
+            readings = read_readings_ndjson((self.rfile.read(int(length)),))
         except ReadingsFormatError as exc:
             self._send_error(400, "bad reading record: {}".format(exc))
             return
@@ -111,11 +111,11 @@ class MeterServiceHandler(BaseHTTPRequestHandler):
 
         m = _POWER_RE.match(parsed.path)
         if m:
-            self._handle_power(m.group(1), query)
+            self._handle_power(unquote(m.group(1)), query)
             return
         m = _ANOMALIES_RE.match(parsed.path)
         if m:
-            self._handle_anomalies(m.group(1), query)
+            self._handle_anomalies(unquote(m.group(1)), query)
             return
         self._send_error(404, "unknown endpoint")
 

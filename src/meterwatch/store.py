@@ -28,7 +28,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal, InvalidOperation
-from itertools import accumulate, repeat, takewhile
+from itertools import accumulate, compress, islice, repeat
+from operator import getitem, lt
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -64,6 +65,10 @@ _ROLLOVER_HIGH_WH = REGISTER_MODULUS_WH * 9 // 10
 _ROLLOVER_LOW_WH = REGISTER_MODULUS_WH // 10
 
 CSV_HEADER = ["meter_id", "timestamp", "obis", "value_kwh"]
+# Log text one pass of the NDJSON reader takes, and records one pass of the
+# log writer formats: bounds on what a replay or a large batch adds to memory.
+_CHUNK_BYTES = 2**16
+_CHUNK_RECORDS = 2**12
 
 
 class StoreError(Exception):
@@ -140,6 +145,15 @@ class ReadingColumns:
             self.runs.append((r.meter_id, r.register, [], []))
         self.runs[-1][2].append(_to_us(r.timestamp))
         self.runs[-1][3].append(int(r.value_kwh.scaleb(3)))
+
+    def extend(self, meter_id: str, register: ObisCode, times: list[int], values: list[int]) -> None:
+        """Append a run, taking its lists; it continues the last run when
+        that is of the same meter and register."""
+        if self.runs and self.runs[-1][:2] == (meter_id, register):
+            self.runs[-1][2].extend(times)
+            self.runs[-1][3].extend(values)
+        else:
+            self.runs.append((meter_id, register, times, values))
 
     def __len__(self) -> int:
         return sum(len(times) for _, _, times, _ in self.runs)
@@ -242,15 +256,18 @@ class TelemetryStore:
     def _replay(self, path: Path) -> None:
         committed = 0  # bytes up to and including the last newline
 
-        def committed_lines(fh):
+        def committed_chunks(fh):
             nonlocal committed
-            for line in takewhile(lambda line: line.endswith(b"\n"), fh):
-                committed += len(line)
-                yield line
+            while lines := fh.readlines(_CHUNK_BYTES):
+                if not lines[-1].endswith(b"\n"):
+                    lines.pop()  # a torn final fragment
+                chunk = b"".join(lines)
+                committed += len(chunk)
+                yield chunk
 
         with open(path, "rb") as fh:
             try:
-                readings = read_readings_ndjson(committed_lines(fh))
+                readings = read_readings_ndjson(committed_chunks(fh))
             except ReadingsFormatError as exc:
                 raise StoreLogError(path, exc.line_number, exc.reason) from exc
         self._ingest(readings, persist=False)
@@ -290,6 +307,9 @@ class TelemetryStore:
             key = (meter_id, str(register))
             pending = fresh.get(key, {})
             times, values = self._series.get(key, ((), ()))
+            if not times and not pending and all(map(lt, run_times, islice(run_times, 1, None))):
+                fresh[key] = dict(zip(run_times, run_values))  # a new series' first run, rising: no time repeats
+                continue
             for t, v in zip(run_times, run_values):
                 known = pending.get(t)
                 if known is None and times:
@@ -455,6 +475,10 @@ def _check_neighbours(
                 *key, _to_kwh(v1), _to_kwh(v2), _to_datetime(t1).isoformat(), _to_datetime(t2).isoformat()))
         delta.rollovers_detected += 1
 
+    if not times:  # each new reading follows the one before it
+        for i in compress(range(1, len(new_values)), map(lt, islice(new_values, 1, None), new_values)):
+            decrease(new_times[i - 1], new_values[i - 1], new_times[i], new_values[i])
+        return [0] * len(new_times)
     positions, prev_t, prev_v, j = [], None, None, 0
     stored, last = len(times), len(new_times) - 1
     for i, (t, v) in enumerate(zip(new_times, new_values)):
@@ -486,14 +510,23 @@ def _insert_sorted(items: list, positions: list[int], news: list) -> None:
     items.extend(tail[done - first :])
 
 
-def _ndjson_records(merges: list[tuple[tuple[str, str], list[int], list[int], list[int]]]) -> bytes:
-    """Log lines for a batch's new readings, by series key, then by time."""
-    lines = []
+def _ndjson_records(merges: list[tuple[tuple[str, str], list[int], list[int], list[int]]]) -> bytearray:
+    """Log lines for a batch's new readings, by series key, then by time.
+
+    Each line is its record's ``json.dumps`` with sorted keys.  A series'
+    meter id and register are encoded once, its times are formatted by
+    numpy, ``_CHUNK_RECORDS`` at a time.
+    """
+    data = bytearray()
     for (meter_id, obis), _, new_times, new_values in sorted(merges, key=lambda merge: merge[0]):
-        for us, wh in zip(new_times, new_values):
-            record = dict(zip(CSV_HEADER, (meter_id, rfc3339(_to_datetime(us)), obis, str(_to_kwh(wh)))))
-            lines.append(json.dumps(record, sort_keys=True) + "\n")
-    return "".join(lines).encode("utf-8")
+        head = '{{"meter_id": {}, "obis": {}, "timestamp": "'.format(json.dumps(meter_id), json.dumps(obis))
+        line = head.replace("%", "%%").encode("utf-8") + b'%bZ", "value_kwh": "%d.%03d"}\n'
+        for i in range(0, len(new_times), _CHUNK_RECORDS):
+            times = np.array(new_times[i : i + _CHUNK_RECORDS], dtype="datetime64[us]")
+            stamps = times.astype("datetime64[s]").astype("S19").tolist()
+            values = new_values[i : i + _CHUNK_RECORDS]
+            data += b"".join([line % (stamp, wh // 1000, wh % 1000) for stamp, wh in zip(stamps, values)])
+    return data
 
 
 # -- interchange formats ------------------------------------------------------
@@ -521,22 +554,42 @@ def _reading(meter_id: str, timestamp: str, obis: str, value_kwh: str) -> MeterR
     return MeterReading(meter_id, parse_rfc3339(timestamp), ObisCode.parse(obis), Decimal(value_kwh))
 
 
-def read_readings_ndjson(lines: Iterable[bytes]) -> ReadingColumns:
+def read_readings_ndjson(pieces: Iterable[bytes]) -> ReadingColumns:
     """Columns of newline-delimited JSON reading records, one per line.
 
-    ``lines`` yields lines framed by ``b"\\n"`` alone, as a binary file or
-    ``io.BytesIO`` does; a ``\\r`` before the newline is JSON whitespace,
-    and blank lines are skipped.  Raises ``ReadingsFormatError`` naming the line.
+    ``pieces`` yields the text in pieces that each end with ``b"\\n"``,
+    but for the last: a line at a time, as a binary file or ``io.BytesIO``
+    does, or a whole body at once.  Lines are framed by ``b"\\n"`` alone; a
+    ``\\r`` before the newline is JSON whitespace, and blank lines are
+    skipped.  The text is read in chunks of whole lines of about
+    ``_CHUNK_BYTES``: a chunk of canonical log lines (as
+    ``_ndjson_records`` writes them) as columns, any other chunk line by
+    line, with the same result.  Raises ``ReadingsFormatError`` naming the line.
     """
-    columns = ReadingColumns()
-    for line_number, line in enumerate(lines, start=1):
-        if line.strip():
-            try:
-                record = json.loads(line.decode("utf-8"))
-                columns.add(_reading(*(str(record[key]) for key in CSV_HEADER)))
-            except (ValueError, KeyError, TypeError, InvalidOperation, RecursionError) as exc:
-                raise ReadingsFormatError(line_number, str(exc)) from exc
+    columns, first_line = ReadingColumns(), 1
+    for chunk in _chunks(pieces):
+        # latin-1 keeps one character per byte; the run pattern refuses any that is not ASCII.
+        if not _add_canonical(columns, _NDJSON_RUN, chunk.decode("latin-1"), 2, json.loads):
+            for line_number, line in enumerate(io.BytesIO(chunk), start=first_line):
+                if line.strip():
+                    try:
+                        record = json.loads(line.decode("utf-8"))
+                        columns.add(_reading(*(str(record[key]) for key in CSV_HEADER)))
+                    except (ValueError, KeyError, TypeError, InvalidOperation, RecursionError) as exc:
+                        raise ReadingsFormatError(line_number, str(exc)) from exc
+        first_line += chunk.count(b"\n")
     return columns
+
+
+def _chunks(pieces: Iterable[bytes]):
+    """``pieces`` cut after the first line that ends past ``_CHUNK_BYTES``
+    bytes, as ``readlines(_CHUNK_BYTES)`` cuts a file."""
+    for piece in pieces:
+        start = 0
+        while start < len(piece):
+            end = piece.find(b"\n", start + _CHUNK_BYTES) + 1 or len(piece)
+            yield piece[start:end]
+            start = end
 
 
 def write_readings_csv(target: str | Path | TextIO, readings: Iterable[MeterReading]) -> None:
@@ -573,54 +626,74 @@ def read_readings_csv(source: str | Path | TextIO) -> ReadingColumns:
     return columns if columns is not None else _read_csv_rows(io.StringIO(text, newline=""))
 
 
+_TIME = r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ"
+_VALUE = r"\d{1,6}\.\d{3}"
 # One canonical CSV row, then every following row of the same meter and register.
 _CSV_RUN = re.compile(
-    r'([^,"\r\n\x00]+),\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ,([^,"\r\n\x00]+),\d{1,6}\.\d{3}\n'
-    r"(?:\1,\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ,\2,\d{1,6}\.\d{3}\n)*",
+    r'(?P<meter>[^,"\r\n\x00]+),(?P<time>)' + _TIME + r',(?P<obis>[^,"\r\n\x00]+),(?P<value>)' + _VALUE + r"\n"
+    r"(?:(?P=meter)," + _TIME + r",(?P=obis)," + _VALUE + r"\n)*",
+    re.ASCII,
+)
+# A JSON string as ``json.dumps`` writes it: ASCII, no raw control characters.
+_JSON_TEXT = r'"(?:[^"\\\x00-\x1f\x80-\U0010ffff]|\\["\\/bfnrt]|\\u[0-9A-Fa-f]{4})*"'
+# One log line as ``_ndjson_records`` writes it, then every following line
+# of the same meter and register.
+_NDJSON_RUN = re.compile(
+    r'\{"meter_id": (?P<meter>' + _JSON_TEXT + r'), "obis": "(?P<obis>[^"\\\x00-\x1f\x80-\U0010ffff]+)", '
+    r'"timestamp": "(?P<time>)' + _TIME + r'", "value_kwh": "(?P<value>)' + _VALUE + r'"\}\n'
+    r'(?:\{"meter_id": (?P=meter), "obis": "(?P=obis)", "timestamp": "' + _TIME + r'", "value_kwh": "' + _VALUE
+    + r'"\}\n)*',
     re.ASCII,
 )
 _YEAR_1_S = _to_us(datetime(1, 1, 1, tzinfo=timezone.utc)) // 1_000_000
 
 
 def _read_canonical_csv(text: str) -> ReadingColumns | None:
-    """Columns of a file made only of canonical rows, else ``None``.
-
-    ``_CSV_RUN`` validates the rows run by run; numpy parses the times
-    (refusing ones that do not exist) and the values are summed digits.
-    """
+    """Columns of a file made only of canonical rows, else ``None``."""
     header = ",".join(CSV_HEADER) + "\n"
     if not text.startswith(header) or not text.isascii():
         return None
-    body, pos, runs = text[len(header):], 0, []
-    while pos < len(body):
-        match = _CSV_RUN.match(body, pos)
+    columns = ReadingColumns()
+    return columns if _add_canonical(columns, _CSV_RUN, text[len(header):], 0, str) else None
+
+
+def _add_canonical(columns: ReadingColumns, run_re: re.Pattern, text: str, tail: int, meter_id) -> bool:
+    """Add the readings of ``text`` to ``columns`` when it is made only of
+    canonical lines; whether it was.
+
+    ``run_re`` matches a canonical line and every following line of the
+    same meter and register, so its empty groups ``time`` and ``value``
+    give the offsets of the time and the value in every line of the run;
+    a value ends ``tail`` characters before its newline.  ``meter_id``
+    decodes the ``meter`` group.  The times are cut from the lines and
+    parsed by numpy in one call, refusing ones that do not exist or lie
+    before year 1; each value is the ``int`` of its digits.
+    """
+    lines, runs, stamps, pos, row = text.split("\n"), [], [], 0, 0
+    while pos < len(text):
+        match = run_re.match(text, pos)
         if match is None:
-            return None
-        pos = match.end()
-        runs.append((match.group(1), match.group(2), pos))
-    data = np.frombuffer(body.encode("ascii"), np.uint8)
-    line_ends = np.flatnonzero(data == ord("\n"))
-    commas = np.flatnonzero(data == ord(",")).reshape(-1, 3)
+            return False
+        run = lines[row : row + text.count("\n", pos, match.end())]
+        row, pos = row + len(run), match.end()
+        time_at, value_at = match.start("time") - match.start(), match.start("value") - match.start()
+        stamps += map(getitem, run, repeat(slice(time_at, time_at + 19)))
+        values = map(str.replace, map(getitem, run, repeat(slice(value_at, -tail or None))), repeat("."), repeat(""))
+        runs.append((match, len(run), list(map(int, values))))
+    if not runs:
+        return True
     try:
-        seconds = data[commas[:, :1] + np.arange(1, 20)].view("S19")[:, 0].astype("datetime64[s]").astype(np.int64)
+        seconds = np.array(stamps, dtype="datetime64[s]").astype(np.int64)
+        keys = [(meter_id(match["meter"]), ObisCode.parse(match["obis"])) for match, _, _ in runs]
     except ValueError:
-        return None
-    if len(seconds) and seconds.min() < _YEAR_1_S:
-        return None
-    # Value digits right to left from the newline: three decimals, the dot, up to six more.
-    places = line_ends[:, None] - np.array([1, 2, 3, 5, 6, 7, 8, 9, 10])
-    digits = np.where(places > commas[:, 2:], data[np.maximum(places, 0)] - ord("0"), 0)
-    wh = digits.astype(np.int64) @ (10 ** np.arange(9))
-    columns, row = ReadingColumns(), 0
-    for meter_id, obis, end in runs:
-        try:
-            register = ObisCode.parse(obis)
-        except ValueError:
-            return None
-        stop = int(np.searchsorted(line_ends, end - 1)) + 1
-        columns.runs.append((meter_id, register, (seconds[row:stop] * 1_000_000).tolist(), wh[row:stop].tolist()))
-        row = stop
-    return columns
+        return False
+    if seconds.min() < _YEAR_1_S:
+        return False
+    times, start = (seconds * 1_000_000).tolist(), 0
+    for (meter, register), (_, count, values) in zip(keys, runs):
+        columns.extend(meter, register, times[start : start + count], values)
+        start += count
+    return True
 
 
 def _read_csv_rows(fh: TextIO) -> ReadingColumns:

@@ -18,7 +18,9 @@ that also stopped once no centroid moved by ``tol``, after one more
 assignment pass confirmed the labels.  ``replay_log`` and ``post_readings``
 are the two NDJSON parsers that ``store.read_readings_ndjson`` replaced:
 the store's log replay and the service's ``POST`` body parser, which split
-a decoded body with ``str.splitlines``.  ``reading_to_record`` and
+a decoded body with ``str.splitlines``.  ``ndjson_records`` is the log
+writer that built and dumped one record per reading, kept as the reference
+for the store's column writer.  ``reading_to_record`` and
 ``snapshot`` are views of a reading and of a store's index that only the
 tests use.
 """
@@ -42,6 +44,7 @@ from meterwatch.clustering import _assign, _centroids, _inertia, _repair_empty, 
 from meterwatch.profiles import SLOTS_PER_DAY, DailyProfiles, ExcludedDay, _slots_in_local_day
 from meterwatch.protocol import REGISTER_MODULUS_KWH, ObisCode
 from meterwatch.store import (
+    CSV_HEADER,
     MAX_INTERPOLATION_GAP,
     QUALITY_INTERPOLATED,
     QUALITY_MEASURED,
@@ -446,3 +449,14 @@ def replay_log(path) -> tuple[ReadingColumns, int]:
 def post_readings(body: bytes) -> list[MeterReading]:
     """A ``POST /v1/readings`` body's readings; raises one of ``RECORD_ERRORS``."""
     return [reading_from_record(json.loads(line)) for line in body.decode("utf-8").splitlines() if line.strip()]
+
+
+def ndjson_records(merges) -> bytes:
+    """Log lines for a batch's new readings, by series key, then by time,
+    one ``json.dumps`` of a record dict per reading."""
+    lines = []
+    for (meter_id, obis), _, new_times, new_values in sorted(merges, key=lambda merge: merge[0]):
+        for us, wh in zip(new_times, new_values):
+            record = dict(zip(CSV_HEADER, (meter_id, rfc3339(_to_datetime(us)), obis, str(_to_kwh(wh)))))
+            lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(lines).encode("utf-8")

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import concurrent.futures
+import http.client
 import json
 import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -249,6 +253,28 @@ def test_store_log_damage_is_reported_not_a_traceback(runner, tmp_path):
         assert result.exit_code == 1, result.output
         assert "line 2" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_serve_on_port_0_prints_the_port_it_bound(tmp_path):
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "meterwatch.cli", "serve", "--store", str(tmp_path), "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        printed = re.fullmatch(r"serving on http://127\.0\.0\.1:(\d+)\n", proc.stdout.readline().decode())
+        assert printed is not None and int(printed.group(1)) > 0
+        conn = http.client.HTTPConnection("127.0.0.1", int(printed.group(1)), timeout=10)
+        try:
+            conn.request("GET", "/v1/meters/M1/power")
+            assert conn.getresponse().status == 404
+        finally:
+            conn.close()
+    finally:
+        proc.terminate()
+        proc.communicate(timeout=10)
+    assert proc.returncode == 0
 
 
 @pytest.mark.skipif(cli.fcntl is None, reason="store locking needs fcntl (POSIX)")

@@ -152,6 +152,19 @@ def test_unknown_meter_is_404(server):
         assert err.value.code == 404
 
 
+@pytest.mark.parametrize("meter", ["M 1", "Z\u00e4hler 1", "M/1"])
+def test_meter_ids_in_paths_are_percent_decoded(server, meter):
+    base, _ = server
+    body = b"\n".join(record(index, meter) for index in range(1, 4))
+    assert post(base, "/v1/readings", body)[1]["readings_accepted"] == 3
+    path = "/v1/meters/{}/".format(urllib.parse.quote(meter, safe=""))
+    status, samples = get(base, path + "power")
+    assert status == 200 and {s["meter_id"] for s in samples} == {meter} and len(samples) == 8
+    with pytest.raises(urllib.error.HTTPError) as err:
+        get(base, path + "anomalies")
+    assert err.value.code == 409  # known, with too few days
+
+
 def test_too_few_profiles_is_409(server):
     base, _ = server
     post(base, "/v1/readings", ndjson(sim_readings(days=2)))

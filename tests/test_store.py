@@ -35,17 +35,25 @@ from meterwatch.store import (
     read_readings_csv,
     read_readings_ndjson,
     register_delta_kwh,
+    _CHUNK_BYTES,
+    _CHUNK_RECORDS,
     _MISSING,
+    _NDJSON_RUN,
     _QUALITIES,
+    _add_canonical,
     _interpolate_wh,
+    _ndjson_records,
     _read_canonical_csv,
     _read_csv_rows,
     _to_datetime,
     _to_kwh,
+    _to_us,
     rfc3339,
     write_readings_csv,
 )
-from oracles import RECORD_ERRORS, DictStore, GridReading, _interpolate, post_readings, replay_log, snapshot
+from oracles import (
+    RECORD_ERRORS, DictStore, GridReading, _interpolate, ndjson_records, post_readings, replay_log, snapshot,
+)
 
 OBIS_180 = ObisCode(1, 8, 0)
 OBIS_280 = ObisCode(2, 8, 0)
@@ -542,12 +550,8 @@ class ReplaySpy(TelemetryStore):
         return super()._ingest(batch, persist)
 
 
-@settings(max_examples=300, deadline=None)
-@given(ndjson_logs())
-@example(b"")
-@example(record_line(0) + b"\n" + record_line(1))
-@example(record_line(0) + b"\n\n \r\n" + BAD_RECORDS[-1] + b"\n" + record_line(1)[:9])
-def test_log_replay_matches_the_old_replay_loop(log):
+def replay_outcomes(log: bytes) -> tuple:
+    """What the old replay loop and the store make of the log ``log``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "readings.ndjson"
         path.write_bytes(log)
@@ -563,6 +567,109 @@ def test_log_replay_matches_the_old_replay_loop(log):
             actual = (store.replayed, snapshot(store), store.stats, store.dropped_tail_bytes, path.read_bytes())
         except StoreLogError as exc:
             actual = ("StoreLogError", exc.line_number, str(exc), path.read_bytes())
+    return expected, actual
+
+
+@settings(max_examples=300, deadline=None)
+@given(ndjson_logs())
+@example(b"")
+@example(record_line(0) + b"\n" + record_line(1))
+@example(record_line(0) + b"\n\n \r\n" + BAD_RECORDS[-1] + b"\n" + record_line(1)[:9])
+def test_log_replay_matches_the_old_replay_loop(log):
+    expected, actual = replay_outcomes(log)
+    assert actual == expected
+
+
+def written_lines(meter: str, count: int, first: int = 0) -> list[bytes]:
+    """Log lines of one rising series, as the store writes them."""
+    times = [_to_us(T0) + 900_000_000 * i for i in range(first, first + count)]
+    merge = ((meter, "1.8.0"), [], times, [1000 * i + 250 for i in range(first, first + count)])
+    return _ndjson_records([merge]).splitlines(keepends=True)
+
+
+def reordered(line: bytes) -> bytes:
+    """The same record with its keys unsorted: valid, but not canonical."""
+    record = json.loads(line)
+    return json.dumps({key: record[key] for key in CSV_HEADER}).encode() + b"\n"
+
+
+# About three chunks: canonical runs of two meters, the second beginning
+# inside the first chunk, so both meters' runs cross a chunk boundary.
+CHUNKED_LOG = written_lines("M1", 500) + written_lines("M2", 2 * _CHUNK_BYTES // 90)
+# The first line of the second chunk: each chunk ends with the first line
+# that ends past ``_CHUNK_BYTES`` bytes.
+AFTER_BOUNDARY = next(i for i in range(len(CHUNKED_LOG)) if sum(map(len, CHUNKED_LOG[:i])) > _CHUNK_BYTES)
+MISSING_FIELD = b'{"meter_id": "M2"}\n'
+# Canonical in form, but not times: each field one past its range.
+NO_SUCH_TIMES = ["2023-02-29T12:00:00", "0000-06-03T12:00:00", "2024-13-03T12:00:00", "2024-06-00T12:00:00",
+                 "2024-06-03T24:00:00", "2024-06-03T12:60:00", "2024-06-03T23:59:60"]
+
+
+def at_time(time: str):
+    return lambda line: written_lines("M2", 1)[0].replace(b"2024-06-03T12:00:00", time.encode())
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize(
+    "change",
+    [lambda line: line, reordered, lambda line: line[:-1] + b"\r\n", lambda line: MISSING_FIELD]
+    + [at_time(time) for time in NO_SUCH_TIMES],
+    ids=["canonical", "reordered-keys", "crlf", "missing-field"] + NO_SUCH_TIMES,
+)
+@pytest.mark.parametrize("tail", [b"", b'{"meter_id": "M2", "timest'], ids=["whole", "torn"])
+def test_replay_in_chunks_matches_the_old_replay_loop(offset, change, tail):
+    lines = list(CHUNKED_LOG)
+    at = AFTER_BOUNDARY + offset
+    lines[at] = change(lines[at])
+    expected, actual = replay_outcomes(b"".join(lines) + tail)
+    assert actual == expected
+    if expected[0] == "StoreLogError":
+        assert actual[1] == at + 1
+
+
+def test_a_run_continues_into_the_next_piece():
+    pieces = (b"".join(written_lines("M1", 2) + written_lines("M2", 1)), b"".join(written_lines("M2", 1, first=1)))
+    columns = read_readings_ndjson(pieces)
+    assert [(meter, len(times)) for meter, _, times, _ in columns.runs] == [("M1", 2), ("M2", 2)]
+
+
+# Meter ids that JSON escapes or that are not ASCII.
+METER_CHARS = ['"', "\\", "\x00", "\x1f", "\x7f", "/", "%", " ", "\u00e9", "\u2028", "\ud800", "\U0001f600", "M", "1"]
+LAST_SECOND_US = _to_us(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc))
+
+
+@st.composite
+def log_batches(draw):
+    """A batch's new readings as ``_ndjson_records`` takes them: per series
+    key, its times (whole seconds from year 1 to 9999) and rising values."""
+    keys = draw(st.sets(st.tuples(
+        st.one_of(st.text(st.sampled_from(METER_CHARS), max_size=4), st.text(max_size=4)),
+        st.sampled_from(["1.8.0", "2.8.0", "99.99.99"]),
+    ), min_size=1, max_size=3))
+    merges = []
+    for key in keys:
+        seconds = draw(st.lists(st.integers(_to_us(datetime(1, 1, 1, tzinfo=timezone.utc)) // 10**6,
+                                            LAST_SECOND_US // 10**6), min_size=1, max_size=6, unique=True))
+        values = draw(st.lists(st.integers(0, 999_999_999), min_size=len(seconds), max_size=len(seconds)))
+        merges.append((key, [], [s * 10**6 for s in sorted(seconds)], sorted(values)))
+    return merges
+
+
+FIRST_AND_LAST = [(("M", "1.8.0"), [], [_to_us(datetime(1, 1, 1, tzinfo=timezone.utc)), LAST_SECOND_US], [0, 999_999_999])]
+# One series longer than one pass of the writer.
+LONG_SERIES = [(("M", "1.8.0"), [], [_to_us(T0) + 10**6 * i for i in range(2 * _CHUNK_RECORDS + 1)],
+                list(range(2 * _CHUNK_RECORDS + 1)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_batches())
+@example(FIRST_AND_LAST)
+@example(LONG_SERIES)
+def test_log_writer_matches_the_per_record_encoder(merges):
+    log = bytes(_ndjson_records(merges))
+    assert log == ndjson_records(merges)
+    assert _add_canonical(ReadingColumns(), _NDJSON_RUN, log.decode("ascii"), 2, json.loads)  # read back as columns
+    expected, actual = replay_outcomes(log)
     assert actual == expected
 
 
@@ -575,11 +682,12 @@ def test_post_body_reader_matches_the_old_splitlines_parser(lines, newline, fina
         expected = ReadingColumns(post_readings(body)).runs
     except RECORD_ERRORS:
         expected = "refused"
-    try:
-        actual = read_readings_ndjson(io.BytesIO(body)).runs
-    except ReadingsFormatError:
-        actual = "refused"
-    assert actual == expected
+    for pieces in (io.BytesIO(body), (body,)):  # a line at a time, or the whole body as the service passes it
+        try:
+            actual = read_readings_ndjson(pieces).runs
+        except ReadingsFormatError:
+            actual = "refused"
+        assert actual == expected
 
 
 # -- CSV ----------------------------------------------------------------------
@@ -606,6 +714,16 @@ def test_csv_malformed_row_names_its_line():
             read_readings_csv(io.StringIO(text))
         assert err.value.line_number == 3
         assert "line 3" in str(err.value)
+
+
+def test_csv_day_that_does_not_exist_names_its_line_in_a_long_file():
+    # Read as columns by numpy's text-to-datetime64 cast, such a day in a
+    # file of more than a few hundred rows crashed the process.
+    rows = ["M1,2024-01-{:02d}T{:02d}:00:00Z,1.8.0,{}.000".format(1 + i // 24, i % 24, i) for i in range(600)]
+    text = CSV_TEXT + "\n".join(rows + ["M1,2023-02-29T00:00:00Z,1.8.0,999.000"]) + "\n"
+    with pytest.raises(ReadingsFormatError) as err:
+        read_readings_csv(io.StringIO(text))
+    assert err.value.line_number == 602
 
 
 def test_csv_rejects_wrong_header_and_empty_file():

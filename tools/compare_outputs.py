@@ -53,10 +53,13 @@ Last, it starts ``meterwatch serve --store serve/store`` on a fresh
 store and a free loopback port, with no prior ``ingest``, POSTs each of
 ``sim/S1_readings.csv`` ... ``sim/S4_readings.csv`` to ``/v1/readings``
 as one NDJSON body (one record per row, ``\\n`` after each), reads
-``GET /v1/meters/S1/anomalies``, and stops the server with SIGTERM.  The
-four responses, the anomalies response, the store's log
-(``serve/store/readings.ndjson``) and the server's exit code, stderr and
-stdout (its port masked) are compared.
+``GET /v1/meters/S1/anomalies``, and stops the server with SIGTERM.  It
+then starts ``serve`` again on the store it built, so the year's log is
+replayed, reads ``GET /v1/meters/S1/anomalies`` and S2's power over one
+day (``POWER_WINDOW``), and stops it.  The four responses, both rounds'
+anomalies responses, the power response, the store's log after the
+restart (``serve/store/readings.ndjson``) and each server's exit code,
+stderr and stdout (its port masked) are compared.
 
 Each command's stdout, stderr and exit code are saved beside its outputs.
 The two directories are then compared file by file; every file that
@@ -110,6 +113,8 @@ DERIVED_COMMANDS = [
 # Runs of readings cut out, as (first row, rows): 3 h leaves the day below
 # the 0.9 completeness floor, 1.5 h leaves it above (its slots are filled).
 CUTS = [(40 * 96 + 30, 12), (100 * 96 + 50, 6)]
+# A day of S2's power read after the restart: the day the clocks go back.
+POWER_WINDOW = ("2024-10-26T22:00:00Z", "2024-10-27T23:00:00Z")
 ROLLOVER_LIFT_KWH = Decimal(999990)
 REGISTER_MODULUS_KWH = Decimal(1000000)
 
@@ -202,9 +207,26 @@ def ndjson_body(csv_path: Path) -> bytes:
 
 
 def run_serve(side_dir: Path, env: dict) -> None:
-    """POST the simulated years to a fresh ``serve`` and save what it answers."""
+    """POST the simulated years to a fresh ``serve``, then restart it on the
+    store it built, and save what both answer."""
     out = side_dir / "serve"
     (out / "store").mkdir(parents=True)
+    requests = [
+        ("post_{}".format(p), "POST", "/v1/readings", ndjson_body(side_dir / "sim" / "{}_readings.csv".format(p)))
+        for p in PERSONAS
+    ]
+    requests.append(("anomalies_S1", "GET", "/v1/meters/S1/anomalies", None))
+    serve_round(side_dir, env, "serve", requests)
+    serve_round(side_dir, env, "serve_restart", [
+        ("restart_anomalies_S1", "GET", "/v1/meters/S1/anomalies", None),
+        ("restart_power_S2", "GET", "/v1/meters/S2/power?from={}&to={}".format(*POWER_WINDOW), None),
+    ])
+
+
+def serve_round(side_dir: Path, env: dict, name: str, requests: list) -> None:
+    """Start ``serve`` on ``serve/store``, send ``requests`` in turn, stop it
+    with SIGTERM and save the responses and the server's output as ``name``."""
+    out = side_dir / "serve"
     port = free_port()
     print("{}: meterwatch serve --store serve/store --port {}".format(side_dir.name, port), flush=True)
     proc = subprocess.Popen(
@@ -221,19 +243,14 @@ def run_serve(side_dir: Path, env: dict) -> None:
                 if time.monotonic() > deadline:
                     raise
                 time.sleep(0.05)
-        requests = [
-            ("post_{}".format(p), "POST", "/v1/readings", ndjson_body(side_dir / "sim" / "{}_readings.csv".format(p)))
-            for p in PERSONAS
-        ]
-        requests.append(("anomalies_S1", "GET", "/v1/meters/S1/anomalies", None))
-        for name, method, path, body in requests:
+        for request_name, method, path, body in requests:
             if proc.poll() is not None:  # it never started listening; its exit code and stderr say why
                 break
             conn = http.client.HTTPConnection("127.0.0.1", port, timeout=600)
             try:
                 conn.request(method, path, body=body)
                 response = conn.getresponse()
-                (out / "{}.response".format(name)).write_bytes(b"%d\n" % response.status + response.read())
+                (out / "{}.response".format(request_name)).write_bytes(b"%d\n" % response.status + response.read())
             finally:
                 conn.close()
     finally:
@@ -244,9 +261,9 @@ def run_serve(side_dir: Path, env: dict) -> None:
         except subprocess.TimeoutExpired:
             proc.kill()
             stdout, stderr = proc.communicate()
-    (side_dir / "serve.stdout").write_bytes(stdout.replace(b":%d" % port, b":PORT"))
-    (side_dir / "serve.stderr").write_bytes(stderr)
-    (side_dir / "serve.exit").write_text("{}\n".format(proc.returncode))
+    (side_dir / "{}.stdout".format(name)).write_bytes(stdout.replace(b":%d" % port, b":PORT"))
+    (side_dir / "{}.stderr".format(name)).write_bytes(stderr)
+    (side_dir / "{}.exit".format(name)).write_text("{}\n".format(proc.returncode))
 
 
 def run_side(src: Path, side_dir: Path) -> None:
