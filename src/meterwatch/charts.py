@@ -9,7 +9,6 @@ cluster mean), ``anomaly`` (red day line).
 from __future__ import annotations
 
 from typing import Mapping, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -33,22 +32,30 @@ _STYLE = (
 )
 
 
-def _points(values: Sequence[float], y_max: float, x0: float) -> str:
+def _points_template(x0: float, slots: int) -> str:
+    """The points of a panel's ``slots``-value line with each x formatted
+    and each y left as a ``%.1f`` field; one per panel, shared by its lines."""
     plot_w = PANEL_W - MARGIN_L - MARGIN_R
+    return " ".join("{:.1f},%.1f".format(x0 + MARGIN_L + plot_w * slot / (SLOTS_PER_DAY - 1)) for slot in range(slots))
+
+
+def _points(values: Sequence[float], y_max: float, template: str) -> str:
     plot_h = PANEL_H - MARGIN_T - MARGIN_B
-    pts = []
-    for slot, value in enumerate(values):
-        x = x0 + MARGIN_L + plot_w * slot / (SLOTS_PER_DAY - 1)
-        y = MARGIN_T + plot_h * (1.0 - min(value, y_max) / y_max)
-        pts.append("{:.1f},{:.1f}".format(x, y))
-    return " ".join(pts)
+    y = MARGIN_T + plot_h * (1.0 - np.minimum(values, y_max) / y_max)
+    return template % tuple(y.tolist())
+
+
+def _escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as XML entities, as ``xml.sax.saxutils.escape``
+    writes them (importing that module loads ``urllib`` and ``email``)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _panel_frame(x0: float, title: str, y_max: float) -> list[str]:
     plot_w = PANEL_W - MARGIN_L - MARGIN_R
     bottom = PANEL_H - MARGIN_B
     parts = [
-        '<text x="{:.0f}" y="14">{}</text>'.format(x0 + MARGIN_L, escape(title)),
+        '<text x="{:.0f}" y="14">{}</text>'.format(x0 + MARGIN_L, _escape(title)),
         '<line class="axis" x1="{0:.0f}" y1="{1}" x2="{2:.0f}" y2="{1}"/>'.format(
             x0 + MARGIN_L, bottom, x0 + MARGIN_L + plot_w
         ),
@@ -72,8 +79,12 @@ def _chart(panels: Sequence[tuple[str, Sequence[tuple[str, Sequence[float]]]]]) 
     for index, (title, lines) in enumerate(panels):
         x0 = float(index * PANEL_W)
         body.extend(_panel_frame(x0, title, y_max))
+        templates: dict[int, str] = {}
         for css_class, values in lines:
-            body.append('<polyline class="{}" points="{}"/>'.format(css_class, _points(values, y_max, x0)))
+            if len(values) not in templates:
+                templates[len(values)] = _points_template(x0, len(values))
+            points = _points(values, y_max, templates[len(values)])
+            body.append('<polyline class="{}" points="{}"/>'.format(css_class, points))
     width = PANEL_W * max(len(panels), 1)
     head = (
         '<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
@@ -92,8 +103,8 @@ def cluster_chart(profiles: DailyProfiles, model: ClusterModel) -> str:
     labels = np.array([model.assignments[day] for day in profiles.days], dtype=np.int64)
     panels = []
     for cluster in range(model.k):
-        members = profiles.values[labels == cluster].tolist()
-        lines = [("member", values) for values in members] + [("mean", model.centroids[cluster].tolist())]
+        members = profiles.values[labels == cluster]
+        lines = [("member", values) for values in members] + [("mean", model.centroids[cluster])]
         panels.append(("cluster {} ({} days)".format(cluster + 1, len(members)), lines))
     return _chart(panels)
 

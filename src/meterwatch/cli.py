@@ -33,7 +33,6 @@ from .pipeline import (
     canonical_json,
 )
 from .profiles import regular_days, write_profiles_csv
-from .service import make_server, run_server
 from .simulator import AnomalyScript, SimOutput, simulate_period
 from .store import (
     SpanTooLong,
@@ -277,6 +276,18 @@ def _worker_meter_outputs(meter_id: str) -> tuple[MeterAnalysis, dict[str, str]]
     return _meter_outputs(*_worker_inputs, meter_id)
 
 
+def _check_directory_name(meter_id: str) -> None:
+    """Refuse a meter id that is not one plain path component, since its
+    files go to ``--out``/<meter id>: ``..`` or a ``/`` would put them
+    outside ``--out``, an empty id or ``.`` into it."""
+    forbidden = {"/", "\0", os.sep, os.altsep} - {None}
+    if meter_id in ("", ".", "..") or any(c in meter_id for c in forbidden):
+        raise click.ClickException(
+            "meter id {!r} cannot name an output directory: it must be one path component, "
+            "not empty, '.' or '..', with no '/' or NUL".format(meter_id)
+        )
+
+
 def _analyze_store(store: TelemetryStore, out: Path, config: AnalysisConfig) -> dict[str, MeterAnalysis]:
     """Analyse the meters in one worker process per available CPU, up to
     the meter count (with one, or where the CPUs available to this process
@@ -289,6 +300,8 @@ def _analyze_store(store: TelemetryStore, out: Path, config: AnalysisConfig) -> 
     meters = store.meters()
     if not meters:
         raise click.ClickException("no readings")
+    for meter_id in meters:
+        _check_directory_name(meter_id)
     # Without sched_getaffinity (macOS, Windows: the latter cannot fork
     # either), the meters are analysed in this process.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -385,6 +398,9 @@ def analyze(csv_files, out_dir, seed, restarts, min_completeness, top_n, k, conf
 @click.option("--verbose", is_flag=True, default=False)
 def serve(store_dir, host, port, seed, verbose) -> None:
     """Serve ingestion and analysis endpoints over HTTP."""
+    # Imported here: the HTTP stack would add to every other command's start-up.
+    from .service import make_server, run_server
+
     try:
         with _open_store(Path(store_dir)) as store:
             try:

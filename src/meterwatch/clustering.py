@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
+from typing import Sequence
 
 import numpy as np
 
@@ -98,9 +99,26 @@ class KSelectionReport:
         }
 
 
-def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance from every row of A to every row of B."""
-    return ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+def _sq_dists(
+    A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None, rows: Sequence[int] | None = None
+) -> np.ndarray:
+    """Squared Euclidean distance from every row of A to every row of B.
+
+    One row of B at a time, ``((A - B[j]) ** 2).sum(axis=1)`` in one
+    reused buffer shaped like A: the same IEEE operations summing the same
+    contiguous rows as the broadcast form ``tests/oracles.py`` keeps,
+    without its len(A) x len(B) x width temporary.  With ``out``, only
+    ``B[rows]`` (default all of B) are measured, each into its column of
+    ``out``.
+    """
+    if out is None:
+        out = np.empty((A.shape[0], B.shape[0]))
+    diff = np.empty(A.shape)
+    for j in range(B.shape[0]) if rows is None else rows:
+        np.subtract(A, B[j], out=diff)
+        np.square(diff, out=diff)
+        np.sum(diff, axis=1, out=out[:, j])
+    return out
 
 
 def _centroids(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -115,12 +133,15 @@ def _plus_plus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     """k-means++ seeding: D^2-weighted sampling of data points.
 
     Consumes exactly one uniform draw per added centroid, so the draw
-    sequence is invariant under rescaling of X.
+    sequence is invariant under rescaling of X.  The distance to the
+    nearest chosen point is a running minimum, one new column per draw.
     """
     n = X.shape[0]
     chosen = [int(rng.integers(n))]
+    d2 = None
     for _ in range(1, k):
-        d2 = np.min(_sq_dists(X, X[chosen]), axis=1)
+        newest = _sq_dists(X, X[chosen[-1]][None, :])[:, 0]
+        d2 = newest if d2 is None else np.minimum(d2, newest, out=d2)
         total = d2.sum()
         u = rng.random()
         if total <= 0.0:
@@ -132,14 +153,12 @@ def _plus_plus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return X[chosen].copy()
 
 
-def _assign(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    return np.argmin(_sq_dists(X, centroids), axis=1)  # lowest index wins ties
-
-
 def _repair_empty(
     X: np.ndarray, centroids: np.ndarray, labels: np.ndarray, k: int
 ) -> np.ndarray:
     """Move the farthest point of a multi-member cluster into each empty one."""
+    if np.bincount(labels, minlength=k).all():
+        return labels
     labels = labels.copy()
     for cluster in range(k):
         if np.any(labels == cluster):
@@ -155,7 +174,7 @@ def _repair_empty(
 
 
 def _single_move_polish(
-    X: np.ndarray, labels: np.ndarray, k: int
+    X: np.ndarray, labels: np.ndarray, centroids: np.ndarray, d2: np.ndarray, k: int
 ) -> tuple[np.ndarray, bool]:
     """Greedy single-point moves with exact objective deltas.
 
@@ -165,13 +184,15 @@ def _single_move_polish(
     until none improves escapes the flat local optima Lloyd gets stuck
     in on tiny instances; every stable point of this polish is also a
     Lloyd fixed point.
+
+    ``centroids`` and ``d2`` are those of ``labels`` (as ``_lloyd``
+    returns them); each move updates both in place, so they stay those
+    of the returned labels.
     """
     labels = labels.copy()
     moved_any = False
     rows = np.arange(X.shape[0])
     counts = np.bincount(labels, minlength=k)
-    centroids = _centroids(X, labels, k)
-    d2 = _sq_dists(X, centroids)
     for _ in range(200 * X.shape[0]):  # hard cap against float-noise cycling
         own = counts[labels]
         with np.errstate(divide="ignore", invalid="ignore"):  # own <= 1 rows are masked
@@ -189,27 +210,37 @@ def _single_move_polish(
         # Only clusters a and b change; recompute them as _centroids would.
         for c in (a, b):
             centroids[c] = X[labels == c].mean(axis=0)
-        d2[:, [a, b]] = _sq_dists(X, centroids[[a, b]])
+        _sq_dists(X, centroids, out=d2, rows=(a, b))
         moved_any = True
     return labels, moved_any
 
 
 def _lloyd(
-    X: np.ndarray, centroids: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, float, int, list[float]]:
-    """Assign and recompute until an assignment pass changes no label."""
+    X: np.ndarray, centroids: np.ndarray, k: int, d2: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, float, int, list[float], np.ndarray]:
+    """Assign and recompute until an assignment pass changes no label.
+
+    Returns the centroids, their labels, the inertia, the passes that
+    changed labels, the inertia after every pass and the distance matrix
+    to the centroids.  ``d2``, if given, is the distance matrix to
+    ``centroids``.
+    """
     labels = None
     history: list[float] = []
     iterations = 0
     for _ in range(MAX_LLOYD_PASSES):
-        new_labels = _repair_empty(X, centroids, _assign(X, centroids), k)
+        if d2 is None:
+            d2 = _sq_dists(X, centroids)
+        new_labels = _repair_empty(X, centroids, np.argmin(d2, axis=1), k)  # lowest index wins ties
         history.append(_inertia(X, centroids, new_labels))
         if labels is not None and np.array_equal(new_labels, labels):
-            break
+            # The centroids are already those of these labels.
+            return centroids, labels, history[-1], iterations, history, d2
         labels = new_labels
         iterations += 1
         centroids = _centroids(X, labels, k)
-    return centroids, labels, _inertia(X, centroids, labels), iterations, history
+        d2 = None
+    return centroids, labels, _inertia(X, centroids, labels), iterations, history, _sq_dists(X, centroids)
 
 
 def kmeans_fit(
@@ -237,14 +268,14 @@ def kmeans_fit(
     best = None
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
-        centroids = _plus_plus_init(X, k, rng)
-        centroids, labels, inertia, iterations, history = _lloyd(X, centroids, k)
-        # Alternate Lloyd with the single-move polish until neither improves.
+        centroids, labels, inertia, iterations, history, d2 = _lloyd(X, _plus_plus_init(X, k, rng), k)
+        # Alternate Lloyd with the single-move polish until neither improves;
+        # the polish keeps centroids and d2 those of its labels for Lloyd.
         for _ in range(32):
-            labels, moved = _single_move_polish(X, labels, k)
+            labels, moved = _single_move_polish(X, labels, centroids, d2, k)
             if not moved:
                 break
-            centroids, labels, inertia, more_iters, extra = _lloyd(X, _centroids(X, labels, k), k)
+            centroids, labels, inertia, more_iters, extra, d2 = _lloyd(X, centroids, k, d2)
             iterations += more_iters
             history.extend(extra)
         if best is None or inertia < best[0]:
@@ -305,7 +336,7 @@ def select_k(
 def _is_degenerate(X: np.ndarray) -> bool:
     """Whether every pairwise distance lies under the floor; one row at a
     time (an n x 96 temporary), stopping at the first row that proves spread."""
-    return all(np.sqrt(_sq_dists(X[i : i + 1], X).max()) < DEGENERATE_DISTANCE_FLOOR for i in range(X.shape[0]))
+    return all(np.sqrt(_sq_dists(X, X[i : i + 1]).max()) < DEGENERATE_DISTANCE_FLOOR for i in range(X.shape[0]))
 
 
 def mean_cluster_profiles(model: ClusterModel) -> ClusterSummary:

@@ -9,6 +9,7 @@ falling below the completeness threshold and days with no sample at all.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
@@ -185,11 +186,14 @@ def write_profiles_csv(target: str | Path | TextIO, profiles: DailyProfiles) -> 
             ["meter_id", "day", "completeness"]
             + ["s{:02d}".format(i) for i in range(SLOTS_PER_DAY)]
         )
+        # Only the meter id can need quoting: csv writes it once, each row
+        # is formatted by one call.
+        meter = io.StringIO()
+        csv.writer(meter, lineterminator="\n").writerow([profiles.meter_id, ""])
+        prefix = meter.getvalue()[:-1]
+        row = "%s,%.4f" + ",%.3f" * SLOTS_PER_DAY + "\n"
         for day, completeness, values in zip(profiles.days, profiles.completeness, profiles.values.tolist()):
-            writer.writerow(
-                [profiles.meter_id, day.isoformat(), "{:.4f}".format(completeness)]
-                + ["{:.3f}".format(v) for v in values]
-            )
+            fh.write(prefix + row % (day.isoformat(), completeness, *values))
 
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8", newline="") as fh:

@@ -28,8 +28,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal, InvalidOperation
-from itertools import accumulate, compress, islice, repeat
-from operator import getitem, lt
+from itertools import accumulate, compress, groupby, islice, repeat
+from operator import attrgetter, getitem, lt
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -137,8 +137,11 @@ class ReadingColumns:
 
     def __init__(self, readings: Iterable[MeterReading] = ()):
         self.runs: list[tuple[str, ObisCode, list[int], list[int]]] = []
-        for reading in readings:
-            self.add(reading)
+        for (meter_id, register), run in groupby(readings, attrgetter("meter_id", "register")):
+            run = list(run)
+            self.runs.append(
+                (meter_id, register, [_to_us(r.timestamp) for r in run], [int(r.value_kwh.scaleb(3)) for r in run])
+            )
 
     def add(self, r: MeterReading) -> None:
         if not self.runs or self.runs[-1][:2] != (r.meter_id, r.register):

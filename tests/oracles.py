@@ -4,7 +4,11 @@ These deliberately avoid the code paths under test: the XOR fold uses
 functools.reduce, the k-means oracle enumerates every assignment, and the
 Rand index works from the contingency table.  ``single_move_polish`` is the
 pair-by-pair loop that the vectorised ``clustering._single_move_polish``
-replaced, kept so the two can be compared move for move.  ``DictStore`` is
+replaced, kept so the two can be compared move for move.  ``sq_dists``
+is the broadcast squared-distance form, and ``plus_plus_init``,
+``masked_polish``, ``labels_lloyd`` and ``kmeans_fit`` are the k-means fit
+that recomputed the distances and centroids Lloyd already had, kept so
+every float of ``clustering.kmeans_fit`` can be compared with them.  ``DictStore`` is
 the in-memory telemetry store that re-sorted a whole series on every ingest
 and placed each grid boundary with its own bisect, kept so the sorted-list
 ``TelemetryStore`` and its array grid pass can be compared with it batch
@@ -20,13 +24,17 @@ are the two NDJSON parsers that ``store.read_readings_ndjson`` replaced:
 the store's log replay and the service's ``POST`` body parser, which split
 a decoded body with ``str.splitlines``.  ``ndjson_records`` is the log
 writer that built and dumped one record per reading, kept as the reference
-for the store's column writer.  ``reading_to_record`` and
+for the store's column writer.  ``points`` and ``profiles_csv`` format
+a chart line and the profiles CSV one value at a time, as the chart
+renderer and ``write_profiles_csv`` did.  ``reading_to_record`` and
 ``snapshot`` are views of a reading and of a store's index that only the
 tests use.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
 from bisect import bisect_left
@@ -40,7 +48,8 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from meterwatch.clustering import _assign, _centroids, _inertia, _repair_empty, _sq_dists
+from meterwatch.charts import MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PANEL_H, PANEL_W
+from meterwatch.clustering import ClusterModel
 from meterwatch.profiles import SLOTS_PER_DAY, DailyProfiles, ExcludedDay, _slots_in_local_day
 from meterwatch.protocol import REGISTER_MODULUS_KWH, ObisCode
 from meterwatch.store import (
@@ -92,6 +101,131 @@ def exact_min_inertia(X: np.ndarray, k: int) -> float:
     return max(best, 0.0)
 
 
+def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances in one broadcast: the len(A) x len(B) x
+    width temporary that ``clustering._sq_dists`` no longer builds."""
+    return ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+
+
+def _centroids(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    return np.vstack([X[labels == c].mean(axis=0) for c in range(k)])
+
+
+def _inertia(X: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
+    return float(((X - centroids[labels]) ** 2).sum())
+
+
+def _assign(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    return np.argmin(sq_dists(X, centroids), axis=1)
+
+
+def _repair_empty(X: np.ndarray, centroids: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    labels = labels.copy()
+    for cluster in range(k):
+        if np.any(labels == cluster):
+            continue
+        counts = np.bincount(labels, minlength=k)
+        movable = counts[labels] >= 2
+        dist = ((X - centroids[labels]) ** 2).sum(axis=1)
+        dist[~movable] = -1.0
+        labels[int(np.argmax(dist))] = cluster
+    return labels
+
+
+def plus_plus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding that measured every chosen point again for each draw."""
+    n = X.shape[0]
+    chosen = [int(rng.integers(n))]
+    for _ in range(1, k):
+        d2 = np.min(sq_dists(X, X[chosen]), axis=1)
+        total = d2.sum()
+        u = rng.random()
+        if total <= 0.0:
+            index = min(int(u * n), n - 1)
+        else:
+            index = int(np.searchsorted(np.cumsum(d2 / total), u, side="right"))
+            index = min(index, n - 1)
+        chosen.append(index)
+    return X[chosen].copy()
+
+
+def masked_polish(X: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, bool]:
+    """The masked move-matrix polish that rebuilt its centroids and
+    distances at entry and fancy-indexed the two changed columns."""
+    labels = labels.copy()
+    moved_any = False
+    rows = np.arange(X.shape[0])
+    counts = np.bincount(labels, minlength=k)
+    centroids = _centroids(X, labels, k)
+    d2 = sq_dists(X, centroids)
+    for _ in range(200 * X.shape[0]):
+        own = counts[labels]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = d2 * counts / (counts + 1.0) - (d2[rows, labels] * own / (own - 1.0))[:, None]
+        delta[rows, labels] = np.inf
+        delta[own <= 1] = np.inf
+        i, b = divmod(int(np.argmin(delta)), k)
+        if delta[i, b] >= -1e-12:
+            break
+        a = labels[i]
+        labels[i] = b
+        counts[a] -= 1
+        counts[b] += 1
+        for c in (a, b):
+            centroids[c] = X[labels == c].mean(axis=0)
+        d2[:, [a, b]] = sq_dists(X, centroids[[a, b]])
+        moved_any = True
+    return labels, moved_any
+
+
+def labels_lloyd(X: np.ndarray, centroids: np.ndarray, k: int, max_passes: int = 300):
+    """Lloyd iterations until the labels repeat, measuring the final
+    centroids' inertia again after the last pass."""
+    labels = None
+    history: list[float] = []
+    iterations = 0
+    for _ in range(max_passes):
+        new_labels = _repair_empty(X, centroids, _assign(X, centroids), k)
+        history.append(_inertia(X, centroids, new_labels))
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        iterations += 1
+        centroids = _centroids(X, labels, k)
+    return centroids, labels, _inertia(X, centroids, labels), iterations, history
+
+
+def kmeans_fit(profiles: DailyProfiles, k: int, seed: int = 0, restarts: int = 10) -> ClusterModel:
+    """Best of ``restarts`` seeded fits, built from the helpers above: the
+    fit loop whose every float ``clustering.kmeans_fit`` must reproduce."""
+    X = profiles.values
+    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+    best = None
+    for restart in range(restarts):
+        rng = np.random.default_rng([seed, restart])
+        centroids, labels, inertia, iterations, history = labels_lloyd(X, plus_plus_init(X, k, rng), k)
+        for _ in range(32):
+            labels, moved = masked_polish(X, labels, k)
+            if not moved:
+                break
+            centroids, labels, inertia, more_iters, extra = labels_lloyd(X, _centroids(X, labels, k), k)
+            iterations += more_iters
+            history.extend(extra)
+        if best is None or inertia < best[0]:
+            best = (inertia, restart, centroids, labels, iterations, history)
+    inertia, restart, centroids, labels, iterations, history = best
+    return ClusterModel(
+        k=k,
+        centroids=centroids,
+        assignments=dict(zip(profiles.days, labels.tolist())),
+        inertia=inertia,
+        seed=seed,
+        iterations=iterations,
+        restart_index=restart,
+        inertia_history=tuple(history),
+    )
+
+
 def single_move_polish(X: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, bool]:
     """Hartigan single-move polish, searching every (point, cluster) pair in
     point-major order; the first strictly best move wins."""
@@ -99,7 +233,7 @@ def single_move_polish(X: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.nd
     moved_any = False
     for _ in range(200 * X.shape[0]):
         counts = np.bincount(labels, minlength=k)
-        d2 = _sq_dists(X, _centroids(X, labels, k))
+        d2 = sq_dists(X, _centroids(X, labels, k))
         best_delta = -1e-12
         best_move = None
         for i in range(X.shape[0]):
@@ -460,3 +594,28 @@ def ndjson_records(merges) -> bytes:
             record = dict(zip(CSV_HEADER, (meter_id, rfc3339(_to_datetime(us)), obis, str(_to_kwh(wh)))))
             lines.append(json.dumps(record, sort_keys=True) + "\n")
     return "".join(lines).encode("utf-8")
+
+
+def points(values, y_max: float, x0: float) -> str:
+    """A chart line's points, each x and y formatted on its own."""
+    plot_w = PANEL_W - MARGIN_L - MARGIN_R
+    plot_h = PANEL_H - MARGIN_T - MARGIN_B
+    pts = []
+    for slot, value in enumerate(values):
+        x = x0 + MARGIN_L + plot_w * slot / (SLOTS_PER_DAY - 1)
+        y = MARGIN_T + plot_h * (1.0 - min(value, y_max) / y_max)
+        pts.append("{:.1f},{:.1f}".format(x, y))
+    return " ".join(pts)
+
+
+def profiles_csv(profiles: DailyProfiles) -> str:
+    """``write_profiles_csv``'s text, written row by row through ``csv.writer``
+    with each value formatted on its own."""
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["meter_id", "day", "completeness"] + ["s{:02d}".format(i) for i in range(SLOTS_PER_DAY)])
+    for day, completeness, values in zip(profiles.days, profiles.completeness, profiles.values.tolist()):
+        writer.writerow(
+            [profiles.meter_id, day.isoformat(), "{:.4f}".format(completeness)] + ["{:.3f}".format(v) for v in values]
+        )
+    return fh.getvalue()

@@ -127,6 +127,23 @@ def test_analyze_empty_csv_reports_no_readings(runner, tmp_path):
     assert "no readings" in result.output
 
 
+@pytest.mark.parametrize("meter_id", ["../escaped", "..", ".", "", "a/b", "/abs", "a\0b"])
+def test_analyze_refuses_a_meter_id_that_is_not_one_path_component(runner, tmp_path, meter_id):
+    """Nothing is analysed or written outside --out."""
+    readings = tmp_path / "in" / "readings.csv"
+    readings.parent.mkdir()
+    rows = ["{},2024-06-{:02d}T{:02d}:00:00Z,1.8.0,{}.0".format(meter_id, 3 + h // 24, h % 24, h) for h in range(24 * 8)]
+    readings.write_text("meter_id,timestamp,obis,value_kwh\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "work" / "out"
+    result = runner.invoke(main, ["analyze", str(readings), "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert "meter id {!r} cannot name an output directory".format(meter_id) in result.output
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "in", "in/readings.csv", "work", "work/out"
+    ]
+    assert not any(out.iterdir())
+
+
 def test_analyze_malformed_row_names_the_line(runner, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text(

@@ -14,11 +14,12 @@ from meterwatch.clustering import (
     mean_cluster_profiles,
     select_k,
 )
-from meterwatch.personas import build_persona
+from meterwatch.personas import SLOTS_PER_DAY, build_persona
 from meterwatch.pipeline import AnalysisConfig, analyze_meter
 from meterwatch.protocol import POSITIVE_ACTIVE_ENERGY
 from meterwatch.simulator import simulate_period
 from meterwatch.store import MeterReading, TelemetryStore
+import oracles
 from oracles import exact_min_inertia, lloyd, profile_rows, profiles_from_matrix, single_move_polish
 
 
@@ -301,10 +302,15 @@ def polish_inputs(draw):
 @given(polish_inputs())
 def test_single_move_polish_matches_the_pairwise_loop(case):
     X, labels, k = case
-    got_labels, got_moved = clustering._single_move_polish(X, labels, k)
+    centroids = clustering._centroids(X, labels, k)
+    d2 = clustering._sq_dists(X, centroids)
+    got_labels, got_moved = clustering._single_move_polish(X, labels, centroids, d2, k)
     want_labels, want_moved = single_move_polish(X, labels, k)
     assert np.array_equal(got_labels, want_labels)
     assert got_moved == want_moved
+    # The polish leaves centroids and d2 those of the labels it returns.
+    assert bits(centroids) == bits(clustering._centroids(X, got_labels, k))
+    assert bits(d2) == bits(oracles.sq_dists(X, centroids))
 
 
 @settings(max_examples=300, deadline=None)
@@ -319,8 +325,109 @@ def test_lloyd_matches_the_tolerance_loop(case, scale, seed):
     got = clustering._lloyd(X, init.copy(), k)
     want = lloyd(X, init.copy(), k)
     assert np.array_equal(got[1], want[1])
-    assert [v.hex() for v in got[0].ravel().tolist()] == [v.hex() for v in want[0].ravel().tolist()]
-    assert got[2:] == want[2:]
+    assert bits(got[0]) == bits(want[0])
+    assert got[2:5] == want[2:]
+
+
+def bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+@st.composite
+def distance_inputs(draw):
+    """(A, B) of one width; rows repeat often and one-row sides are common."""
+    width = draw(st.sampled_from([1, 3, 8, 9, 96, 130]))
+    value = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    pool = draw(st.lists(st.lists(value, min_size=width, max_size=width), min_size=1, max_size=4))
+    def side():
+        return np.array(
+            [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))]
+        ).reshape(-1, width)
+    return side(), side()
+
+
+@settings(max_examples=300, deadline=None)
+@given(distance_inputs())
+def test_sq_dists_matches_the_broadcast_form_bitwise(case):
+    A, B = case
+    assert bits(clustering._sq_dists(A, B)) == bits(oracles.sq_dists(A, B))
+    assert bits(clustering._sq_dists(A, A[:1])) == bits(oracles.sq_dists(A, A[:1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(distance_inputs(), st.data())
+def test_sq_dists_writes_only_the_given_columns(case, data):
+    A, B = case
+    rows = data.draw(st.lists(st.integers(0, len(B) - 1), unique=True))
+    out = np.full((len(A), len(B)), -1.0)
+    assert clustering._sq_dists(A, B, out=out, rows=rows) is out
+    want = np.full((len(A), len(B)), -1.0)
+    want[:, rows] = oracles.sq_dists(A, B)[:, rows]
+    assert bits(out) == bits(want)
+
+
+@st.composite
+def fit_inputs(draw):
+    """Small profile matrices with repeated and all-equal rows, a k they
+    can hold, a seed and a restart count."""
+    n = draw(st.integers(1, 14))
+    width = SLOTS_PER_DAY
+    kind = draw(st.sampled_from(["pool", "floats", "equal"]))
+    if kind == "equal":
+        X = np.full((n, width), draw(st.floats(0, 500)))
+    elif kind == "pool":
+        pool = draw(st.lists(st.lists(st.integers(0, 3), min_size=width, max_size=width), min_size=1, max_size=4))
+        X = np.array([pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)], dtype=float)
+    else:  # each row repeats a few drawn values over its slots
+        value = st.floats(0, 500, allow_nan=False, allow_infinity=False)
+        X = np.array([np.resize(draw(st.lists(value, min_size=1, max_size=8)), width) for _ in range(n)])
+    k = draw(st.integers(1, min(n, 6)))
+    return X, k, draw(st.integers(0, 2**64 - 1)), draw(st.integers(1, 4))
+
+
+def assert_same_model(got, want):
+    assert bits(got.centroids) == bits(want.centroids)
+    assert got.assignments == want.assignments
+    assert got.inertia.hex() == want.inertia.hex()
+    assert (got.iterations, got.restart_index, got.seed) == (want.iterations, want.restart_index, want.seed)
+    assert [v.hex() for v in got.inertia_history] == [v.hex() for v in want.inertia_history]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fit_inputs())
+def test_kmeans_fit_matches_the_recomputing_fit(case):
+    X, k, seed, restarts = case
+    profiles = profiles_from_matrix(X)
+    assert_same_model(kmeans_fit(profiles, k, seed, restarts), oracles.kmeans_fit(profiles, k, seed, restarts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fit_inputs().filter(lambda case: len(case[0]) >= clustering.K_MAX))
+def test_select_k_matches_the_scan_over_the_recomputing_fit(case):
+    X, _, seed, restarts = case
+    profiles = profiles_from_matrix(X)
+    got = select_k(profiles, seed, restarts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering, "kmeans_fit", oracles.kmeans_fit)
+        want = select_k(profiles, seed, restarts)
+    assert got.to_json_dict() == want.to_json_dict()
+    assert [v.hex() for v in got.inertias] == [v.hex() for v in want.inertias]
+    assert_same_model(got.model, want.model)
+
+
+@pytest.mark.parametrize("passes", [1, 2, 3])
+def test_lloyd_stopped_by_the_pass_cap_matches_the_recomputing_loop(monkeypatch, passes):
+    """With too few passes to repeat the labels, Lloyd measures its final
+    centroids after the loop, as the recomputing loop did."""
+    X = np.random.default_rng(passes).uniform(0, 300, size=(40, 96))
+    init = X[:4].copy()
+    monkeypatch.setattr(clustering, "MAX_LLOYD_PASSES", passes)
+    centroids, labels, inertia, iterations, history, d2 = clustering._lloyd(X, init.copy(), 4)
+    want = oracles.labels_lloyd(X, init.copy(), 4, max_passes=passes)
+    assert bits(centroids) == bits(want[0])
+    assert np.array_equal(labels, want[1])
+    assert (inertia.hex(), iterations, history) == (want[2].hex(), *want[3:])
+    assert bits(d2) == bits(oracles.sq_dists(X, want[0]))
 
 
 def full_matrix_is_degenerate(X):

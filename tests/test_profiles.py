@@ -115,6 +115,28 @@ def test_profiles_csv_has_96_value_columns(s4_month):
     assert len(lines) == 4
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.text(min_size=1, max_size=12) | st.sampled_from(["S1", 'a,"b"', "m%s", "x\ny", " lead"]),
+    st.lists(
+        st.tuples(
+            st.lists(st.floats(0, 1e7, allow_nan=False) | st.sampled_from([0.0005, 0.0015, 2.4995]), min_size=1, max_size=9),
+            st.floats(0, 1, allow_nan=False),
+        ),
+        max_size=4,
+    ),
+)
+def test_profiles_csv_matches_the_per_value_writer(meter_id, rows):
+    """Ids that csv must quote, and values on a rounding tie at three places
+    (each row repeats its few drawn values over the 96 slots)."""
+    values = np.array([np.resize(r, SLOTS_PER_DAY) for r, _ in rows]).reshape(-1, SLOTS_PER_DAY)
+    profiles = oracles.profiles_from_matrix(values, meter_id)
+    profiles = DailyProfiles(meter_id, profiles.days, profiles.values, tuple(c for _, c in rows))
+    buf = io.StringIO()
+    write_profiles_csv(buf, profiles)
+    assert buf.getvalue() == oracles.profiles_csv(profiles)
+
+
 PROFILE_ZONES = ["Europe/Warsaw", "UTC", "Asia/Kathmandu", "Australia/Lord_Howe", "America/St_Johns"]
 # Offset changes: Warsaw and St John's DST in 2024, Lord Howe's half-hour
 # DST in 2024, Kathmandu's +05:30 -> +05:45 on 1986-01-01; and a plain day.

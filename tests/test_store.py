@@ -830,3 +830,27 @@ def test_rfc3339_roundtrip():
     assert parse_rfc3339("2024-06-03T14:00:00+02:00") == T0
     with pytest.raises(ValueError):
         parse_rfc3339("2024-06-03T12:00:00")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["M1", "M2", ""]),
+            st.sampled_from([OBIS_180, OBIS_280, ObisCode(1, 8, 0)]),
+            st.integers(-10**9, 10**9),
+            st.integers(0, 10**9 - 1),
+        ),
+        max_size=30,
+    )
+)
+def test_reading_columns_group_runs_as_the_add_loop_does(rows):
+    """Meters and registers interleave; an equal register object continues a run."""
+    readings = [
+        MeterReading(meter, T0 + timedelta(seconds=seconds), register, Decimal(wh).scaleb(-3))
+        for meter, register, seconds, wh in rows
+    ]
+    one_by_one = ReadingColumns()
+    for r in readings:
+        one_by_one.add(r)
+    assert ReadingColumns(iter(readings)).runs == one_by_one.runs

@@ -14,13 +14,15 @@ script runs:
     meterwatch analyze sim/S1_readings.csv ... sim/S4_readings.csv --k 3 --out k3
     meterwatch analyze sim/S3_readings.csv --top-n 1 --out s3_top1
     meterwatch analyze sim/S1_readings.csv ... sim/S4_readings.csv --top-n 6 --out knee_top6
+    meterwatch analyze sim/S1_readings.csv ... sim/S4_readings.csv --seed 7 --restarts 3 --out seed7_r3
     meterwatch ingest sim/S1_readings.csv ... sim/S4_readings.csv --store store
     meterwatch ingest sim/S1_readings.csv ... sim/S4_readings.csv --store store
 
 The second ingest is a no-op re-ingest, so the persisted
 ``store/readings.ndjson`` and the stats both ingests print are compared.
 The ``--top-n`` runs put one-panel and six-panel anomaly charts, and a
-one-panel user means chart, under the comparison.
+one-panel user means chart, under the comparison; the ``--seed 7`` run
+compares other k-means++ draws and restart counts.
 
 The simulated readings all sit on the 15-minute grid with none missing,
 so the script then writes a "gappy" copy of them (``write_gappy``: seeded
@@ -42,6 +44,12 @@ quoted meter id), which the CSV reader parses row by row rather than as
 columns, and runs
 
     meterwatch analyze noncanonical/S1_readings.csv ... --out noncanonical_knee
+
+and, on a meter that draws a constant 400 W for ``FLAT_DAYS`` days
+(``write_flat``), so every daily profile is equal and the k scan takes its
+one-cluster (degenerate) path,
+
+    meterwatch analyze flat/FLAT_readings.csv --out flat_scan
 
 and, on a copy of S2's first three days (``write_short``), one command
 that fails at its second meter, so its exit code, message and the files
@@ -98,16 +106,19 @@ COMMANDS = [
     ("k3", ["analyze", *READINGS, "--k", "3", "--out", "k3"]),
     ("s3_top1", ["analyze", READINGS[2], "--top-n", "1", "--out", "s3_top1"]),
     ("knee_top6", ["analyze", *READINGS, "--top-n", "6", "--out", "knee_top6"]),
+    ("seed7_r3", ["analyze", *READINGS, "--seed", "7", "--restarts", "3", "--out", "seed7_r3"]),
     ("ingest", ["ingest", *READINGS, "--store", "store"]),
     ("reingest", ["ingest", *READINGS, "--store", "store"]),
 ]
 NONCANONICAL = ["noncanonical/{}_readings.csv".format(p) for p in PERSONAS]
 SHORT_DAYS = 3
+FLAT_DAYS = 60
 DERIVED_COMMANDS = [
     ("gappy_knee", ["analyze", *GAPPY, "--out", "gappy_knee"]),
     ("gappy_k3", ["analyze", *GAPPY, "--k", "3", "--out", "gappy_k3"]),
     ("gappy_all", ["analyze", *GAPPY, "--min-completeness", "0", "--out", "gappy_all"]),
     ("noncanonical_knee", ["analyze", *NONCANONICAL, "--out", "noncanonical_knee"]),
+    ("flat_scan", ["analyze", "flat/FLAT_readings.csv", "--out", "flat_scan"]),
     ("short_s2", ["analyze", READINGS[0], "short/S2_readings.csv", *READINGS[2:], "--out", "short_s2"]),
 ]
 # Runs of readings cut out, as (first row, rows): 3 h leaves the day below
@@ -168,6 +179,18 @@ def write_noncanonical(sim_dir: Path, out_dir: Path) -> None:
                     timestamp = moved.isoformat()
                 meter_text = '"{}"'.format(meter_id) if row_number == 0 else meter_id
                 fh.write(",".join([meter_text, timestamp, obis, value.rstrip("0").rstrip(".")]) + "\r\n")
+
+
+def write_flat(out_dir: Path) -> None:
+    """Readings of a meter that uses 0.1 kWh every 15 minutes (400 W) for
+    ``FLAT_DAYS`` days from 2024-06-03, in the simulator's CSV format."""
+    out_dir.mkdir()
+    start = datetime(2024, 6, 3, tzinfo=timezone.utc)
+    rows = [
+        "FLAT,{},1.8.0,{:.3f}\n".format((start + timedelta(minutes=15 * i)).strftime("%Y-%m-%dT%H:%M:%SZ"), i / 10)
+        for i in range(96 * FLAT_DAYS + 1)
+    ]
+    (out_dir / "FLAT_readings.csv").write_text("meter_id,timestamp,obis,value_kwh\n" + "".join(rows), encoding="utf-8")
 
 
 def write_short(sim_dir: Path, out_dir: Path) -> None:
@@ -273,6 +296,7 @@ def run_side(src: Path, side_dir: Path) -> None:
     write_gappy(side_dir / "sim", side_dir / "gappy")
     write_noncanonical(side_dir / "sim", side_dir / "noncanonical")
     write_short(side_dir / "sim", side_dir / "short")
+    write_flat(side_dir / "flat")
     run_commands(DERIVED_COMMANDS, side_dir, env)
     run_serve(side_dir, env)
 
