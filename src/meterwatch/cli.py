@@ -33,7 +33,7 @@ from .pipeline import (
     canonical_json,
 )
 from .profiles import regular_days, write_profiles_csv
-from .simulator import AnomalyScript, SimOutput, simulate_period
+from .simulator import AnomalyScript, SimOutput, period_start, simulate_period
 from .store import (
     SpanTooLong,
     StoreError,
@@ -77,6 +77,14 @@ def _load_json_object(path: str | None, option: str = "--config") -> dict:
 def _usage_error(option: str, source: str, reason) -> click.BadParameter:
     """Exit 2 naming the option and the file (or value) it gave."""
     return click.BadParameter("{}: {}".format(source, reason), param_hint="'{}'".format(option))
+
+
+def _check_period(start: date, days: int) -> None:
+    """Exit 2 when the days from ``start`` run past the calendar, before anything is written."""
+    try:
+        period_start(start, days)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--start' / '--days'")
 
 
 def _merged(flag_value, config: dict, key: str, default):
@@ -151,12 +159,13 @@ def simulate(personas, days, seed, start_text, scripts_path, config_path, out_di
         raise _usage_error("--config", config_path, exc) if config_path else _usage_error("--start", start_text, exc)
     if days < 1:
         raise click.BadParameter("--days must be >= 1")
+    _check_period(start, days)
 
     scripts_by_persona: dict[str, list[AnomalyScript]] = {}
     try:
         for pid, entries in _load_json_object(scripts_path, "--scripts").items():
             scripts_by_persona[pid] = _parse_scripts(entries, start)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise _usage_error("--scripts", scripts_path, exc)
 
     out = Path(out_dir)
@@ -424,6 +433,7 @@ def casestudy(out_dir, days, seed, start_text) -> None:
         start = date.fromisoformat(start_text)
     except ValueError as exc:
         raise _usage_error("--start", start_text, exc)
+    _check_period(start, days)
     usable = regular_days(start, days)
     if usable < K_MAX:
         reason = "{} of the days from {} are not DST transition days; scanning k needs {}".format(usable, start, K_MAX)

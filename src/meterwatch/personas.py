@@ -172,7 +172,7 @@ def uniform_template(name: str = "uniform") -> RoutineTemplate:
     return RoutineTemplate(name, (1.0,) * SLOTS_PER_DAY)
 
 
-# -- appliance factories -----------------------------------------------------
+# -- appliances --------------------------------------------------------------
 
 
 def _burst(name: str, power_w: float, windows, **options) -> AppliancePattern:
@@ -181,58 +181,27 @@ def _burst(name: str, power_w: float, windows, **options) -> AppliancePattern:
     return AppliancePattern(name, power_w, MODE_BURST, schedule=schedule, **options)
 
 
-def _fridge() -> AppliancePattern:
-    return AppliancePattern("fridge", FRIDGE_W, MODE_CONTINUOUS, duty=FRIDGE_DUTY, duty_jitter=0.08)
-
-
-def _kettle() -> AppliancePattern:
-    # ~4 minutes of boiling within the morning window.
-    return _burst("kettle", KETTLE_W, [(26, 38)], duty=4.0 / 15.0, power_noise=0.01)
-
-
-def _hairdryer() -> AppliancePattern:
-    return _burst("hairdryer", HAIRDRYER_W, [(28, 38)], duty=5.0 / 15.0, power_noise=0.01)
-
-
-def _oven() -> AppliancePattern:
-    return _burst("oven", OVEN_W, [(42, 70)], duty=0.75, duration_slots=4, power_noise=0.01)
-
-
-def _washing_machine(probability: float = 1.0) -> AppliancePattern:
+def _washing_machine(probability: float) -> AppliancePattern:
     # Heat, tumble, tumble, spin.
     return _burst("washing machine", WASHER_PEAK_W, [(36, 70, ALL_DAYS, probability)], duration_slots=4,
                   cycle=(1.0, 0.2, 0.15, 0.3), power_noise=0.01)
 
 
-def _dishwasher() -> AppliancePattern:
-    # Two heating phases separated by low-power circulation.
-    return _burst("dishwasher", DISHWASHER_PEAK_W, [(48, 88)], duration_slots=4, cycle=(1.0, 0.2, 1.0, 0.13),
-                  power_noise=0.01)
-
-
-def _iron() -> AppliancePattern:
-    return _burst("iron", IRON_W, [(52, 68)], duty=0.5, duration_slots=2, power_noise=0.01)
-
-
-def _tv() -> AppliancePattern:
-    return _burst("TV", TV_W, [(74, 90)], duration_slots=12, power_noise=0.03)
-
-
-def _led_lighting() -> AppliancePattern:
-    return _burst("LED lighting", LED_LIGHT_W, [(22, 34), (74, 92)], duration_slots=6, power_noise=0.05)
-
-
-def _bulb_lighting() -> AppliancePattern:
-    return _burst("regular lighting", BULB_LIGHT_W, [(74, 90)], duration_slots=8, power_noise=0.05)
-
-
-def _ac() -> AppliancePattern:
-    return _burst("A/C", AC_W, [(56, 80)], duty=0.6, duration_slots=10, power_noise=0.01)
-
-
-def _alarm() -> AppliancePattern:
-    return AppliancePattern("alarm", ALARM_W, MODE_STANDBY)
-
+_FRIDGE = AppliancePattern("fridge", FRIDGE_W, MODE_CONTINUOUS, duty=FRIDGE_DUTY, duty_jitter=0.08)
+# ~4 minutes of boiling within the morning window.
+_KETTLE = _burst("kettle", KETTLE_W, [(26, 38)], duty=4.0 / 15.0, power_noise=0.01)
+_HAIRDRYER = _burst("hairdryer", HAIRDRYER_W, [(28, 38)], duty=5.0 / 15.0, power_noise=0.01)
+_OVEN = _burst("oven", OVEN_W, [(42, 70)], duty=0.75, duration_slots=4, power_noise=0.01)
+_WASHER = _washing_machine(1.0)
+# Two heating phases separated by low-power circulation.
+_DISHWASHER = _burst("dishwasher", DISHWASHER_PEAK_W, [(48, 88)], duration_slots=4, cycle=(1.0, 0.2, 1.0, 0.13),
+                     power_noise=0.01)
+_IRON = _burst("iron", IRON_W, [(52, 68)], duty=0.5, duration_slots=2, power_noise=0.01)
+_TV = _burst("TV", TV_W, [(74, 90)], duration_slots=12, power_noise=0.03)
+_LED_LIGHTING = _burst("LED lighting", LED_LIGHT_W, [(22, 34), (74, 92)], duration_slots=6, power_noise=0.05)
+_BULB_LIGHTING = _burst("regular lighting", BULB_LIGHT_W, [(74, 90)], duration_slots=8, power_noise=0.05)
+_AC = _burst("A/C", AC_W, [(56, 80)], duty=0.6, duration_slots=10, power_noise=0.01)
+_ALARM = AppliancePattern("alarm", ALARM_W, MODE_STANDBY)
 
 # -- routine templates -------------------------------------------------------
 
@@ -255,6 +224,30 @@ _THREE_ROUTINES = (
 )
 _THREE_WEIGHTS = (0.5, 0.25, 0.25)
 
+# The built-in personas: id -> (appliances, routine templates, template
+# weights, ambient noise in watts), the fields of ``HouseholdPersona`` after its id.
+_PERSONAS = {
+    "S1": (
+        (_LED_LIGHTING, _FRIDGE, _KETTLE, _OVEN, _DISHWASHER, _HAIRDRYER, _WASHER, _IRON, _TV),
+        _THREE_ROUTINES, _THREE_WEIGHTS, 12.0,
+    ),
+    "S2": (
+        (_BULB_LIGHTING, _LED_LIGHTING, _FRIDGE, _KETTLE, _OVEN, _DISHWASHER, _HAIRDRYER, _WASHER, _IRON, _TV, _ALARM),
+        _THREE_ROUTINES, _THREE_WEIGHTS, 12.0,
+    ),
+    # Owns a washing machine but line-dries and rarely runs it; cooking
+    # and water heating are on gas, so day-to-day variation is minimal.
+    "S3": (
+        (_LED_LIGHTING, _FRIDGE, _washing_machine(0.0), _TV),
+        (RoutineTemplate("quiet-early", _QUIET_A), RoutineTemplate("quiet-late", _QUIET_B)),
+        (0.6, 0.4), 6.0,
+    ),
+    "S4": (
+        (_LED_LIGHTING, _FRIDGE, _KETTLE, _OVEN, _HAIRDRYER, _WASHER, _IRON, _TV, _AC),
+        _THREE_ROUTINES, _THREE_WEIGHTS, 12.0,
+    ),
+}
+
 
 def build_persona(persona_id: str) -> HouseholdPersona:
     """Return one of the built-in personas S1..S4.
@@ -262,83 +255,9 @@ def build_persona(persona_id: str) -> HouseholdPersona:
     Raises:
         ValueError: for unknown ids; the message lists the valid ones.
     """
-    if persona_id == "S1":
-        return HouseholdPersona(
-            id="S1",
-            appliances=(
-                _led_lighting(),
-                _fridge(),
-                _kettle(),
-                _oven(),
-                _dishwasher(),
-                _hairdryer(),
-                _washing_machine(),
-                _iron(),
-                _tv(),
-            ),
-            routine_templates=_THREE_ROUTINES,
-            template_weights=_THREE_WEIGHTS,
-            ambient_noise_w=12.0,
-        )
-    if persona_id == "S2":
-        return HouseholdPersona(
-            id="S2",
-            appliances=(
-                _bulb_lighting(),
-                _led_lighting(),
-                _fridge(),
-                _kettle(),
-                _oven(),
-                _dishwasher(),
-                _hairdryer(),
-                _washing_machine(),
-                _iron(),
-                _tv(),
-                _alarm(),
-            ),
-            routine_templates=_THREE_ROUTINES,
-            template_weights=_THREE_WEIGHTS,
-            ambient_noise_w=12.0,
-        )
-    if persona_id == "S3":
-        # Owns a washing machine but line-dries and rarely runs it; cooking
-        # and water heating are on gas, so day-to-day variation is minimal.
-        return HouseholdPersona(
-            id="S3",
-            appliances=(
-                _led_lighting(),
-                _fridge(),
-                _washing_machine(probability=0.0),
-                _tv(),
-            ),
-            routine_templates=(
-                RoutineTemplate("quiet-early", _QUIET_A),
-                RoutineTemplate("quiet-late", _QUIET_B),
-            ),
-            template_weights=(0.6, 0.4),
-            ambient_noise_w=6.0,
-        )
-    if persona_id == "S4":
-        return HouseholdPersona(
-            id="S4",
-            appliances=(
-                _led_lighting(),
-                _fridge(),
-                _kettle(),
-                _oven(),
-                _hairdryer(),
-                _washing_machine(),
-                _iron(),
-                _tv(),
-                _ac(),
-            ),
-            routine_templates=_THREE_ROUTINES,
-            template_weights=_THREE_WEIGHTS,
-            ambient_noise_w=12.0,
-        )
-    raise ValueError(
-        "unknown persona {!r}; valid ids: {}".format(persona_id, ", ".join(PERSONA_IDS))
-    )
+    if persona_id not in _PERSONAS:
+        raise ValueError("unknown persona {!r}; valid ids: {}".format(persona_id, ", ".join(PERSONA_IDS)))
+    return HouseholdPersona(persona_id, *_PERSONAS[persona_id])
 
 
 # -- JSON form ---------------------------------------------------------------

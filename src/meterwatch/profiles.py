@@ -4,6 +4,8 @@ Days follow the meter's civil calendar (default Europe/Warsaw) while the
 underlying samples stay in UTC.  Days whose local calendar does not have
 exactly 96 slots (DST transitions) are excluded and reported, as are days
 falling below the completeness threshold and days with no sample at all.
+Samples whose local time lies outside the years 1-9999 are dropped, and a
+local day whose start or end cannot be held as a ``datetime`` is excluded.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 
 from .personas import SLOTS_PER_DAY
-from .store import _EPOCH, _SLOT_US, _US, PowerSeries
+from .store import _EPOCH, _SLOT_US, _US, PowerSeries, _to_us
 
 # Day and slot assignment works in integer microseconds since the Unix epoch.
 _EPOCH_ORDINAL = _EPOCH.toordinal()
@@ -74,7 +76,10 @@ def build_daily_profiles(
     share a local slot only where the offset turns back, on such a day.
     """
     tz = ZoneInfo(tz_name)
-    utc_us, watts = series.starts_us, series.watts
+    # The (sorted) samples from local 0001-01-01 00:00 until 10000-01-01 00:00.
+    first, end = _to_us(datetime.min.replace(tzinfo=tz)), _to_us(datetime.max.replace(tzinfo=tz)) + 1
+    lo, hi = np.searchsorted(series.starts_us, [first, end])
+    utc_us, watts = series.starts_us[lo:hi], series.watts[lo:hi]
     if not len(utc_us):
         return DailyProfiles(series.meter_id, (), np.empty((0, SLOTS_PER_DAY)), ()), []
     present = ~np.isnan(watts)
@@ -96,7 +101,9 @@ def build_daily_profiles(
     for g, local_day in enumerate(local_days):
         expected = _slots_in_local_day(local_day, tz)
         completeness = counts[g] / SLOTS_PER_DAY
-        if expected != SLOTS_PER_DAY:
+        if expected is None:
+            excluded.append(ExcludedDay(series.meter_id, local_day, "day starts or ends outside the years 1-9999"))
+        elif expected != SLOTS_PER_DAY:
             excluded.append(ExcludedDay(series.meter_id, local_day, "{}-slot day (DST transition)".format(expected)))
         elif completeness < min_completeness:
             reason = "completeness {:.2f} below {:.2f}".format(completeness, min_completeness)
@@ -137,20 +144,23 @@ def _utc_offsets_us(utc_us: np.ndarray, tz: ZoneInfo) -> np.ndarray:
     return offsets
 
 
-def regular_days(start: date, days: int, tz_name: str = DEFAULT_TIMEZONE) -> int:
-    """How many of the ``days`` local days from ``start`` have 96 slots,
-    that is, are not excluded as DST transition days."""
-    tz = ZoneInfo(tz_name)
+def regular_days(start: date, days: int) -> int:
+    """How many of the ``days`` local days from ``start`` in
+    ``DEFAULT_TIMEZONE`` have 96 slots, that is, are not excluded."""
+    tz = ZoneInfo(DEFAULT_TIMEZONE)
     return sum(_slots_in_local_day(start + timedelta(days=i), tz) == SLOTS_PER_DAY for i in range(days))
 
 
-def _slots_in_local_day(day: date, tz: ZoneInfo) -> int:
+def _slots_in_local_day(day: date, tz: ZoneInfo) -> int | None:
+    """The slots of local ``day``, or ``None`` when its start or end lies
+    outside the years 1-9999 (as a local date or in UTC)."""
     # Same-tzinfo subtraction is wall-clock arithmetic; go through UTC so
     # DST transition days really count 92 or 100 slots.
-    start = datetime.combine(day, time(0, 0), tzinfo=tz).astimezone(timezone.utc)
-    end = datetime.combine(day + timedelta(days=1), time(0, 0), tzinfo=tz).astimezone(
-        timezone.utc
-    )
+    try:
+        start = datetime.combine(day, time(0, 0), tzinfo=tz).astimezone(timezone.utc)
+        end = datetime.combine(day + timedelta(days=1), time(0, 0), tzinfo=tz).astimezone(timezone.utc)
+    except OverflowError:
+        return None
     return int((end - start) / timedelta(minutes=15))
 
 

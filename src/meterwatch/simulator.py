@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from datetime import date, datetime, time, timedelta, timezone
 from decimal import Decimal
+from itertools import accumulate, repeat
 from typing import Mapping, Sequence
 from zoneinfo import ZoneInfo
 
@@ -41,7 +42,7 @@ from .protocol import (
     format_register_kwh,
 )
 from .profiles import DEFAULT_TIMEZONE
-from .store import REGISTER_MODULUS_WH, MeterReading
+from .store import REGISTER_MODULUS_WH, SLOT, MeterReading, _to_kwh
 
 KIND_ABSENCE_MORNING = "absence-morning"
 KIND_SHIFTED_MORNING = "shifted-morning"
@@ -112,14 +113,6 @@ def _window_density(weights: Sequence[float], start: int, end: int) -> float:
     return inside / overall
 
 
-def _argmax_slot(weights: Sequence[float], start: int, end: int) -> int:
-    best, best_w = start, weights[start]
-    for slot in range(start + 1, end):
-        if weights[slot] > best_w:
-            best, best_w = slot, weights[slot]
-    return best
-
-
 def _day_activations(
     persona: HouseholdPersona, weights: Sequence[float], weekday: int, rng: np.random.Generator
 ) -> list[_Activation]:
@@ -136,7 +129,7 @@ def _day_activations(
             if draw >= probability:
                 continue
             last_start = window.end_slot - appliance.duration_slots
-            start = _argmax_slot(weights, window.start_slot, last_start + 1)
+            start = max(range(window.start_slot, last_start + 1), key=weights.__getitem__)  # the first busiest slot
             if appliance.placement_jitter:
                 j = appliance.placement_jitter
                 start += int(rng.integers(-j, j + 1))
@@ -226,12 +219,22 @@ def _pick_template(persona: HouseholdPersona, rng: np.random.Generator) -> int:
     return len(persona.template_weights) - 1
 
 
-def _base_template(persona: HouseholdPersona) -> int:
-    best = 0
-    for index, w in enumerate(persona.template_weights):
-        if w > persona.template_weights[best]:
-            best = index
-    return best
+def period_start(start: date, n_days: int) -> datetime:
+    """Local midnight of ``start`` in ``DEFAULT_TIMEZONE``, in UTC: the
+    first reading time of ``n_days`` days simulated from ``start``.
+
+    Raises:
+        ValueError: ``n_days < 1``, or the days (or that time in UTC) do
+            not all lie in the years 1-9999.
+    """
+    if n_days < 1:
+        raise ValueError("n_days must be >= 1")
+    try:
+        start + timedelta(days=n_days - 1)
+        return datetime.combine(start, time(0, 0), tzinfo=ZoneInfo(DEFAULT_TIMEZONE)).astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError("the simulated period of {} day(s) from {} runs outside the years 1-9999".format(
+            n_days, start)) from None
 
 
 def simulate_period(
@@ -241,22 +244,24 @@ def simulate_period(
     scripts: Sequence[AnomalyScript] = (),
     seed: int = 0,
     *,
-    tz_name: str = DEFAULT_TIMEZONE,
     initial_register_kwh: Decimal = Decimal("0.000"),
 ) -> SimOutput:
     """Simulate ``n_days`` days of 15-minute cumulative readings.
 
     Emits ``96 * n_days + 1`` readings at exact 15-minute boundaries,
-    starting at local midnight of ``start``.  Scripted days replace the
-    random routine draw with the persona's most likely template before the
-    script transformation, and are truth-labelled with the anomaly kind.
+    starting at local midnight of ``start`` in ``DEFAULT_TIMEZONE``.
+    Scripted days replace the random routine draw with the persona's most
+    likely template before the script transformation, and are
+    truth-labelled with the anomaly kind.
+
+    The register integrates each slot's energy as whole µWh, rounded half
+    to even, in one exact integer sum over the period.
 
     Raises:
-        ValueError: if ``n_days < 1``, a script day falls outside the
-            period, or two scripts target the same day.
+        ValueError: if ``period_start`` refuses the period, a script day
+            falls outside it, or two scripts target the same day.
     """
-    if n_days < 1:
-        raise ValueError("n_days must be >= 1")
+    t0 = period_start(start, n_days)
     last_day = start + timedelta(days=n_days - 1)
     by_day: dict[date, AnomalyScript] = {}
     for script in scripts:
@@ -270,47 +275,35 @@ def simulate_period(
             raise ValueError("multiple scripts target {}".format(script.day))
         by_day[script.day] = script
 
-    tz = ZoneInfo(tz_name)
-    t0 = datetime.combine(start, time(0, 0), tzinfo=tz).astimezone(timezone.utc)
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-
-    init_wh = int(initial_register_kwh * 1000)
     slot_powers = np.zeros((n_days, SLOTS_PER_DAY))
     truth: dict[date, str] = {}
-
-    readings = [_reading(persona.id, t0, init_wh)]
-    cumulative_uwh = 0
-    ts = t0
     for day_index in range(n_days):
         day = start + timedelta(days=day_index)
         rng = np.random.default_rng([seed, day_index])
         script = by_day.get(day)
         if script is not None:
-            template_index = _base_template(persona)
+            # The most likely template; the first of equals.
+            template_index = max(range(len(persona.template_weights)), key=persona.template_weights.__getitem__)
             truth[day] = script.kind
         else:
             template_index = _pick_template(persona, rng)
             truth[day] = persona.routine_templates[template_index].name
         weights = persona.routine_templates[template_index].weights
-        powers = _day_slot_powers(persona, weights, day.weekday(), rng, script)
-        slot_powers[day_index] = powers
-        for slot in range(SLOTS_PER_DAY):
-            cumulative_uwh += int(round(powers[slot] * 250_000))
-            ts += timedelta(minutes=15)
-            readings.append(
-                _reading(persona.id, ts, init_wh + cumulative_uwh // _UWH_PER_WH)
-            )
+        slot_powers[day_index] = _day_slot_powers(persona, weights, day.weekday(), rng, script)
+
+    # Python ints, not an int64 cumsum: a declared power may be large enough to wrap one.
+    init_wh = int(initial_register_kwh * 1000)
+    cumulative_uwh = accumulate(map(int, np.rint(slot_powers.ravel() * 250_000)), initial=0)
+    values = (_to_kwh((init_wh + uwh // _UWH_PER_WH) % REGISTER_MODULUS_WH) for uwh in cumulative_uwh)
+    times = accumulate(repeat(SLOT, slot_powers.size), initial=t0)
+    readings = map(MeterReading, repeat(persona.id), times, repeat(POSITIVE_ACTIVE_ENERGY), values)
     return SimOutput(
         meter_id=persona.id,
         readings=tuple(readings),
         truth_labels=truth,
         slot_powers_w=slot_powers,
     )
-
-
-def _reading(meter_id: str, ts: datetime, register_wh: int) -> MeterReading:
-    value = (Decimal(register_wh % REGISTER_MODULUS_WH) / 1000).quantize(Decimal("0.001"))
-    return MeterReading(meter_id, ts, POSITIVE_ACTIVE_ENERGY, value)
 
 
 def emit_frames(sim: SimOutput) -> list[tuple[datetime, ReadoutFrame]]:

@@ -25,13 +25,13 @@ import os
 import re
 import threading
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal, InvalidOperation
 from itertools import accumulate, compress, groupby, islice, repeat
 from operator import attrgetter, getitem, lt
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -196,18 +196,11 @@ class StoreStats:
     rollovers_detected: int = 0
 
     def add(self, other: "StoreStats") -> None:
-        self.readings_accepted += other.readings_accepted
-        self.duplicates_dropped += other.duplicates_dropped
-        self.out_of_order += other.out_of_order
-        self.rollovers_detected += other.rollovers_detected
+        for field in fields(self):
+            setattr(self, field.name, getattr(self, field.name) + getattr(other, field.name))
 
     def to_json_dict(self) -> dict:
-        return {
-            "readings_accepted": self.readings_accepted,
-            "duplicates_dropped": self.duplicates_dropped,
-            "out_of_order": self.out_of_order,
-            "rollovers_detected": self.rollovers_detected,
-        }
+        return asdict(self)
 
 
 def register_delta_kwh(old: Decimal, new: Decimal) -> Decimal:
@@ -349,15 +342,18 @@ class TelemetryStore:
         self.stats.add(delta)
         return delta
 
-    def _append(self, data: bytes) -> None:
-        """Append ``data`` to the log, or leave the log as it was and raise."""
+    def _append(self, chunks: Iterable[bytes]) -> None:
+        """Append ``chunks`` to the log in turn, or leave the log as it was
+        and raise: an exception while writing or making any chunk cuts the
+        log back to its length before the first."""
         with open(self._path, "ab", buffering=0) as fh:
             start = fh.seek(0, os.SEEK_END)
             try:
-                view = memoryview(data)
-                while view:
-                    view = view[fh.write(view):]
-            except OSError:
+                for chunk in chunks:
+                    view = memoryview(chunk)
+                    while view:
+                        view = view[fh.write(view):]
+            except BaseException:
                 fh.truncate(start)
                 raise
 
@@ -513,14 +509,13 @@ def _insert_sorted(items: list, positions: list[int], news: list) -> None:
     items.extend(tail[done - first :])
 
 
-def _ndjson_records(merges: list[tuple[tuple[str, str], list[int], list[int], list[int]]]) -> bytearray:
-    """Log lines for a batch's new readings, by series key, then by time.
+def _ndjson_records(merges: list[tuple[tuple[str, str], list[int], list[int], list[int]]]) -> Iterator[bytes]:
+    """Log lines for a batch's new readings, by series key, then by time,
+    made and yielded ``_CHUNK_RECORDS`` lines at a time.
 
     Each line is its record's ``json.dumps`` with sorted keys.  A series'
-    meter id and register are encoded once, its times are formatted by
-    numpy, ``_CHUNK_RECORDS`` at a time.
+    meter id and register are encoded once, its times are formatted by numpy.
     """
-    data = bytearray()
     for (meter_id, obis), _, new_times, new_values in sorted(merges, key=lambda merge: merge[0]):
         head = '{{"meter_id": {}, "obis": {}, "timestamp": "'.format(json.dumps(meter_id), json.dumps(obis))
         line = head.replace("%", "%%").encode("utf-8") + b'%bZ", "value_kwh": "%d.%03d"}\n'
@@ -528,8 +523,7 @@ def _ndjson_records(merges: list[tuple[tuple[str, str], list[int], list[int], li
             times = np.array(new_times[i : i + _CHUNK_RECORDS], dtype="datetime64[us]")
             stamps = times.astype("datetime64[s]").astype("S19").tolist()
             values = new_values[i : i + _CHUNK_RECORDS]
-            data += b"".join([line % (stamp, wh // 1000, wh % 1000) for stamp, wh in zip(stamps, values)])
-    return data
+            yield b"".join([line % (stamp, wh // 1000, wh % 1000) for stamp, wh in zip(stamps, values)])
 
 
 # -- interchange formats ------------------------------------------------------

@@ -26,8 +26,10 @@ a decoded body with ``str.splitlines``.  ``ndjson_records`` is the log
 writer that built and dumped one record per reading, kept as the reference
 for the store's column writer.  ``points`` and ``profiles_csv`` format
 a chart line and the profiles CSV one value at a time, as the chart
-renderer and ``write_profiles_csv`` did.  ``reading_to_record`` and
-``snapshot`` are views of a reading and of a store's index that only the
+renderer and ``write_profiles_csv`` did.  ``simulated_readings`` is the
+simulator's per-slot register integration, a ``round`` and a ``Decimal``
+quantize per reading, kept as the reference for its one integer pass.
+``reading_to_record`` and ``snapshot`` are views of a reading and of a store's index that only the
 tests use.
 """
 
@@ -39,7 +41,7 @@ import itertools
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, time, timedelta, timezone
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 from functools import reduce
 from math import comb
@@ -50,8 +52,9 @@ import numpy as np
 
 from meterwatch.charts import MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PANEL_H, PANEL_W
 from meterwatch.clustering import ClusterModel
-from meterwatch.profiles import SLOTS_PER_DAY, DailyProfiles, ExcludedDay, _slots_in_local_day
-from meterwatch.protocol import REGISTER_MODULUS_KWH, ObisCode
+from meterwatch.profiles import DEFAULT_TIMEZONE, SLOTS_PER_DAY, DailyProfiles, ExcludedDay, _slots_in_local_day
+from meterwatch.protocol import POSITIVE_ACTIVE_ENERGY, REGISTER_MODULUS_KWH, ObisCode
+from meterwatch.simulator import SimOutput
 from meterwatch.store import (
     CSV_HEADER,
     MAX_INTERPOLATION_GAP,
@@ -534,6 +537,30 @@ def fill_gaps(present: dict[int, float]) -> tuple[float, ...]:
             frac = (slot - prev) / (nxt - prev)
             values[slot] = present[prev] + (present[nxt] - present[prev]) * frac
     return tuple(values)
+
+
+# -- simulated registers -------------------------------------------------------
+
+
+def simulated_readings(sim: SimOutput, start: date, initial_register_kwh: Decimal) -> list[MeterReading]:
+    """The readings of ``sim.slot_powers_w`` as the simulator integrated them
+    slot by slot: each slot's energy rounded to whole µWh by ``round``, the
+    register ``Decimal``-divided and quantized, the time stepped 15 minutes."""
+    ts = datetime.combine(start, time(0, 0), tzinfo=ZoneInfo(DEFAULT_TIMEZONE)).astimezone(timezone.utc)
+    init_wh = int(initial_register_kwh * 1000)
+
+    def reading(ts: datetime, register_wh: int) -> MeterReading:
+        value = (Decimal(register_wh % (int(REGISTER_MODULUS_KWH) * 1000)) / 1000).quantize(Decimal("0.001"))
+        return MeterReading(sim.meter_id, ts, POSITIVE_ACTIVE_ENERGY, value)
+
+    readings = [reading(ts, init_wh)]
+    cumulative_uwh = 0
+    for powers in sim.slot_powers_w:
+        for slot in range(SLOTS_PER_DAY):
+            cumulative_uwh += int(round(powers[slot] * 250_000))
+            ts += timedelta(minutes=15)
+            readings.append(reading(ts, init_wh + cumulative_uwh // 1_000_000))
+    return readings
 
 
 # -- NDJSON reading records ----------------------------------------------------

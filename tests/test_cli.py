@@ -211,6 +211,31 @@ def test_bad_settings_file_is_a_usage_error(runner, tmp_path, command, option, t
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, option",
+    [(["--days", "3000000"], "--days"), (["--start", "9999-12-31", "--days", "2"], "--start"),
+     (["--start", "0001-01-01"], "--start")],
+    ids=["days-past-the-calendar", "start-at-the-calendar-end", "start-before-the-calendar-in-utc"],
+)
+def test_simulate_past_the_calendar_is_a_usage_error(runner, tmp_path, flags, option):
+    result = runner.invoke(main, ["simulate", "--persona", "S1", *flags, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output and option in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_excludes_the_last_day_of_the_calendar(runner, tmp_path):
+    sims, out = tmp_path / "sims", tmp_path / "out"
+    args = ["simulate", "--persona", "S1", "--start", "9999-12-20", "--days", "12", "--seed", "1", "--out", str(sims)]
+    assert runner.invoke(main, args).exit_code == 0
+    result = runner.invoke(main, ["analyze", str(sims / "S1_readings.csv"), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "S1: 11 profiles" in result.output
+    excluded = json.loads(read(out / "S1" / "excluded_days.json"))
+    assert excluded == [{"day": "9999-12-31", "reason": "day starts or ends outside the years 1-9999"}]
+
+
 def test_day_without_readings_is_excluded_with_no_completeness_floor(runner, tmp_path):
     sims = tmp_path / "sims"
     runner.invoke(main, ["simulate", "--persona", "S1", "--days", "12", "--seed", "1", "--out", str(sims)])
@@ -378,8 +403,13 @@ def test_casestudy_runs_end_to_end(runner, tmp_path):
         (["--days", "5"], "--days"),
         # 2024-10-27 has 100 slots in the default zone and is excluded.
         (["--days", "6", "--start", "2024-10-25"], "--days"),
+        (["--days", "3000000"], "--days"),
+        (["--days", "6", "--start", "9999-12-30"], "--start"),
     ],
-    ids=["start-not-iso", "no-days", "fewer-days-than-the-scan", "dst-day-leaves-too-few"],
+    ids=[
+        "start-not-iso", "no-days", "fewer-days-than-the-scan", "dst-day-leaves-too-few", "days-past-the-calendar",
+        "start-near-the-calendar-end",
+    ],
 )
 def test_casestudy_bad_option_is_a_usage_error(runner, tmp_path, flags, option):
     result = runner.invoke(main, ["casestudy", *flags, "--out", str(tmp_path / "case")])

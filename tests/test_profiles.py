@@ -14,6 +14,7 @@ from conftest import profiles_through_store
 from meterwatch.profiles import (
     SLOTS_PER_DAY,
     DailyProfiles,
+    ExcludedDay,
     _fill_gaps,
     build_daily_profiles,
     write_profiles_csv,
@@ -226,3 +227,26 @@ def test_fill_gaps_matches_the_per_slot_loop(grid):
             assert [v.hex() for v in got] == [v.hex() for v in oracles.fill_gaps(present)]
         else:
             assert all(math.isnan(v) for v in got)
+
+
+
+@pytest.mark.parametrize(
+    "tz_name, outside",
+    [
+        # Ahead of UTC: local 0001-01-01 begins in the UTC year 0, and local
+        # 10000-01-01 at 9999-12-31T23:00Z, so the last samples are dropped.
+        ("Europe/Warsaw", [date(1, 1, 1), date(9999, 12, 31)]),
+        # Behind UTC: the first samples fall in the local year 0 and are
+        # dropped; local 9999-12-31 ends past the last UTC instant.
+        ("America/St_Johns", [date(9999, 12, 31)]),
+    ],
+)
+def test_samples_past_the_local_calendar_are_dropped(tz_name, outside):
+    first, last = (_to_us(datetime(*day, tzinfo=timezone.utc)) for day in ((1, 1, 1), (9999, 12, 31, 23, 45)))
+    starts = np.concatenate([first + _SLOT_US * np.arange(3 * 96), last - _SLOT_US * np.arange(7 * 96)[::-1]])
+    series = PowerSeries("M1", starts, np.full(len(starts), 100.0), np.zeros(len(starts), np.int64))
+    profiles, excluded = build_daily_profiles(series, 0.9, tz_name)
+    reason = "day starts or ends outside the years 1-9999"
+    assert [e.day for e in excluded if e.reason == reason] == outside
+    assert date(1, 1, 2) in profiles.days and date(9999, 12, 30) in profiles.days
+    assert (profiles.values == 100.0).all()

@@ -8,7 +8,8 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from datetime import timedelta
+from dataclasses import replace
+from datetime import date, timedelta
 from zoneinfo import ZoneInfo
 
 import pytest
@@ -142,6 +143,19 @@ def test_anomalies_with_no_completeness_floor_skip_a_day_without_samples(server)
     assert gap_day.isoformat() not in body["scores"] and len(body["scores"]) == 11
     direct = analyze_meter(store, "S1", AnalysisConfig(min_completeness=0.0))
     assert canonical_json(body) == canonical_json(direct.report.to_json_dict())
+
+
+def test_anomalies_for_the_last_days_of_the_calendar(server):
+    base, store = server
+    readings = simulate_period(build_persona("S1"), date(9999, 12, 20), 12, seed=1).readings
+    last = readings[-1]  # 9999-12-31T23:00:00Z, local midnight in Warsaw
+    # Local times in the year 10000: their samples are dropped.
+    late = [replace(last, timestamp=last.timestamp + timedelta(minutes=15 * i)) for i in (1, 2, 3)]
+    post(base, "/v1/readings", ndjson([*readings, *late]))
+    status, body = get(base, "/v1/meters/S1/anomalies")
+    assert status == 200
+    assert body == json.loads(canonical_json(analyze_meter(store, "S1", AnalysisConfig()).report.to_json_dict()))
+    assert len(body["scores"]) == 11 and "9999-12-31" not in body["scores"]
 
 
 def test_unknown_meter_is_404(server):

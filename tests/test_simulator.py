@@ -6,6 +6,9 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import oracles
 
 from meterwatch.personas import (
     MODE_BURST,
@@ -13,6 +16,7 @@ from meterwatch.personas import (
     MODE_STANDBY,
     AppliancePattern,
     HouseholdPersona,
+    PERSONA_IDS,
     ScheduleWindow,
     build_persona,
     uniform_template,
@@ -25,7 +29,7 @@ from meterwatch.simulator import (
     emit_frames,
     simulate_period,
 )
-from meterwatch.store import write_readings_csv
+from meterwatch.store import REGISTER_MODULUS_WH, _to_kwh, write_readings_csv
 
 START = date(2024, 6, 3)
 OBIS_180 = ObisCode(1, 8, 0)
@@ -236,3 +240,40 @@ def test_emit_frames_formats_the_display_field():
 def test_emit_frames_of_empty_output_is_empty():
     empty = SimOutput("none", (), {}, np.zeros((0, 96)))
     assert emit_frames(empty) == []
+
+
+# A standby draw of 1e13 W is 2.5e18 µWh a slot, so an int64 sum wraps
+# within four slots; 2000.03125 W is 500 007 812.5 µWh a slot, a tie that
+# rounding half up breaks the other way.
+BIG_STANDBY_W, TIE_STANDBY_W = 1e13, 2000.03125
+# Summer time, the October change (2024-10-27) and the March change (2024-03-31).
+SIM_STARTS = [START, date(2024, 10, 20), date(2024, 3, 25)]
+
+
+@st.composite
+def simulation_args(draw):
+    """A persona, start, day count, scripts, seed and initial register,
+    mostly within 500 kWh of the rollover."""
+    persona = draw(st.one_of(
+        st.sampled_from(PERSONA_IDS).map(build_persona),
+        st.sampled_from([BIG_STANDBY_W, TIE_STANDBY_W]).map(_standby_persona),
+    ))
+    start, n_days = draw(st.sampled_from(SIM_STARTS)), draw(st.integers(1, 20))
+    script_days = draw(st.lists(st.integers(0, n_days - 1), unique=True, max_size=4))
+    scripts = [AnomalyScript(draw(st.sampled_from(ANOMALY_KINDS)), start + timedelta(days=d)) for d in script_days]
+    register_wh = draw(st.one_of(st.just(0), st.integers(REGISTER_MODULUS_WH - 500_000, REGISTER_MODULUS_WH - 1)))
+    return persona, start, n_days, scripts, draw(st.integers(0, 2**64 - 1)), _to_kwh(register_wh)
+
+
+@settings(max_examples=60, deadline=None)
+@given(simulation_args())
+@example((_standby_persona(TIE_STANDBY_W), START, 2, [], 0, Decimal("0.000")))
+@example((_standby_persona(BIG_STANDBY_W), START, 1, [], 0, Decimal("999999.999")))
+def test_registers_match_the_per_slot_integration(args):
+    persona, start, n_days, scripts, seed, initial = args
+    sim = simulate_period(persona, start, n_days, scripts, seed, initial_register_kwh=initial)
+    expected = oracles.simulated_readings(sim, start, initial)
+    assert list(sim.readings) == expected
+    assert [(r.timestamp.isoformat(), str(r.value_kwh)) for r in sim.readings] == [
+        (r.timestamp.isoformat(), str(r.value_kwh)) for r in expected
+    ]

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from meterwatch.personas import build_persona
 from meterwatch.pipeline import InsufficientDataError, analyze_meter
 from meterwatch.protocol import REGISTER_MODULUS_KWH, ObisCode
+from meterwatch import store as store_module
 from meterwatch.simulator import simulate_period
 from meterwatch.store import (
     CSV_HEADER,
@@ -461,6 +462,31 @@ def test_failed_append_commits_nothing(tmp_path):
     assert TelemetryStore(store_dir / "readings.ndjson").readings("M1", OBIS_180) == [reading(15, "1.100")]
 
 
+@pytest.mark.parametrize("error", [OSError, ValueError])
+def test_append_failing_at_its_second_chunk_commits_nothing(tmp_path, monkeypatch, error):
+    path = tmp_path / "readings.ndjson"
+    store = TelemetryStore(path)
+    store.ingest(grid_batch(["1.000", "1.100"]))
+    log, state = path.read_bytes(), snapshot(store)
+    written = []
+
+    def failing_writer(merges):
+        for chunk in _ndjson_records(merges):
+            if written:
+                raise error("the second chunk fails")
+            written.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(store_module, "_ndjson_records", failing_writer)
+    batch = [reading(15 * i, "{}.000".format(i)) for i in range(2, 2 * _CHUNK_RECORDS + 2)]
+    with pytest.raises(error, match="second chunk"):
+        store.ingest(batch)
+    assert len(written) == 1 and written[0].count(b"\n") == _CHUNK_RECORDS
+    assert path.read_bytes() == log
+    assert snapshot(store) == state
+    assert store.stats.readings_accepted == 2
+
+
 def test_torn_final_record_is_cut_and_reported(tmp_path):
     path = tmp_path / "readings.ndjson"
     store = TelemetryStore(path)
@@ -584,7 +610,7 @@ def written_lines(meter: str, count: int, first: int = 0) -> list[bytes]:
     """Log lines of one rising series, as the store writes them."""
     times = [_to_us(T0) + 900_000_000 * i for i in range(first, first + count)]
     merge = ((meter, "1.8.0"), [], times, [1000 * i + 250 for i in range(first, first + count)])
-    return _ndjson_records([merge]).splitlines(keepends=True)
+    return b"".join(_ndjson_records([merge])).splitlines(keepends=True)
 
 
 def reordered(line: bytes) -> bytes:
@@ -666,7 +692,7 @@ LONG_SERIES = [(("M", "1.8.0"), [], [_to_us(T0) + 10**6 * i for i in range(2 * _
 @example(FIRST_AND_LAST)
 @example(LONG_SERIES)
 def test_log_writer_matches_the_per_record_encoder(merges):
-    log = bytes(_ndjson_records(merges))
+    log = b"".join(_ndjson_records(merges))
     assert log == ndjson_records(merges)
     assert _add_canonical(ReadingColumns(), _NDJSON_RUN, log.decode("ascii"), 2, json.loads)  # read back as columns
     expected, actual = replay_outcomes(log)

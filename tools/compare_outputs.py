@@ -17,9 +17,13 @@ script runs:
     meterwatch analyze sim/S1_readings.csv ... sim/S4_readings.csv --seed 7 --restarts 3 --out seed7_r3
     meterwatch ingest sim/S1_readings.csv ... sim/S4_readings.csv --store store
     meterwatch ingest sim/S1_readings.csv ... sim/S4_readings.csv --store store
+    meterwatch simulate --days 40 --seed 7 --start 2024-10-10 --scripts scripts.json --out sim_scripted
 
 The second ingest is a no-op re-ingest, so the persisted
 ``store/readings.ndjson`` and the stats both ingests print are compared.
+``scripts.json`` (``SCRIPTS``) puts each anomaly kind on S3 and on S4,
+one of them on the day the clocks go back, so the last run compares another
+seed, the scripted days and a DST day of the simulator.
 The ``--top-n`` runs put one-panel and six-panel anomaly charts, and a
 one-panel user means chart, under the comparison; the ``--seed 7`` run
 compares other k-means++ draws and restart counts.
@@ -109,7 +113,18 @@ COMMANDS = [
     ("seed7_r3", ["analyze", *READINGS, "--seed", "7", "--restarts", "3", "--out", "seed7_r3"]),
     ("ingest", ["ingest", *READINGS, "--store", "store"]),
     ("reingest", ["ingest", *READINGS, "--store", "store"]),
+    ("sim_scripted", ["simulate", "--days", "40", "--seed", "7", "--start", "2024-10-10", "--scripts", "scripts.json",
+                      "--out", "sim_scripted"]),
 ]
+# Each anomaly kind on S3 and on S4 within the scripted run's 40 days from
+# 2024-10-10; 2024-10-27 is the day the clocks go back.
+SCRIPTS = {
+    "S3": [{"kind": "absence-morning", "day": "2024-10-12"}, {"kind": "shifted-morning", "day": "2024-10-19"},
+           {"kind": "evening-baking", "day": "2024-10-27"}, {"kind": "full-absence", "day_offset": 30}],
+    "S4": [{"kind": "full-absence", "day": "2024-10-27"}, {"kind": "evening-baking", "day_offset": 5},
+           {"kind": "shifted-morning", "day": "2024-11-02", "parameters": {"shift_slots": 20}},
+           {"kind": "absence-morning", "day": "2024-11-18"}],
+}
 NONCANONICAL = ["noncanonical/{}_readings.csv".format(p) for p in PERSONAS]
 SHORT_DAYS = 3
 FLAT_DAYS = 60
@@ -292,6 +307,7 @@ def serve_round(side_dir: Path, env: dict, name: str, requests: list) -> None:
 def run_side(src: Path, side_dir: Path) -> None:
     side_dir.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    (side_dir / "scripts.json").write_text(json.dumps(SCRIPTS), encoding="utf-8")
     run_commands(COMMANDS, side_dir, env)
     write_gappy(side_dir / "sim", side_dir / "gappy")
     write_noncanonical(side_dir / "sim", side_dir / "noncanonical")
