@@ -22,17 +22,19 @@ import click
 
 from . import __version__
 from .charts import anomaly_chart, cluster_chart, user_means_chart
-from .clustering import K_MAX
+from .clustering import DEFAULT_RESTARTS, K_MAX, K_MIN
 from .personas import PERSONA_IDS, build_persona
 from .pipeline import (
     AnalysisConfig,
     DEFAULT_SEED,
+    DEFAULT_TOP_N,
     InsufficientDataError,
     MeterAnalysis,
     analyze_meter,
     canonical_json,
+    parse_setting,
 )
-from .profiles import regular_days, write_profiles_csv
+from .profiles import DEFAULT_MIN_COMPLETENESS, regular_days, write_profiles_csv
 from .simulator import AnomalyScript, SimOutput, period_start, simulate_period
 from .store import (
     SpanTooLong,
@@ -48,7 +50,7 @@ try:
 except ImportError:  # not POSIX (Windows): store writers are not locked out
     fcntl = None
 
-DEFAULT_START = "2024-06-03"
+DEFAULT_START = date(2024, 6, 3)
 DEFAULT_DAYS = 30
 STORE_FILENAME = "readings.ndjson"
 
@@ -80,17 +82,38 @@ def _usage_error(option: str, source: str, reason) -> click.BadParameter:
 
 
 def _check_period(start: date, days: int) -> None:
-    """Exit 2 when the days from ``start`` run past the calendar, before anything is written."""
+    """Exit 2 when ``period_start`` refuses the days from ``start``, before anything is written."""
     try:
         period_start(start, days)
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint="'--start' / '--days'")
 
 
-def _merged(flag_value, config: dict, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    return config.get(key, default)
+def _persona_list(value) -> list[str]:
+    if not isinstance(value, (list, tuple)) or not value or not all(p in PERSONA_IDS for p in value):
+        raise ValueError("must be a non-empty list of {}".format(", ".join(PERSONA_IDS)))
+    return list(dict.fromkeys(value))
+
+
+# The settings that are not numbers; numbers go through pipeline.parse_setting.
+_PARSERS = {"start": date.fromisoformat, "personas": _persona_list}
+
+
+def _settings(config_path: str | None, flags: dict) -> dict:
+    """Each setting in ``flags`` that is given: parsed from its flag, else
+    from the ``--config`` file if its value there is not null.  Every file
+    value is parsed, also one a flag overrides."""
+    given = [(key, value, "--config", "{}: {}".format(config_path, key))
+             for key, value in _load_json_object(config_path).items() if key in flags]
+    given += [(key, value, "--" + key.replace("_", "-"), value) for key, value in flags.items()]
+    settings = {}
+    for key, value, option, source in given:
+        if value is not None:
+            try:
+                settings[key] = _PARSERS[key](value) if key in _PARSERS else parse_setting(key, value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise _usage_error(option, source, exc)
+    return settings
 
 
 @click.group()
@@ -137,8 +160,8 @@ def _simulate_one(
     type=click.Choice(PERSONA_IDS),
     help="Persona to simulate (repeatable); default: all four.",
 )
-@click.option("--days", type=int, default=None, help="Days to simulate (default 30).")
-@click.option("--seed", type=int, default=None, help="Simulation seed (default 42).")
+@click.option("--days", type=int, default=None, help="Days to simulate (default {}).".format(DEFAULT_DAYS))
+@click.option("--seed", type=int, default=None, help="Simulation seed (default {}).".format(DEFAULT_SEED))
 @click.option("--start", "start_text", default=None, help="First day, ISO date (default {}).".format(DEFAULT_START))
 @click.option("--scripts", "scripts_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="JSON file mapping persona id to anomaly scripts.")
@@ -146,19 +169,11 @@ def _simulate_one(
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 def simulate(personas, days, seed, start_text, scripts_path, config_path, out_dir) -> None:
     """Write synthetic readings CSV and truth-label JSON per persona."""
-    config = _load_json_object(config_path)
-    try:
-        listed = config.get("personas", list(PERSONA_IDS))
-        if not isinstance(listed, list) or not set(listed) <= set(PERSONA_IDS):
-            raise ValueError("personas must be a list of {}".format(", ".join(PERSONA_IDS)))
-        personas = tuple(personas) or tuple(listed)
-        days = int(_merged(days, config, "days", DEFAULT_DAYS))
-        seed = int(_merged(seed, config, "seed", DEFAULT_SEED))
-        start = date.fromisoformat(_merged(start_text, config, "start", DEFAULT_START))
-    except (TypeError, ValueError) as exc:
-        raise _usage_error("--config", config_path, exc) if config_path else _usage_error("--start", start_text, exc)
-    if days < 1:
-        raise click.BadParameter("--days must be >= 1")
+    settings = _settings(config_path, {"personas": personas or None, "days": days, "seed": seed, "start": start_text})
+    personas = settings.get("personas", PERSONA_IDS)
+    days = settings.get("days", DEFAULT_DAYS)
+    seed = settings.get("seed", DEFAULT_SEED)
+    start = settings.get("start", DEFAULT_START)
     _check_period(start, days)
 
     scripts_by_persona: dict[str, list[AnomalyScript]] = {}
@@ -355,21 +370,20 @@ def _write_outputs(out: Path, meters: list[str], results) -> dict[str, MeterAnal
 @main.command()
 @click.argument("csv_files", nargs=-1, required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
-@click.option("--seed", type=int, default=None, help="Clustering seed (default 42).")
-@click.option("--restarts", type=int, default=None, help="k-means restarts (default 10).")
-@click.option("--min-completeness", type=float, default=None, help="Profile completeness floor (default 0.9).")
-@click.option("--top-n", type=int, default=None, help="Anomalous days to chart (default 3).")
-@click.option("--k", type=int, default=None, help="Fix the cluster count instead of scanning 1..6.")
+@click.option("--seed", type=int, default=None, help="Clustering seed (default {}).".format(DEFAULT_SEED))
+@click.option("--restarts", type=int, default=None, help="k-means restarts (default {}).".format(DEFAULT_RESTARTS))
+@click.option("--min-completeness", type=float, default=None,
+              help="Profile completeness floor (default {}).".format(DEFAULT_MIN_COMPLETENESS))
+@click.option("--top-n", type=int, default=None, help="Anomalous days to chart (default {}).".format(DEFAULT_TOP_N))
+@click.option("--k", type=int, default=None, help="Fix the cluster count instead of scanning {}..{}.".format(K_MIN, K_MAX))
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 def analyze(csv_files, out_dir, seed, restarts, min_completeness, top_n, k, config_path) -> None:
     """Cluster daily profiles from readings CSVs and rank anomalous days."""
-    # Only given settings reach AnalysisConfig, which owns the defaults and checks.
-    config_file = _load_json_object(config_path)
+    # Only given settings reach AnalysisConfig, which owns the defaults and bounds.
     flags = {"seed": seed, "restarts": restarts, "min_completeness": min_completeness, "top_n": top_n, "k": k}
-    settings = {key: _merged(flag, config_file, key, None) for key, flag in flags.items()}
     try:
-        config = AnalysisConfig().with_overrides(**{key: v for key, v in settings.items() if v is not None})
-    except (TypeError, ValueError) as exc:
+        config = AnalysisConfig(**_settings(config_path, flags))
+    except ValueError as exc:
         raise click.BadParameter(str(exc))
 
     store = TelemetryStore()
@@ -424,15 +438,12 @@ def serve(store_dir, host, port, seed, verbose) -> None:
 
 @main.command()
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
-@click.option("--days", type=click.IntRange(min=K_MAX), default=DEFAULT_DAYS, show_default=True)
+@click.option("--days", type=int, default=DEFAULT_DAYS, show_default=True)
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
-@click.option("--start", "start_text", default=DEFAULT_START, show_default=True)
+@click.option("--start", "start_text", default=DEFAULT_START.isoformat(), show_default=True)
 def casestudy(out_dir, days, seed, start_text) -> None:
     """Simulate S1..S4 for a month and run the full analysis on each."""
-    try:
-        start = date.fromisoformat(start_text)
-    except ValueError as exc:
-        raise _usage_error("--start", start_text, exc)
+    start = _settings(None, {"start": start_text})["start"]
     _check_period(start, days)
     usable = regular_days(start, days)
     if usable < K_MAX:
@@ -459,12 +470,12 @@ def casestudy(out_dir, days, seed, start_text) -> None:
 
     config = AnalysisConfig(seed=seed)
     analyses = _analyze_store(store, out, config)
-    _write_casestudy_summary(out, analyses, truths)
+    _write_casestudy_summary(out, analyses, truths, config.top_n)
     click.echo("case study written to {}".format(out))
 
 
 def _write_casestudy_summary(
-    out: Path, analyses: dict[str, MeterAnalysis], truths: dict[str, SimOutput]
+    out: Path, analyses: dict[str, MeterAnalysis], truths: dict[str, SimOutput], top_n: int
 ) -> None:
     lines = ["# Case study summary", ""]
     for meter_id in sorted(analyses):
@@ -488,7 +499,7 @@ def _write_casestudy_summary(
         )
         lines.append("- top anomalous days:")
         truth_labels = truths[meter_id].truth_labels if meter_id in truths else {}
-        for day in analysis.report.top(3):
+        for day in analysis.report.top(top_n):
             label = truth_labels.get(day, "?")
             flag = "flagged" if day in analysis.report.flagged else "not flagged"
             lines.append(

@@ -28,6 +28,10 @@ KNEE_DROP = 0.15
 DEGENERATE_DISTANCE_FLOOR = 1e-6
 
 
+class InsufficientDataError(ValueError):
+    """Not enough readings or profiles to run the requested analysis."""
+
+
 @dataclass
 class ClusterModel:
     """A fitted profile clustering.
@@ -258,9 +262,7 @@ def kmeans_fit(
         raise ValueError("k must lie in {}..{}".format(K_MIN, K_MAX))
     X = profiles.values
     if len(profiles) < k:
-        raise ValueError(
-            "need at least {} profiles for k={}, got {}".format(k, k, len(profiles))
-        )
+        raise InsufficientDataError("{} profile(s) available, k={} requested".format(len(profiles), k))
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
@@ -311,7 +313,8 @@ def select_k(
         ValueError: with fewer than ``K_MAX`` profiles.
     """
     if len(profiles) < K_MAX:
-        raise ValueError("need at least {} profiles to scan k=1..{}".format(K_MAX, K_MAX))
+        message = "{} profile(s) available; scanning k={}..{} needs at least {}"
+        raise InsufficientDataError(message.format(len(profiles), K_MIN, K_MAX, K_MAX))
     X = profiles.values
     k_values = tuple(range(K_MIN, K_MAX + 1))
     if _is_degenerate(X):

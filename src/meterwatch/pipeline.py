@@ -16,6 +16,7 @@ from .clustering import (
     ClusterModel,
     ClusterSummary,
     DEFAULT_RESTARTS,
+    InsufficientDataError,
     KSelectionReport,
     K_MAX,
     kmeans_fit,
@@ -30,12 +31,18 @@ DEFAULT_SEED = 42
 DEFAULT_TOP_N = 3
 # Restarts per fit; the bound keeps one analysis request's cost bounded.
 MAX_RESTARTS = 100
-# Settings that callers may override from text or JSON, and their parsers.
-_OVERRIDE_PARSERS = {"seed": int, "restarts": int, "min_completeness": float, "top_n": int, "k": int}
+# The type each setting is parsed to: the AnalysisConfig fields and simulate's days.
+SETTING_TYPES = {"seed": int, "restarts": int, "min_completeness": float, "top_n": int, "k": int, "days": int}
 
 
-class InsufficientDataError(RuntimeError):
-    """Not enough readings or profiles to run the requested analysis."""
+def parse_setting(key: str, value: Any) -> int | float:
+    """``value`` as setting ``key``: text as ``int()`` or ``float()`` parses
+    it, or a number.  A bool, or a fraction where an integer is expected, is
+    a ``ValueError``; an infinity there an ``OverflowError``."""
+    kind = SETTING_TYPES[key]
+    if not isinstance(value, str) and (type(value) not in (int, float) or kind is int and value != int(value)):
+        raise ValueError("must be {}, not {}".format("an integer" if kind is int else "a number", json.dumps(value)))
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -58,12 +65,12 @@ class AnalysisConfig:
 
     def with_overrides(self, **kwargs: Any) -> "AnalysisConfig":
         """Copy with new ``seed``, ``restarts``, ``min_completeness``, ``top_n``
-        or ``k`` values, each parsed from text or a number and checked.
+        or ``k`` values, each parsed by :func:`parse_setting` and checked.
 
         Raises:
-            ValueError, TypeError: a value that does not parse or is out of range.
+            ValueError: a value that does not parse or is out of range.
         """
-        return replace(self, **{key: _OVERRIDE_PARSERS[key](value) for key, value in kwargs.items()})
+        return replace(self, **{key: parse_setting(key, value) for key, value in kwargs.items()})
 
 
 @dataclass
@@ -75,16 +82,6 @@ class MeterAnalysis:
     model: ClusterModel
     summary: ClusterSummary
     report: AnomalyReport
-
-
-def meter_profiles(
-    store: TelemetryStore, meter_id: str, config: AnalysisConfig
-) -> tuple[DailyProfiles, list[ExcludedDay]]:
-    span = store.span(meter_id, POSITIVE_ACTIVE_ENERGY)
-    if span is None:
-        raise InsufficientDataError("no readings for meter {!r}".format(meter_id))
-    samples = store.mean_power_series(meter_id, POSITIVE_ACTIVE_ENERGY, span[0], span[1])
-    return build_daily_profiles(samples, config.min_completeness)
 
 
 def analyze_meter(
@@ -100,20 +97,16 @@ def analyze_meter(
             ``store.MAX_GRID_SLOTS`` slots.
     """
     config = config or AnalysisConfig()
-    profiles, excluded = meter_profiles(store, meter_id, config)
+    span = store.span(meter_id, POSITIVE_ACTIVE_ENERGY)
+    if span is None:
+        raise InsufficientDataError("no readings for meter {!r}".format(meter_id))
+    samples = store.mean_power_series(meter_id, POSITIVE_ACTIVE_ENERGY, span[0], span[1])
+    profiles, excluded = build_daily_profiles(samples, config.min_completeness)
 
     if config.k is not None:
-        if len(profiles) < config.k:
-            raise InsufficientDataError(
-                "{} profile(s) available, k={} requested".format(len(profiles), config.k)
-            )
         selection = None
         model = kmeans_fit(profiles, config.k, seed=config.seed, restarts=config.restarts)
     else:
-        if len(profiles) < K_MAX:
-            raise InsufficientDataError(
-                "{0} profile(s) available; scanning k=1..{1} needs at least {1}".format(len(profiles), K_MAX)
-            )
         selection = select_k(profiles, seed=config.seed, restarts=config.restarts)
         model = selection.model
 

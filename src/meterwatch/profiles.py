@@ -14,7 +14,6 @@ import csv
 import io
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
-from pathlib import Path
 from typing import TextIO
 from zoneinfo import ZoneInfo
 
@@ -187,26 +186,18 @@ def _fill_gaps(grid: np.ndarray) -> np.ndarray:
     return np.where(prev == nxt, before, inner)
 
 
-def write_profiles_csv(target: str | Path | TextIO, profiles: DailyProfiles) -> None:
-    """Export profiles with one column per slot (s00..s95)."""
-
-    def _write(fh: TextIO) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["meter_id", "day", "completeness"]
-            + ["s{:02d}".format(i) for i in range(SLOTS_PER_DAY)]
-        )
-        # Only the meter id can need quoting: csv writes it once, each row
-        # is formatted by one call.
-        meter = io.StringIO()
-        csv.writer(meter, lineterminator="\n").writerow([profiles.meter_id, ""])
-        prefix = meter.getvalue()[:-1]
-        row = "%s,%.4f" + ",%.3f" * SLOTS_PER_DAY + "\n"
-        for day, completeness, values in zip(profiles.days, profiles.completeness, profiles.values.tolist()):
-            fh.write(prefix + row % (day.isoformat(), completeness, *values))
-
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            _write(fh)
-    else:
-        _write(target)
+def write_profiles_csv(fh: TextIO, profiles: DailyProfiles) -> None:
+    """Write profiles to ``fh`` with one column per slot (s00..s95)."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(
+        ["meter_id", "day", "completeness"]
+        + ["s{:02d}".format(i) for i in range(SLOTS_PER_DAY)]
+    )
+    # Only the meter id can need quoting: csv writes it once, each row
+    # is formatted by one call.
+    meter = io.StringIO()
+    csv.writer(meter, lineterminator="\n").writerow([profiles.meter_id, ""])
+    prefix = meter.getvalue()[:-1]
+    row = "%s,%.4f" + ",%.3f" * SLOTS_PER_DAY + "\n"
+    for day, completeness, values in zip(profiles.days, profiles.completeness, profiles.values.tolist()):
+        fh.write(prefix + row % (day.isoformat(), completeness, *values))

@@ -190,14 +190,24 @@ def test_analyze_out_of_range_setting_is_a_usage_error(runner, tmp_path, flags, 
         ("analyze", "--config", "not json"),
         ("simulate", "--scripts", "[" * 100000),
         ("analyze", "--config", "[" * 100000),
+        ("analyze", "--config", '{"k": 2.7}'),
+        ("analyze", "--config", '{"restarts": 1.9}'),
+        ("analyze", "--config", '{"seed": true}'),
+        ("simulate", "--config", '{"days": 2.9}'),
+        ("analyze", "--config", '{"min_completeness": true}'),
+        ("simulate", "--config", '{"personas": []}'),
     ],
     ids=[
         "unknown-kind", "no-kind", "day-not-iso", "scripts-a-list", "days-not-a-number",
         "personas-not-a-list", "unknown-persona", "config-not-json",
         "scripts-nested-too-deep", "config-nested-too-deep",
+        "k-a-fraction", "restarts-a-fraction", "seed-a-bool", "days-a-fraction", "min-completeness-a-bool",
+        "personas-empty",
     ],
 )
 def test_bad_settings_file_is_a_usage_error(runner, tmp_path, command, option, text):
+    """Every value in a settings file is checked, also one a flag overrides
+    (``simulate --persona S1`` overrides ``personas``)."""
     settings = tmp_path / "settings.json"
     settings.write_text(text, encoding="utf-8")
     readings = tmp_path / "readings.csv"
@@ -208,14 +218,45 @@ def test_bad_settings_file_is_a_usage_error(runner, tmp_path, command, option, t
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert "settings.json" in result.output and option in result.output
+    if option == "--config" and text.startswith("{"):
+        assert all("{}: ".format(key) in result.output for key in json.loads(text))
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_null_in_a_settings_file_means_not_given(runner, tmp_path, command):
+    """A null value is as if its key were absent; each command ignores the
+    keys of the other."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict.fromkeys(["days", "seed", "start", "personas", "restarts", "k", "top_n"])),
+                      encoding="utf-8")
+    sims = tmp_path / "sims"
+    assert runner.invoke(main, ["simulate", "--persona", "S4", "--days", "8", "--out", str(sims)]).exit_code == 0
+    args = ["simulate", "--persona", "S4"] if command == "simulate" else ["analyze", str(sims / "S4_readings.csv")]
+    plain = runner.invoke(main, args + ["--out", str(tmp_path / "plain")])
+    nulls = runner.invoke(main, args + ["--out", str(tmp_path / "nulls"), "--config", str(config)])
+    assert plain.exit_code == 0 and nulls.exit_code == 0, nulls.output
+    assert tree(tmp_path / "nulls") == tree(tmp_path / "plain") != {}
+
+
+@pytest.mark.parametrize("flags, config", [(["--persona", "S2", "--persona", "S1", "--persona", "S2"], None),
+                                           ([], {"personas": ["S2", "S1", "S2"]})], ids=["flags", "config"])
+def test_simulate_writes_a_repeated_persona_once(runner, tmp_path, flags, config):
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        flags = ["--config", str(tmp_path / "config.json")]
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["simulate", *flags, "--days", "2", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "wrote readings for 2 persona(s)" in result.output
+    assert sorted(p.name for p in out.iterdir()) == ["S1_readings.csv", "S1_truth.json", "S2_readings.csv", "S2_truth.json"]
 
 
 @pytest.mark.parametrize(
     "flags, option",
     [(["--days", "3000000"], "--days"), (["--start", "9999-12-31", "--days", "2"], "--start"),
-     (["--start", "0001-01-01"], "--start")],
-    ids=["days-past-the-calendar", "start-at-the-calendar-end", "start-before-the-calendar-in-utc"],
+     (["--start", "0001-01-01"], "--start"), (["--days", "0"], "--days")],
+    ids=["days-past-the-calendar", "start-at-the-calendar-end", "start-before-the-calendar-in-utc", "no-days"],
 )
 def test_simulate_past_the_calendar_is_a_usage_error(runner, tmp_path, flags, option):
     result = runner.invoke(main, ["simulate", "--persona", "S1", *flags, "--out", str(tmp_path / "out")])

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import START, profiles_through_store
 from meterwatch import clustering, pipeline
 from meterwatch.clustering import (
+    InsufficientDataError,
     kmeans_fit,
     mean_cluster_profiles,
     select_k,
@@ -57,8 +58,9 @@ def test_k1_closed_form():
 
 
 def test_fewer_profiles_than_k_is_an_error():
+    assert pipeline.InsufficientDataError is InsufficientDataError and issubclass(InsufficientDataError, ValueError)
     profiles = profiles_from_matrix(matrix(0.0, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(InsufficientDataError, match=r"^2 profile\(s\) available, k=3 requested$"):
         kmeans_fit(profiles, 3, seed=0)
 
 
@@ -166,7 +168,8 @@ def test_quiet_household_needs_at_most_two_clusters():
 
 
 def test_select_k_requires_six_profiles():
-    with pytest.raises(ValueError):
+    message = r"^5 profile\(s\) available; scanning k=1\.\.6 needs at least 6$"
+    with pytest.raises(InsufficientDataError, match=message):
         select_k(profiles_from_matrix(np.zeros((5, 96))), seed=0)
 
 

@@ -18,6 +18,8 @@ script runs:
     meterwatch ingest sim/S1_readings.csv ... sim/S4_readings.csv --store store
     meterwatch ingest sim/S1_readings.csv ... sim/S4_readings.csv --store store
     meterwatch simulate --days 40 --seed 7 --start 2024-10-10 --scripts scripts.json --out sim_scripted
+    meterwatch simulate --config simulate.json --days 15 --out sim_config
+    meterwatch analyze sim/S1_readings.csv ... sim/S4_readings.csv --config analyze.json --k 3 --out config_k3
 
 The second ingest is a no-op re-ingest, so the persisted
 ``store/readings.ndjson`` and the stats both ingests print are compared.
@@ -26,7 +28,10 @@ one of them on the day the clocks go back, so the last run compares another
 seed, the scripted days and a DST day of the simulator.
 The ``--top-n`` runs put one-panel and six-panel anomaly charts, and a
 one-panel user means chart, under the comparison; the ``--seed 7`` run
-compares other k-means++ draws and restart counts.
+compares other k-means++ draws and restart counts.  The two ``--config``
+runs read settings files (``SIMULATE_CONFIG``, ``ANALYZE_CONFIG``): one
+sets personas, days, seed and start, with ``--days`` overriding its days;
+the other sets seed, restarts and top_n beside the flag ``--k 3``.
 
 The simulated readings all sit on the 15-minute grid with none missing,
 so the script then writes a "gappy" copy of them (``write_gappy``: seeded
@@ -55,11 +60,14 @@ one-cluster (degenerate) path,
 
     meterwatch analyze flat/FLAT_readings.csv --out flat_scan
 
-and, on a copy of S2's first three days (``write_short``), one command
-that fails at its second meter, so its exit code, message and the files
-it leaves (S1's only) are compared as well:
+and, on a copy of S2's first three days (``write_short``), two commands
+that fail at their second meter, one in the k scan and one in the
+fixed-k fit, so their exit codes, messages and the files they leave
+(S1's only) are compared as well:
 
     meterwatch analyze sim/S1_readings.csv short/S2_readings.csv sim/S3_readings.csv sim/S4_readings.csv --out short_s2
+    meterwatch analyze sim/S1_readings.csv short/S2_readings.csv sim/S3_readings.csv sim/S4_readings.csv --k 6 \
+        --out short_s2_k6
 
 Last, it starts ``meterwatch serve --store serve/store`` on a fresh
 store and a free loopback port, with no prior ``ingest``, POSTs each of
@@ -115,7 +123,13 @@ COMMANDS = [
     ("reingest", ["ingest", *READINGS, "--store", "store"]),
     ("sim_scripted", ["simulate", "--days", "40", "--seed", "7", "--start", "2024-10-10", "--scripts", "scripts.json",
                       "--out", "sim_scripted"]),
+    ("sim_config", ["simulate", "--config", "simulate.json", "--days", "15", "--out", "sim_config"]),
+    ("config_k3", ["analyze", *READINGS, "--config", "analyze.json", "--k", "3", "--out", "config_k3"]),
 ]
+# Settings files; the first one's 20 days are overridden by --days 15, a
+# span that holds the day the clocks go forward (2024-03-31).
+SIMULATE_CONFIG = {"personas": ["S2", "S4"], "days": 20, "seed": 11, "start": "2024-03-25"}
+ANALYZE_CONFIG = {"seed": 5, "restarts": 4, "top_n": 2}
 # Each anomaly kind on S3 and on S4 within the scripted run's 40 days from
 # 2024-10-10; 2024-10-27 is the day the clocks go back.
 SCRIPTS = {
@@ -135,6 +149,7 @@ DERIVED_COMMANDS = [
     ("noncanonical_knee", ["analyze", *NONCANONICAL, "--out", "noncanonical_knee"]),
     ("flat_scan", ["analyze", "flat/FLAT_readings.csv", "--out", "flat_scan"]),
     ("short_s2", ["analyze", READINGS[0], "short/S2_readings.csv", *READINGS[2:], "--out", "short_s2"]),
+    ("short_s2_k6", ["analyze", READINGS[0], "short/S2_readings.csv", *READINGS[2:], "--k", "6", "--out", "short_s2_k6"]),
 ]
 # Runs of readings cut out, as (first row, rows): 3 h leaves the day below
 # the 0.9 completeness floor, 1.5 h leaves it above (its slots are filled).
@@ -307,7 +322,8 @@ def serve_round(side_dir: Path, env: dict, name: str, requests: list) -> None:
 def run_side(src: Path, side_dir: Path) -> None:
     side_dir.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
-    (side_dir / "scripts.json").write_text(json.dumps(SCRIPTS), encoding="utf-8")
+    for name, data in (("scripts.json", SCRIPTS), ("simulate.json", SIMULATE_CONFIG), ("analyze.json", ANALYZE_CONFIG)):
+        (side_dir / name).write_text(json.dumps(data), encoding="utf-8")
     run_commands(COMMANDS, side_dir, env)
     write_gappy(side_dir / "sim", side_dir / "gappy")
     write_noncanonical(side_dir / "sim", side_dir / "noncanonical")
