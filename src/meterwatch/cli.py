@@ -97,14 +97,20 @@ def _persona_list(value) -> list[str]:
 
 # The settings that are not numbers; numbers go through pipeline.parse_setting.
 _PARSERS = {"start": date.fromisoformat, "personas": _persona_list}
+# The keys a settings file may hold: simulate's, then analyze's (one file may serve both).
+_CONFIG_KEYS = ("personas", "days", "seed", "start", "restarts", "min_completeness", "top_n", "k")
 
 
 def _settings(config_path: str | None, flags: dict) -> dict:
     """Each setting in ``flags`` that is given: parsed from its flag, else
     from the ``--config`` file if its value there is not null.  Every file
-    value is parsed, also one a flag overrides."""
+    value is parsed, also one a flag overrides; a key no command reads is refused."""
+    config = _load_json_object(config_path)
+    unknown = "".join("{}: unknown key; ".format(key) for key in config if key not in _CONFIG_KEYS)
+    if unknown:
+        raise _usage_error("--config", config_path, unknown + "the keys are " + ", ".join(_CONFIG_KEYS))
     given = [(key, value, "--config", "{}: {}".format(config_path, key))
-             for key, value in _load_json_object(config_path).items() if key in flags]
+             for key, value in config.items() if key in flags]
     given += [(key, value, "--" + key.replace("_", "-"), value) for key, value in flags.items()]
     settings = {}
     for key, value, option, source in given:
@@ -128,7 +134,7 @@ def _parse_scripts(entries, start: date) -> list[AnomalyScript]:
         if "day" in entry:
             day = date.fromisoformat(entry["day"])
         elif "day_offset" in entry:
-            day = start + timedelta(days=int(entry["day_offset"]))
+            day = start + timedelta(days=parse_setting("day_offset", entry["day_offset"]))
         else:
             raise ValueError("script entry needs a day or day_offset")
         scripts.append(AnomalyScript(entry.get("kind"), day, entry.get("parameters")))
@@ -177,11 +183,13 @@ def simulate(personas, days, seed, start_text, scripts_path, config_path, out_di
     _check_period(start, days)
 
     scripts_by_persona: dict[str, list[AnomalyScript]] = {}
-    try:
-        for pid, entries in _load_json_object(scripts_path, "--scripts").items():
+    for pid, entries in _load_json_object(scripts_path, "--scripts").items():
+        try:
+            if pid not in PERSONA_IDS:
+                raise ValueError("not a persona id; the ids are " + ", ".join(PERSONA_IDS))
             scripts_by_persona[pid] = _parse_scripts(entries, start)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise _usage_error("--scripts", scripts_path, exc)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise _usage_error("--scripts", "{}: {}".format(scripts_path, pid), exc)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -379,12 +387,9 @@ def _write_outputs(out: Path, meters: list[str], results) -> dict[str, MeterAnal
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 def analyze(csv_files, out_dir, seed, restarts, min_completeness, top_n, k, config_path) -> None:
     """Cluster daily profiles from readings CSVs and rank anomalous days."""
-    # Only given settings reach AnalysisConfig, which owns the defaults and bounds.
+    # Only given settings reach AnalysisConfig, which owns the defaults.
     flags = {"seed": seed, "restarts": restarts, "min_completeness": min_completeness, "top_n": top_n, "k": k}
-    try:
-        config = AnalysisConfig(**_settings(config_path, flags))
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
+    config = AnalysisConfig(**_settings(config_path, flags))
 
     store = TelemetryStore()
     try:

@@ -168,10 +168,6 @@ def template_vector(bumps, floor: float = 0.005) -> tuple[float, ...]:
     return tuple(weights)
 
 
-def uniform_template(name: str = "uniform") -> RoutineTemplate:
-    return RoutineTemplate(name, (1.0,) * SLOTS_PER_DAY)
-
-
 # -- appliances --------------------------------------------------------------
 
 
@@ -261,40 +257,6 @@ def build_persona(persona_id: str) -> HouseholdPersona:
 
 
 # -- JSON form ---------------------------------------------------------------
-
-
-def persona_to_dict(persona: HouseholdPersona) -> dict:
-    return {
-        "id": persona.id,
-        "appliances": [
-            {
-                "name": a.name,
-                "power_w": a.power_w,
-                "mode": a.mode,
-                "duty": a.duty,
-                "duration_slots": a.duration_slots,
-                "cycle": list(a.cycle) if a.cycle is not None else None,
-                "placement_jitter": a.placement_jitter,
-                "power_noise": a.power_noise,
-                "duty_jitter": a.duty_jitter,
-                "schedule": [
-                    {
-                        "start_slot": w.start_slot,
-                        "end_slot": w.end_slot,
-                        "days": sorted(w.days),
-                        "probability": w.probability,
-                    }
-                    for w in a.schedule
-                ],
-            }
-            for a in persona.appliances
-        ],
-        "routine_templates": [
-            {"name": t.name, "weights": list(t.weights)} for t in persona.routine_templates
-        ],
-        "template_weights": list(persona.template_weights),
-        "ambient_noise_w": persona.ambient_noise_w,
-    }
 
 
 def persona_from_dict(data: dict) -> HouseholdPersona:

@@ -8,7 +8,8 @@ identical reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from math import inf
 from typing import Any
 
 from .anomaly import AnomalyReport, anomaly_scores
@@ -19,6 +20,7 @@ from .clustering import (
     InsufficientDataError,
     KSelectionReport,
     K_MAX,
+    K_MIN,
     kmeans_fit,
     mean_cluster_profiles,
     select_k,
@@ -31,18 +33,29 @@ DEFAULT_SEED = 42
 DEFAULT_TOP_N = 3
 # Restarts per fit; the bound keeps one analysis request's cost bounded.
 MAX_RESTARTS = 100
-# The type each setting is parsed to: the AnalysisConfig fields and simulate's days.
-SETTING_TYPES = {"seed": int, "restarts": int, "min_completeness": float, "top_n": int, "k": int, "days": int}
+# Each setting's type and inclusive bounds: the AnalysisConfig fields, simulate's days, a script's day_offset.
+SETTINGS = {"seed": (int, -inf, inf), "restarts": (int, 1, MAX_RESTARTS), "min_completeness": (float, 0, 1),
+            "top_n": (int, 1, inf), "k": (int, K_MIN, K_MAX), "days": (int, 1, inf), "day_offset": (int, -inf, inf)}
+
+
+def _check_bounds(key: str, value: int | float) -> int | float:
+    """``value``, or a ``ValueError`` when it lies outside setting ``key``'s bounds (NaN does)."""
+    _, low, high = SETTINGS[key]
+    if low <= value <= high:
+        return value
+    bound = "be >= {}".format(low) if high == inf else "lie in {}..{}".format(low, high)
+    raise ValueError("{} must {}".format(key, bound))
 
 
 def parse_setting(key: str, value: Any) -> int | float:
-    """``value`` as setting ``key``: text as ``int()`` or ``float()`` parses
-    it, or a number.  A bool, or a fraction where an integer is expected, is
-    a ``ValueError``; an infinity there an ``OverflowError``."""
-    kind = SETTING_TYPES[key]
+    """``value`` as setting ``key`` within its bounds: text as ``int()`` or
+    ``float()`` parses it, or a number.  A bool, or a fraction where an integer
+    is expected, is a ``ValueError``; an infinity there an ``OverflowError``."""
+    kind = SETTINGS[key][0]
     if not isinstance(value, str) and (type(value) not in (int, float) or kind is int and value != int(value)):
-        raise ValueError("must be {}, not {}".format("an integer" if kind is int else "a number", json.dumps(value)))
-    return kind(value)
+        kind_text = "an integer" if kind is int else "a number"
+        raise ValueError("{} must be {}, not {}".format(key, kind_text, json.dumps(value)))
+    return _check_bounds(key, kind(value))
 
 
 @dataclass(frozen=True)
@@ -54,18 +67,13 @@ class AnalysisConfig:
     k: int | None = None  # None = pick by the knee rule
 
     def __post_init__(self):
-        if not 1 <= self.restarts <= MAX_RESTARTS:
-            raise ValueError("restarts must lie in 1..{}".format(MAX_RESTARTS))
-        if not 0.0 <= self.min_completeness <= 1.0:
-            raise ValueError("min_completeness must lie in 0..1")
-        if self.top_n < 1:
-            raise ValueError("top_n must be >= 1")
-        if self.k is not None and not 1 <= self.k <= K_MAX:
-            raise ValueError("k must lie in 1..{}".format(K_MAX))
+        for field in fields(self):
+            if (value := getattr(self, field.name)) is not None:
+                _check_bounds(field.name, value)
 
     def with_overrides(self, **kwargs: Any) -> "AnalysisConfig":
         """Copy with new ``seed``, ``restarts``, ``min_completeness``, ``top_n``
-        or ``k`` values, each parsed by :func:`parse_setting` and checked.
+        or ``k`` values, each parsed and checked by :func:`parse_setting`.
 
         Raises:
             ValueError: a value that does not parse or is out of range.

@@ -184,9 +184,6 @@ class ReadoutFrame:
     lines: tuple[DataLine, ...]
     bcc: int
 
-    def to_bytes(self) -> bytes:
-        return encode_readout(self.lines)
-
 
 @dataclass(frozen=True)
 class IdentificationMessage:

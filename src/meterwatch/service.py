@@ -12,9 +12,10 @@ Endpoints:
   the current anomaly report, recomputed on demand with the same defaults
   the CLI uses (409 when the meter's span exceeds ``store.MAX_GRID_SLOTS``).
 
-A meter ``{id}`` is percent-decoded (UTF-8).  All logic lives in the
-library; handlers only translate HTTP.  An
-``Authorization`` header is accepted and ignored (pass-through stub).
+A meter ``{id}`` is percent-decoded (UTF-8); a query key that the
+endpoint does not read is a 400.  All logic lives in the library;
+handlers only translate HTTP.  An ``Authorization`` header is accepted
+and ignored (pass-through stub).
 """
 
 from __future__ import annotations
@@ -43,8 +44,12 @@ MAX_BODY_BYTES = 32 * 2**20
 # Seconds one socket read or write may wait before the connection is
 # closed: an idle keep-alive connection, or a request that stalls.
 IDLE_TIMEOUT_S = 60
-_POWER_RE = re.compile(r"^/v1/meters/([^/]+)/power$")
-_ANOMALIES_RE = re.compile(r"^/v1/meters/([^/]+)/anomalies$")
+# Each GET endpoint's path, the query keys it reads (any other is a 400)
+# and its handler's name.
+_ROUTES = (
+    (re.compile(r"^/v1/meters/([^/]+)/power$"), ("from", "to"), "_handle_power"),
+    (re.compile(r"^/v1/meters/([^/]+)/anomalies$"), ("k", "seed", "restarts", "min_completeness"), "_handle_anomalies"),
+)
 
 
 class MeterServiceHandler(BaseHTTPRequestHandler):
@@ -107,16 +112,18 @@ class MeterServiceHandler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:
         parsed = urlparse(self.path)
-        query = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
-
-        m = _POWER_RE.match(parsed.path)
-        if m:
-            self._handle_power(unquote(m.group(1)), query)
-            return
-        m = _ANOMALIES_RE.match(parsed.path)
-        if m:
-            self._handle_anomalies(unquote(m.group(1)), query)
-            return
+        # A blank value (``?k=``) is kept, so it is refused as any bad value is.
+        query = {k: v[-1] for k, v in parse_qs(parsed.query, keep_blank_values=True).items()}
+        for path_re, keys, handler in _ROUTES:
+            m = path_re.match(parsed.path)
+            if m:
+                unknown = [key for key in query if key not in keys]
+                if unknown:
+                    self._send_error(400, "unknown query key(s) {}; the keys are {}".format(
+                        ", ".join(map(repr, unknown)), ", ".join(keys)))
+                else:
+                    getattr(self, handler)(unquote(m.group(1)), query)
+                return
         self._send_error(404, "unknown endpoint")
 
     def _require_meter(self, meter_id: str) -> bool:
@@ -158,9 +165,7 @@ class MeterServiceHandler(BaseHTTPRequestHandler):
         if not self._require_meter(meter_id):
             return
         try:
-            config = self.config.with_overrides(
-                **{key: query[key] for key in ("k", "seed", "restarts", "min_completeness") if key in query}
-            )
+            config = self.config.with_overrides(**query)
         except ValueError as exc:
             self._send_error(400, str(exc))
             return

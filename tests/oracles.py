@@ -30,7 +30,7 @@ renderer and ``write_profiles_csv`` did.  ``simulated_readings`` is the
 simulator's per-slot register integration, a ``round`` and a ``Decimal``
 quantize per reading, kept as the reference for its one integer pass.
 ``reading_to_record`` and ``snapshot`` are views of a reading and of a store's index that only the
-tests use.
+tests use, as are ``persona_to_dict``, a persona's JSON form, and ``uniform_template``.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ import numpy as np
 
 from meterwatch.charts import MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PANEL_H, PANEL_W
 from meterwatch.clustering import ClusterModel
+from meterwatch.personas import HouseholdPersona, RoutineTemplate
 from meterwatch.profiles import DEFAULT_TIMEZONE, SLOTS_PER_DAY, DailyProfiles, ExcludedDay, _slots_in_local_day
 from meterwatch.protocol import POSITIVE_ACTIVE_ENERGY, REGISTER_MODULUS_KWH, ObisCode
 from meterwatch.simulator import SimOutput
@@ -646,3 +647,44 @@ def profiles_csv(profiles: DailyProfiles) -> str:
             [profiles.meter_id, day.isoformat(), "{:.4f}".format(completeness)] + ["{:.3f}".format(v) for v in values]
         )
     return fh.getvalue()
+
+
+# -- personas ------------------------------------------------------------------
+
+
+def persona_to_dict(persona: HouseholdPersona) -> dict:
+    return {
+        "id": persona.id,
+        "appliances": [
+            {
+                "name": a.name,
+                "power_w": a.power_w,
+                "mode": a.mode,
+                "duty": a.duty,
+                "duration_slots": a.duration_slots,
+                "cycle": list(a.cycle) if a.cycle is not None else None,
+                "placement_jitter": a.placement_jitter,
+                "power_noise": a.power_noise,
+                "duty_jitter": a.duty_jitter,
+                "schedule": [
+                    {
+                        "start_slot": w.start_slot,
+                        "end_slot": w.end_slot,
+                        "days": sorted(w.days),
+                        "probability": w.probability,
+                    }
+                    for w in a.schedule
+                ],
+            }
+            for a in persona.appliances
+        ],
+        "routine_templates": [
+            {"name": t.name, "weights": list(t.weights)} for t in persona.routine_templates
+        ],
+        "template_weights": list(persona.template_weights),
+        "ambient_noise_w": persona.ambient_noise_w,
+    }
+
+
+def uniform_template(name: str = "uniform") -> RoutineTemplate:
+    return RoutineTemplate(name, (1.0,) * SLOTS_PER_DAY)

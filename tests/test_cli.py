@@ -3,17 +3,22 @@ from __future__ import annotations
 import concurrent.futures
 import http.client
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from meterwatch import cli
 from meterwatch.cli import main
+from meterwatch.clustering import K_MAX
+from meterwatch.pipeline import MAX_RESTARTS
 
 
 @pytest.fixture()
@@ -163,6 +168,8 @@ def test_analyze_malformed_row_names_the_line(runner, tmp_path):
         (["--k", "7"], None),
         ([], {"restarts": 0}),
         (["--restarts", "1000000"], None),
+        (["--min-completeness", "nan"], None),
+        ([], {"min_completeness": float("nan")}),  # the JSON literal NaN
     ],
 )
 def test_analyze_out_of_range_setting_is_a_usage_error(runner, tmp_path, flags, config):
@@ -175,6 +182,9 @@ def test_analyze_out_of_range_setting_is_a_usage_error(runner, tmp_path, flags, 
     result = runner.invoke(main, ["analyze", str(readings), "--out", str(tmp_path / "x")] + flags)
     assert result.exit_code == 2, result.output
     assert "Invalid value" in result.output
+    if config is not None:
+        assert "config.json: " in result.output
+        assert all("{}: ".format(key) in result.output for key in config)
 
 
 @pytest.mark.parametrize(
@@ -196,30 +206,41 @@ def test_analyze_out_of_range_setting_is_a_usage_error(runner, tmp_path, flags, 
         ("simulate", "--config", '{"days": 2.9}'),
         ("analyze", "--config", '{"min_completeness": true}'),
         ("simulate", "--config", '{"personas": []}'),
+        ("analyze", "--config", '{"restart": 0, "K": 9}'),
+        ("analyze --restarts 2", "--config", '{"restarts": 0}'),
+        ("simulate", "--scripts", '{"S1": [{"kind": "full-absence", "day_offset": 2.7}]}'),
+        ("simulate", "--scripts", '{"S1": [{"kind": "evening-baking", "day_offset": true}]}'),
+        ("simulate", "--scripts", '{"S9": [{"kind": "full-absence", "day": "2024-06-05"}]}'),
     ],
     ids=[
         "unknown-kind", "no-kind", "day-not-iso", "scripts-a-list", "days-not-a-number",
         "personas-not-a-list", "unknown-persona", "config-not-json",
         "scripts-nested-too-deep", "config-nested-too-deep",
         "k-a-fraction", "restarts-a-fraction", "seed-a-bool", "days-a-fraction", "min-completeness-a-bool",
-        "personas-empty",
+        "personas-empty", "unknown-keys", "out-of-range-under-a-flag", "day-offset-a-fraction", "day-offset-a-bool",
+        "scripts-key-not-a-persona",
     ],
 )
 def test_bad_settings_file_is_a_usage_error(runner, tmp_path, command, option, text):
     """Every value in a settings file is checked, also one a flag overrides
-    (``simulate --persona S1`` overrides ``personas``)."""
+    (``simulate --persona S1`` overrides ``personas``), and a key that is
+    not a setting, or not a persona id in a scripts file, is refused.  The
+    message names the file and each top-level key of the object."""
     settings = tmp_path / "settings.json"
     settings.write_text(text, encoding="utf-8")
     readings = tmp_path / "readings.csv"
     readings.write_text("meter_id,timestamp,obis,value_kwh\n", encoding="utf-8")
-    args = ["simulate", "--persona", "S1"] if command == "simulate" else ["analyze", str(readings)]
-    result = runner.invoke(main, args + ["--out", str(tmp_path / "out"), option, str(settings)])
+    name, *flags = command.split()
+    args = ["simulate", "--persona", "S1"] if name == "simulate" else ["analyze", str(readings)]
+    result = runner.invoke(main, args + flags + ["--out", str(tmp_path / "out"), option, str(settings)])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert "settings.json" in result.output and option in result.output
-    if option == "--config" and text.startswith("{"):
+    if text.startswith("{"):
         assert all("{}: ".format(key) in result.output for key in json.loads(text))
+    if "day_offset" in text:
+        assert "day_offset must be an integer" in result.output
     assert not (tmp_path / "out").exists()
 
 
@@ -237,6 +258,52 @@ def test_null_in_a_settings_file_means_not_given(runner, tmp_path, command):
     nulls = runner.invoke(main, args + ["--out", str(tmp_path / "nulls"), "--config", str(config)])
     assert plain.exit_code == 0 and nulls.exit_code == 0, nulls.output
     assert tree(tmp_path / "nulls") == tree(tmp_path / "plain") != {}
+
+
+# Valid analyze settings other than k, which is fixed at 2.
+VALID_SETTINGS = st.fixed_dictionaries({}, optional={
+    "seed": st.integers(-2**70, 2**70), "restarts": st.integers(1, 3), "min_completeness": st.floats(0, 1),
+    "top_n": st.integers(1, 9),
+})
+# A key a settings file must refuse: no command's setting, or a value out of its bounds or of its type.
+BAD_SETTING = st.one_of(
+    st.tuples(st.text("aKrz_", min_size=1).filter(lambda key: key not in cli._CONFIG_KEYS), st.none() | st.integers()),
+    st.tuples(st.just("restarts"), st.integers(max_value=0) | st.integers(min_value=MAX_RESTARTS + 1) | st.just(1.5)),
+    st.tuples(st.just("min_completeness"), st.floats().filter(lambda v: not 0 <= v <= 1) | st.booleans()),
+    st.tuples(st.just("top_n"), st.integers(max_value=0) | st.just("x")),
+    st.tuples(st.just("k"), st.sampled_from([0, K_MAX + 1, 2.5, True])),
+    st.tuples(st.just("seed"), st.sampled_from([0.5, math.inf, "x", False])),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(valid=VALID_SETTINGS, as_text=st.booleans(), simulate_key=st.booleans(), bad=st.none() | BAD_SETTING)
+def test_settings_file_equals_flags_and_refuses_what_it_does_not_know(sims, valid, as_text, simulate_key, bad):
+    """Valid settings from ``--config``, as numbers or as text and beside a
+    key that only ``simulate`` reads, write what the same flags write; a key
+    that is no setting, or a value out of its bounds or type, exits 2
+    naming the file and the key before anything is written."""
+    config = {key: str(value) if as_text else value for key, value in {**valid, "k": 2}.items()}
+    if simulate_key:
+        config["days"] = 8
+    if bad is not None:
+        config[bad[0]] = bad[1]
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "settings.json").write_text(json.dumps(config), encoding="utf-8")
+        args = ["analyze", str(sims / "S4_readings.csv"), "--out"]
+        from_file = runner.invoke(main, args + [str(tmp / "file"), "--config", str(tmp / "settings.json")])
+        if bad is not None:
+            assert from_file.exit_code == 2, from_file.output
+            assert "settings.json: {}: ".format(bad[0]) in from_file.output
+            assert not (tmp / "file").exists()
+            return
+        flags = [text for key, value in valid.items() for text in ("--" + key.replace("_", "-"), str(value))]
+        from_flags = runner.invoke(main, args + [str(tmp / "flags"), "--k", "2"] + flags)
+        assert from_file.exit_code == from_flags.exit_code == 0, from_file.output + from_flags.output
+        assert from_file.output == from_flags.output
+        assert tree(tmp / "file") == tree(tmp / "flags")
 
 
 @pytest.mark.parametrize("flags, config", [(["--persona", "S2", "--persona", "S1", "--persona", "S2"], None),

@@ -15,10 +15,9 @@ from meterwatch.personas import (
     build_persona,
     load_persona,
     persona_from_dict,
-    persona_to_dict,
     template_vector,
-    uniform_template,
 )
+from oracles import persona_to_dict, uniform_template
 
 
 def names(persona):

@@ -340,7 +340,9 @@ def test_anomalies_endpoint_accepts_overrides(server):
     assert err.value.code == 400
 
 
-@pytest.mark.parametrize("query", ["restarts=0", "restarts=1000000", "min_completeness=2", "min_completeness=-0.1"])
+@pytest.mark.parametrize(
+    "query", ["restarts=0", "restarts=1000000", "min_completeness=2", "min_completeness=-0.1", "min_completeness=nan"]
+)
 def test_anomalies_out_of_range_setting_is_400(server, query):
     base, _ = server
     post(base, "/v1/readings", ndjson(sim_readings(days=2)))
@@ -348,6 +350,24 @@ def test_anomalies_out_of_range_setting_is_400(server, query):
         get(base, "/v1/meters/S4/anomalies?" + query)
     assert err.value.code == 400
     assert "error" in json.loads(err.value.read().decode())
+
+
+@pytest.mark.parametrize(
+    "path, unknown",
+    [("anomalies?foo=1", "foo"), ("anomalies?k=2&K=3", "K"), ("power?k=2", "k"), ("power?from=", None),
+     ("anomalies?k=", None), ("anomalies?seed", None)],
+    ids=["unknown-key", "key-of-another-case", "key-of-another-endpoint", "blank-from", "blank-k", "bare-seed"],
+)
+def test_unknown_or_blank_query_key_is_400(server, path, unknown):
+    """Each endpoint reads only its own query keys, and a blank value is
+    refused as any bad value is, not read as the default."""
+    base, _ = server
+    post(base, "/v1/readings", ndjson(sim_readings(days=2)))
+    with pytest.raises(urllib.error.HTTPError) as err:
+        get(base, "/v1/meters/S4/" + path)
+    assert err.value.code == 400
+    error = json.loads(err.value.read().decode())["error"]
+    assert unknown is None or "unknown query key(s) {!r}".format(unknown) in error
 
 
 def test_busy_port_raises_at_startup():

@@ -19,7 +19,6 @@ from meterwatch.personas import (
     PERSONA_IDS,
     ScheduleWindow,
     build_persona,
-    uniform_template,
 )
 from meterwatch.protocol import ObisCode, extract_energy
 from meterwatch.simulator import (
@@ -39,7 +38,7 @@ def _standby_persona(power_w: float = 10.0) -> HouseholdPersona:
     return HouseholdPersona(
         id="standby",
         appliances=(AppliancePattern("charger", power_w, MODE_STANDBY),),
-        routine_templates=(uniform_template(),),
+        routine_templates=(oracles.uniform_template(),),
         template_weights=(1.0,),
     )
 
@@ -57,7 +56,7 @@ def _burst_persona() -> HouseholdPersona:
     return HouseholdPersona(
         id="bursty",
         appliances=(morning, fridge, base),
-        routine_templates=(uniform_template(),),
+        routine_templates=(oracles.uniform_template(),),
         template_weights=(1.0,),
     )
 

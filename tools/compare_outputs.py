@@ -31,7 +31,8 @@ one-panel user means chart, under the comparison; the ``--seed 7`` run
 compares other k-means++ draws and restart counts.  The two ``--config``
 runs read settings files (``SIMULATE_CONFIG``, ``ANALYZE_CONFIG``): one
 sets personas, days, seed and start, with ``--days`` overriding its days;
-the other sets seed, restarts and top_n beside the flag ``--k 3``.
+the other sets seed, restarts and top_n beside the flag ``--k 3``, and
+days, a key that only ``simulate`` reads and ``analyze`` must ignore.
 
 The simulated readings all sit on the 15-minute grid with none missing,
 so the script then writes a "gappy" copy of them (``write_gappy``: seeded
@@ -129,7 +130,7 @@ COMMANDS = [
 # Settings files; the first one's 20 days are overridden by --days 15, a
 # span that holds the day the clocks go forward (2024-03-31).
 SIMULATE_CONFIG = {"personas": ["S2", "S4"], "days": 20, "seed": 11, "start": "2024-03-25"}
-ANALYZE_CONFIG = {"seed": 5, "restarts": 4, "top_n": 2}
+ANALYZE_CONFIG = {"seed": 5, "restarts": 4, "top_n": 2, "days": 9}
 # Each anomaly kind on S3 and on S4 within the scripted run's 40 days from
 # 2024-10-10; 2024-10-27 is the day the clocks go back.
 SCRIPTS = {
