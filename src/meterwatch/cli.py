@@ -35,7 +35,7 @@ from .pipeline import (
     parse_setting,
 )
 from .profiles import DEFAULT_MIN_COMPLETENESS, regular_days, write_profiles_csv
-from .simulator import AnomalyScript, SimOutput, period_start, simulate_period
+from .simulator import AnomalyScript, SimOutput, period_start, scripts_by_day, simulate_period
 from .store import (
     SpanTooLong,
     StoreError,
@@ -117,7 +117,7 @@ def _settings(config_path: str | None, flags: dict) -> dict:
         if value is not None:
             try:
                 settings[key] = _PARSERS[key](value) if key in _PARSERS else parse_setting(key, value)
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise _usage_error(option, source, exc)
     return settings
 
@@ -152,9 +152,7 @@ def _simulate_one(
         "seed": seed,
         "labels": {d.isoformat(): label for d, label in sorted(sim.truth_labels.items())},
     }
-    (out / "{}_truth.json".format(persona_id)).write_text(
-        json.dumps(truth, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    (out / "{}_truth.json".format(persona_id)).write_text(_json_text(truth), encoding="utf-8")
     return sim
 
 
@@ -188,16 +186,14 @@ def simulate(personas, days, seed, start_text, scripts_path, config_path, out_di
             if pid not in PERSONA_IDS:
                 raise ValueError("not a persona id; the ids are " + ", ".join(PERSONA_IDS))
             scripts_by_persona[pid] = _parse_scripts(entries, start)
+            scripts_by_day(start, days, scripts_by_persona[pid])  # its checks, before --out is made
         except (TypeError, ValueError, OverflowError) as exc:
             raise _usage_error("--scripts", "{}: {}".format(scripts_path, pid), exc)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        for pid in personas:
-            _simulate_one(pid, start, days, seed, scripts_by_persona.get(pid, []), out)
-    except (ValueError, StoreError) as exc:
-        raise click.ClickException(str(exc))
+    for pid in personas:
+        _simulate_one(pid, start, days, seed, scripts_by_persona.get(pid, []), out)
     click.echo("wrote readings for {} persona(s) to {}".format(len(personas), out))
 
 
@@ -284,28 +280,16 @@ def _json_text(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def _meter_outputs(
-    store: TelemetryStore, config: AnalysisConfig, meter_id: str
-) -> tuple[MeterAnalysis, dict[str, str]] | str:
-    """One meter's analysis and output files, or the message it fails with."""
-    try:
-        analysis = analyze_meter(store, meter_id, config)
-    except (InsufficientDataError, SpanTooLong) as exc:
-        return "meter {}: {}".format(meter_id, exc)
+# The run's store and config while _analyze_store runs; forked pool
+# workers inherit them, so the readings are never pickled.
+_run: tuple[TelemetryStore, AnalysisConfig] | None = None
+
+
+def _meter_outputs(meter_id: str) -> tuple[MeterAnalysis, dict[str, str]]:
+    """One meter's analysis and output files, from the run's store and config."""
+    store, config = _run
+    analysis = analyze_meter(store, meter_id, config)
     return analysis, _analysis_outputs(analysis, config.top_n)
-
-
-# The run's store and config; set only in pool workers, by _init_worker.
-_worker_inputs: tuple[TelemetryStore, AnalysisConfig] | None = None
-
-
-def _init_worker(store: TelemetryStore, config: AnalysisConfig) -> None:
-    global _worker_inputs
-    _worker_inputs = (store, config)
-
-
-def _worker_meter_outputs(meter_id: str) -> tuple[MeterAnalysis, dict[str, str]] | str:
-    return _meter_outputs(*_worker_inputs, meter_id)
 
 
 def _check_directory_name(meter_id: str) -> None:
@@ -326,9 +310,8 @@ def _analyze_store(store: TelemetryStore, out: Path, config: AnalysisConfig) -> 
     cannot be read, in this process), and write each meter's
     files in meter order. The first meter that fails stops the run, with
     the files of the meters before it written, as a one-by-one run would.
-
-    Forked workers inherit the store, so its readings are never pickled.
     """
+    global _run
     meters = store.meters()
     if not meters:
         raise click.ClickException("no readings")
@@ -338,36 +321,32 @@ def _analyze_store(store: TelemetryStore, out: Path, config: AnalysisConfig) -> 
     # either), the meters are analysed in this process.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(meters))
-    if workers == 1:
-        return _write_outputs(out, meters, (_meter_outputs(store, config, m) for m in meters))
-    # Imported here: at module level they would add about 1.3 MB to every
-    # command's memory, `serve` included, which never starts a pool.
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    pool = ProcessPoolExecutor(
-        workers,
-        mp_context=get_context("fork"),
-        initializer=_init_worker,
-        initargs=(store, config),
-    )
+    pool = None
+    _run = (store, config)
     try:
-        return _write_outputs(out, meters, pool.map(_worker_meter_outputs, meters))
+        if workers > 1:
+            # Imported here: at module level they would add about 1.3 MB to every
+            # command's memory, `serve` included, which never starts a pool.
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_context
+
+            pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+        results = (pool.map if pool else map)(_meter_outputs, meters)
+        analyses: dict[str, MeterAnalysis] = {}
+        for meter_id in meters:
+            try:
+                analysis, files = next(results)
+            except (InsufficientDataError, SpanTooLong) as exc:
+                raise click.ClickException("meter {}: {}".format(meter_id, exc))
+            meter_out = out / meter_id
+            meter_out.mkdir(parents=True, exist_ok=True)
+            for name, text in files.items():
+                (meter_out / name).write_text(text, encoding="utf-8")
+            analyses[meter_id] = analysis
     finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _write_outputs(out: Path, meters: list[str], results) -> dict[str, MeterAnalysis]:
-    analyses: dict[str, MeterAnalysis] = {}
-    for meter_id, result in zip(meters, results):
-        if isinstance(result, str):
-            raise click.ClickException(result)
-        analysis, files = result
-        meter_out = out / meter_id
-        meter_out.mkdir(parents=True, exist_ok=True)
-        for name, text in files.items():
-            (meter_out / name).write_text(text, encoding="utf-8")
-        analyses[meter_id] = analysis
+        _run = None
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     chart = user_means_chart(
         {m: [list(row) for row in a.summary.centroids] for m, a in analyses.items()}
     )
@@ -489,13 +468,12 @@ def _write_casestudy_summary(
         lines.append("## {}".format(meter_id))
         lines.append("")
         lines.append("- profiles: {}".format(len(analysis.profiles)))
-        if selection is not None:
-            lines.append(
-                "- recommended clusters: {} (inertia by k: {})".format(
-                    selection.recommended_k,
-                    ", ".join("{:.0f}".format(i) for i in selection.inertias),
-                )
+        lines.append(
+            "- recommended clusters: {} (inertia by k: {})".format(
+                selection.recommended_k,
+                ", ".join("{:.0f}".format(i) for i in selection.inertias),
             )
+        )
         counts = analysis.summary.counts
         lines.append(
             "- cluster sizes: {} (most typical: cluster {})".format(
@@ -503,13 +481,11 @@ def _write_casestudy_summary(
             )
         )
         lines.append("- top anomalous days:")
-        truth_labels = truths[meter_id].truth_labels if meter_id in truths else {}
         for day in analysis.report.top(top_n):
-            label = truth_labels.get(day, "?")
             flag = "flagged" if day in analysis.report.flagged else "not flagged"
             lines.append(
                 "    - {}: score {:.0f} W, {} (simulated as: {})".format(
-                    day.isoformat(), analysis.report.scores[day], flag, label
+                    day.isoformat(), analysis.report.scores[day], flag, truths[meter_id].truth_labels[day]
                 )
             )
         lines.append("")

@@ -160,7 +160,8 @@ def _plus_plus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 def _repair_empty(
     X: np.ndarray, centroids: np.ndarray, labels: np.ndarray, k: int
 ) -> np.ndarray:
-    """Move the farthest point of a multi-member cluster into each empty one."""
+    """Move the farthest point of a multi-member cluster into each empty one
+    (``kmeans_fit`` refuses fewer points than clusters, so there is one)."""
     if np.bincount(labels, minlength=k).all():
         return labels
     labels = labels.copy()
@@ -169,8 +170,6 @@ def _repair_empty(
             continue
         counts = np.bincount(labels, minlength=k)
         movable = counts[labels] >= 2
-        if not np.any(movable):  # pragma: no cover - requires n < k upstream
-            raise ValueError("cannot repair empty cluster: too few points")
         dist = ((X - centroids[labels]) ** 2).sum(axis=1)
         dist[~movable] = -1.0
         labels[int(np.argmax(dist))] = cluster

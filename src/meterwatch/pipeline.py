@@ -25,6 +25,7 @@ from .clustering import (
     mean_cluster_profiles,
     select_k,
 )
+from .personas import SLOTS_PER_DAY
 from .profiles import DEFAULT_MIN_COMPLETENESS, DailyProfiles, ExcludedDay, build_daily_profiles
 from .protocol import POSITIVE_ACTIVE_ENERGY
 from .store import TelemetryStore
@@ -33,9 +34,13 @@ DEFAULT_SEED = 42
 DEFAULT_TOP_N = 3
 # Restarts per fit; the bound keeps one analysis request's cost bounded.
 MAX_RESTARTS = 100
-# Each setting's type and inclusive bounds: the AnalysisConfig fields, simulate's days, a script's day_offset.
+# Each setting's type and inclusive bounds: the AnalysisConfig fields,
+# simulate's days, a script's day_offset and its parameters.
 SETTINGS = {"seed": (int, -inf, inf), "restarts": (int, 1, MAX_RESTARTS), "min_completeness": (float, 0, 1),
-            "top_n": (int, 1, inf), "k": (int, K_MIN, K_MAX), "days": (int, 1, inf), "day_offset": (int, -inf, inf)}
+            "top_n": (int, 1, inf), "k": (int, K_MIN, K_MAX), "days": (int, 1, inf), "day_offset": (int, -inf, inf),
+            **dict.fromkeys(("start_slot", "end_slot", "window_start", "window_end", "shift_slots"),
+                            (int, 0, SLOTS_PER_DAY)),
+            "duration_slots": (int, 1, SLOTS_PER_DAY), "with_dishwasher": (int, 0, 1)}
 
 
 def _check_bounds(key: str, value: int | float) -> int | float:
@@ -49,13 +54,18 @@ def _check_bounds(key: str, value: int | float) -> int | float:
 
 def parse_setting(key: str, value: Any) -> int | float:
     """``value`` as setting ``key`` within its bounds: text as ``int()`` or
-    ``float()`` parses it, or a number.  A bool, or a fraction where an integer
-    is expected, is a ``ValueError``; an infinity there an ``OverflowError``."""
+    ``float()`` parses it, or a number.  Anything else (a bool, text that
+    does not parse, a fraction or an infinity where an integer is expected)
+    is a ``ValueError`` naming the key and the value."""
     kind = SETTINGS[key][0]
-    if not isinstance(value, str) and (type(value) not in (int, float) or kind is int and value != int(value)):
+    try:
+        if type(value) not in (str, int, float) or kind is int and type(value) is float and not value.is_integer():
+            raise ValueError
+        number = kind(value)
+    except (ValueError, OverflowError):  # OverflowError: an int too large for a float
         kind_text = "an integer" if kind is int else "a number"
-        raise ValueError("{} must be {}, not {}".format(key, kind_text, json.dumps(value)))
-    return _check_bounds(key, kind(value))
+        raise ValueError("{} must be {}, not {}".format(key, kind_text, json.dumps(value))) from None
+    return _check_bounds(key, number)
 
 
 @dataclass(frozen=True)

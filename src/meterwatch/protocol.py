@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from enum import Enum
 
 STX = 0x02
@@ -334,10 +334,7 @@ def extract_energy(frame: ReadoutFrame, code: ObisCode) -> Decimal | None:
                 raise MalformedValue(
                     "value {!r} of {} is not a decimal number".format(line.value, code)
                 )
-            try:
-                return Decimal(line.value)
-            except InvalidOperation:  # pragma: no cover - regex guards this
-                raise MalformedValue("value {!r} not parseable".format(line.value)) from None
+            return Decimal(line.value)
     return None
 
 

@@ -65,13 +65,13 @@ class MeterServiceHandler(BaseHTTPRequestHandler):
         return self.server.config  # type: ignore[attr-defined]
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if getattr(self.server, "verbose", False):
+        if self.server.verbose:  # type: ignore[attr-defined]
             super().log_message(format, *args)
 
-    def _send(self, status: int, payload: str, content_type: str = "application/json") -> None:
+    def _send(self, status: int, payload: str) -> None:
         body = payload.encode("utf-8")
         self.send_response(status)
-        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         if self.close_connection:
             self.send_header("Connection", "close")
@@ -194,10 +194,7 @@ def make_server(
 
 def run_server(server: ThreadingHTTPServer) -> None:
     """Serve until SIGINT/SIGTERM, then shut down cleanly."""
-    stop = threading.Event()
-
     def _handle(signum, frame):
-        stop.set()
         threading.Thread(target=server.shutdown, daemon=True).start()
 
     signal.signal(signal.SIGINT, _handle)

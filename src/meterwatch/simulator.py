@@ -41,6 +41,7 @@ from .protocol import (
     encode_readout,
     format_register_kwh,
 )
+from .pipeline import parse_setting
 from .profiles import DEFAULT_TIMEZONE
 from .store import REGISTER_MODULUS_WH, SLOT, MeterReading, _to_kwh
 
@@ -48,12 +49,15 @@ KIND_ABSENCE_MORNING = "absence-morning"
 KIND_SHIFTED_MORNING = "shifted-morning"
 KIND_EVENING_BAKING = "evening-baking"
 KIND_FULL_ABSENCE = "full-absence"
-ANOMALY_KINDS = (
-    KIND_ABSENCE_MORNING,
-    KIND_SHIFTED_MORNING,
-    KIND_EVENING_BAKING,
-    KIND_FULL_ABSENCE,
-)
+# The parameters each kind reads, with their defaults; a given value is
+# parsed and bounded as the setting of its name (``pipeline.SETTINGS``).
+SCRIPT_PARAMETERS = {
+    KIND_ABSENCE_MORNING: {"start_slot": 28, "end_slot": 48},
+    KIND_SHIFTED_MORNING: {"window_start": 28, "window_end": 40, "shift_slots": 12},
+    KIND_EVENING_BAKING: {"start_slot": 72, "duration_slots": 8, "with_dishwasher": 1},
+    KIND_FULL_ABSENCE: {},
+}
+ANOMALY_KINDS = tuple(SCRIPT_PARAMETERS)
 
 _UWH_PER_WH = 1_000_000
 
@@ -64,11 +68,13 @@ _DENSITY_GATE = 1.0
 
 @dataclass(frozen=True)
 class AnomalyScript:
-    """A scripted irregularity on one simulated day."""
+    """A scripted irregularity on one simulated day.  ``parameters`` becomes
+    all of ``SCRIPT_PARAMETERS[kind]``: each given value parsed as the setting
+    of its name, and the defaults of the rest; anything else is a ValueError."""
 
     kind: str
     day: date
-    parameters: Mapping[str, float] | None = None
+    parameters: Mapping[str, int] | None = None
 
     def __post_init__(self):
         if self.kind not in ANOMALY_KINDS:
@@ -77,11 +83,15 @@ class AnomalyScript:
                     self.kind, ", ".join(ANOMALY_KINDS)
                 )
             )
-
-    def param(self, name: str, default: float) -> float:
-        if self.parameters and name in self.parameters:
-            return float(self.parameters[name])
-        return default
+        defaults = SCRIPT_PARAMETERS[self.kind]
+        given = {} if self.parameters is None else self.parameters
+        if not isinstance(given, Mapping):
+            raise ValueError("parameters must be an object of names and numbers")
+        for name in given:
+            if name not in defaults:
+                raise ValueError("{} reads no parameter {!r}; it reads {}".format(
+                    self.kind, name, ", ".join(defaults) or "none"))
+        object.__setattr__(self, "parameters", {**defaults, **{n: parse_setting(n, v) for n, v in given.items()}})
 
 
 @dataclass(eq=False)
@@ -141,35 +151,30 @@ def _day_activations(
 def _apply_script(
     script: AnomalyScript, activations: list[_Activation], persona: HouseholdPersona
 ) -> list[_Activation]:
+    p = script.parameters
     if script.kind == KIND_FULL_ABSENCE:
         return []
     if script.kind == KIND_ABSENCE_MORNING:
-        lo = int(script.param("start_slot", 28))
-        hi = int(script.param("end_slot", 48))
-        return [a for a in activations if not a.overlaps(lo, hi)]
+        return [a for a in activations if not a.overlaps(p["start_slot"], p["end_slot"])]
     if script.kind == KIND_SHIFTED_MORNING:
-        lo = int(script.param("window_start", 28))
-        hi = int(script.param("window_end", 40))
-        shift = int(script.param("shift_slots", 12))
         shifted = []
         for a in activations:
-            if a.overlaps(lo, hi):
-                start = min(a.start_slot + shift, SLOTS_PER_DAY - a.appliance.duration_slots)
+            if a.overlaps(p["window_start"], p["window_end"]):
+                start = min(a.start_slot + p["shift_slots"], SLOTS_PER_DAY - a.appliance.duration_slots)
                 shifted.append(_Activation(a.appliance, start))
             else:
                 shifted.append(a)
         return shifted
     if script.kind == KIND_EVENING_BAKING:
-        start = int(script.param("start_slot", 72))
-        duration = int(script.param("duration_slots", 8))
+        duration = p["duration_slots"]
         oven = persona.appliance("oven")
         if oven is None:
             oven = AppliancePattern("oven", OVEN_W, MODE_BURST, duty=0.75)
         bake = replace(oven, schedule=(), duration_slots=duration, cycle=None)
-        start = min(start, SLOTS_PER_DAY - duration)
+        start = min(p["start_slot"], SLOTS_PER_DAY - duration)
         extra = [_Activation(bake, start)]
         dishwasher = persona.appliance("dishwasher")
-        if dishwasher is not None and script.param("with_dishwasher", 1.0):
+        if dishwasher is not None and p["with_dishwasher"]:
             dw_start = min(start + duration, SLOTS_PER_DAY - dishwasher.duration_slots)
             extra.append(_Activation(replace(dishwasher, schedule=()), dw_start))
         return activations + extra
@@ -237,6 +242,24 @@ def period_start(start: date, n_days: int) -> datetime:
             n_days, start)) from None
 
 
+def scripts_by_day(start: date, n_days: int, scripts: Sequence[AnomalyScript]) -> dict[date, AnomalyScript]:
+    """Each script by its day, one of the ``n_days`` days from ``start``.
+
+    Raises:
+        ValueError: a script day falls outside those days, or two scripts
+            target the same day.
+    """
+    last_day = start + timedelta(days=n_days - 1)
+    by_day: dict[date, AnomalyScript] = {}
+    for script in scripts:
+        if not start <= script.day <= last_day:
+            raise ValueError("script day {} outside simulated period {}..{}".format(script.day, start, last_day))
+        if script.day in by_day:
+            raise ValueError("multiple scripts target {}".format(script.day))
+        by_day[script.day] = script
+    return by_day
+
+
 def simulate_period(
     persona: HouseholdPersona,
     start: date,
@@ -262,19 +285,7 @@ def simulate_period(
             falls outside it, or two scripts target the same day.
     """
     t0 = period_start(start, n_days)
-    last_day = start + timedelta(days=n_days - 1)
-    by_day: dict[date, AnomalyScript] = {}
-    for script in scripts:
-        if not start <= script.day <= last_day:
-            raise ValueError(
-                "script day {} outside simulated period {}..{}".format(
-                    script.day, start, last_day
-                )
-            )
-        if script.day in by_day:
-            raise ValueError("multiple scripts target {}".format(script.day))
-        by_day[script.day] = script
-
+    by_day = scripts_by_day(start, n_days, scripts)
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
     slot_powers = np.zeros((n_days, SLOTS_PER_DAY))
     truth: dict[date, str] = {}

@@ -211,6 +211,22 @@ def test_analyze_out_of_range_setting_is_a_usage_error(runner, tmp_path, flags, 
         ("simulate", "--scripts", '{"S1": [{"kind": "full-absence", "day_offset": 2.7}]}'),
         ("simulate", "--scripts", '{"S1": [{"kind": "evening-baking", "day_offset": true}]}'),
         ("simulate", "--scripts", '{"S9": [{"kind": "full-absence", "day": "2024-06-05"}]}'),
+        ("simulate", "--scripts", '{"S1": [{"kind": "full-absence", "day_offset": "x"}]}'),
+        ("simulate", "--scripts", '{"S1": [{"kind": "full-absence", "day": "2024-06-01"}]}'),
+        ("simulate", "--scripts", '{"S1": [{"kind": "full-absence", "day": "2024-06-05"}, '
+                                  '{"kind": "evening-baking", "day": "2024-06-05"}]}'),
+        ("simulate", "--scripts", '{"S1": [{"kind": "absence-morning", "day": "2024-06-05", '
+                                  '"parameters": ["start_slot"]}]}'),
+        ("simulate", "--scripts", '{"S1": [{"kind": "absence-morning", "day": "2024-06-05", '
+                                  '"parameters": {"start_slot": Infinity}}]}'),
+        ("simulate", "--scripts", '{"S1": [{"kind": "evening-baking", "day": "2024-06-05", '
+                                  '"parameters": {"duration_slots": 0}}]}'),
+        ("simulate", "--scripts", '{"S1": [{"kind": "absence-morning", "day": "2024-06-05", '
+                                  '"parameters": {"start_slot": 2.7}}]}'),
+        ("simulate", "--scripts", '{"S1": [{"kind": "evening-baking", "day": "2024-06-05", '
+                                  '"parameters": {"start_slot": -5}}]}'),
+        ("simulate", "--scripts", '{"S1": [{"kind": "shifted-morning", "day": "2024-06-05", '
+                                  '"parameters": {"shift_slot": 20}}]}'),
     ],
     ids=[
         "unknown-kind", "no-kind", "day-not-iso", "scripts-a-list", "days-not-a-number",
@@ -218,13 +234,17 @@ def test_analyze_out_of_range_setting_is_a_usage_error(runner, tmp_path, flags, 
         "scripts-nested-too-deep", "config-nested-too-deep",
         "k-a-fraction", "restarts-a-fraction", "seed-a-bool", "days-a-fraction", "min-completeness-a-bool",
         "personas-empty", "unknown-keys", "out-of-range-under-a-flag", "day-offset-a-fraction", "day-offset-a-bool",
-        "scripts-key-not-a-persona",
+        "scripts-key-not-a-persona", "day-offset-text", "day-outside-the-period", "two-scripts-on-one-day",
+        "parameters-a-list", "parameter-infinite", "duration-zero", "parameter-a-fraction", "parameter-negative",
+        "unknown-parameter",
     ],
 )
 def test_bad_settings_file_is_a_usage_error(runner, tmp_path, command, option, text):
     """Every value in a settings file is checked, also one a flag overrides
     (``simulate --persona S1`` overrides ``personas``), and a key that is
-    not a setting, or not a persona id in a scripts file, is refused.  The
+    not a setting, or not a persona id in a scripts file, is refused, as is
+    a script day outside the period, a second script on one day, or script
+    parameters its kind does not read or with a value out of bounds.  The
     message names the file and each top-level key of the object."""
     settings = tmp_path / "settings.json"
     settings.write_text(text, encoding="utf-8")

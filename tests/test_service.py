@@ -341,7 +341,8 @@ def test_anomalies_endpoint_accepts_overrides(server):
 
 
 @pytest.mark.parametrize(
-    "query", ["restarts=0", "restarts=1000000", "min_completeness=2", "min_completeness=-0.1", "min_completeness=nan"]
+    "query",
+    ["restarts=0", "restarts=1000000", "min_completeness=2", "min_completeness=-0.1", "min_completeness=nan", "k=nope"],
 )
 def test_anomalies_out_of_range_setting_is_400(server, query):
     base, _ = server
@@ -349,7 +350,8 @@ def test_anomalies_out_of_range_setting_is_400(server, query):
     with pytest.raises(urllib.error.HTTPError) as err:
         get(base, "/v1/meters/S4/anomalies?" + query)
     assert err.value.code == 400
-    assert "error" in json.loads(err.value.read().decode())
+    key = query.split("=")[0]
+    assert json.loads(err.value.read().decode())["error"].startswith(key + " must")
 
 
 @pytest.mark.parametrize(

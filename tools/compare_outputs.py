@@ -10,6 +10,7 @@ script runs:
 
     meterwatch simulate --days 365 --seed 42 --out sim
     meterwatch casestudy --out casestudy
+    meterwatch casestudy --start 2024-10-20 --days 14 --out casestudy_dst
     meterwatch analyze sim/S1_readings.csv ... sim/S4_readings.csv --out knee
     meterwatch analyze sim/S1_readings.csv ... sim/S4_readings.csv --k 3 --out k3
     meterwatch analyze sim/S3_readings.csv --top-n 1 --out s3_top1
@@ -33,6 +34,9 @@ runs read settings files (``SIMULATE_CONFIG``, ``ANALYZE_CONFIG``): one
 sets personas, days, seed and start, with ``--days`` overriding its days;
 the other sets seed, restarts and top_n beside the flag ``--k 3``, and
 days, a key that only ``simulate`` reads and ``analyze`` must ignore.
+The ``casestudy_dst`` run's 14 days hold 2024-10-27, the 100-slot day the
+clocks go back, so its summary's ground-truth labels are compared on a
+period whose profile days skip a simulated day.
 
 The simulated readings all sit on the 15-minute grid with none missing,
 so the script then writes a "gappy" copy of them (``write_gappy``: seeded
@@ -115,6 +119,7 @@ GAPPY = ["gappy/{}_readings.csv".format(p) for p in PERSONAS]
 COMMANDS = [
     ("simulate", ["simulate", "--days", "365", "--seed", "42", "--out", "sim"]),
     ("casestudy", ["casestudy", "--out", "casestudy"]),
+    ("casestudy_dst", ["casestudy", "--start", "2024-10-20", "--days", "14", "--out", "casestudy_dst"]),
     ("knee", ["analyze", *READINGS, "--out", "knee"]),
     ("k3", ["analyze", *READINGS, "--k", "3", "--out", "k3"]),
     ("s3_top1", ["analyze", READINGS[2], "--top-n", "1", "--out", "s3_top1"]),
