@@ -58,11 +58,13 @@ def parse_setting(key: str, value: Any) -> int | float:
     does not parse, a fraction or an infinity where an integer is expected)
     is a ``ValueError`` naming the key and the value."""
     kind = SETTINGS[key][0]
+    if type(value) is int:
+        _check_bounds(key, value)  # before float() of an int too large for a float can fail
     try:
         if type(value) not in (str, int, float) or kind is int and type(value) is float and not value.is_integer():
             raise ValueError
         number = kind(value)
-    except (ValueError, OverflowError):  # OverflowError: an int too large for a float
+    except ValueError:
         kind_text = "an integer" if kind is int else "a number"
         raise ValueError("{} must be {}, not {}".format(key, kind_text, json.dumps(value))) from None
     return _check_bounds(key, number)

@@ -20,6 +20,7 @@ and ignored (pass-through stub).
 
 from __future__ import annotations
 
+import json
 import re
 import signal
 import threading
@@ -29,6 +30,7 @@ from urllib.parse import parse_qs, unquote, urlparse
 from .pipeline import AnalysisConfig, InsufficientDataError, analyze_meter, canonical_json
 from .protocol import POSITIVE_ACTIVE_ENERGY
 from .store import (
+    QUALITIES,
     ConflictingDuplicate,
     NonMonotonicRegister,
     ReadingsFormatError,
@@ -36,7 +38,7 @@ from .store import (
     TelemetryStore,
     parse_rfc3339,
     read_readings_ndjson,
-    rfc3339,
+    utc_stamps,
 )
 
 # Largest accepted POST body: about ten meter-years of NDJSON records.
@@ -68,8 +70,8 @@ class MeterServiceHandler(BaseHTTPRequestHandler):
         if self.server.verbose:  # type: ignore[attr-defined]
             super().log_message(format, *args)
 
-    def _send(self, status: int, payload: str) -> None:
-        body = payload.encode("utf-8")
+    def _send(self, status: int, payload: str | bytes) -> None:
+        body = payload.encode("utf-8") if isinstance(payload, str) else payload
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -146,20 +148,16 @@ class MeterServiceHandler(BaseHTTPRequestHandler):
             self._send_error(400, str(exc))
             return
         try:
-            samples = self.store.mean_power_series(meter_id, POSITIVE_ACTIVE_ENERGY, start, end)
+            series = self.store.mean_power_series(meter_id, POSITIVE_ACTIVE_ENERGY, start, end)
         except SpanTooLong as exc:
             self._send_error(400, str(exc))
             return
-        payload = [
-            {
-                "meter_id": s.meter_id,
-                "slot_start": rfc3339(s.slot_start),
-                "mean_power_w": s.mean_power_w,
-                "quality": s.quality,
-            }
-            for s in samples
-        ]
-        self._send(200, canonical_json(payload))
+        # The samples as canonical_json writes them: a template per quality code; NaN (missing) watts are null.
+        head = '{"mean_power_w":%b,"meter_id":' + json.dumps(meter_id).replace("%", "%%") + ',"quality":"'
+        lines = [(head + quality + '","slot_start":"%bZ"}').encode("ascii") for quality in QUALITIES]
+        watts = json.dumps(series.watts.tolist()).replace("NaN", "null").encode("ascii")[1:-1].split(b", ")
+        samples = map(lines.__getitem__, series.codes.tolist())
+        self._send(200, b"[" + b",".join(map(bytes.__mod__, samples, zip(watts, utc_stamps(series.starts_us)))) + b"]")
 
     def _handle_anomalies(self, meter_id: str, query: dict[str, str]) -> None:
         if not self._require_meter(meter_id):

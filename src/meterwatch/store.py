@@ -53,10 +53,11 @@ _SECOND = timedelta(seconds=1)
 _SLOT_US = SLOT // _US
 _SNAP_US = SNAP_TOLERANCE // _US
 _GAP_US = MAX_INTERPOLATION_GAP // _US
-# Quality codes of the grid pass, indexing _QUALITIES; ordered so that a
+_FIRST, _LAST = (t.replace(tzinfo=timezone.utc) - _EPOCH for t in (datetime.min, datetime.max))  # years 1-9999
+# Quality codes of the grid pass, indexing QUALITIES; ordered so that a
 # power sample's quality is the larger code of its two boundaries.
 _MEASURED, _INTERPOLATED, _MISSING = 0, 1, 2
-_QUALITIES = np.array([QUALITY_MEASURED, QUALITY_INTERPOLATED, QUALITY_MISSING], dtype=object)
+QUALITIES = np.array([QUALITY_MEASURED, QUALITY_INTERPOLATED, QUALITY_MISSING], dtype=object)
 
 REGISTER_MODULUS_WH = int(REGISTER_MODULUS_KWH) * 1000
 # A register drop counts as display rollover only when the old value sits
@@ -116,6 +117,8 @@ class MeterReading:
             raise ValueError("reading timestamps must be timezone-aware")
         if (self.timestamp - _EPOCH) % _SECOND:
             raise ValueError("timestamp {} is not a whole second".format(self.timestamp.isoformat()))
+        if not _FIRST <= self.timestamp - _EPOCH <= _LAST:
+            raise ValueError("timestamp {} lies outside the years 1-9999 in UTC".format(self.timestamp.isoformat()))
         if not 0 <= self.value_kwh < REGISTER_MODULUS_KWH:
             raise ValueError("register values lie in [0, {}) kWh".format(REGISTER_MODULUS_KWH))
         if self.value_kwh % REGISTER_RESOLUTION_KWH:
@@ -139,15 +142,8 @@ class ReadingColumns:
         self.runs: list[tuple[str, ObisCode, list[int], list[int]]] = []
         for (meter_id, register), run in groupby(readings, attrgetter("meter_id", "register")):
             run = list(run)
-            self.runs.append(
-                (meter_id, register, [_to_us(r.timestamp) for r in run], [int(r.value_kwh.scaleb(3)) for r in run])
-            )
-
-    def add(self, r: MeterReading) -> None:
-        if not self.runs or self.runs[-1][:2] != (r.meter_id, r.register):
-            self.runs.append((r.meter_id, r.register, [], []))
-        self.runs[-1][2].append(_to_us(r.timestamp))
-        self.runs[-1][3].append(int(r.value_kwh.scaleb(3)))
+            times, values = [_to_us(r.timestamp) for r in run], [int(r.value_kwh.scaleb(3)) for r in run]
+            self.runs.append((meter_id, register, times, values))
 
     def extend(self, meter_id: str, register: ObisCode, times: list[int], values: list[int]) -> None:
         """Append a run, taking its lists; it continues the last run when
@@ -173,8 +169,7 @@ class PowerSeries:
     Iterating yields ``PowerSample``s, built as it goes."""
 
     def __init__(self, meter_id: str, starts_us: np.ndarray, watts: np.ndarray, codes: np.ndarray):
-        self.meter_id = meter_id
-        self.starts_us, self.watts, self.codes = starts_us, watts, codes
+        self.meter_id, self.starts_us, self.watts, self.codes = meter_id, starts_us, watts, codes
 
     def __len__(self) -> int:
         return len(self.starts_us)
@@ -185,7 +180,7 @@ class PowerSeries:
         # Stepping from the first start is much cheaper than converting each one.
         steps = (timedelta(0, 0, step) for step in np.diff(self.starts_us).tolist())
         starts = accumulate(steps, initial=_to_datetime(int(self.starts_us[0]))) if len(self) else ()
-        return map(PowerSample, repeat(self.meter_id), starts, powers.tolist(), _QUALITIES[self.codes].tolist())
+        return map(PowerSample, repeat(self.meter_id), starts, powers.tolist(), QUALITIES[self.codes].tolist())
 
 
 @dataclass
@@ -510,20 +505,24 @@ def _insert_sorted(items: list, positions: list[int], news: list) -> None:
 
 
 def _ndjson_records(merges: list[tuple[tuple[str, str], list[int], list[int], list[int]]]) -> Iterator[bytes]:
-    """Log lines for a batch's new readings, by series key, then by time,
-    made and yielded ``_CHUNK_RECORDS`` lines at a time.
-
-    Each line is its record's ``json.dumps`` with sorted keys.  A series'
-    meter id and register are encoded once, its times are formatted by numpy.
-    """
+    """Log lines for a batch's new readings, by series key, then by time: each its record's
+    ``json.dumps`` with sorted keys, a series' meter id and register encoded once."""
     for (meter_id, obis), _, new_times, new_values in sorted(merges, key=lambda merge: merge[0]):
         head = '{{"meter_id": {}, "obis": {}, "timestamp": "'.format(json.dumps(meter_id), json.dumps(obis))
         line = head.replace("%", "%%").encode("utf-8") + b'%bZ", "value_kwh": "%d.%03d"}\n'
-        for i in range(0, len(new_times), _CHUNK_RECORDS):
-            times = np.array(new_times[i : i + _CHUNK_RECORDS], dtype="datetime64[us]")
-            stamps = times.astype("datetime64[s]").astype("S19").tolist()
-            values = new_values[i : i + _CHUNK_RECORDS]
-            yield b"".join([line % (stamp, wh // 1000, wh % 1000) for stamp, wh in zip(stamps, values)])
+        yield from _format_readings(line, new_times, new_values)
+
+
+def _format_readings(line: bytes, times: list[int], values: list[int]) -> Iterator[bytes]:
+    """``line % (time, whole kWh, thousandths)`` per reading (µs, Wh), joined ``_CHUNK_RECORDS`` lines a piece."""
+    for i in range(0, len(times), _CHUNK_RECORDS):
+        chunk = zip(utc_stamps(times[i : i + _CHUNK_RECORDS]), values[i : i + _CHUNK_RECORDS])
+        yield b"".join([line % (stamp, wh // 1000, wh % 1000) for stamp, wh in chunk])
+
+
+def utc_stamps(times_us: Sequence[int] | np.ndarray) -> list[bytes]:
+    """Epoch-µs times (years 1-9999) as ``YYYY-MM-DDTHH:MM:SS`` in UTC: the CSV, log and ``/power`` form less ``Z``."""
+    return np.array(times_us, dtype="datetime64[us]").astype("datetime64[s]").astype("S19").tolist()
 
 
 # -- interchange formats ------------------------------------------------------
@@ -567,13 +566,16 @@ def read_readings_ndjson(pieces: Iterable[bytes]) -> ReadingColumns:
     for chunk in _chunks(pieces):
         # latin-1 keeps one character per byte; the run pattern refuses any that is not ASCII.
         if not _add_canonical(columns, _NDJSON_RUN, chunk.decode("latin-1"), 2, json.loads):
+            readings = []
             for line_number, line in enumerate(io.BytesIO(chunk), start=first_line):
                 if line.strip():
                     try:
                         record = json.loads(line.decode("utf-8"))
-                        columns.add(_reading(*(str(record[key]) for key in CSV_HEADER)))
+                        readings.append(_reading(*(str(record[key]) for key in CSV_HEADER)))
                     except (ValueError, KeyError, TypeError, InvalidOperation, RecursionError) as exc:
                         raise ReadingsFormatError(line_number, str(exc)) from exc
+            for run in ReadingColumns(readings).runs:
+                columns.extend(*run)
         first_line += chunk.count(b"\n")
     return columns
 
@@ -590,19 +592,19 @@ def _chunks(pieces: Iterable[bytes]):
 
 
 def write_readings_csv(target: str | Path | TextIO, readings: Iterable[MeterReading]) -> None:
-    """Write the readings CSV (header ``meter_id,timestamp,obis,value_kwh``)."""
-
-    def _write(fh: TextIO) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in readings:
-            writer.writerow([r.meter_id, rfc3339(r.timestamp), str(r.register), str(r.value_kwh)])
-
+    """Write the readings CSV (header ``meter_id,timestamp,obis,value_kwh``), rows formatted as log lines are."""
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8", newline="") as fh:
-            _write(fh)
-    else:
-        _write(target)
+            return write_readings_csv(fh, readings)
+    target.write(",".join(CSV_HEADER) + "\n")
+    readings = iter(readings)
+    while runs := ReadingColumns(islice(readings, _CHUNK_RECORDS)).runs:
+        for meter_id, register, times, values in runs:
+            # Only the meter id can need quoting: csv quotes it once per run.
+            csv.writer(meter := io.StringIO(), lineterminator="\n").writerow([meter_id, ""])
+            line = meter.getvalue()[:-1].replace("%", "%%") + "%bZ,{},%d.%03d\n".format(register)
+            for chunk in _format_readings(line.encode("utf-8", "surrogatepass"), times, values):
+                target.write(chunk.decode("utf-8", "surrogatepass"))
 
 
 def read_readings_csv(source: str | Path | TextIO) -> ReadingColumns:
@@ -616,9 +618,8 @@ def read_readings_csv(source: str | Path | TextIO) -> ReadingColumns:
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    else:
-        text = source.read()
+            return read_readings_csv(fh)
+    text = source.read()
     columns = _read_canonical_csv(text)
     return columns if columns is not None else _read_csv_rows(io.StringIO(text, newline=""))
 
@@ -642,7 +643,6 @@ _NDJSON_RUN = re.compile(
     + r'"\}\n)*',
     re.ASCII,
 )
-_YEAR_1_S = _to_us(datetime(1, 1, 1, tzinfo=timezone.utc)) // 1_000_000
 
 
 def _read_canonical_csv(text: str) -> ReadingColumns | None:
@@ -684,7 +684,7 @@ def _add_canonical(columns: ReadingColumns, run_re: re.Pattern, text: str, tail:
         keys = [(meter_id(match["meter"]), ObisCode.parse(match["obis"])) for match, _, _ in runs]
     except ValueError:
         return False
-    if seconds.min() < _YEAR_1_S:
+    if seconds.min() < _FIRST // _SECOND:
         return False
     times, start = (seconds * 1_000_000).tolist(), 0
     for (meter, register), (_, count, values) in zip(keys, runs):
@@ -702,14 +702,14 @@ def _read_csv_rows(fh: TextIO) -> ReadingColumns:
         raise ReadingsFormatError(1, "empty file; expected header {}".format(",".join(CSV_HEADER)))
     if [h.strip() for h in header] != CSV_HEADER:
         raise ReadingsFormatError(1, "bad header {!r}; expected {}".format(",".join(header), ",".join(CSV_HEADER)))
-    readings = ReadingColumns()
+    readings = []
     for line_number, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != 4:
             raise ReadingsFormatError(line_number, "expected 4 columns, got {}".format(len(row)))
         try:
-            readings.add(_reading(*row))
+            readings.append(_reading(*row))
         except (ValueError, InvalidOperation) as exc:
             raise ReadingsFormatError(line_number, str(exc)) from exc
-    return readings
+    return ReadingColumns(readings)

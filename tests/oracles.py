@@ -29,6 +29,12 @@ a chart line and the profiles CSV one value at a time, as the chart
 renderer and ``write_profiles_csv`` did.  ``simulated_readings`` is the
 simulator's per-slot register integration, a ``round`` and a ``Decimal``
 quantize per reading, kept as the reference for its one integer pass.
+``readings_csv`` is the readings CSV writer that wrote each row with
+``csv.writer``, ``rfc3339`` and ``str(Decimal)``, kept as the reference for
+``write_readings_csv``; ``add_readings`` is the one-reading-at-a-time
+``ReadingColumns`` builder, kept as the reference for its run grouping.
+``power_body`` is the ``GET /power`` body the service built from one
+``PowerSample`` and one ``rfc3339`` call per slot.
 ``reading_to_record`` and ``snapshot`` are views of a reading and of a store's index that only the
 tests use, as are ``persona_to_dict``, a persona's JSON form, and ``uniform_template``.
 """
@@ -53,6 +59,7 @@ import numpy as np
 from meterwatch.charts import MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PANEL_H, PANEL_W
 from meterwatch.clustering import ClusterModel
 from meterwatch.personas import HouseholdPersona, RoutineTemplate
+from meterwatch.pipeline import canonical_json
 from meterwatch.profiles import DEFAULT_TIMEZONE, SLOTS_PER_DAY, DailyProfiles, ExcludedDay, _slots_in_local_day
 from meterwatch.protocol import POSITIVE_ACTIVE_ENERGY, REGISTER_MODULUS_KWH, ObisCode
 from meterwatch.simulator import SimOutput
@@ -74,6 +81,7 @@ from meterwatch.store import (
     TelemetryStore,
     _to_datetime,
     _to_kwh,
+    _to_us,
     parse_rfc3339,
     register_delta_kwh,
     rfc3339,
@@ -590,6 +598,17 @@ def reading_from_record(record: dict) -> MeterReading:
 RECORD_ERRORS = (ValueError, KeyError, TypeError, InvalidOperation, RecursionError)
 
 
+def add_readings(columns: ReadingColumns, readings) -> ReadingColumns:
+    """``columns`` with each reading added in turn: a new run when its meter
+    or register differs from the last run's."""
+    for r in readings:
+        if not columns.runs or columns.runs[-1][:2] != (r.meter_id, r.register):
+            columns.runs.append((r.meter_id, r.register, [], []))
+        columns.runs[-1][2].append(_to_us(r.timestamp))
+        columns.runs[-1][3].append(int(r.value_kwh.scaleb(3)))
+    return columns
+
+
 def replay_log(path) -> tuple[ReadingColumns, int]:
     """The log's committed lines as columns, and their bytes; a final line
     without a newline is not committed.  Raises ``StoreLogError``."""
@@ -602,7 +621,7 @@ def replay_log(path) -> tuple[ReadingColumns, int]:
             committed += len(line)
             if line.strip():
                 try:
-                    readings.add(reading_from_record(json.loads(line.decode("utf-8"))))
+                    add_readings(readings, [reading_from_record(json.loads(line.decode("utf-8")))])
                 except RECORD_ERRORS as exc:
                     raise StoreLogError(path, line_number, str(exc)) from exc
     return readings, committed
@@ -622,6 +641,27 @@ def ndjson_records(merges) -> bytes:
             record = dict(zip(CSV_HEADER, (meter_id, rfc3339(_to_datetime(us)), obis, str(_to_kwh(wh)))))
             lines.append(json.dumps(record, sort_keys=True) + "\n")
     return "".join(lines).encode("utf-8")
+
+
+def power_body(store: TelemetryStore, meter_id: str, start: datetime, end: datetime) -> bytes:
+    """The ``GET /power`` body, one ``PowerSample`` and one ``rfc3339`` call per slot."""
+    samples = store.mean_power_series(meter_id, POSITIVE_ACTIVE_ENERGY, start, end)
+    payload = [
+        {"meter_id": s.meter_id, "slot_start": rfc3339(s.slot_start), "mean_power_w": s.mean_power_w,
+         "quality": s.quality}
+        for s in samples
+    ]
+    return canonical_json(payload).encode("utf-8")
+
+
+def readings_csv(readings) -> str:
+    """The readings CSV text, one ``csv.writer`` row per reading."""
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for r in readings:
+        writer.writerow([r.meter_id, rfc3339(r.timestamp), str(r.register), str(r.value_kwh)])
+    return fh.getvalue()
 
 
 def points(values, y_max: float, x0: float) -> str:

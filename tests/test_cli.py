@@ -170,6 +170,7 @@ def test_analyze_malformed_row_names_the_line(runner, tmp_path):
         (["--restarts", "1000000"], None),
         (["--min-completeness", "nan"], None),
         ([], {"min_completeness": float("nan")}),  # the JSON literal NaN
+        ([], {"min_completeness": 10**400}),  # an integer too large for a float
     ],
 )
 def test_analyze_out_of_range_setting_is_a_usage_error(runner, tmp_path, flags, config):
@@ -182,6 +183,7 @@ def test_analyze_out_of_range_setting_is_a_usage_error(runner, tmp_path, flags, 
     result = runner.invoke(main, ["analyze", str(readings), "--out", str(tmp_path / "x")] + flags)
     assert result.exit_code == 2, result.output
     assert "Invalid value" in result.output
+    assert "must lie in" in result.output
     if config is not None:
         assert "config.json: " in result.output
         assert all("{}: ".format(key) in result.output for key in config)

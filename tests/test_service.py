@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import http.client
+import itertools
 import json
 import socket
 import threading
@@ -21,7 +22,7 @@ from meterwatch.protocol import POSITIVE_ACTIVE_ENERGY
 from meterwatch.service import IDLE_TIMEOUT_S, MAX_BODY_BYTES, MeterServiceHandler, make_server
 from meterwatch.simulator import simulate_period
 from meterwatch.store import StoreLogError, TelemetryStore, parse_rfc3339
-from oracles import RECORD_ERRORS, post_readings, reading_to_record, snapshot
+from oracles import RECORD_ERRORS, post_readings, power_body, reading_to_record, snapshot
 
 
 @pytest.fixture()
@@ -69,22 +70,31 @@ def test_post_readings_reports_the_stats_delta(server):
 def test_power_endpoint_matches_the_library(server):
     base, store = server
     readings = sim_readings(days=2)
-    post(base, "/v1/readings", ndjson(readings))
+    odd_meter = '%s "\u00e9\\ %b'  # JSON escapes it, and a %-template would read it
+    post(base, "/v1/readings", ndjson(readings + tuple(replace(r, meter_id=odd_meter) for r in readings)))
     windows = [
         ("2024-06-02T22:00:00Z", "2024-06-03T00:00:00Z"),
+        ("2024-06-02T20:00:00Z", "2024-06-02T23:00:00Z"),  # starts two hours before the first reading
         ("9999-12-31T23:00:00Z", "9999-12-31T23:59:59Z"),  # the last slot boundaries a datetime holds
         ("0001-01-01T00:00:00Z", "0001-01-01T00:30:00Z"),
     ]
-    for start, end in windows:
-        status, body = get(base, "/v1/meters/S4/power?from={}&to={}".format(start, end))
-        assert status == 200
-        samples = store.mean_power_series("S4", POSITIVE_ACTIVE_ENERGY, parse_rfc3339(start), parse_rfc3339(end))
+    for (start, end), meter in itertools.product(windows, ("S4", odd_meter)):
+        path = "/v1/meters/{}/power?from={}&to={}".format(urllib.parse.quote(meter, safe=""), start, end)
+        with urllib.request.urlopen(base + path) as response:
+            assert response.status == 200
+            raw = response.read()
+        assert raw == power_body(store, meter, parse_rfc3339(start), parse_rfc3339(end))
+        body = json.loads(raw)
+        samples = store.mean_power_series(meter, POSITIVE_ACTIVE_ENERGY, parse_rfc3339(start), parse_rfc3339(end))
         assert [parse_rfc3339(s["slot_start"]) for s in body] == [s.slot_start for s in samples]
         assert [s["mean_power_w"] for s in body] == [s.mean_power_w for s in samples]
         assert [s["quality"] for s in body] == [s.quality for s in samples]
-        if start.startswith("2024"):
+        if start.startswith("2024-06-02T22"):
             assert len(body) == 8
             assert all(s["quality"] == "measured" for s in body)
+        elif start.startswith("2024"):
+            assert [s["quality"] for s in body] == ["missing"] * 8 + ["measured"] * 4
+            assert [s["mean_power_w"] for s in body][:8] == [None] * 8
         else:
             assert len(body) in (2, 3)
             assert all(s["quality"] == "missing" for s in body)

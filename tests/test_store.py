@@ -23,6 +23,7 @@ from meterwatch.store import (
     ConflictingDuplicate,
     MeterReading,
     NonMonotonicRegister,
+    QUALITIES,
     QUALITY_INTERPOLATED,
     QUALITY_MEASURED,
     QUALITY_MISSING,
@@ -40,7 +41,6 @@ from meterwatch.store import (
     _CHUNK_RECORDS,
     _MISSING,
     _NDJSON_RUN,
-    _QUALITIES,
     _add_canonical,
     _interpolate_wh,
     _ndjson_records,
@@ -53,7 +53,8 @@ from meterwatch.store import (
     write_readings_csv,
 )
 from oracles import (
-    RECORD_ERRORS, DictStore, GridReading, _interpolate, ndjson_records, post_readings, replay_log, snapshot,
+    RECORD_ERRORS, DictStore, GridReading, _interpolate, add_readings, ndjson_records, post_readings, readings_csv,
+    replay_log, snapshot,
 )
 
 OBIS_180 = ObisCode(1, 8, 0)
@@ -73,7 +74,7 @@ def grid(store: TelemetryStore, start: datetime, end: datetime, meter: str = "M1
     """The store's grid pass (bounds in µs, Wh, codes) as the oracle's ``GridReading``s."""
     bounds, wh, codes = store._grid(meter, register, start, end)
     return [
-        GridReading(_to_datetime(us), None if code == _MISSING else _to_kwh(v), _QUALITIES[code])
+        GridReading(_to_datetime(us), None if code == _MISSING else _to_kwh(v), QUALITIES[code])
         for us, v, code in zip(bounds.tolist(), wh.tolist(), codes.tolist())
     ]
 
@@ -135,6 +136,16 @@ def test_out_of_order_arrivals_are_counted_but_kept():
 def test_naive_timestamps_are_rejected():
     with pytest.raises(ValueError):
         MeterReading("M1", datetime(2024, 6, 3, 12, 0), OBIS_180, Decimal("1"))
+
+
+@pytest.mark.parametrize("timestamp", [
+    datetime(1, 1, 1, 0, 30, tzinfo=timezone(timedelta(hours=1))),  # year 0 in UTC
+    datetime(9999, 12, 31, 23, 30, tzinfo=timezone(timedelta(hours=-1))),  # year 10000 in UTC
+])
+def test_timestamps_outside_the_utc_years_are_rejected(timestamp):
+    # The store's log and the readings CSV write times in UTC, where a datetime cannot hold these.
+    with pytest.raises(ValueError, match="outside the years 1-9999 in UTC"):
+        MeterReading("M1", timestamp, OBIS_180, Decimal("1.000"))
 
 
 def test_sub_second_timestamps_are_rejected():
@@ -770,6 +781,62 @@ def test_canonical_file_is_read_as_columns():
     assert len(columns) == len(batch)
 
 
+# Meter id pieces that csv quotes, that a %-template would read, or that are not ASCII.
+CSV_METER_PIECES = [",", '"', "\n", "\r", "%", "%s", "%b", " ", "\u00e9", "\U0001f600", "\ud800", "M", "1"]
+CSV_ZONES = [timezone.utc, timezone(timedelta(hours=1)), timezone(timedelta(hours=-1)),
+             timezone(timedelta(hours=5, minutes=30)), timezone(timedelta(hours=-23, minutes=-59))]
+
+
+def in_utc_years(t: datetime) -> bool:
+    try:
+        return bool(t.astimezone(timezone.utc))
+    except OverflowError:
+        return False
+
+
+@st.composite
+def csv_batches(draw):
+    """Readings in interleaved runs of up to three meters and two registers,
+    at whole-second times from year 1 to 9999 in UTC given in any of
+    ``CSV_ZONES``, with values from 0.000 to 999999.999."""
+    meters = draw(st.lists(st.lists(st.sampled_from(CSV_METER_PIECES), max_size=4).map("".join),
+                           min_size=1, max_size=3))
+    runs = draw(st.lists(st.tuples(st.sampled_from(meters), st.sampled_from([OBIS_180, OBIS_280]),
+                                   st.integers(1, 5)), max_size=6))
+    times = st.datetimes(timezones=st.sampled_from(CSV_ZONES)).map(lambda t: t.replace(microsecond=0)).filter(
+        in_utc_years)
+    values = st.one_of(st.sampled_from([0, 999_999_999]), st.integers(0, 999_999_999))
+    return [MeterReading(meter, draw(times), register, Decimal(draw(values)).scaleb(-3))
+            for meter, register, count in runs for _ in range(count)]
+
+
+def written_csv(readings) -> str:
+    buf = io.StringIO()
+    write_readings_csv(buf, readings)
+    return buf.getvalue()
+
+
+FIRST_AND_LAST_READINGS = [
+    MeterReading(",%s", datetime(1, 1, 1, tzinfo=timezone.utc), OBIS_180, Decimal("0.000")),
+    MeterReading(",%s", datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc), OBIS_180, Decimal("999999.999")),
+    MeterReading("", datetime(1, 1, 1, 5, 30, tzinfo=CSV_ZONES[3]), OBIS_280, Decimal("1.000")),
+    MeterReading("", datetime(9999, 12, 31, 22, 59, 59, tzinfo=CSV_ZONES[2]), OBIS_280, Decimal("2.000")),
+]
+# Runs longer than one pass of the writer, one of a meter id csv quotes.
+LONG_RUNS = [reading(i, "{}.000".format(i), meter) for meter in ("M1", '"%b\n"') for i in range(_CHUNK_RECORDS + 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_batches())
+@example(FIRST_AND_LAST_READINGS)
+@example(LONG_RUNS)
+def test_csv_writer_matches_the_row_writer(readings):
+    text = written_csv(readings)
+    assert text == readings_csv(readings)
+    if "\r" not in text:  # csv leaves a lone \r unquoted: such a file does not read back
+        assert list(read_readings_csv(io.StringIO(text))) == readings
+
+
 CSV_TEXT = "meter_id,timestamp,obis,value_kwh\n"
 
 
@@ -840,9 +907,11 @@ def test_integer_interpolation_matches_the_decimal_formula(v_prev, v_next, times
 def test_log_values_have_three_decimals(tmp_path):
     # 2.0000 is a whole number of Wh, so it is accepted despite four decimals.
     path = tmp_path / "readings.ndjson"
-    TelemetryStore(path).ingest([reading(0, "1"), reading(15, "1.5"), reading(30, "2.0000")])
+    batch = [reading(0, "1"), reading(15, "1.5"), reading(30, "2.0000")]
+    TelemetryStore(path).ingest(batch)
     logged = [json.loads(line)["value_kwh"] for line in path.read_text(encoding="utf-8").splitlines()]
     assert logged == ["1.000", "1.500", "2.000"]
+    assert [row.split(",")[-1] for row in written_csv(batch).splitlines()[1:]] == logged  # the CSV writes them so too
 
 
 def test_rfc3339_roundtrip():
@@ -876,7 +945,4 @@ def test_reading_columns_group_runs_as_the_add_loop_does(rows):
         MeterReading(meter, T0 + timedelta(seconds=seconds), register, Decimal(wh).scaleb(-3))
         for meter, register, seconds, wh in rows
     ]
-    one_by_one = ReadingColumns()
-    for r in readings:
-        one_by_one.add(r)
-    assert ReadingColumns(iter(readings)).runs == one_by_one.runs
+    assert ReadingColumns(iter(readings)).runs == add_readings(ReadingColumns(), readings).runs

@@ -80,11 +80,14 @@ store and a free loopback port, with no prior ``ingest``, POSTs each of
 as one NDJSON body (one record per row, ``\\n`` after each), reads
 ``GET /v1/meters/S1/anomalies``, and stops the server with SIGTERM.  It
 then starts ``serve`` again on the store it built, so the year's log is
-replayed, reads ``GET /v1/meters/S1/anomalies`` and S2's power over one
-day (``POWER_WINDOW``), and stops it.  The four responses, both rounds'
-anomalies responses, the power response, the store's log after the
-restart (``serve/store/readings.ndjson``) and each server's exit code,
-stderr and stdout (its port masked) are compared.
+replayed, reads ``GET /v1/meters/S1/anomalies``, S2's power over one
+day (``POWER_WINDOW``), S2's power over two days from a day before its
+first reading (``EARLY_WINDOW``: a day of missing slots, then measured
+ones) and S3's power over its whole span (``GET /v1/meters/S3/power``
+with no ``from`` or ``to``: 35 040 slots), and stops it.  The four
+responses, both rounds' anomalies responses, the power responses, the
+store's log after the restart (``serve/store/readings.ndjson``) and each
+server's exit code, stderr and stdout (its port masked) are compared.
 
 Each command's stdout, stderr and exit code are saved beside its outputs.
 The two directories are then compared file by file; every file that
@@ -162,6 +165,8 @@ DERIVED_COMMANDS = [
 CUTS = [(40 * 96 + 30, 12), (100 * 96 + 50, 6)]
 # A day of S2's power read after the restart: the day the clocks go back.
 POWER_WINDOW = ("2024-10-26T22:00:00Z", "2024-10-27T23:00:00Z")
+# Two days of S2's power from a day before its first reading (2024-06-02T22:00:00Z).
+EARLY_WINDOW = ("2024-06-01T22:00:00Z", "2024-06-03T22:00:00Z")
 ROLLOVER_LIFT_KWH = Decimal(999990)
 REGISTER_MODULUS_KWH = Decimal(1000000)
 
@@ -279,6 +284,8 @@ def run_serve(side_dir: Path, env: dict) -> None:
     serve_round(side_dir, env, "serve_restart", [
         ("restart_anomalies_S1", "GET", "/v1/meters/S1/anomalies", None),
         ("restart_power_S2", "GET", "/v1/meters/S2/power?from={}&to={}".format(*POWER_WINDOW), None),
+        ("restart_power_S2_early", "GET", "/v1/meters/S2/power?from={}&to={}".format(*EARLY_WINDOW), None),
+        ("restart_power_S3_span", "GET", "/v1/meters/S3/power", None),
     ])
 
 
