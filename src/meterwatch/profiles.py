@@ -10,8 +10,6 @@ local day whose start or end cannot be held as a ``datetime`` is excluded.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from typing import TextIO
@@ -20,7 +18,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 
 from .personas import SLOTS_PER_DAY
-from .store import _EPOCH, _SLOT_US, _US, PowerSeries, _to_us
+from .store import _EPOCH, _SLOT_US, _US, PowerSeries, _to_us, csv_field
 
 # Day and slot assignment works in integer microseconds since the Unix epoch.
 _EPOCH_ORDINAL = _EPOCH.toordinal()
@@ -188,16 +186,9 @@ def _fill_gaps(grid: np.ndarray) -> np.ndarray:
 
 def write_profiles_csv(fh: TextIO, profiles: DailyProfiles) -> None:
     """Write profiles to ``fh`` with one column per slot (s00..s95)."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(
-        ["meter_id", "day", "completeness"]
-        + ["s{:02d}".format(i) for i in range(SLOTS_PER_DAY)]
-    )
-    # Only the meter id can need quoting: csv writes it once, each row
-    # is formatted by one call.
-    meter = io.StringIO()
-    csv.writer(meter, lineterminator="\n").writerow([profiles.meter_id, ""])
-    prefix = meter.getvalue()[:-1]
+    fh.write(",".join(["meter_id", "day", "completeness"] + ["s{:02d}".format(i) for i in range(SLOTS_PER_DAY)]) + "\n")
+    # Only the meter id can need quoting: it is quoted once, and each row is formatted by one call.
+    prefix = csv_field(profiles.meter_id) + ","
     row = "%s,%.4f" + ",%.3f" * SLOTS_PER_DAY + "\n"
     for day, completeness, values in zip(profiles.days, profiles.completeness, profiles.values.tolist()):
         fh.write(prefix + row % (day.isoformat(), completeness, *values))

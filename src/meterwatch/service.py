@@ -4,7 +4,8 @@ Endpoints:
 
 * ``POST /v1/readings`` - newline-delimited JSON reading records, read
   by ``store.read_readings_ndjson`` as the store's log is; responds with
-  the ingestion stats delta.
+  the ingestion stats delta (500, with nothing committed, when the log
+  append fails).
 * ``GET /v1/meters/{id}/power?from=...&to=...`` - 15-minute mean-power
   samples (RFC 3339 bounds; defaults to the meter's full span; at most
   ``store.MAX_GRID_SLOTS`` slots, else 400).
@@ -109,6 +110,9 @@ class MeterServiceHandler(BaseHTTPRequestHandler):
             delta = self.store.ingest(readings)
         except (ConflictingDuplicate, NonMonotonicRegister) as exc:
             self._send_error(409, str(exc))
+            return
+        except OSError as exc:  # the log append failed: nothing was committed
+            self._send_error(500, "store log append failed: {}".format(exc))
             return
         self._send(200, canonical_json(delta.to_json_dict()))
 

@@ -226,13 +226,16 @@ class TelemetryStore:
 
     Each (meter, register) series is two parallel lists of ints, ``times``
     (epoch microseconds) and ``values`` (Wh), kept sorted by time, so
-    lookups and grid reads bisect instead of sorting.  When constructed
-    with a path, accepted readings are appended to that newline-delimited
-    JSON file and replayed on open.  A record counts as committed once its
-    newline is on disk: a final fragment without one (a torn append) is
-    cut from the file on open and its size kept in ``dropped_tail_bytes``.
-    Reads and writes are serialized through one lock; readers always
-    observe the state left by the last completed ingest.
+    lookups and grid reads bisect instead of sorting.  Every batch, from a
+    streamed reading to a log replay, goes through one merge over the
+    window of stored readings it touches (``_merge_window``).  When
+    constructed with a path, accepted readings are appended to that
+    newline-delimited JSON file and replayed on open.  A record counts as
+    committed once its newline is on disk: a final fragment without one
+    (a torn append) is cut from the file on open and its size kept in
+    ``dropped_tail_bytes``.  Reads and writes are serialized through one
+    lock; readers always observe the state left by the last completed
+    ingest.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -298,9 +301,6 @@ class TelemetryStore:
             key = (meter_id, str(register))
             pending = fresh.get(key, {})
             times, values = self._series.get(key, ((), ()))
-            if not times and not pending and all(map(lt, run_times, islice(run_times, 1, None))):
-                fresh[key] = dict(zip(run_times, run_values))  # a new series' first run, rising: no time repeats
-                continue
             for t, v in zip(run_times, run_values):
                 known = pending.get(t)
                 if known is None and times:
@@ -320,20 +320,16 @@ class TelemetryStore:
         merges = []
         for key, news in fresh.items():
             times, values = self._series.get(key, ((), ()))
-            new_times = sorted(news)
-            new_values = list(map(news.__getitem__, new_times))
-            positions = _check_neighbours(key, times, values, new_times, new_values, delta)
+            merges.append((key, _merge_window(key, times, values, news, delta)))
             if times:
-                delta.out_of_order += bisect_left(new_times, times[-1])
-            merges.append((key, positions, new_times, new_values))
+                delta.out_of_order += sum(map(times[-1].__gt__, news))
             delta.readings_accepted += len(news)
 
         if persist and self._path is not None and delta.readings_accepted:
-            self._append(_ndjson_records(merges))
-        for key, positions, new_times, new_values in merges:
+            self._append(_ndjson_records(fresh))
+        for key, (lo, hi, t, v) in merges:
             times, values = self._series.setdefault(key, ([], []))
-            _insert_sorted(times, positions, new_times)
-            _insert_sorted(values, positions, new_values)
+            times[lo:hi], values[lo:hi] = t, v
         self.stats.add(delta)
         return delta
 
@@ -450,67 +446,42 @@ def _interpolate_wh(v_prev: int, v_next: int, elapsed_us: int, gap_us: int) -> i
     return wh + (2 * rest > scale or (2 * rest == scale and wh % 2))
 
 
-def _check_neighbours(
-    key: tuple[str, str], times: Sequence[int], values: Sequence[int], new_times: list[int], new_values: list[int],
-    delta: StoreStats,
-) -> list[int]:
-    """Check every time-adjacent pair that holds a new reading, in time order.
+def _merge_window(
+    key: tuple[str, str], times: Sequence[int], values: Sequence[int], news: dict[int, int], delta: StoreStats,
+) -> tuple[int, int, list[int], list[int]]:
+    """Merge new readings ``{time: value}``, disjoint from the stored
+    ``times``, into the stored readings they touch, checking each
+    time-adjacent pair that holds a new reading, in time order; rollovers
+    are counted into ``delta``.
 
-    ``new_times`` is sorted and disjoint from the stored ``times``.  Each
-    new reading is checked against its predecessor in the merged timeline
-    and, when that is a stored reading, against its successor; rollovers
-    are counted into ``delta``.  Returns each new reading's insertion
-    index into the stored lists.
+    The window runs from one stored reading before the earliest new time
+    to one after the latest.  Returns ``(lo, hi, t, v)``: the merged
+    window's times and values replace ``times[lo:hi]`` and ``values[lo:hi]``.
     """
-
-    def decrease(t1, v1, t2, v2):
-        if not _is_rollover(v1, v2):
-            raise NonMonotonicRegister("{} {}: {} -> {} between {} and {}".format(
-                *key, _to_kwh(v1), _to_kwh(v2), _to_datetime(t1).isoformat(), _to_datetime(t2).isoformat()))
-        delta.rollovers_detected += 1
-
-    if not times:  # each new reading follows the one before it
-        for i in compress(range(1, len(new_values)), map(lt, islice(new_values, 1, None), new_values)):
-            decrease(new_times[i - 1], new_values[i - 1], new_times[i], new_values[i])
-        return [0] * len(new_times)
-    positions, prev_t, prev_v, j = [], None, None, 0
-    stored, last = len(times), len(new_times) - 1
-    for i, (t, v) in enumerate(zip(new_times, new_values)):
-        j = bisect_left(times, t, j)
-        positions.append(j)
-        if j > 0 and (prev_t is None or times[j - 1] > prev_t):
-            prev_t, prev_v = times[j - 1], values[j - 1]
-        if prev_t is not None and v < prev_v:
-            decrease(prev_t, prev_v, t, v)
-        if j < stored and (i == last or times[j] < new_times[i + 1]) and values[j] < v:
-            decrease(t, v, times[j], values[j])
-        prev_t, prev_v = t, v
-    return positions
+    lo = max(bisect_left(times, min(news)) - 1, 0)
+    hi = bisect_left(times, max(news)) + 1
+    merged = dict(zip(times[lo:hi], values[lo:hi]))
+    merged.update(news)
+    t = sorted(merged)
+    v = list(map(merged.__getitem__, t))
+    for i in compress(range(1, len(v)), map(lt, islice(v, 1, None), v)):
+        if t[i - 1] in news or t[i] in news:
+            if not _is_rollover(v[i - 1], v[i]):
+                raise NonMonotonicRegister("{} {}: {} -> {} between {} and {}".format(
+                    *key, _to_kwh(v[i - 1]), _to_kwh(v[i]), _to_datetime(t[i - 1]).isoformat(),
+                    _to_datetime(t[i]).isoformat()))
+            delta.rollovers_detected += 1
+    return lo, hi, t, v
 
 
-def _insert_sorted(items: list, positions: list[int], news: list) -> None:
-    """Insert ``news[i]`` before ``items[positions[i]]`` (positions non-decreasing)."""
-    first = positions[0]
-    if first == len(items):
-        items.extend(news)
-        return
-    tail = items[first:]
-    del items[first:]
-    done = first
-    for j, item in zip(positions, news):
-        items.extend(tail[done - first : j - first])
-        items.append(item)
-        done = j
-    items.extend(tail[done - first :])
-
-
-def _ndjson_records(merges: list[tuple[tuple[str, str], list[int], list[int], list[int]]]) -> Iterator[bytes]:
-    """Log lines for a batch's new readings, by series key, then by time: each its record's
-    ``json.dumps`` with sorted keys, a series' meter id and register encoded once."""
-    for (meter_id, obis), _, new_times, new_values in sorted(merges, key=lambda merge: merge[0]):
+def _ndjson_records(fresh: dict[tuple[str, str], dict[int, int]]) -> Iterator[bytes]:
+    """Log lines for a batch's new readings ``{key: {time: value}}``, by series key, then by time: each
+    its record's ``json.dumps`` with sorted keys, a series' meter id and register encoded once."""
+    for (meter_id, obis), news in sorted(fresh.items()):
         head = '{{"meter_id": {}, "obis": {}, "timestamp": "'.format(json.dumps(meter_id), json.dumps(obis))
         line = head.replace("%", "%%").encode("utf-8") + b'%bZ", "value_kwh": "%d.%03d"}\n'
-        yield from _format_readings(line, new_times, new_values)
+        times = sorted(news)
+        yield from _format_readings(line, times, list(map(news.__getitem__, times)))
 
 
 def _format_readings(line: bytes, times: list[int], values: list[int]) -> Iterator[bytes]:
@@ -600,11 +571,16 @@ def write_readings_csv(target: str | Path | TextIO, readings: Iterable[MeterRead
     readings = iter(readings)
     while runs := ReadingColumns(islice(readings, _CHUNK_RECORDS)).runs:
         for meter_id, register, times, values in runs:
-            # Only the meter id can need quoting: csv quotes it once per run.
-            csv.writer(meter := io.StringIO(), lineterminator="\n").writerow([meter_id, ""])
-            line = meter.getvalue()[:-1].replace("%", "%%") + "%bZ,{},%d.%03d\n".format(register)
+            # Only the meter id can need quoting: it is quoted once per run.
+            line = csv_field(meter_id).replace("%", "%%") + ",%bZ,{},%d.%03d\n".format(register)
             for chunk in _format_readings(line.encode("utf-8", "surrogatepass"), times, values):
                 target.write(chunk.decode("utf-8", "surrogatepass"))
+
+
+def csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted, as ``csv`` quotes, when it holds a comma, a quote, ``\\r`` or ``\\n``."""
+    csv.writer(field := io.StringIO(), lineterminator="\r\n").writerow([text, ""])
+    return field.getvalue()[:-3]
 
 
 def read_readings_csv(source: str | Path | TextIO) -> ReadingColumns:

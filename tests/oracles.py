@@ -12,10 +12,13 @@ every float of ``clustering.kmeans_fit`` can be compared with them.  ``DictStore
 the in-memory telemetry store that re-sorted a whole series on every ingest
 and placed each grid boundary with its own bisect, kept so the sorted-list
 ``TelemetryStore`` and its array grid pass can be compared with it batch
-for batch.  ``_interpolate`` is the store's ``Decimal`` interpolation,
-kept as the reference for its integer version.  ``build_daily_profiles``
-is the sample-by-sample profile builder that converted every sample to
-local time and made one ``ProfileDay`` record per day, kept so the array
+for batch.  ``_check_neighbours`` and ``_insert_sorted`` are the
+neighbour check (one loop for an empty series, one with bisect state for
+a stored one) and the splice that ``store._merge_window`` replaced, kept
+so its merged window can be compared with them.  ``_interpolate`` is the
+store's ``Decimal`` interpolation, kept as the reference for its integer
+version.  ``build_daily_profiles`` is the sample-by-sample profile builder
+that converted every sample to local time and made one ``ProfileDay`` record per day, kept so the array
 version can be compared with it row by row; its ``fill_gaps`` is the
 per-slot loop behind the masked grid fill.  ``lloyd`` is the k-means loop
 that also stopped once no centroid moved by ``tol``, after one more
@@ -31,8 +34,10 @@ simulator's per-slot register integration, a ``round`` and a ``Decimal``
 quantize per reading, kept as the reference for its one integer pass.
 ``readings_csv`` is the readings CSV writer that wrote each row with
 ``csv.writer``, ``rfc3339`` and ``str(Decimal)``, kept as the reference for
-``write_readings_csv``; ``add_readings`` is the one-reading-at-a-time
-``ReadingColumns`` builder, kept as the reference for its run grouping.
+``write_readings_csv``; it and ``profiles_csv`` quote a field as ``csv``
+does for ``\\r\\n`` line ends (``csv_row``), so a lone ``\\r`` is quoted.
+``add_readings`` is the one-reading-at-a-time ``ReadingColumns`` builder,
+kept as the reference for its run grouping.
 ``power_body`` is the ``GET /power`` body the service built from one
 ``PowerSample`` and one ``rfc3339`` call per slot.
 ``reading_to_record`` and ``snapshot`` are views of a reading and of a store's index that only the
@@ -50,8 +55,10 @@ from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 from functools import reduce
+from itertools import compress, islice
 from math import comb
-from operator import xor
+from operator import lt, xor
+from typing import Sequence
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -79,6 +86,7 @@ from meterwatch.store import (
     StoreLogError,
     StoreStats,
     TelemetryStore,
+    _is_rollover,
     _to_datetime,
     _to_kwh,
     _to_us,
@@ -473,6 +481,60 @@ def _interpolate(v_prev: Decimal, v_next: Decimal, fraction: float) -> Decimal:
     return value.quantize(Decimal("0.001"), rounding=ROUND_HALF_EVEN)
 
 
+def _check_neighbours(
+    key: tuple[str, str], times: Sequence[int], values: Sequence[int], new_times: list[int], new_values: list[int],
+    delta: StoreStats,
+) -> list[int]:
+    """Check every time-adjacent pair that holds a new reading, in time order.
+
+    ``new_times`` is sorted and disjoint from the stored ``times``.  Each
+    new reading is checked against its predecessor in the merged timeline
+    and, when that is a stored reading, against its successor; rollovers
+    are counted into ``delta``.  Returns each new reading's insertion
+    index into the stored lists.
+    """
+
+    def decrease(t1, v1, t2, v2):
+        if not _is_rollover(v1, v2):
+            raise NonMonotonicRegister("{} {}: {} -> {} between {} and {}".format(
+                *key, _to_kwh(v1), _to_kwh(v2), _to_datetime(t1).isoformat(), _to_datetime(t2).isoformat()))
+        delta.rollovers_detected += 1
+
+    if not times:  # each new reading follows the one before it
+        for i in compress(range(1, len(new_values)), map(lt, islice(new_values, 1, None), new_values)):
+            decrease(new_times[i - 1], new_values[i - 1], new_times[i], new_values[i])
+        return [0] * len(new_times)
+    positions, prev_t, prev_v, j = [], None, None, 0
+    stored, last = len(times), len(new_times) - 1
+    for i, (t, v) in enumerate(zip(new_times, new_values)):
+        j = bisect_left(times, t, j)
+        positions.append(j)
+        if j > 0 and (prev_t is None or times[j - 1] > prev_t):
+            prev_t, prev_v = times[j - 1], values[j - 1]
+        if prev_t is not None and v < prev_v:
+            decrease(prev_t, prev_v, t, v)
+        if j < stored and (i == last or times[j] < new_times[i + 1]) and values[j] < v:
+            decrease(t, v, times[j], values[j])
+        prev_t, prev_v = t, v
+    return positions
+
+
+def _insert_sorted(items: list, positions: list[int], news: list) -> None:
+    """Insert ``news[i]`` before ``items[positions[i]]`` (positions non-decreasing)."""
+    first = positions[0]
+    if first == len(items):
+        items.extend(news)
+        return
+    tail = items[first:]
+    del items[first:]
+    done = first
+    for j, item in zip(positions, news):
+        items.extend(tail[done - first : j - first])
+        items.append(item)
+        done = j
+    items.extend(tail[done - first :])
+
+
 @dataclass(frozen=True)
 class ProfileDay:
     """One day of the reference builder's output."""
@@ -654,14 +716,17 @@ def power_body(store: TelemetryStore, meter_id: str, start: datetime, end: datet
     return canonical_json(payload).encode("utf-8")
 
 
+def csv_row(fields) -> str:
+    """One CSV row ended by ``\\n``, its fields quoted as ``csv.writer``
+    quotes them for ``\\r\\n`` line ends: so a lone ``\\r`` is quoted too."""
+    csv.writer(fh := io.StringIO(), lineterminator="\r\n").writerow(fields)
+    return fh.getvalue()[:-2] + "\n"
+
+
 def readings_csv(readings) -> str:
-    """The readings CSV text, one ``csv.writer`` row per reading."""
-    fh = io.StringIO()
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in readings:
-        writer.writerow([r.meter_id, rfc3339(r.timestamp), str(r.register), str(r.value_kwh)])
-    return fh.getvalue()
+    """The readings CSV text, one ``csv_row`` per reading."""
+    rows = [[r.meter_id, rfc3339(r.timestamp), str(r.register), str(r.value_kwh)] for r in readings]
+    return "".join(map(csv_row, [CSV_HEADER] + rows))
 
 
 def points(values, y_max: float, x0: float) -> str:
@@ -677,16 +742,14 @@ def points(values, y_max: float, x0: float) -> str:
 
 
 def profiles_csv(profiles: DailyProfiles) -> str:
-    """``write_profiles_csv``'s text, written row by row through ``csv.writer``
+    """``write_profiles_csv``'s text, written row by row through ``csv_row``
     with each value formatted on its own."""
-    fh = io.StringIO()
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["meter_id", "day", "completeness"] + ["s{:02d}".format(i) for i in range(SLOTS_PER_DAY)])
+    text = csv_row(["meter_id", "day", "completeness"] + ["s{:02d}".format(i) for i in range(SLOTS_PER_DAY)])
     for day, completeness, values in zip(profiles.days, profiles.completeness, profiles.values.tolist()):
-        writer.writerow(
+        text += csv_row(
             [profiles.meter_id, day.isoformat(), "{:.4f}".format(completeness)] + ["{:.3f}".format(v) for v in values]
         )
-    return fh.getvalue()
+    return text
 
 
 # -- personas ------------------------------------------------------------------

@@ -118,7 +118,7 @@ def test_profiles_csv_has_96_value_columns(s4_month):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.text(min_size=1, max_size=12) | st.sampled_from(["S1", 'a,"b"', "m%s", "x\ny", " lead"]),
+    st.text(min_size=1, max_size=12) | st.sampled_from(["S1", 'a,"b"', "m%s", "x\ny", "a\rb", " lead"]),
     st.lists(
         st.tuples(
             st.lists(st.floats(0, 1e7, allow_nan=False) | st.sampled_from([0.0005, 0.0015, 2.4995]), min_size=1, max_size=9),

@@ -3,6 +3,7 @@ from __future__ import annotations
 import http.client
 import itertools
 import json
+import shutil
 import socket
 import threading
 import time
@@ -273,6 +274,33 @@ def test_sub_second_timestamp_is_400_and_the_store_reopens(tmp_path):
         srv.server_close()
     [reading] = TelemetryStore(path).readings("M1", POSITIVE_ACTIVE_ENERGY)
     assert reading.timestamp == parse_rfc3339("2024-06-03T12:00:00Z")
+
+
+def test_failed_log_append_is_500_and_commits_nothing(tmp_path):
+    store_dir = tmp_path / "store"
+    store_dir.mkdir()
+    store = TelemetryStore(store_dir / "readings.ndjson")
+    srv = make_server(store, AnalysisConfig(), port=0)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    conn = http.client.HTTPConnection("127.0.0.1", srv.server_address[1], timeout=10)
+    body = ndjson(sim_readings(days=1))
+    try:
+        shutil.rmtree(store_dir)
+        conn.request("POST", "/v1/readings", body=body)
+        response = conn.getresponse()
+        assert response.status == 500
+        assert "store log append failed" in json.loads(response.read().decode())["error"]
+        assert store.meters() == [] and store.stats.readings_accepted == 0
+        store_dir.mkdir()
+        conn.request("POST", "/v1/readings", body=body)  # the same connection
+        response = conn.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read().decode())["readings_accepted"] == 97
+    finally:
+        conn.close()
+        srv.shutdown()
+        srv.server_close()
+    assert snapshot(TelemetryStore(store_dir / "readings.ndjson")) == snapshot(store)
 
 
 def test_chunked_post_is_411_and_closes(server):

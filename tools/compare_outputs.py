@@ -84,10 +84,16 @@ replayed, reads ``GET /v1/meters/S1/anomalies``, S2's power over one
 day (``POWER_WINDOW``), S2's power over two days from a day before its
 first reading (``EARLY_WINDOW``: a day of missing slots, then measured
 ones) and S3's power over its whole span (``GET /v1/meters/S3/power``
-with no ``from`` or ``to``: 35 040 slots), and stops it.  The four
-responses, both rounds' anomalies responses, the power responses, the
-store's log after the restart (``serve/store/readings.ndjson``) and each
-server's exit code, stderr and stdout (its port masked) are compared.
+with no ``from`` or ``to``: 35 040 slots).  Then it POSTs readings that
+meet the stored series (``stored_series_posts``): S4's next slot, three
+S1 readings sent again, a new S1 reading 7 s after a stored one, a
+conflicting and a decreasing S1 value (both 409), and a new meter whose
+readings roll over at 1 000 000 kWh with a reading added between them;
+it reads that meter's power and stops the server.  The four POST
+responses of the first round, both rounds' anomalies responses, the power
+responses, the restart round's POST responses, the store's log at the end
+(``serve/store/readings.ndjson``) and each server's exit code, stderr and
+stdout (its port masked) are compared.
 
 Each command's stdout, stderr and exit code are saved beside its outputs.
 The two directories are then compared file by file; every file that
@@ -286,7 +292,41 @@ def run_serve(side_dir: Path, env: dict) -> None:
         ("restart_power_S2", "GET", "/v1/meters/S2/power?from={}&to={}".format(*POWER_WINDOW), None),
         ("restart_power_S2_early", "GET", "/v1/meters/S2/power?from={}&to={}".format(*EARLY_WINDOW), None),
         ("restart_power_S3_span", "GET", "/v1/meters/S3/power", None),
+        *stored_series_posts(side_dir / "sim"),
+        ("restart_power_ROLL", "GET", "/v1/meters/ROLL/power", None),
     ])
+
+
+def stored_series_posts(sim_dir: Path) -> list:
+    """``POST /v1/readings`` requests that meet the series the restarted
+    server replayed: S4's next slot, three S1 readings sent again, a new S1
+    reading 7 s after a stored one, an S1 reading with another value and
+    one below its predecessor (both 409), and a new meter ``ROLL`` whose
+    two readings roll over at 1 000 000 kWh, then a reading between them."""
+    series = {}
+    for persona in ("S1", "S4"):
+        with open(sim_dir / "{}_readings.csv".format(persona), newline="", encoding="utf-8") as fh:
+            series[persona] = list(csv.DictReader(fh))
+    s1, last = series["S1"], series["S4"][-1]
+    roll = {"meter_id": "ROLL", "timestamp": "2024-06-03T00:00:00Z", "obis": "1.8.0", "value_kwh": "999999.900"}
+    posts = [
+        ("S4_next", [moved(last, 900, Decimal(last["value_kwh"]) + Decimal("0.125"))]),
+        ("S1_resent", s1[1000:1003]),
+        ("S1_late", [moved(s1[2000], 7)]),
+        ("S1_conflict", [moved(s1[3000], 0, Decimal(s1[3000]["value_kwh"]) + Decimal("0.001"))]),
+        ("S1_decrease", [moved(s1[3000], 60, Decimal(s1[3000]["value_kwh"]) - Decimal("0.001"))]),
+        ("ROLL", [roll, moved(roll, 1800, Decimal("0.100"))]),
+        ("ROLL_between", [moved(roll, 900, Decimal("999999.990"))]),
+    ]
+    return [("restart_post_" + name, "POST", "/v1/readings", "".join(json.dumps(r) + "\n" for r in records).encode())
+            for name, records in posts]
+
+
+def moved(record: dict, seconds: int, value_kwh: Decimal | None = None) -> dict:
+    """``record`` ``seconds`` later, with ``value_kwh`` if given."""
+    timestamp = datetime.fromisoformat(record["timestamp"].replace("Z", "+00:00")) + timedelta(seconds=seconds)
+    value = record["value_kwh"] if value_kwh is None else str(value_kwh)
+    return dict(record, timestamp=timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"), value_kwh=value)
 
 
 def serve_round(side_dir: Path, env: dict, name: str, requests: list) -> None:
