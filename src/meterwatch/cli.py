@@ -400,7 +400,7 @@ def analyze(csv_files, out_dir, seed, restarts, min_completeness, top_n, k, conf
 @click.option("--store", "store_dir", type=click.Path(exists=True, file_okay=False), required=True,
               envvar="METERWATCH_DATA_DIR", show_envvar=True)
 @click.option("--host", default="127.0.0.1", show_default=True)
-@click.option("--port", type=int, default=8720, show_default=True)
+@click.option("--port", type=click.IntRange(0, 65535), default=8720, show_default=True)
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 @click.option("--verbose", is_flag=True, default=False)
 def serve(store_dir, host, port, seed, verbose) -> None:

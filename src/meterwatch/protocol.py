@@ -18,6 +18,7 @@ is safe to share between threads.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -32,8 +33,6 @@ READOUT_TERMINATOR = b"!\r\n"
 # display field "000123.456" (resolution 0.001 kWh).
 REGISTER_MODULUS_KWH = Decimal(1_000_000)
 REGISTER_RESOLUTION_KWH = Decimal("0.001")
-
-_VALUE_FORBIDDEN = set("()*\r\n")
 
 
 class ProtocolError(Exception):
@@ -92,13 +91,17 @@ class EncodingError(ProtocolError):
     """A line cannot be serialized without breaking the grammar."""
 
 
-_OBIS_PART = r"(0|[1-9][0-9]?)"
-_OBIS_RE = re.compile(r"^{p}\.{p}\.{p}$".format(p=_OBIS_PART))
-_LINE_RE = re.compile(
-    r"^{p}\.{p}\.{p}\(([^()*\r\n]*)(?:\*(kWh|kvarh))?\)$".format(p=_OBIS_PART)
-)
-_IDENT_RE = re.compile(r"^/([A-Z]{3})([\x20-\x7e])([\x20-\x7e]*)\r\n$")
-_DECIMAL_RE = re.compile(r"^[0-9]+(?:\.[0-9]+)?$")
+# The pieces of docs/readout-grammar.ebnf.  The encoder and the decoder
+# both match them whole (``fullmatch``), so each accepts what the other does.
+_OBIS_PART = r"(?:0|[1-9][0-9]?)"
+_OBIS = r"{p}\.{p}\.{p}".format(p=_OBIS_PART)
+_VALUE = r"[\x20-\x27\x2b-\x7e]*"  # printable ASCII but "(", ")" and "*"
+_MANUFACTURER, _BAUD_ID, _IDENTIFIER = r"[A-Z]{3}", r"[\x20-\x7e]", r"[\x20-\x7e]*"
+_OBIS_RE = re.compile(_OBIS)
+_VALUE_RE = re.compile(_VALUE)
+_LINE_RE = re.compile(r"({})\(({})(?:\*(kWh|kvarh))?\)".format(_OBIS, _VALUE))
+_IDENT_RE = re.compile("/({})({})({})\r\n".format(_MANUFACTURER, _BAUD_ID, _IDENTIFIER))
+_DECIMAL_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 
 
 class Unit(Enum):
@@ -133,10 +136,9 @@ class ObisCode:
 # occur, so valid parses are cached; a ValueError is raised, never cached.
 @functools.lru_cache(maxsize=256)
 def _parse_obis(text: str) -> ObisCode:
-    m = _OBIS_RE.match(text)
-    if m is None:
+    if _OBIS_RE.fullmatch(text) is None:
         raise ValueError("not an OBIS code: {!r}".format(text))
-    return ObisCode(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+    return ObisCode(*map(int, text.split(".")))
 
 
 # The register the simulated meters emit and the analysis reads.
@@ -159,22 +161,13 @@ class DataLine:
         """Render ``ADDRESS(VALUE*UNIT)\\r\\n`` as ASCII bytes.
 
         Raises:
-            EncodingError: if the value text contains ``(``, ``)``, ``*``,
-                CR, LF, or non-ASCII characters.
+            EncodingError: if the value text holds anything but printable
+                ASCII other than ``(``, ``)`` and ``*``.
         """
-        bad = _VALUE_FORBIDDEN.intersection(self.value)
-        if bad:
-            raise EncodingError(
-                "forbidden character(s) {} in value {!r}".format(sorted(bad), self.value)
-            )
-        if self.unit is Unit.NONE:
-            text = "{}({})\r\n".format(self.address, self.value)
-        else:
-            text = "{}({}*{})\r\n".format(self.address, self.value, self.unit.value)
-        try:
-            return text.encode("ascii")
-        except UnicodeEncodeError as exc:
-            raise EncodingError("non-ASCII value {!r}".format(self.value)) from exc
+        if _VALUE_RE.fullmatch(self.value) is None:
+            raise EncodingError("value {!r} is not printable ASCII without '(', ')' or '*'".format(self.value))
+        unit = "" if self.unit is Unit.NONE else "*" + self.unit.value
+        return "{}({}{})\r\n".format(self.address, self.value, unit).encode("ascii")
 
 
 @dataclass(frozen=True)
@@ -198,11 +191,11 @@ class IdentificationMessage:
     identifier: str
 
     def __post_init__(self):
-        if not re.fullmatch(r"[A-Z]{3}", self.manufacturer):
+        if not re.fullmatch(_MANUFACTURER, self.manufacturer):
             raise ValueError("manufacturer must be exactly 3 uppercase letters")
-        if not re.fullmatch(r"[\x20-\x7e]", self.baud_id):
+        if not re.fullmatch(_BAUD_ID, self.baud_id):
             raise ValueError("baud_id must be one printable ASCII character")
-        if not re.fullmatch(r"[\x20-\x7e]*", self.identifier):
+        if not re.fullmatch(_IDENTIFIER, self.identifier):
             raise ValueError("identifier must be printable ASCII without CR/LF")
 
     def serialize(self) -> bytes:
@@ -221,10 +214,10 @@ def parse_identification(data: bytes) -> IdentificationMessage:
         text = bytes(data).decode("ascii")
     except UnicodeDecodeError:
         raise MalformedLine(0, "non-ASCII identification message") from None
-    m = _IDENT_RE.match(text)
+    m = _IDENT_RE.fullmatch(text)
     if m is None:
         raise MalformedLine(0, "not an identification message: {!r}".format(text))
-    return IdentificationMessage(m.group(1), m.group(2), m.group(3))
+    return IdentificationMessage(*m.groups())
 
 
 def encode_request() -> bytes:
@@ -245,10 +238,7 @@ def compute_bcc(payload: bytes) -> int:
     """
     if len(payload) == 0:
         raise EmptyPayload("BCC over empty payload")
-    bcc = 0
-    for byte in payload:
-        bcc ^= byte
-    return bcc
+    return functools.reduce(operator.xor, payload)
 
 
 def encode_readout(lines) -> bytes:
@@ -310,12 +300,10 @@ def parse_readout(data: bytes) -> ReadoutFrame:
             text = raw.decode("ascii")
         except UnicodeDecodeError:
             raise MalformedLine(index, "non-ASCII bytes in line") from None
-        m = _LINE_RE.match(text)
+        m = _LINE_RE.fullmatch(text)
         if m is None:
             raise MalformedLine(index, "does not match ADDRESS(VALUE*UNIT): {!r}".format(text))
-        address = ObisCode(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-        unit = Unit(m.group(5)) if m.group(5) is not None else Unit.NONE
-        lines.append(DataLine(address, m.group(4), unit))
+        lines.append(DataLine(ObisCode.parse(m[1]), m[2], Unit(m[3] or "")))
     return ReadoutFrame(tuple(lines), found)
 
 
@@ -330,7 +318,7 @@ def extract_energy(frame: ReadoutFrame, code: ObisCode) -> Decimal | None:
     """
     for line in frame.lines:
         if line.address == code:
-            if not _DECIMAL_RE.match(line.value):
+            if not _DECIMAL_RE.fullmatch(line.value):
                 raise MalformedValue(
                     "value {!r} of {} is not a decimal number".format(line.value, code)
                 )

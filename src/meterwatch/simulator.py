@@ -40,6 +40,7 @@ from .protocol import (
     Unit,
     encode_readout,
     format_register_kwh,
+    parse_readout,
 )
 from .pipeline import parse_setting
 from .profiles import DEFAULT_TIMEZONE
@@ -318,12 +319,7 @@ def simulate_period(
 
 
 def emit_frames(sim: SimOutput) -> list[tuple[datetime, ReadoutFrame]]:
-    """Render each reading as a timestamped readout frame on register 1.8.0."""
-    frames = []
-    for reading in sim.readings:
-        line = DataLine(
-            POSITIVE_ACTIVE_ENERGY, format_register_kwh(reading.value_kwh), Unit.KWH
-        )
-        data = encode_readout([line])
-        frames.append((reading.timestamp, ReadoutFrame((line,), data[-1])))
-    return frames
+    """Render each reading as a timestamped readout frame on register 1.8.0,
+    as the decoder reads it from the encoded bytes."""
+    lines = (DataLine(POSITIVE_ACTIVE_ENERGY, format_register_kwh(r.value_kwh), Unit.KWH) for r in sim.readings)
+    return [(r.timestamp, parse_readout(encode_readout([line]))) for r, line in zip(sim.readings, lines)]

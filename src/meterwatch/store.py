@@ -119,6 +119,8 @@ class MeterReading:
             raise ValueError("timestamp {} is not a whole second".format(self.timestamp.isoformat()))
         if not _FIRST <= self.timestamp - _EPOCH <= _LAST:
             raise ValueError("timestamp {} lies outside the years 1-9999 in UTC".format(self.timestamp.isoformat()))
+        if not self.value_kwh.is_finite():
+            raise ValueError("value_kwh {!r} is not a decimal number".format(str(self.value_kwh)))
         if not 0 <= self.value_kwh < REGISTER_MODULUS_KWH:
             raise ValueError("register values lie in [0, {}) kWh".format(REGISTER_MODULUS_KWH))
         if self.value_kwh % REGISTER_RESOLUTION_KWH:
@@ -518,7 +520,11 @@ def parse_rfc3339(text: str) -> datetime:
 
 def _reading(meter_id: str, timestamp: str, obis: str, value_kwh: str) -> MeterReading:
     """A reading from the text fields of a CSV row or NDJSON record."""
-    return MeterReading(meter_id, parse_rfc3339(timestamp), ObisCode.parse(obis), Decimal(value_kwh))
+    try:
+        value = Decimal(value_kwh)
+    except InvalidOperation:
+        raise ValueError("value_kwh {!r} is not a decimal number".format(value_kwh)) from None
+    return MeterReading(meter_id, parse_rfc3339(timestamp), ObisCode.parse(obis), value)
 
 
 def read_readings_ndjson(pieces: Iterable[bytes]) -> ReadingColumns:
@@ -543,7 +549,7 @@ def read_readings_ndjson(pieces: Iterable[bytes]) -> ReadingColumns:
                     try:
                         record = json.loads(line.decode("utf-8"))
                         readings.append(_reading(*(str(record[key]) for key in CSV_HEADER)))
-                    except (ValueError, KeyError, TypeError, InvalidOperation, RecursionError) as exc:
+                    except (ValueError, KeyError, TypeError, RecursionError) as exc:
                         raise ReadingsFormatError(line_number, str(exc)) from exc
             for run in ReadingColumns(readings).runs:
                 columns.extend(*run)
@@ -590,12 +596,18 @@ def read_readings_csv(source: str | Path | TextIO) -> ReadingColumns:
     ends) are parsed as whole columns; any other file row by row.
 
     Raises:
-        ReadingsFormatError: missing/invalid header or an unparsable row.
+        ReadingsFormatError: missing/invalid header, an unparsable row, or
+            a file that is not UTF-8.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return read_readings_csv(fh)
-    text = source.read()
+        data = Path(source).read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ReadingsFormatError(line, "byte 0x{:02X} is not UTF-8 text".format(data[exc.start])) from None
+    else:
+        text = source.read()
     columns = _read_canonical_csv(text)
     return columns if columns is not None else _read_csv_rows(io.StringIO(text, newline=""))
 
@@ -670,22 +682,26 @@ def _add_canonical(columns: ReadingColumns, run_re: re.Pattern, text: str, tail:
 
 
 def _read_csv_rows(fh: TextIO) -> ReadingColumns:
-    """Parse a readings CSV row by row."""
-    reader = csv.reader(fh)
+    """Parse a readings CSV row by row; an error names the line where its row starts."""
+    # ``fh`` also ends a line at a lone "\r"; starts[i] is the "\n"-counted line where its line i + 1 starts.
+    lines = fh.readlines()
+    starts = list(accumulate((line.endswith("\n") for line in lines), initial=1))
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
         raise ReadingsFormatError(1, "empty file; expected header {}".format(",".join(CSV_HEADER)))
     if [h.strip() for h in header] != CSV_HEADER:
         raise ReadingsFormatError(1, "bad header {!r}; expected {}".format(",".join(header), ",".join(CSV_HEADER)))
-    readings = []
-    for line_number, row in enumerate(reader, start=2):
+    readings, row_at = [], reader.line_num
+    for row in reader:
+        line_number, row_at = starts[row_at], reader.line_num
         if not row:
             continue
         if len(row) != 4:
             raise ReadingsFormatError(line_number, "expected 4 columns, got {}".format(len(row)))
         try:
             readings.append(_reading(*row))
-        except (ValueError, InvalidOperation) as exc:
+        except ValueError as exc:
             raise ReadingsFormatError(line_number, str(exc)) from exc
     return ReadingColumns(readings)

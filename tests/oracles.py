@@ -653,7 +653,11 @@ def snapshot(store: TelemetryStore) -> dict[tuple[str, str], dict[datetime, Deci
 
 def reading_from_record(record: dict) -> MeterReading:
     meter_id, timestamp, obis, value = (str(record[key]) for key in ("meter_id", "timestamp", "obis", "value_kwh"))
-    return MeterReading(meter_id, parse_rfc3339(timestamp), ObisCode.parse(obis), Decimal(value))
+    try:
+        value_kwh = Decimal(value)
+    except InvalidOperation:  # named as the store names it, not by decimal's signal list
+        raise ValueError("value_kwh {!r} is not a decimal number".format(value)) from None
+    return MeterReading(meter_id, parse_rfc3339(timestamp), ObisCode.parse(obis), value_kwh)
 
 
 # What both parsers refused a record for.

@@ -160,6 +160,26 @@ def test_analyze_malformed_row_names_the_line(runner, tmp_path):
     assert "line 3" in result.output
 
 
+@pytest.mark.parametrize("command", ["analyze", "ingest"])
+def test_csv_that_is_not_utf8_is_refused_naming_its_line(runner, tmp_path, command):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"meter_id,timestamp,obis,value_kwh\nM\xff1,2024-06-03T12:00:00Z,1.8.0,1.0\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, str(bad), "--out" if command == "analyze" else "--store", str(out)])
+    assert result.exit_code == 1, result.output
+    assert "Error: line 2: byte 0xFF is not UTF-8 text" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("port", ["99999", "65536", "-1"])
+def test_serve_refuses_a_port_outside_0_to_65535(runner, tmp_path, port):
+    result = runner.invoke(main, ["serve", "--store", str(tmp_path), "--port", port])
+    assert result.exit_code == 2, result.output
+    assert "--port" in result.output and "0<=x<=65535" in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "flags, config",
     [

@@ -97,7 +97,7 @@ def test_encode_empty_readout_has_terminator_only():
 
 
 def test_encode_rejects_forbidden_value_characters():
-    for value in ["12(3", "12)3", "12*3", "12\r3", "12\n3"]:
+    for value in ["12(3", "12)3", "12*3", "12\r3", "12\n3", "1\x032", "1\x7f2", "1\x002"]:
         with pytest.raises(EncodingError):
             encode_readout([DataLine(OBIS_180, value)])
 
@@ -155,6 +155,23 @@ def test_structural_errors_are_typed():
         parse_readout(b"")
 
 
+def frame_of(body: bytes) -> bytes:
+    """``body`` framed by STX, ETX and a correct BCC."""
+    payload = body + bytes([ETX])
+    return bytes([STX]) + payload + bytes([compute_bcc(payload)])
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b"1.8.0(5*kWh)\n\r\n!\r\n", b"1.8.0(5\x7f)\r\n!\r\n"],
+    ids=["lf-before-crlf", "del-in-value"],
+)
+def test_line_is_matched_whole(body):
+    with pytest.raises(MalformedLine) as err:
+        parse_readout(frame_of(body))
+    assert err.value.index == 0
+
+
 def test_bad_terminator_is_malformed():
     body = b"1.8.0(1)\r\n" + bytes([ETX])  # no '!' CR LF before ETX
     data = bytes([STX]) + body + bytes([compute_bcc(body)])
@@ -189,7 +206,7 @@ def test_obis_rendering_roundtrips():
         assert ObisCode.parse(str(code)) == code
 
 
-@pytest.mark.parametrize("text", ["01.8.0", "1.8", "1.8.0.0", "100.8.0", "a.b.c", ""])
+@pytest.mark.parametrize("text", ["01.8.0", "1.8", "1.8.0.0", "100.8.0", "a.b.c", "", "1.8.0\n"])
 def test_obis_rejects_non_canonical_text(text):
     with pytest.raises(ValueError):
         ObisCode.parse(text)
@@ -220,7 +237,7 @@ def test_identification_roundtrips():
 
 
 def test_parse_identification_rejects_garbage():
-    for bad in [b"ABC5x\r\n", b"/ab15x\r\n", b"/ABC5x", b"/AB\xff5x\r\n"]:
+    for bad in [b"ABC5x\r\n", b"/ab15x\r\n", b"/ABC5x", b"/AB\xff5x\r\n", b"/ABC5x\r\n\n", b"/ABC5x\n\r\n"]:
         with pytest.raises(MalformedLine):
             parse_identification(bad)
 
@@ -249,7 +266,9 @@ def test_register_field_wraps_at_modulus():
 
 # -- properties ---------------------------------------------------------------
 
-_value_chars = st.text(alphabet="0123456789.abcdefghij", min_size=0, max_size=12)
+# The value grammar: printable ASCII but "(", ")" and "*".
+_VALUE_ALPHABET = "".join(chr(c) for c in range(0x20, 0x7F) if chr(c) not in "()*")
+_value_chars = st.text(alphabet=_VALUE_ALPHABET, min_size=0, max_size=12)
 _obis = st.builds(
     ObisCode,
     st.integers(0, 99),
@@ -263,6 +282,15 @@ _lines = st.lists(_line, min_size=0, max_size=6).map(tuple)
 @given(_lines)
 def test_roundtrip_of_any_valid_line_sequence(lines):
     assert parse_readout(encode_readout(lines)).lines == lines
+
+
+_outside_value = st.characters(blacklist_characters=_VALUE_ALPHABET)
+
+
+@given(_obis, _value_chars, _outside_value, _value_chars, st.sampled_from(list(Unit)))
+def test_value_outside_the_grammar_is_an_encoding_error(address, head, bad, tail, unit):
+    with pytest.raises(EncodingError):
+        encode_readout([DataLine(address, head + bad + tail, unit)])
 
 
 @given(_lines.filter(lambda ls: len(ls) > 0), st.data())

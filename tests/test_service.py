@@ -468,8 +468,11 @@ def test_records_split_by_another_line_break_are_400(server, separator):
         (record(3).replace(b"3.000", b"abc"), 3),
         (record(3).replace(b"3.000", b"3.0005"), 3),
         (record(3).replace(b":00:00Z", b":00:00.5Z"), 3),
+        (record(3).replace(b"3.000", b"NaN"), 3),
+        (record(3).replace(b'"1.8.0"', b'"1.8.0\\n"'), 3),
     ],
-    ids=["missing-field", "not-an-object", "value-not-a-number", "value-finer-than-a-wh", "sub-second"],
+    ids=["missing-field", "not-an-object", "value-not-a-number", "value-finer-than-a-wh", "sub-second", "value-nan",
+         "obis-with-a-newline"],
 )
 def test_400_names_the_line_with_the_old_reason(server, bad, line_number):
     base, store = server

@@ -166,6 +166,8 @@ def test_negative_register_is_rejected():
     for value in ("-1", "Infinity", "1000000.000", "1.0005"):
         with pytest.raises(ValueError):
             MeterReading("M1", T0, OBIS_180, Decimal(value))
+    with pytest.raises(ValueError, match="value_kwh 'NaN' is not a decimal number"):
+        MeterReading("M1", T0, OBIS_180, Decimal("NaN"))
 
 
 @given(
@@ -596,7 +598,11 @@ def test_unparsable_interior_line_names_its_line(tmp_path):
     finer_than_a_wh = b'{"meter_id": "M1", "obis": "1.8.0", "timestamp": "2024-06-03T12:07:00Z", "value_kwh": "1.0005"}\n'
     sub_second = b'{"meter_id": "M1", "obis": "1.8.0", "timestamp": "2024-06-03T12:07:00.5Z", "value_kwh": "1.050"}\n'
     nested_too_deep = b"[" * 100000 + b"\n"
-    for bad in (b'{"meter_id": "M1", "timest\n', b'{"meter_id": "M1"}\n', finer_than_a_wh, sub_second, nested_too_deep):
+    not_a_number = finer_than_a_wh.replace(b"1.0005", b"x")
+    nan = finer_than_a_wh.replace(b"1.0005", b"NaN")
+    obis_with_lf = b'{"meter_id": "M1", "obis": "1.8.0\\n", "timestamp": "2024-06-03T12:07:00Z", "value_kwh": "1.050"}\n'
+    for bad in (b'{"meter_id": "M1", "timest\n', b'{"meter_id": "M1"}\n', finer_than_a_wh, sub_second, nested_too_deep,
+                not_a_number, nan, obis_with_lf):
         path.write_bytes(lines[0] + bad + lines[1])
         with pytest.raises(StoreLogError, match="line 2") as err:
             TelemetryStore(path)
@@ -821,12 +827,39 @@ def test_csv_malformed_row_names_its_line():
         "M1,2024-06-03T12:15:00Z,1.8.0,Infinity",
         "M1,2024-06-03T12:15:00Z,1.8.0,1.0005",
         "M1,2024-06-03T12:15:00.5Z,1.8.0,2.0",
+        "M1,2024-06-03T12:15:00Z,1.8.0,x",
+        "M1,2024-06-03T12:15:00Z,1.8.0,NaN",
+        'M1,2024-06-03T12:15:00Z,"1.8.0\n",2.0',
     ):
         text = "meter_id,timestamp,obis,value_kwh\nM1,2024-06-03T12:00:00Z,1.8.0,1.0\n" + bad_row + "\n"
         with pytest.raises(ReadingsFormatError) as err:
             read_readings_csv(io.StringIO(text))
         assert err.value.line_number == 3
         assert "line 3" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "value, reason",
+    [("x", "value_kwh 'x' is not a decimal number"), ("NaN", "value_kwh 'NaN' is not a decimal number"),
+     ("-Infinity", "value_kwh '-Infinity' is not a decimal number"), ("-1", "register values lie in [0, 1000000) kWh")],
+    ids=["not-a-number", "nan", "minus-infinity", "negative"],
+)
+def test_csv_value_error_names_the_value_and_the_line_where_its_row_starts(value, reason):
+    # The first row's quoted meter id spans lines 2-3 and the third's holds a
+    # lone \r, which ends no line, so the bad row starts on line 6.
+    text = CSV_TEXT + '"M\n1",2024-06-03T12:00:00Z,1.8.0,1.0\nM1,2024-06-03T12:00:00Z,1.8.0,1.0\n'
+    text += '"a\rb",2024-06-03T12:00:00Z,1.8.0,1.0\n'
+    with pytest.raises(ReadingsFormatError) as err:
+        read_readings_csv(io.StringIO(text + "M1,2024-06-03T12:15:00Z,1.8.0,{}\n".format(value)))
+    assert (err.value.line_number, err.value.reason) == (6, reason)
+
+
+def test_csv_that_is_not_utf8_names_the_line_of_the_byte(tmp_path):
+    path = tmp_path / "readings.csv"
+    path.write_bytes(CSV_TEXT.encode() + b"M1,2024-06-03T12:00:00Z,1.8.0,1.0\nM\xff1,2024-06-03T12:15:00Z,1.8.0,1.0\n")
+    with pytest.raises(ReadingsFormatError) as err:
+        read_readings_csv(path)
+    assert str(err.value) == "line 3: byte 0xFF is not UTF-8 text"
 
 
 def test_csv_day_that_does_not_exist_names_its_line_in_a_long_file():
