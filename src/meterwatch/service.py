@@ -58,6 +58,9 @@ _ROUTES = (
 class MeterServiceHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     timeout = IDLE_TIMEOUT_S
+    # One write per response, sent at once: two small writes wait on a keep-alive client's delayed ACK.
+    wbufsize = 2**16
+    disable_nagle_algorithm = True
 
     @property
     def store(self) -> TelemetryStore:

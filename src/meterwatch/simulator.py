@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from datetime import date, datetime, time, timedelta, timezone
 from decimal import Decimal
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import Mapping, Sequence
 from zoneinfo import ZoneInfo
 
@@ -44,7 +44,7 @@ from .protocol import (
 )
 from .pipeline import parse_setting
 from .profiles import DEFAULT_TIMEZONE
-from .store import REGISTER_MODULUS_WH, SLOT, MeterReading, _to_kwh
+from .store import _SLOT_US, REGISTER_MODULUS_WH, ReadingColumns, _to_us
 
 KIND_ABSENCE_MORNING = "absence-morning"
 KIND_SHIFTED_MORNING = "shifted-morning"
@@ -97,10 +97,11 @@ class AnomalyScript:
 
 @dataclass(eq=False)
 class SimOutput:
-    """Readings plus per-day ground truth of one simulation run."""
+    """Readings plus per-day ground truth of one simulation run; the readings
+    are ``ReadingColumns``, which build a ``MeterReading`` only on access."""
 
     meter_id: str
-    readings: tuple[MeterReading, ...]
+    readings: ReadingColumns
     truth_labels: dict[date, str]
     slot_powers_w: np.ndarray  # shape (n_days, 96), the pre-quantization truth
 
@@ -279,7 +280,8 @@ def simulate_period(
     truth-labelled with the anomaly kind.
 
     The register integrates each slot's energy as whole µWh, rounded half
-    to even, in one exact integer sum over the period.
+    to even, in one exact integer sum over the period, returned as one
+    ``ReadingColumns`` run of epoch µs and Wh: no ``MeterReading`` is built.
 
     Raises:
         ValueError: if ``period_start`` refuses the period, a script day
@@ -307,19 +309,15 @@ def simulate_period(
     # Python ints, not an int64 cumsum: a declared power may be large enough to wrap one.
     init_wh = int(initial_register_kwh * 1000)
     cumulative_uwh = accumulate(map(int, np.rint(slot_powers.ravel() * 250_000)), initial=0)
-    values = (_to_kwh((init_wh + uwh // _UWH_PER_WH) % REGISTER_MODULUS_WH) for uwh in cumulative_uwh)
-    times = accumulate(repeat(SLOT, slot_powers.size), initial=t0)
-    readings = map(MeterReading, repeat(persona.id), times, repeat(POSITIVE_ACTIVE_ENERGY), values)
-    return SimOutput(
-        meter_id=persona.id,
-        readings=tuple(readings),
-        truth_labels=truth,
-        slot_powers_w=slot_powers,
-    )
+    values = [(init_wh + uwh // _UWH_PER_WH) % REGISTER_MODULUS_WH for uwh in cumulative_uwh]
+    times = list(range(_to_us(t0), _to_us(t0) + len(values) * _SLOT_US, _SLOT_US))
+    readings = ReadingColumns()
+    readings.extend(persona.id, POSITIVE_ACTIVE_ENERGY, times, values)
+    return SimOutput(persona.id, readings, truth, slot_powers)
 
 
 def emit_frames(sim: SimOutput) -> list[tuple[datetime, ReadoutFrame]]:
     """Render each reading as a timestamped readout frame on register 1.8.0,
     as the decoder reads it from the encoded bytes."""
-    lines = (DataLine(POSITIVE_ACTIVE_ENERGY, format_register_kwh(r.value_kwh), Unit.KWH) for r in sim.readings)
-    return [(r.timestamp, parse_readout(encode_readout([line]))) for r, line in zip(sim.readings, lines)]
+    lines = ((r.timestamp, DataLine(r.register, format_register_kwh(r.value_kwh), Unit.KWH)) for r in sim.readings)
+    return [(ts, parse_readout(encode_readout([line]))) for ts, line in lines]

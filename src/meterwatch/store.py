@@ -28,8 +28,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal, InvalidOperation
-from itertools import accumulate, compress, groupby, islice, repeat
-from operator import attrgetter, getitem, lt
+from itertools import accumulate, chain, compress, groupby, islice, repeat
+from operator import attrgetter, eq, getitem, lt
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -123,7 +123,7 @@ class MeterReading:
             raise ValueError("value_kwh {!r} is not a decimal number".format(str(self.value_kwh)))
         if not 0 <= self.value_kwh < REGISTER_MODULUS_KWH:
             raise ValueError("register values lie in [0, {}) kWh".format(REGISTER_MODULUS_KWH))
-        if self.value_kwh % REGISTER_RESOLUTION_KWH:
+        if self.value_kwh.quantize(REGISTER_RESOLUTION_KWH) != self.value_kwh:  # exact, whatever the exponent
             raise ValueError("register value {} is finer than 0.001 kWh".format(self.value_kwh))
 
 
@@ -135,10 +135,10 @@ class PowerSample:
     quality: str
 
 
-class ReadingColumns:
-    """A batch of readings as runs ``(meter_id, register, times, values)``
-    of int epoch microseconds and Wh, one meter and register per run.
-    Iterating yields ``MeterReading``s, built as it goes."""
+class ReadingColumns(Sequence):
+    """A batch of readings as runs ``(meter_id, register, times, values)`` of
+    int epoch µs and Wh, one meter and register per run.  A read-only sequence
+    that builds a ``MeterReading`` only on access; a slice is ``ReadingColumns``."""
 
     def __init__(self, readings: Iterable[MeterReading] = ()):
         self.runs: list[tuple[str, ObisCode, list[int], list[int]]] = []
@@ -163,6 +163,26 @@ class ReadingColumns:
         for meter_id, register, times, values in self.runs:
             for us, wh in zip(times, values):
                 yield MeterReading(meter_id, _to_datetime(us), register, _to_kwh(wh))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            # Each reading's run number, time and value as flat lists, sliced, then cut back into runs.
+            owners = list(chain.from_iterable(repeat(k, len(run[2])) for k, run in enumerate(self.runs)))[index]
+            times, values = (iter(list(chain.from_iterable(run[j] for run in self.runs))[index]) for j in (2, 3))
+            picked = ReadingColumns()
+            for k, run in groupby(owners):
+                n = len(list(run))
+                picked.extend(*self.runs[k][:2], list(islice(times, n)), list(islice(values, n)))
+            return picked
+        i = index + len(self) if index < 0 else index
+        for meter_id, register, times, values in self.runs:
+            if 0 <= i < len(times):
+                return MeterReading(meter_id, _to_datetime(times[i]), register, _to_kwh(values[i]))
+            i -= len(times)
+        raise IndexError("reading index out of range")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and len(self) == len(other) and all(map(eq, self, other))
 
 
 class PowerSeries:
@@ -303,6 +323,10 @@ class TelemetryStore:
             key = (meter_id, str(register))
             pending = fresh.get(key, {})
             times, values = self._series.get(key, ((), ()))
+            first = {} if pending or times else dict(zip(run_times, run_values))
+            if first and len(first) == len(run_times):  # a new series' run of distinct times: all fresh
+                fresh[key] = first
+                continue
             for t, v in zip(run_times, run_values):
                 known = pending.get(t)
                 if known is None and times:
@@ -574,13 +598,12 @@ def write_readings_csv(target: str | Path | TextIO, readings: Iterable[MeterRead
         with open(target, "w", encoding="utf-8", newline="") as fh:
             return write_readings_csv(fh, readings)
     target.write(",".join(CSV_HEADER) + "\n")
-    readings = iter(readings)
-    while runs := ReadingColumns(islice(readings, _CHUNK_RECORDS)).runs:
-        for meter_id, register, times, values in runs:
-            # Only the meter id can need quoting: it is quoted once per run.
-            line = csv_field(meter_id).replace("%", "%%") + ",%bZ,{},%d.%03d\n".format(register)
-            for chunk in _format_readings(line.encode("utf-8", "surrogatepass"), times, values):
-                target.write(chunk.decode("utf-8", "surrogatepass"))
+    columns = readings if isinstance(readings, ReadingColumns) else ReadingColumns(readings)
+    for meter_id, register, times, values in columns.runs:
+        # Only the meter id can need quoting: it is quoted once per run.
+        line = csv_field(meter_id).replace("%", "%%") + ",%bZ,{},%d.%03d\n".format(register)
+        for chunk in _format_readings(line.encode("utf-8", "surrogatepass"), times, values):
+            target.write(chunk.decode("utf-8", "surrogatepass"))
 
 
 def csv_field(text: str) -> str:
@@ -686,22 +709,23 @@ def _read_csv_rows(fh: TextIO) -> ReadingColumns:
     # ``fh`` also ends a line at a lone "\r"; starts[i] is the "\n"-counted line where its line i + 1 starts.
     lines = fh.readlines()
     starts = list(accumulate((line.endswith("\n") for line in lines), initial=1))
-    reader = csv.reader(lines)
+    reader, readings, row_at = csv.reader(lines), [], 0
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ReadingsFormatError(1, "empty file; expected header {}".format(",".join(CSV_HEADER)))
-    if [h.strip() for h in header] != CSV_HEADER:
-        raise ReadingsFormatError(1, "bad header {!r}; expected {}".format(",".join(header), ",".join(CSV_HEADER)))
-    readings, row_at = [], reader.line_num
-    for row in reader:
-        line_number, row_at = starts[row_at], reader.line_num
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ReadingsFormatError(line_number, "expected 4 columns, got {}".format(len(row)))
-        try:
-            readings.append(_reading(*row))
-        except ValueError as exc:
-            raise ReadingsFormatError(line_number, str(exc)) from exc
+        header, row_at = next(reader, None), reader.line_num  # the line count after the header
+        if header is None:
+            raise ReadingsFormatError(1, "empty file; expected header {}".format(",".join(CSV_HEADER)))
+        if [h.strip() for h in header] != CSV_HEADER:
+            raise ReadingsFormatError(1, "bad header {!r}; expected {}".format(",".join(header), ",".join(CSV_HEADER)))
+        for row in reader:
+            line_number, row_at = starts[row_at], reader.line_num
+            if not row:
+                continue
+            if len(row) != 4:
+                raise ReadingsFormatError(line_number, "expected 4 columns, got {}".format(len(row)))
+            try:
+                readings.append(_reading(*row))
+            except ValueError as exc:
+                raise ReadingsFormatError(line_number, str(exc)) from exc
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise ReadingsFormatError(starts[row_at], str(exc)) from None
     return ReadingColumns(readings)

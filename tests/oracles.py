@@ -32,6 +32,9 @@ a chart line and the profiles CSV one value at a time, as the chart
 renderer and ``write_profiles_csv`` did.  ``simulated_readings`` is the
 simulator's per-slot register integration, a ``round`` and a ``Decimal``
 quantize per reading, kept as the reference for its one integer pass.
+``simulated_reading_objects`` is how the simulator built its readings
+before it returned columns: one validated ``MeterReading`` per slot
+boundary, kept as the reference for them.
 ``readings_csv`` is the readings CSV writer that wrote each row with
 ``csv.writer``, ``rfc3339`` and ``str(Decimal)``, kept as the reference for
 ``write_readings_csv``; it and ``profiles_csv`` quote a field as ``csv``
@@ -632,6 +635,19 @@ def simulated_readings(sim: SimOutput, start: date, initial_register_kwh: Decima
             ts += timedelta(minutes=15)
             readings.append(reading(ts, init_wh + cumulative_uwh // 1_000_000))
     return readings
+
+
+def simulated_reading_objects(sim: SimOutput, start: date, initial_register_kwh: Decimal) -> tuple[MeterReading, ...]:
+    """The readings of ``sim.slot_powers_w`` as the simulator built them: the
+    integer register sum, each value ``_to_kwh`` of its Wh and each time a
+    15-minute step on, one ``MeterReading`` apiece."""
+    t0 = datetime.combine(start, time(0, 0), tzinfo=ZoneInfo(DEFAULT_TIMEZONE)).astimezone(timezone.utc)
+    init_wh = int(initial_register_kwh * 1000)
+    cumulative_uwh = itertools.accumulate(map(int, np.rint(sim.slot_powers_w.ravel() * 250_000)), initial=0)
+    values = (_to_kwh((init_wh + uwh // 1_000_000) % (int(REGISTER_MODULUS_KWH) * 1000)) for uwh in cumulative_uwh)
+    times = itertools.accumulate(itertools.repeat(SLOT, sim.slot_powers_w.size), initial=t0)
+    readings = map(MeterReading, itertools.repeat(sim.meter_id), times, itertools.repeat(POSITIVE_ACTIVE_ENERGY), values)
+    return tuple(readings)
 
 
 # -- NDJSON reading records ----------------------------------------------------

@@ -172,6 +172,17 @@ def test_csv_that_is_not_utf8_is_refused_naming_its_line(runner, tmp_path, comma
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_csv_field_over_the_csv_size_limit_is_refused_naming_its_line(runner, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text('meter_id,timestamp,obis,value_kwh\n"' + "m" * 200_000 + '",2024-06-03T12:00:00Z,1.8.0,1.0\n')
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["analyze", str(bad), "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert "Error: line 2: field larger than field limit (131072)" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("port", ["99999", "65536", "-1"])
 def test_serve_refuses_a_port_outside_0_to_65535(runner, tmp_path, port):
     result = runner.invoke(main, ["serve", "--store", str(tmp_path), "--port", port])

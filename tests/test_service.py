@@ -54,7 +54,8 @@ def ndjson(readings) -> bytes:
 
 
 def sim_readings(days=10, seed=6, persona="S4"):
-    return simulate_period(build_persona(persona), START, days, seed=seed).readings
+    """The simulated readings as a tuple of ``MeterReading``s, which tests concatenate with ``+``."""
+    return tuple(simulate_period(build_persona(persona), START, days, seed=seed).readings)
 
 
 def test_post_readings_reports_the_stats_delta(server):
@@ -228,6 +229,7 @@ def test_malformed_record_is_400(server):
         (b'{"meter_id": "X", "timestamp": "2024-06-03T00:00:00Z", "obis": "1.8.0", "value_kwh": "abc"}', {}),
         (b'{"meter_id": "X", "timestamp": "2024-06-03T00:00:00Z", "obis": "1.8.0", "value_kwh": "Infinity"}', {}),
         (b'{"meter_id": "X", "timestamp": "2024-06-03T00:00:00Z", "obis": "1.8.0", "value_kwh": "1.0005"}', {}),
+        (b'{"meter_id": "X", "timestamp": "2024-06-03T00:00:00Z", "obis": "1.8.0", "value_kwh": "1e-999999999999"}', {}),
         (b"[" * 100000, {}),
     ],
     ids=[
@@ -238,6 +240,7 @@ def test_malformed_record_is_400(server):
         "value-not-a-number",
         "value-infinite",
         "value-finer-than-a-wh",
+        "value-below-the-exponent-range",
         "nested-too-deep",
     ],
 )
@@ -250,6 +253,23 @@ def test_unreadable_post_body_is_400_json(server, body, headers):
         response = conn.getresponse()
         assert response.status == 400
         assert "error" in json.loads(response.read().decode())
+    finally:
+        conn.close()
+
+
+def test_back_to_back_keep_alive_requests_are_not_held_back(server):
+    """A response split over two small writes waits for the client's delayed ACK, about 40 ms a request."""
+    base, _ = server
+    post(base, "/v1/readings", ndjson(sim_readings(days=1)))
+    address = urllib.parse.urlsplit(base)
+    conn = http.client.HTTPConnection(address.hostname, address.port, timeout=10)
+    try:
+        started = time.perf_counter()
+        for _ in range(10):
+            conn.request("GET", "/v1/meters/S4/power")
+            response = conn.getresponse()
+            assert response.status == 200 and len(json.loads(response.read())) == 96
+        assert time.perf_counter() - started < 0.2
     finally:
         conn.close()
 
@@ -470,9 +490,10 @@ def test_records_split_by_another_line_break_are_400(server, separator):
         (record(3).replace(b":00:00Z", b":00:00.5Z"), 3),
         (record(3).replace(b"3.000", b"NaN"), 3),
         (record(3).replace(b'"1.8.0"', b'"1.8.0\\n"'), 3),
+        (record(3).replace(b"3.000", b"1E-1000030"), 3),
     ],
     ids=["missing-field", "not-an-object", "value-not-a-number", "value-finer-than-a-wh", "sub-second", "value-nan",
-         "obis-with-a-newline"],
+         "obis-with-a-newline", "value-below-the-exponent-range"],
 )
 def test_400_names_the_line_with_the_old_reason(server, bad, line_number):
     base, store = server

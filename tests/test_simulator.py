@@ -264,6 +264,31 @@ def simulation_args(draw):
     return persona, start, n_days, scripts, draw(st.integers(0, 2**64 - 1)), _to_kwh(register_wh)
 
 
+# Days before the March and the October change of 2024, and late in 9999:
+# a period that ends on 9999-12-31 has its last reading at 9999-12-31T23:00Z.
+DST_AND_LATE_STARTS = [date(2024, 3, 27), date(2024, 10, 23), date(9999, 12, 25)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(PERSONA_IDS),
+    st.sampled_from(DST_AND_LATE_STARTS),
+    st.integers(1, 7),
+    st.integers(0, 2**64 - 1),
+    st.integers(REGISTER_MODULUS_WH - 1_000, REGISTER_MODULUS_WH - 1),
+    st.data(),
+)
+def test_readings_are_the_columns_of_the_old_reading_objects(persona_id, start, n_days, seed, register_wh, data):
+    """The register starts at most 1 kWh below 1 000 000 kWh: each persona uses more on a routine day, so it rolls over."""
+    script_days = data.draw(st.lists(st.integers(0, n_days - 1), unique=True, max_size=3))
+    scripts = [AnomalyScript(data.draw(st.sampled_from(ANOMALY_KINDS)), start + timedelta(days=d)) for d in script_days]
+    initial = _to_kwh(register_wh)
+    sim = simulate_period(build_persona(persona_id), start, n_days, scripts, seed, initial_register_kwh=initial)
+    expected = oracles.simulated_reading_objects(sim, start, initial)
+    assert sim.readings == expected and expected == sim.readings
+    assert [str(r.value_kwh) for r in sim.readings] == [str(r.value_kwh) for r in expected]
+
+
 @settings(max_examples=60, deadline=None)
 @given(simulation_args())
 @example((_standby_persona(TIE_STANDBY_W), START, 2, [], 0, Decimal("0.000")))

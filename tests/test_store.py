@@ -166,6 +166,10 @@ def test_negative_register_is_rejected():
     for value in ("-1", "Infinity", "1000000.000", "1.0005"):
         with pytest.raises(ValueError):
             MeterReading("M1", T0, OBIS_180, Decimal(value))
+    # Exponents below the decimal context's range: ``value % 0.001`` underflows to 0 for them.
+    for value in ("1E-1000030", "1e-999999999999"):
+        with pytest.raises(ValueError, match="is finer than 0.001 kWh"):
+            MeterReading("M1", T0, OBIS_180, Decimal(value))
     with pytest.raises(ValueError, match="value_kwh 'NaN' is not a decimal number"):
         MeterReading("M1", T0, OBIS_180, Decimal("NaN"))
 
@@ -245,6 +249,9 @@ GRID_WINDOWS = [
 
 @settings(max_examples=300, deadline=None)
 @given(reading_batches())
+# A new series' run that repeats a time, with the same value or another: it is checked reading by reading.
+@example([[reading(0, "1.000", "A"), reading(1, "2.000", "A"), reading(0, "1.000", "A")]])
+@example([[reading(0, "1.000", "A"), reading(1, "2.000", "A"), reading(0, "3.000", "A")]])
 @example([[MeterReading("A", T0 + timedelta(seconds=s), OBIS_180, Decimal(v)) for s, v in ((-60, "1"), (60, "2"))]])
 # A's first reading in the second batch is a duplicate, so B's decrease is
 # the first one met among fresh readings and is the one reported.
@@ -600,9 +607,10 @@ def test_unparsable_interior_line_names_its_line(tmp_path):
     nested_too_deep = b"[" * 100000 + b"\n"
     not_a_number = finer_than_a_wh.replace(b"1.0005", b"x")
     nan = finer_than_a_wh.replace(b"1.0005", b"NaN")
+    below_the_exponent_range = finer_than_a_wh.replace(b"1.0005", b"1E-1000030")
     obis_with_lf = b'{"meter_id": "M1", "obis": "1.8.0\\n", "timestamp": "2024-06-03T12:07:00Z", "value_kwh": "1.050"}\n'
     for bad in (b'{"meter_id": "M1", "timest\n', b'{"meter_id": "M1"}\n', finer_than_a_wh, sub_second, nested_too_deep,
-                not_a_number, nan, obis_with_lf):
+                not_a_number, nan, obis_with_lf, below_the_exponent_range):
         path.write_bytes(lines[0] + bad + lines[1])
         with pytest.raises(StoreLogError, match="line 2") as err:
             TelemetryStore(path)
@@ -830,6 +838,9 @@ def test_csv_malformed_row_names_its_line():
         "M1,2024-06-03T12:15:00Z,1.8.0,x",
         "M1,2024-06-03T12:15:00Z,1.8.0,NaN",
         'M1,2024-06-03T12:15:00Z,"1.8.0\n",2.0',
+        "M1,2024-06-03T12:15:00Z,1.8.0,1E-1000030",
+        "M1,2024-06-03T12:15:00Z,1.8.0,1e-999999999999",
+        '"' + "m" * 100_000 + "\n" + "m" * 100_000 + '",x',  # over csv's field size limit, on lines 3 and 4
     ):
         text = "meter_id,timestamp,obis,value_kwh\nM1,2024-06-03T12:00:00Z,1.8.0,1.0\n" + bad_row + "\n"
         with pytest.raises(ReadingsFormatError) as err:
@@ -1055,3 +1066,43 @@ def test_reading_columns_group_runs_as_the_add_loop_does(rows):
         for meter, register, seconds, wh in rows
     ]
     assert ReadingColumns(iter(readings)).runs == add_readings(ReadingColumns(), readings).runs
+
+
+@st.composite
+def reading_columns(draw) -> ReadingColumns:
+    """Up to five runs, of two meters (one needing CSV quoting) and two registers, each of 1-6 readings."""
+    columns = ReadingColumns()
+    for _ in range(draw(st.integers(0, 5))):
+        n = draw(st.integers(1, 6))
+        t0 = _to_us(T0) + draw(st.integers(-10**6, 10**6)) * 10**6
+        columns.extend(draw(st.sampled_from(["M1", 'M "2", a'])), draw(st.sampled_from([OBIS_180, OBIS_280])),
+                       list(range(t0, t0 + n * 900 * 10**6, 900 * 10**6)),
+                       draw(st.lists(st.integers(0, REGISTER_MODULUS_WH - 1), min_size=n, max_size=n)))
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(reading_columns(), st.data())
+def test_reading_columns_index_and_slice_as_a_tuple_of_their_readings(columns, data):
+    readings = tuple(columns)
+    n = len(readings)
+    assert len(columns) == n and columns == readings and readings == columns
+    for i in range(-n, n):
+        assert columns[i] == readings[i]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            columns[i]
+    bound = st.none() | st.integers(-n - 2, n + 2)
+    index = slice(data.draw(bound), data.draw(bound), data.draw(st.none() | st.integers(-4, 4).filter(bool)))
+    picked = columns[index]
+    assert isinstance(picked, ReadingColumns)
+    assert picked == readings[index] and picked.runs == ReadingColumns(readings[index]).runs
+
+
+@settings(max_examples=50, deadline=None)
+@given(reading_columns())
+def test_csv_of_columns_is_the_csv_of_their_readings(columns):
+    from_columns, from_readings = io.StringIO(), io.StringIO()
+    write_readings_csv(from_columns, columns)
+    write_readings_csv(from_readings, list(columns))
+    assert from_columns.getvalue() == from_readings.getvalue()
