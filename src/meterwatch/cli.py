@@ -5,8 +5,8 @@ directory), ``analyze`` (readings CSV to profiles, clustering, anomaly
 report, and SVG charts), ``serve`` (HTTP service), and ``casestudy``
 (simulate and analyze all four built-in personas).
 
-Exit codes: 0 success, 1 runtime error, 2 usage error.  Options may also
-come from a JSON config file (``--config``); explicit flags win.
+Exit codes: 0 success, 1 store or file-system error, 2 usage error.
+Options may also come from a JSON config file (``--config``); flags win.
 """
 
 from __future__ import annotations
@@ -99,6 +99,13 @@ def _persona_list(value) -> list[str]:
 _PARSERS = {"start": date.fromisoformat, "personas": _persona_list}
 # The keys a settings file may hold: simulate's, then analyze's (one file may serve both).
 _CONFIG_KEYS = ("personas", "days", "seed", "start", "restarts", "min_completeness", "top_n", "k")
+_SCRIPT_KEYS = ("kind", "day", "day_offset", "parameters")  # the keys of one --scripts entry
+
+
+def _unknown_keys(data: dict, keys) -> str:
+    """'' when ``data`` holds only ``keys``, else a message naming each other key and the known ones."""
+    unknown = "".join("{}: unknown key; ".format(key) for key in data if key not in keys)
+    return unknown and unknown + "the keys are " + ", ".join(keys)
 
 
 def _settings(config_path: str | None, flags: dict) -> dict:
@@ -106,9 +113,9 @@ def _settings(config_path: str | None, flags: dict) -> dict:
     from the ``--config`` file if its value there is not null.  Every file
     value is parsed, also one a flag overrides; a key no command reads is refused."""
     config = _load_json_object(config_path)
-    unknown = "".join("{}: unknown key; ".format(key) for key in config if key not in _CONFIG_KEYS)
+    unknown = _unknown_keys(config, _CONFIG_KEYS)
     if unknown:
-        raise _usage_error("--config", config_path, unknown + "the keys are " + ", ".join(_CONFIG_KEYS))
+        raise _usage_error("--config", config_path, unknown)
     given = [(key, value, "--config", "{}: {}".format(config_path, key))
              for key, value in config.items() if key in flags]
     given += [(key, value, "--" + key.replace("_", "-"), value) for key, value in flags.items()]
@@ -122,21 +129,34 @@ def _settings(config_path: str | None, flags: dict) -> dict:
     return settings
 
 
-@click.group()
+class _Main(click.Group):
+    """Ends a command that raises a store or file-system error with ``Error: <message>`` and exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:  # a closed stdout: click exits 1 quietly
+            raise
+        except (StoreError, OSError) as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__)
 def main() -> None:
     """Routine monitoring from 15-minute electricity meter readouts."""
 
 
 def _parse_scripts(entries, start: date) -> list[AnomalyScript]:
+    if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
+        raise ValueError("must be a list of script objects")
     scripts = []
     for entry in entries:
-        if "day" in entry:
-            day = date.fromisoformat(entry["day"])
-        elif "day_offset" in entry:
-            day = start + timedelta(days=parse_setting("day_offset", entry["day_offset"]))
-        else:
-            raise ValueError("script entry needs a day or day_offset")
+        unknown = _unknown_keys(entry, _SCRIPT_KEYS)
+        if unknown or ("day" in entry) == ("day_offset" in entry):
+            raise ValueError(unknown or "script entry needs exactly one of day and day_offset")
+        day = (date.fromisoformat(entry["day"]) if "day" in entry
+               else start + timedelta(days=parse_setting("day_offset", entry["day_offset"])))
         scripts.append(AnomalyScript(entry.get("kind"), day, entry.get("parameters")))
     return scripts
 
@@ -206,12 +226,9 @@ def ingest(csv_files, store_dir) -> None:
     store_path = Path(store_dir)
     store_path.mkdir(parents=True, exist_ok=True)
     total = StoreStats()
-    try:
-        with _open_store(store_path) as store:
-            for csv_file in csv_files:
-                total.add(store.ingest(read_readings_csv(csv_file)))
-    except StoreError as exc:
-        raise click.ClickException(str(exc))
+    with _open_store(store_path) as store:
+        for csv_file in csv_files:
+            total.add(store.ingest(read_readings_csv(csv_file)))
     click.echo(canonical_json(total.to_json_dict()))
 
 
@@ -371,29 +388,17 @@ def analyze(csv_files, out_dir, seed, restarts, min_completeness, top_n, k, conf
     config = AnalysisConfig(**_settings(config_path, flags))
 
     store = TelemetryStore()
-    try:
-        for csv_file in csv_files:
-            store.ingest(read_readings_csv(csv_file))
-    except StoreError as exc:
-        raise click.ClickException(str(exc))
+    for csv_file in csv_files:
+        store.ingest(read_readings_csv(csv_file))
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     analyses = _analyze_store(store, out, config)
     for meter_id, analysis in sorted(analyses.items()):
-        k_text = (
-            "k={}".format(analysis.model.k)
-            if analysis.selection is None
-            else "k={} (recommended)".format(analysis.selection.recommended_k)
-        )
-        click.echo(
-            "{}: {} profiles, {}, top anomalies: {}".format(
-                meter_id,
-                len(analysis.profiles),
-                k_text,
-                ", ".join(d.isoformat() for d in analysis.report.top(config.top_n)),
-            )
-        )
+        selection = analysis.selection
+        k = analysis.model.k if selection is None else "{} (recommended)".format(selection.recommended_k)
+        top = ", ".join(d.isoformat() for d in analysis.report.top(config.top_n))
+        click.echo("{}: {} profiles, k={}, top anomalies: {}".format(meter_id, len(analysis.profiles), k, top))
 
 
 @main.command()
@@ -408,16 +413,13 @@ def serve(store_dir, host, port, seed, verbose) -> None:
     # Imported here: the HTTP stack would add to every other command's start-up.
     from .service import make_server, run_server
 
-    try:
-        with _open_store(Path(store_dir)) as store:
-            try:
-                server = make_server(store, AnalysisConfig(seed=seed), host=host, port=port, verbose=verbose)
-            except OSError as exc:
-                raise click.ClickException("cannot bind {}:{}: {}".format(host, port, exc))
-            click.echo("serving on http://{}:{}".format(host, server.server_address[1]))
-            run_server(server)
-    except StoreError as exc:
-        raise click.ClickException(str(exc))
+    with _open_store(Path(store_dir)) as store:
+        try:
+            server = make_server(store, AnalysisConfig(seed=seed), host=host, port=port, verbose=verbose)
+        except OSError as exc:
+            raise click.ClickException("cannot bind {}:{}: {}".format(host, port, exc))
+        click.echo("serving on http://{}:{}".format(host, server.server_address[1]))
+        run_server(server)
 
 
 @main.command()
@@ -439,18 +441,15 @@ def casestudy(out_dir, days, seed, start_text) -> None:
 
     store = TelemetryStore()
     truths: dict[str, SimOutput] = {}
-    try:
-        for pid in PERSONA_IDS:
-            scripts = [
-                AnomalyScript(kind, start + timedelta(days=offset))
-                for kind, offset in CASESTUDY_SCRIPT_OFFSETS.get(pid, ())
-                if offset < days
-            ]
-            sim = _simulate_one(pid, start, days, seed, scripts, sim_dir)
-            truths[pid] = sim
-            store.ingest(sim.readings)
-    except (ValueError, StoreError) as exc:
-        raise click.ClickException(str(exc))
+    for pid in PERSONA_IDS:
+        scripts = [
+            AnomalyScript(kind, start + timedelta(days=offset))
+            for kind, offset in CASESTUDY_SCRIPT_OFFSETS.get(pid, ())
+            if offset < days
+        ]
+        sim = _simulate_one(pid, start, days, seed, scripts, sim_dir)
+        truths[pid] = sim
+        store.ingest(sim.readings)
 
     config = AnalysisConfig(seed=seed)
     analyses = _analyze_store(store, out, config)

@@ -297,6 +297,35 @@ def test_bad_settings_file_is_a_usage_error(runner, tmp_path, command, option, t
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "scripts, named",
+    [
+        ({"S1": [{"kind": "full-absence", "day_offset": 3, "bogus": 1}]}, "S1: bogus: unknown key; the keys are"),
+        ({"S2": [{"kind": "full-absence", "day": "2024-06-05", "parameter": {}}]}, "S2: parameter: unknown key"),
+        ({"S1": [{"kind": "full-absence", "day_offset": 3, "day": "2024-06-04"}]},
+         "S1: script entry needs exactly one of day and day_offset"),
+        ({"S1": [{"kind": "full-absence"}]}, "S1: script entry needs exactly one of day and day_offset"),
+        ({"S1": {"kind": "full-absence", "day_offset": 3}}, "S1: must be a list of script objects"),
+        ({"S1": ["today"]}, "S1: must be a list of script objects"),
+    ],
+    ids=["unknown-key", "unknown-key-of-a-persona-not-simulated", "both-days", "no-day", "entries-an-object",
+         "entry-a-string"],
+)
+def test_script_entry_that_does_not_fit_the_schema_is_a_usage_error(runner, tmp_path, scripts, named):
+    """An entry may hold only kind, day, day_offset and parameters, with
+    exactly one of the two day keys; the message names the persona key and
+    the offending key."""
+    scripts_path = tmp_path / "scripts.json"
+    scripts_path.write_text(json.dumps(scripts), encoding="utf-8")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["simulate", "--persona", "S1", "--days", "6", "--scripts", str(scripts_path),
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "'--scripts'" in result.output and "scripts.json: " + named in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "analyze"])
 def test_null_in_a_settings_file_means_not_given(runner, tmp_path, command):
     """A null value is as if its key were absent; each command ignores the
@@ -458,13 +487,47 @@ def test_store_log_damage_is_reported_not_a_traceback(runner, tmp_path):
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
-def test_serve_on_port_0_prints_the_port_it_bound(tmp_path):
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--days", "1", "--out"], ["analyze", "READINGS", "--out"], ["casestudy", "--days", "7", "--out"],
+     ["ingest", "READINGS", "--store"]],
+    ids=["simulate", "analyze", "casestudy", "ingest"],
+)
+def test_output_directory_under_a_regular_file_is_an_error_not_a_traceback(runner, tmp_path, command):
+    readings = tmp_path / "readings.csv"
+    readings.write_text("meter_id,timestamp,obis,value_kwh\nM1,2024-06-03T00:00:00Z,1.8.0,1.000\n", encoding="utf-8")
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    args = [str(readings) if arg == "READINGS" else arg for arg in command]
+    result = runner.invoke(main, args + [str(tmp_path / "file" / "dir")])
+    assert result.exit_code == 1, result.output
+    assert "Error: [Errno 20] Not a directory" in result.output
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_meter_id_too_long_for_a_file_name_is_an_error_not_a_traceback(runner, tmp_path):
+    readings = tmp_path / "readings.csv"
+    rows = ["{},2024-06-{:02d}T{:02d}:00:00Z,1.8.0,{}.0".format("m" * 300, 3 + h // 24, h % 24, h) for h in range(24 * 8)]
+    readings.write_text("meter_id,timestamp,obis,value_kwh\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["analyze", str(readings), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert "Error: [Errno 36] File name too long" in result.output
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+def serve_process(store_dir: Path, *flags: str) -> subprocess.Popen:
+    """``meterwatch serve --port 0`` on ``store_dir`` in its own process, with stdout and stderr piped."""
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "meterwatch.cli", "serve", "--store", str(tmp_path), "--port", "0"],
+    return subprocess.Popen(
+        [sys.executable, "-m", "meterwatch.cli", "serve", "--store", str(store_dir), "--port", "0", *flags],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
+
+
+def test_serve_on_port_0_prints_the_port_it_bound(tmp_path):
+    proc = serve_process(tmp_path)
     try:
         printed = re.fullmatch(r"serving on http://127\.0\.0\.1:(\d+)\n", proc.stdout.readline().decode())
         assert printed is not None and int(printed.group(1)) > 0
@@ -478,6 +541,26 @@ def test_serve_on_port_0_prints_the_port_it_bound(tmp_path):
         proc.terminate()
         proc.communicate(timeout=10)
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("flags, access_lines", [([], 0), (["--verbose"], 1)], ids=["quiet", "verbose"])
+def test_serve_verbose_writes_one_access_line_per_request(tmp_path, flags, access_lines):
+    proc = serve_process(tmp_path, *flags)
+    try:
+        port = int(re.fullmatch(r"serving on http://127\.0\.0\.1:(\d+)\n", proc.stdout.readline().decode()).group(1))
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            conn.request("GET", "/v1/meters/M1/power")
+            assert conn.getresponse().status == 404
+        finally:
+            conn.close()
+    finally:
+        proc.terminate()
+        _, stderr = proc.communicate(timeout=10)
+    assert proc.returncode == 0
+    lines = stderr.decode().splitlines()
+    assert len(lines) == access_lines, stderr
+    assert all('"GET /v1/meters/M1/power HTTP/1.1" 404' in line for line in lines)
 
 
 @pytest.mark.skipif(cli.fcntl is None, reason="store locking needs fcntl (POSIX)")
