@@ -155,6 +155,8 @@ def _parse_scripts(entries, start: date) -> list[AnomalyScript]:
         unknown = _unknown_keys(entry, _SCRIPT_KEYS)
         if unknown or ("day" in entry) == ("day_offset" in entry):
             raise ValueError(unknown or "script entry needs exactly one of day and day_offset")
+        if not isinstance(entry.get("day", ""), str):
+            raise ValueError("day must be an ISO date string, not {}".format(json.dumps(entry["day"])))
         day = (date.fromisoformat(entry["day"]) if "day" in entry
                else start + timedelta(days=parse_setting("day_offset", entry["day_offset"])))
         scripts.append(AnomalyScript(entry.get("kind"), day, entry.get("parameters")))

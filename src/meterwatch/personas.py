@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +48,15 @@ AC_W = 900.0
 ALARM_W = 5.0
 
 PERSONA_IDS = ("S1", "S2", "S3", "S4")
+
+
+def _check_numbers(owner: str, **fields) -> None:
+    """A ``ValueError`` naming ``owner`` and the field of a number (or of an
+    item of a sequence) that is not finite and non-negative."""
+    for field, value in fields.items():
+        for number in (value,) if isinstance(value, numbers.Real) else value:
+            if not (math.isfinite(number) and number >= 0):
+                raise ValueError("{}: {} must be finite and non-negative, not {}".format(owner, field, number))
 
 
 @dataclass(frozen=True)
@@ -91,14 +101,15 @@ class AppliancePattern:
     duty_jitter: float = 0.0
 
     def __post_init__(self):
-        if self.power_w < 0:
-            raise ValueError("power_w must be non-negative")
+        _check_numbers(self.name, power_w=self.power_w, duty=self.duty, duration_slots=self.duration_slots,
+                       cycle=() if self.cycle is None else self.cycle, placement_jitter=self.placement_jitter, power_noise=self.power_noise,
+                       duty_jitter=self.duty_jitter)
         if self.mode not in MODES:
             raise ValueError("mode must be one of {}".format(MODES))
         if not 0.0 <= self.duty <= 1.0:
             raise ValueError("duty must lie in [0, 1]")
-        if self.duration_slots < 1:
-            raise ValueError("duration_slots must be >= 1")
+        if not 1 <= self.duration_slots <= SLOTS_PER_DAY:
+            raise ValueError("duration_slots must lie in 1..96")
         if self.cycle is not None and len(self.cycle) != self.duration_slots:
             raise ValueError("cycle length must equal duration_slots")
         for w in self.schedule:
@@ -118,10 +129,9 @@ class RoutineTemplate:
     weights: tuple[float, ...]
 
     def __post_init__(self):
+        _check_numbers(self.name, weights=self.weights)
         if len(self.weights) != SLOTS_PER_DAY:
             raise ValueError("template weights must have length 96")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("template weights must be non-negative")
         if sum(self.weights) <= 0:
             raise ValueError("template weights must not be all zero")
 
@@ -141,12 +151,11 @@ class HouseholdPersona:
     ambient_noise_w: float = 0.0
 
     def __post_init__(self):
+        _check_numbers(self.id, template_weights=self.template_weights, ambient_noise_w=self.ambient_noise_w)
         if len(self.template_weights) != len(self.routine_templates):
             raise ValueError("one weight per routine template required")
         if abs(sum(self.template_weights) - 1.0) > 1e-9:
             raise ValueError("template weights must sum to 1")
-        if any(w < 0 for w in self.template_weights):
-            raise ValueError("template weights must be non-negative")
 
     def appliance(self, name: str) -> AppliancePattern | None:
         for app in self.appliances:
@@ -296,7 +305,11 @@ def persona_from_dict(data: dict) -> HouseholdPersona:
     )
 
 
+def _refuse_constant(token: str):
+    raise ValueError("{} is not a JSON number".format(token))
+
+
 def load_persona(path: str | Path) -> HouseholdPersona:
-    """Load a persona definition from a JSON document."""
+    """Load a persona definition from a JSON document; ``Infinity`` and ``NaN`` are refused."""
     with open(path, "r", encoding="utf-8") as fh:
-        return persona_from_dict(json.load(fh))
+        return persona_from_dict(json.load(fh, parse_constant=_refuse_constant))

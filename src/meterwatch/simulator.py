@@ -10,16 +10,24 @@ long-run energy is conserved to within one count.
 Determinism: every stochastic choice is driven by a per-day generator
 derived from (seed, day index), so a fixed (persona, period, scripts,
 seed) tuple reproduces the identical output, and scripting one day leaves
-every other day untouched.
+every other day untouched.  Each day draws, in this order: one uniform to
+pick the template (not on a scripted day); 96 normals of ambient noise
+(when ``ambient_noise_w`` > 0); 96 for each continuous appliance, in
+appliance order; one uniform per burst window, each followed by a jitter
+integer where the window fires for an appliance with a placement jitter;
+then one normal per slot of each run with power noise, in activation
+order.  Draws are batched but never reordered, so every reading stays the same.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from datetime import date, datetime, time, timedelta, timezone
 from decimal import Decimal
-from itertools import accumulate
-from typing import Mapping, Sequence
+from itertools import accumulate, chain
+from typing import Mapping, NamedTuple, Sequence
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -106,48 +114,26 @@ class SimOutput:
     slot_powers_w: np.ndarray  # shape (n_days, 96), the pre-quantization truth
 
 
-@dataclass(frozen=True)
-class _Activation:
+class _Activation(NamedTuple):
     appliance: AppliancePattern
     start_slot: int
 
-    @property
-    def end_slot(self) -> int:
-        return self.start_slot + self.appliance.duration_slots
-
     def overlaps(self, lo: int, hi: int) -> bool:
-        return self.start_slot < hi and self.end_slot > lo
+        return self.start_slot < hi and self.start_slot + self.appliance.duration_slots > lo
 
 
-def _window_density(weights: Sequence[float], start: int, end: int) -> float:
-    inside = sum(weights[start:end]) / (end - start)
-    overall = sum(weights) / len(weights)
-    return inside / overall
-
-
-def _day_activations(
-    persona: HouseholdPersona, weights: Sequence[float], weekday: int, rng: np.random.Generator
-) -> list[_Activation]:
-    activations = []
+def _burst_plan(persona: HouseholdPersona, weights: Sequence[float]) -> list[tuple]:
+    """Per burst window, in draw order: (appliance, window, probability, first
+    busiest start); the probability is 0 where the template's activity density
+    over the window is below ``_DENSITY_GATE``."""
+    plan, overall = [], sum(weights) / len(weights)
     for appliance in persona.appliances:
-        if appliance.mode != MODE_BURST:
-            continue
-        for window in appliance.schedule:
-            draw = rng.random()  # always consumed, keeps the stream stable
-            if weekday not in window.days:
-                continue
-            density = _window_density(weights, window.start_slot, window.end_slot)
-            probability = window.probability if density >= _DENSITY_GATE else 0.0
-            if draw >= probability:
-                continue
+        for window in appliance.schedule if appliance.mode == MODE_BURST else ():
+            density = sum(weights[window.start_slot:window.end_slot]) / (window.end_slot - window.start_slot) / overall
             last_start = window.end_slot - appliance.duration_slots
-            start = max(range(window.start_slot, last_start + 1), key=weights.__getitem__)  # the first busiest slot
-            if appliance.placement_jitter:
-                j = appliance.placement_jitter
-                start += int(rng.integers(-j, j + 1))
-                start = min(max(start, window.start_slot), last_start)
-            activations.append(_Activation(appliance, start))
-    return activations
+            start = max(range(window.start_slot, last_start + 1), key=weights.__getitem__)
+            plan.append((appliance, window, window.probability if density >= _DENSITY_GATE else 0.0, start))
+    return plan
 
 
 def _apply_script(
@@ -183,47 +169,61 @@ def _apply_script(
     raise AssertionError("unreachable: validated in AnomalyScript")
 
 
-def _day_slot_powers(
-    persona: HouseholdPersona,
-    weights: Sequence[float],
-    weekday: int,
-    rng: np.random.Generator,
-    script: AnomalyScript | None,
-) -> np.ndarray:
-    powers = np.zeros(SLOTS_PER_DAY)
+def _add_base_powers(persona: HouseholdPersona, noise: np.ndarray, out: np.ndarray) -> None:
+    """Add the ambient noise, then each standby or continuous appliance in
+    appliance order, to ``out``, the slot powers of consecutive days;
+    ``noise`` holds those days' ambient and continuous-duty standard
+    normals z, in draw order.  ``rng.normal(0, σ)`` is ``0.0 + σ * z``, and
+    that ``0.0`` changes only the sign of a zero, which adding to 0 W here
+    or ``1.0 + ·`` (here and in ``_add_runs``) does not see."""
+    layers = iter(noise.transpose(1, 0, 2))
     if persona.ambient_noise_w > 0.0:
-        powers += rng.normal(0.0, persona.ambient_noise_w, SLOTS_PER_DAY)
+        out += persona.ambient_noise_w * next(layers)
     for appliance in persona.appliances:
         if appliance.mode == MODE_STANDBY:
-            powers += appliance.power_w
+            out += appliance.power_w
         elif appliance.mode == MODE_CONTINUOUS:
-            duty = appliance.duty * (1.0 + rng.normal(0.0, appliance.duty_jitter, SLOTS_PER_DAY))
-            powers += appliance.power_w * np.clip(duty, 0.0, 1.0)
-    activations = _day_activations(persona, weights, weekday, rng)
-    if script is not None:
-        activations = _apply_script(script, activations, persona)
-    for act in activations:
-        appliance = act.appliance
-        for offset in range(appliance.duration_slots):
-            slot = act.start_slot + offset
-            if slot >= SLOTS_PER_DAY:
-                break
-            mult = appliance.cycle[offset] if appliance.cycle is not None else 1.0
-            level = appliance.power_w * appliance.duty * mult
-            if appliance.power_noise:
-                level *= max(0.0, 1.0 + rng.normal(0.0, appliance.power_noise))
-            powers[slot] += level
-    return np.maximum(powers, 0.0)
+            duty = appliance.duty * (1.0 + appliance.duty_jitter * next(layers))
+            out += appliance.power_w * np.clip(duty, 0.0, 1.0)
 
 
-def _pick_template(persona: HouseholdPersona, rng: np.random.Generator) -> int:
-    u = rng.random()
-    acc = 0.0
-    for index, w in enumerate(persona.template_weights):
-        acc += w
-        if u < acc:
-            return index
-    return len(persona.template_weights) - 1
+def _add_runs(slot_powers: np.ndarray, runs: list[tuple], normals: list[np.ndarray]) -> None:
+    """Add each run's slot powers to the ``(n_days, 96)`` base powers in
+    activation order, then clip at 0 W.  A run's slot draws ``power_w * duty``
+    times the cycle's multiplier, times ``max(0, 1 + σ z)`` where it has a
+    power noise σ; ``runs`` holds (flat first slot, appliance) per run, and
+    ``normals`` each day's z for the noisy runs' slots."""
+    starts, appliances = list(zip(*runs)) or [(), ()]
+    lengths = np.fromiter((a.duration_slots for a in appliances), np.intp, len(appliances))
+    cycles = (a.cycle if a.cycle is not None else (1.0,) * a.duration_slots for a in appliances)
+    run_powers = np.repeat(np.array([a.power_w * a.duty for a in appliances], float), lengths)
+    run_powers *= np.fromiter(chain.from_iterable(cycles), float, run_powers.size)
+    sigma = np.repeat(np.array([a.power_noise for a in appliances], float), lengths)
+    noisy = sigma > 0.0
+    run_powers[noisy] *= np.maximum(0.0, 1.0 + sigma[noisy] * np.concatenate([np.empty(0), *normals]))
+    first = np.repeat(np.array(starts, np.intp) - (np.cumsum(lengths) - lengths), lengths)
+    np.add.at(slot_powers.reshape(-1), first + np.arange(run_powers.size), run_powers)  # unbuffered: in turn
+    np.maximum(slot_powers, 0.0, out=slot_powers)
+
+
+def _register_values(persona_id: str, slot_powers: np.ndarray, init_wh: int) -> list[int]:
+    """The register in Wh at each slot boundary: ``init_wh`` plus each slot's
+    energy in whole µWh (half to even), summed exactly, modulo the register."""
+    peak = float(slot_powers.max())
+    if not math.isfinite(peak * 250_000):
+        raise ValueError("persona {}: a slot's energy overflows; its power reaches {} W".format(persona_id, peak))
+    # Each slot's µWh modulo the register's modulus in µWh (10**15 < 2**50; fmod is exact), so a block
+    # of 8192 running sums plus the carry stays below 8193 * 10**15 < 2**63: the int64 sums cannot wrap.
+    modulus = _UWH_PER_WH * REGISTER_MODULUS_WH
+    uwh = np.fmod(np.rint(slot_powers.reshape(-1) * 250_000), modulus).astype(np.int64)
+    cumulative = np.zeros(uwh.size + 1, np.int64)
+    for lo in range(0, uwh.size, 8192):
+        cumulative[lo + 1:lo + 8193] = (np.cumsum(uwh[lo:lo + 8192]) + cumulative[lo]) % modulus
+    del uwh
+    cumulative //= _UWH_PER_WH
+    cumulative += init_wh % REGISTER_MODULUS_WH
+    cumulative %= REGISTER_MODULUS_WH
+    return cumulative.tolist()
 
 
 def period_start(start: date, n_days: int) -> datetime:
@@ -285,31 +285,52 @@ def simulate_period(
 
     Raises:
         ValueError: if ``period_start`` refuses the period, a script day
-            falls outside it, or two scripts target the same day.
+            falls outside it, two scripts target the same day, or a slot's
+            energy overflows a float.
     """
     t0 = period_start(start, n_days)
     by_day = scripts_by_day(start, n_days, scripts)
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+    plans = [_burst_plan(persona, template.weights) for template in persona.routine_templates]
+    cumulative = list(accumulate(persona.template_weights))  # a uniform picks the first template above it
+    likely = max(range(len(cumulative)), key=persona.template_weights.__getitem__)  # the first of equals
     slot_powers = np.zeros((n_days, SLOTS_PER_DAY))
+    n_noisy = (persona.ambient_noise_w > 0.0) + sum(app.mode == MODE_CONTINUOUS for app in persona.appliances)
+    noise = np.empty((min(n_days, 32), n_noisy, SLOTS_PER_DAY))  # up to 32 days' base noise, added as it fills
     truth: dict[date, str] = {}
+    runs, normals = [], []  # (flat first slot, appliance) per run; each day's run noise
     for day_index in range(n_days):
         day = start + timedelta(days=day_index)
         rng = np.random.default_rng([seed, day_index])
         script = by_day.get(day)
         if script is not None:
-            # The most likely template; the first of equals.
-            template_index = max(range(len(persona.template_weights)), key=persona.template_weights.__getitem__)
-            truth[day] = script.kind
+            template_index, truth[day] = likely, script.kind
         else:
-            template_index = _pick_template(persona, rng)
+            template_index = min(bisect_right(cumulative, rng.random()), len(cumulative) - 1)
             truth[day] = persona.routine_templates[template_index].name
-        weights = persona.routine_templates[template_index].weights
-        slot_powers[day_index] = _day_slot_powers(persona, weights, day.weekday(), rng, script)
-
-    # Python ints, not an int64 cumsum: a declared power may be large enough to wrap one.
-    init_wh = int(initial_register_kwh * 1000)
-    cumulative_uwh = accumulate(map(int, np.rint(slot_powers.ravel() * 250_000)), initial=0)
-    values = [(init_wh + uwh // _UWH_PER_WH) % REGISTER_MODULUS_WH for uwh in cumulative_uwh]
+        rng.standard_normal(out=noise[day_index % len(noise)])
+        if day_index % len(noise) == len(noise) - 1 or day_index == n_days - 1:
+            first_day = day_index - day_index % len(noise)
+            _add_base_powers(persona, noise[:day_index + 1 - first_day], slot_powers[first_day:day_index + 1])
+        weekday, activations = day.weekday(), []
+        for (appliance, window, probability, slot), draw in zip(plans[template_index], iter(rng.random, None)):
+            if weekday not in window.days or draw >= probability:  # one uniform a window, fired or not
+                continue
+            if appliance.placement_jitter:
+                j, last_start = appliance.placement_jitter, window.end_slot - appliance.duration_slots
+                slot = min(max(slot + int(rng.integers(-j, j + 1)), window.start_slot), last_start)
+            activations.append(_Activation(appliance, slot))
+        if script is not None:
+            activations = _apply_script(script, activations, persona)
+        noisy = 0
+        for appliance, slot in activations:  # every run ends by midnight: no run is over 96 slots
+            runs.append((day_index * SLOTS_PER_DAY + slot, appliance))
+            noisy += appliance.duration_slots if appliance.power_noise else 0
+        if noisy:
+            normals.append(rng.standard_normal(noisy))
+    _add_runs(slot_powers, runs, normals)
+    del runs, normals  # before the register's lists are built
+    values = _register_values(persona.id, slot_powers, int(initial_register_kwh * 1000))
     times = list(range(_to_us(t0), _to_us(t0) + len(values) * _SLOT_US, _SLOT_US))
     readings = ReadingColumns()
     readings.extend(persona.id, POSITIVE_ACTIVE_ENERGY, times, values)

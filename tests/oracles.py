@@ -35,6 +35,12 @@ quantize per reading, kept as the reference for its one integer pass.
 ``simulated_reading_objects`` is how the simulator built its readings
 before it returned columns: one validated ``MeterReading`` per slot
 boundary, kept as the reference for them.
+``simulate_period`` is the simulator's day-by-day loop that gave every
+day its own ``(96,)`` power array: it re-derived each burst window's
+density gate (``window_density``) and busiest start from the template
+every day, drew each activation's power noise one slot at a time, and
+integrated the register as a Python-int ``accumulate``; it is kept as the
+reference for the whole-period passes.
 ``readings_csv`` is the readings CSV writer that wrote each row with
 ``csv.writer``, ``rfc3339`` and ``str(Decimal)``, kept as the reference for
 ``write_readings_csv``; it and ``profiles_csv`` quote a field as ``csv``
@@ -68,11 +74,11 @@ import numpy as np
 
 from meterwatch.charts import MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PANEL_H, PANEL_W
 from meterwatch.clustering import ClusterModel
-from meterwatch.personas import HouseholdPersona, RoutineTemplate
+from meterwatch.personas import MODE_BURST, MODE_CONTINUOUS, MODE_STANDBY, HouseholdPersona, RoutineTemplate
 from meterwatch.pipeline import canonical_json
 from meterwatch.profiles import DEFAULT_TIMEZONE, SLOTS_PER_DAY, DailyProfiles, ExcludedDay, _slots_in_local_day
 from meterwatch.protocol import POSITIVE_ACTIVE_ENERGY, REGISTER_MODULUS_KWH, ObisCode
-from meterwatch.simulator import SimOutput
+from meterwatch.simulator import _DENSITY_GATE, AnomalyScript, SimOutput, _Activation, _apply_script
 from meterwatch.store import (
     CSV_HEADER,
     MAX_INTERPOLATION_GAP,
@@ -648,6 +654,110 @@ def simulated_reading_objects(sim: SimOutput, start: date, initial_register_kwh:
     times = itertools.accumulate(itertools.repeat(SLOT, sim.slot_powers_w.size), initial=t0)
     readings = map(MeterReading, itertools.repeat(sim.meter_id), times, itertools.repeat(POSITIVE_ACTIVE_ENERGY), values)
     return tuple(readings)
+
+
+def pick_template(persona: HouseholdPersona, rng: np.random.Generator) -> int:
+    u = rng.random()
+    acc = 0.0
+    for index, w in enumerate(persona.template_weights):
+        acc += w
+        if u < acc:
+            return index
+    return len(persona.template_weights) - 1
+
+
+def window_density(weights: Sequence[float], start: int, end: int) -> float:
+    inside = sum(weights[start:end]) / (end - start)
+    overall = sum(weights) / len(weights)
+    return inside / overall
+
+
+def day_activations(
+    persona: HouseholdPersona, weights: Sequence[float], weekday: int, rng: np.random.Generator
+) -> list[_Activation]:
+    activations = []
+    for appliance in persona.appliances:
+        if appliance.mode != MODE_BURST:
+            continue
+        for window in appliance.schedule:
+            draw = rng.random()  # always consumed, keeps the stream stable
+            if weekday not in window.days:
+                continue
+            density = window_density(weights, window.start_slot, window.end_slot)
+            probability = window.probability if density >= _DENSITY_GATE else 0.0
+            if draw >= probability:
+                continue
+            last_start = window.end_slot - appliance.duration_slots
+            start = max(range(window.start_slot, last_start + 1), key=weights.__getitem__)  # the first busiest slot
+            if appliance.placement_jitter:
+                j = appliance.placement_jitter
+                start += int(rng.integers(-j, j + 1))
+                start = min(max(start, window.start_slot), last_start)
+            activations.append(_Activation(appliance, start))
+    return activations
+
+
+def day_slot_powers(
+    persona: HouseholdPersona,
+    weights: Sequence[float],
+    weekday: int,
+    rng: np.random.Generator,
+    script: AnomalyScript | None,
+) -> np.ndarray:
+    powers = np.zeros(SLOTS_PER_DAY)
+    if persona.ambient_noise_w > 0.0:
+        powers += rng.normal(0.0, persona.ambient_noise_w, SLOTS_PER_DAY)
+    for appliance in persona.appliances:
+        if appliance.mode == MODE_STANDBY:
+            powers += appliance.power_w
+        elif appliance.mode == MODE_CONTINUOUS:
+            duty = appliance.duty * (1.0 + rng.normal(0.0, appliance.duty_jitter, SLOTS_PER_DAY))
+            powers += appliance.power_w * np.clip(duty, 0.0, 1.0)
+    activations = day_activations(persona, weights, weekday, rng)
+    if script is not None:
+        activations = _apply_script(script, activations, persona)
+    for act in activations:
+        appliance = act.appliance
+        for offset in range(appliance.duration_slots):
+            slot = act.start_slot + offset
+            if slot >= SLOTS_PER_DAY:
+                break
+            mult = appliance.cycle[offset] if appliance.cycle is not None else 1.0
+            level = appliance.power_w * appliance.duty * mult
+            if appliance.power_noise:
+                level *= max(0.0, 1.0 + rng.normal(0.0, appliance.power_noise))
+            powers[slot] += level
+    return np.maximum(powers, 0.0)
+
+
+def simulate_period(
+    persona: HouseholdPersona, start: date, n_days: int, scripts: Sequence[AnomalyScript], seed: int,
+    initial_register_kwh: Decimal,
+) -> tuple[np.ndarray, dict[date, str], list[MeterReading]]:
+    """Slot powers, truth labels and readings as the day-by-day loop and the
+    Python-int integration gave them."""
+    by_day = {script.day: script for script in scripts}
+    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+    slot_powers = np.zeros((n_days, SLOTS_PER_DAY))
+    truth: dict[date, str] = {}
+    for day_index in range(n_days):
+        day = start + timedelta(days=day_index)
+        rng = np.random.default_rng([seed, day_index])
+        script = by_day.get(day)
+        if script is not None:
+            template_index = max(range(len(persona.template_weights)), key=persona.template_weights.__getitem__)
+            truth[day] = script.kind
+        else:
+            template_index = pick_template(persona, rng)
+            truth[day] = persona.routine_templates[template_index].name
+        weights = persona.routine_templates[template_index].weights
+        slot_powers[day_index] = day_slot_powers(persona, weights, day.weekday(), rng, script)
+    init_wh = int(initial_register_kwh * 1000)
+    cumulative_uwh = itertools.accumulate(map(int, np.rint(slot_powers.ravel() * 250_000)), initial=0)
+    values = (_to_kwh((init_wh + uwh // 1_000_000) % (int(REGISTER_MODULUS_KWH) * 1000)) for uwh in cumulative_uwh)
+    t0 = datetime.combine(start, time(0, 0), tzinfo=ZoneInfo(DEFAULT_TIMEZONE)).astimezone(timezone.utc)
+    times = itertools.accumulate(itertools.repeat(SLOT, slot_powers.size), initial=t0)
+    return slot_powers, truth, [MeterReading(persona.id, t, POSITIVE_ACTIVE_ENERGY, v) for t, v in zip(times, values)]
 
 
 # -- NDJSON reading records ----------------------------------------------------

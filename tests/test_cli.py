@@ -307,14 +307,16 @@ def test_bad_settings_file_is_a_usage_error(runner, tmp_path, command, option, t
         ({"S1": [{"kind": "full-absence"}]}, "S1: script entry needs exactly one of day and day_offset"),
         ({"S1": {"kind": "full-absence", "day_offset": 3}}, "S1: must be a list of script objects"),
         ({"S1": ["today"]}, "S1: must be a list of script objects"),
+        ({"S1": [{"kind": "full-absence", "day": 5}]}, "S1: day must be an ISO date string, not 5"),
+        ({"S1": [{"kind": "full-absence", "day": None}]}, "S1: day must be an ISO date string, not null"),
     ],
     ids=["unknown-key", "unknown-key-of-a-persona-not-simulated", "both-days", "no-day", "entries-an-object",
-         "entry-a-string"],
+         "entry-a-string", "day-a-number", "day-null"],
 )
 def test_script_entry_that_does_not_fit_the_schema_is_a_usage_error(runner, tmp_path, scripts, named):
     """An entry may hold only kind, day, day_offset and parameters, with
-    exactly one of the two day keys; the message names the persona key and
-    the offending key."""
+    exactly one of the two day keys and a day that is a string; the message
+    names the persona key and the offending key."""
     scripts_path = tmp_path / "scripts.json"
     scripts_path.write_text(json.dumps(scripts), encoding="utf-8")
     out = tmp_path / "out"

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from datetime import date
 
+import numpy as np
 import pytest
 
 from meterwatch.personas import (
     AppliancePattern,
     HouseholdPersona,
     MODE_BURST,
+    MODE_CONTINUOUS,
     MODE_STANDBY,
     PERSONA_IDS,
     RoutineTemplate,
@@ -17,6 +21,7 @@ from meterwatch.personas import (
     persona_from_dict,
     template_vector,
 )
+from meterwatch.simulator import simulate_period
 from oracles import persona_to_dict, uniform_template
 
 
@@ -132,3 +137,62 @@ def test_persona_json_roundtrip(tmp_path):
 def test_all_zero_template_is_rejected():
     with pytest.raises(ValueError):
         RoutineTemplate("flat", (0.0,) * 96)
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: AppliancePattern("kettle", INF, MODE_STANDBY), "kettle: power_w"),
+        (lambda: AppliancePattern("kettle", NAN, MODE_STANDBY), "kettle: power_w"),
+        (lambda: AppliancePattern("TV", 60.0, MODE_BURST, power_noise=-0.01), "TV: power_noise"),
+        (lambda: AppliancePattern("TV", 60.0, MODE_BURST, power_noise=NAN), "TV: power_noise"),
+        (lambda: AppliancePattern("fridge", 90.0, MODE_CONTINUOUS, duty_jitter=-0.08), "fridge: duty_jitter"),
+        (lambda: AppliancePattern("fridge", 90.0, MODE_CONTINUOUS, duty_jitter=INF), "fridge: duty_jitter"),
+        (lambda: AppliancePattern("TV", 60.0, MODE_BURST, placement_jitter=-1), "TV: placement_jitter"),
+        (lambda: AppliancePattern("washer", 2000.0, MODE_BURST, duration_slots=2, cycle=(1.0, NAN)), "washer: cycle"),
+        (lambda: AppliancePattern("oven", 2200.0, MODE_BURST, duration_slots=97), "duration_slots must lie in 1..96"),
+        (lambda: RoutineTemplate("busy", (1.0,) * 95 + (INF,)), "busy: weights"),
+        (lambda: RoutineTemplate("busy", (NAN,) * 96), "busy: weights"),
+        (lambda: RoutineTemplate("busy", [1.0] * 95 + [-1.0]), "busy: weights"),
+        (lambda: AppliancePattern("washer", 2000.0, MODE_BURST, duration_slots=2, cycle=np.array([1.0, INF])),
+         "washer: cycle"),
+        (lambda: HouseholdPersona("P", (), (uniform_template(),), (NAN,)), "P: template_weights"),
+        (lambda: HouseholdPersona("P", (), (uniform_template(),), (1.0,), NAN), "P: ambient_noise_w"),
+        (lambda: HouseholdPersona("P", (), (uniform_template(),), (1.0,), -1.0), "P: ambient_noise_w"),
+        (lambda: HouseholdPersona("P", (), (uniform_template(),), (1.0,), INF), "P: ambient_noise_w"),
+    ],
+)
+def test_a_persona_number_that_is_not_finite_or_a_negative_spread_is_refused(build, named):
+    """Every number of a persona is finite and non-negative; the message names
+    the owner and the field."""
+    with pytest.raises(ValueError, match=named):
+        build()
+
+
+@pytest.mark.parametrize("text, named", [("Infinity", "Infinity is not a JSON number"),
+                                         ("NaN", "NaN is not a JSON number"),
+                                         ("1e400", "TV: power_w must be finite")])
+def test_load_persona_refuses_a_power_that_is_not_finite(tmp_path, text, named):
+    data = json.dumps(persona_to_dict(build_persona("S1"))).replace('"power_w": 60.0', '"power_w": ' + text)
+    path = tmp_path / "persona.json"
+    path.write_text(data, encoding="utf-8")
+    with pytest.raises(ValueError, match=named):
+        load_persona(path)
+
+
+def test_list_and_array_numbers_build_the_same_simulation():
+    """A weights, template_weights or cycle given as a list or numpy array is
+    checked item by item and simulates as the tuple would."""
+    s1 = build_persona("S1")
+    as_lists = replace(
+        s1,
+        appliances=tuple(replace(a, cycle=np.array(a.cycle)) if a.cycle else a for a in s1.appliances),
+        routine_templates=tuple(replace(t, weights=list(t.weights)) for t in s1.routine_templates),
+        template_weights=np.array(s1.template_weights),
+    )
+    a, b = (simulate_period(p, date(2024, 6, 3), 14, seed=3) for p in (s1, as_lists))
+    assert a.slot_powers_w.tobytes() == b.slot_powers_w.tobytes()
+    assert list(a.readings) == list(b.readings) and a.truth_labels == b.truth_labels

@@ -11,18 +11,22 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 
 from meterwatch.personas import (
+    ALL_DAYS,
     MODE_BURST,
     MODE_CONTINUOUS,
     MODE_STANDBY,
     AppliancePattern,
     HouseholdPersona,
     PERSONA_IDS,
+    RoutineTemplate,
     ScheduleWindow,
     build_persona,
+    template_vector,
 )
 from meterwatch.protocol import ObisCode, extract_energy
 from meterwatch.simulator import (
     ANOMALY_KINDS,
+    SCRIPT_PARAMETERS,
     AnomalyScript,
     SimOutput,
     emit_frames,
@@ -301,3 +305,116 @@ def test_registers_match_the_per_slot_integration(args):
     assert [(r.timestamp.isoformat(), str(r.value_kwh)) for r in sim.readings] == [
         (r.timestamp.isoformat(), str(r.value_kwh)) for r in expected
     ]
+
+
+def test_a_slot_energy_that_overflows_names_the_persona():
+    """1e303 W is 2.5e308 µWh a slot, past the largest float."""
+    with pytest.raises(ValueError, match="persona standby: a slot's energy overflows"):
+        simulate_period(_standby_persona(1e303), START, 1)
+
+
+# Template shapes: even, one morning bump (every other window is gated
+# out), and two bumps.
+TEMPLATES = [
+    oracles.uniform_template(),
+    RoutineTemplate("morning", template_vector([(30, 2.0, 1.0)])),
+    RoutineTemplate("two-peaks", template_vector([(40, 5.0, 1.0), (80, 3.0, 0.6)])),
+]
+TEMPLATE_WEIGHTS = {1: [(1.0,)], 2: [(0.5, 0.5), (0.7, 0.3)], 3: [(0.5, 0.25, 0.25), (0.2, 0.3, 0.5)]}
+
+
+@st.composite
+def burst_appliance(draw, name):
+    duration = draw(st.integers(1, 8))
+    windows = []
+    for _ in range(draw(st.integers(1, 2))):
+        start = draw(st.integers(0, 96 - duration))
+        end = draw(st.integers(start + duration, min(96, start + duration + 24)))
+        days = draw(st.sampled_from([ALL_DAYS, frozenset({0, 2, 4}), frozenset({5, 6})]))
+        windows.append(ScheduleWindow(start, end, days, draw(st.sampled_from([0.0, 0.35, 0.8, 1.0]))))
+    cycle = draw(st.none() | st.lists(st.sampled_from([0.1, 0.5, 1.0]), min_size=duration, max_size=duration))
+    return AppliancePattern(
+        name, draw(st.sampled_from([40.0, 1500, 2200.0])), MODE_BURST, tuple(windows),
+        duty=draw(st.sampled_from([1, 0.25])), duration_slots=duration, cycle=None if cycle is None else tuple(cycle),
+        placement_jitter=draw(st.integers(0, 3)), power_noise=draw(st.sampled_from([0.0, 0.01, 1.5])),
+    )
+
+
+@st.composite
+def custom_personas(draw):
+    """Personas with what no built-in one has: a placement jitter, a window
+    probability between 0 and 1, noiseless and heavily noisy bursts (the
+    noise factor clipped at 0), integer power and duty, up to two continuous
+    appliances, and no or large ambient noise (negative slot powers clipped
+    at 0 W)."""
+    names = draw(st.lists(st.sampled_from(["oven", "dishwasher", "kettle", "TV", "iron"]), unique=True, max_size=4))
+    appliances = [draw(burst_appliance(name)) for name in names]
+    for i in range(draw(st.integers(0, 2))):
+        jitter = draw(st.sampled_from([0.0, 0.08, 2.0]))
+        appliances.append(AppliancePattern("fridge {}".format(i), 90.0, MODE_CONTINUOUS, duty=0.4, duty_jitter=jitter))
+    if draw(st.booleans()):
+        appliances.append(AppliancePattern("hub", 8.0, MODE_STANDBY))
+    templates = draw(st.lists(st.sampled_from(TEMPLATES), min_size=1, max_size=3, unique_by=lambda t: t.name))
+    return HouseholdPersona(
+        "custom", tuple(draw(st.permutations(appliances))), tuple(templates),
+        draw(st.sampled_from(TEMPLATE_WEIGHTS[len(templates)])), draw(st.sampled_from([0.0, 6.0, 400.0])),
+    )
+
+
+def script_parameters(kind):
+    bounds = {"duration_slots": (1, 96), "with_dishwasher": (0, 1)}
+    return st.fixed_dictionaries({}, optional={
+        name: st.integers(*bounds.get(name, (0, 96))) for name in SCRIPT_PARAMETERS[kind]})
+
+
+# A standby appliance between two continuous ones, and a burst whose power
+# and duty are integers.  The simulator sums the ambient and continuous-duty
+# noise 32 days at a time; the examples below end inside, on and past a
+# block edge.
+BLOCK_PERSONA = HouseholdPersona(
+    "blocks",
+    (
+        AppliancePattern("fridge", 90.0, MODE_CONTINUOUS, duty=0.4, duty_jitter=2.0),
+        AppliancePattern("hub", 8.0, MODE_STANDBY),
+        AppliancePattern("freezer", 120.0, MODE_CONTINUOUS, duty=0.3, duty_jitter=0.08),
+        AppliancePattern("kettle", 2000, MODE_BURST, (ScheduleWindow(26, 38),), duty=1, power_noise=1.5),
+    ),
+    (oracles.uniform_template(),),
+    (1.0,),
+    400.0,
+)
+
+
+# The days the clocks go forward and back in 2024, and the last week there is.
+ORACLE_STARTS = [date(2024, 3, 31), date(2024, 10, 27), date(9999, 12, 25)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(st.sampled_from(PERSONA_IDS).map(build_persona), custom_personas()),
+    st.sampled_from(ORACLE_STARTS),
+    st.integers(1, 7),
+    st.integers(0, 2**64 - 1),
+    st.one_of(st.just(0), st.integers(REGISTER_MODULUS_WH - 200_000, REGISTER_MODULUS_WH - 1)),
+    st.data(),
+)
+@example(_standby_persona(BIG_STANDBY_W), START, 1, 0, REGISTER_MODULUS_WH - 1, None)
+@example(_standby_persona(TIE_STANDBY_W), START, 2, 0, 0, None)
+@example(build_persona("S2"), START, 33, 11, 0, None)
+@example(BLOCK_PERSONA, START, 31, 11, 0, None)
+@example(BLOCK_PERSONA, START, 32, 11, 0, None)
+@example(BLOCK_PERSONA, START, 65, 11, 0, None)
+def test_simulation_matches_the_day_by_day_loop(persona, start, n_days, seed, register_wh, data):
+    """Slot powers bit for bit, truth labels and readings equal the loop that
+    drew each activation's noise slot by slot and summed Python ints."""
+    scripts = []
+    if data is not None:
+        for day in data.draw(st.lists(st.integers(0, n_days - 1), unique=True, max_size=3)):
+            kind = data.draw(st.sampled_from(ANOMALY_KINDS))
+            scripts.append(AnomalyScript(kind, start + timedelta(days=day), data.draw(script_parameters(kind))))
+    initial = _to_kwh(register_wh)
+    sim = simulate_period(persona, start, n_days, scripts, seed, initial_register_kwh=initial)
+    slot_powers, truth, readings = oracles.simulate_period(persona, start, n_days, scripts, seed, initial)
+    assert sim.slot_powers_w.tobytes() == slot_powers.tobytes()
+    assert sim.truth_labels == truth
+    assert list(sim.readings) == readings

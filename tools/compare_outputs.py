@@ -21,12 +21,15 @@ script runs:
     meterwatch simulate --days 40 --seed 7 --start 2024-10-10 --scripts scripts.json --out sim_scripted
     meterwatch simulate --config simulate.json --days 15 --out sim_config
     meterwatch analyze sim/S1_readings.csv ... sim/S4_readings.csv --config analyze.json --k 3 --out config_k3
+    meterwatch simulate --start 9999-12-31 --days 1 --seed 5 --out sim_last_day
 
 The second ingest is a no-op re-ingest, so the persisted
 ``store/readings.ndjson`` and the stats both ingests print are compared.
 ``scripts.json`` (``SCRIPTS``) puts each anomaly kind on S3 and on S4,
 one of them on the day the clocks go back, so the last run compares another
 seed, the scripted days and a DST day of the simulator.
+``sim_last_day`` simulates the shortest period there is, one day, on the
+last day the calendar allows: 97 readings per persona.
 The ``--top-n`` runs put one-panel and six-panel anomaly charts, and a
 one-panel user means chart, under the comparison; the ``--seed 7`` run
 compares other k-means++ draws and restart counts.  The two ``--config``
@@ -140,6 +143,7 @@ COMMANDS = [
                       "--out", "sim_scripted"]),
     ("sim_config", ["simulate", "--config", "simulate.json", "--days", "15", "--out", "sim_config"]),
     ("config_k3", ["analyze", *READINGS, "--config", "analyze.json", "--k", "3", "--out", "config_k3"]),
+    ("sim_last_day", ["simulate", "--start", "9999-12-31", "--days", "1", "--seed", "5", "--out", "sim_last_day"]),
 ]
 # Settings files; the first one's 20 days are overridden by --days 15, a
 # span that holds the day the clocks go forward (2024-03-31).
