@@ -22,7 +22,7 @@ import click
 
 from . import __version__
 from .charts import anomaly_chart, cluster_chart, user_means_chart
-from .clustering import DEFAULT_RESTARTS, K_MAX, K_MIN
+from .clustering import DEFAULT_RESTARTS, K_MAX, K_MIN, ClusterModel, fit_counts, kmeans_fit
 from .personas import PERSONA_IDS, build_persona
 from .pipeline import (
     AnalysisConfig,
@@ -30,11 +30,13 @@ from .pipeline import (
     DEFAULT_TOP_N,
     InsufficientDataError,
     MeterAnalysis,
-    analyze_meter,
+    analyze_meter,  # not called here: perfbench/tracing.py wraps cli.analyze_meter by name
     canonical_json,
+    finish_analysis,
+    meter_profiles,
     parse_setting,
 )
-from .profiles import DEFAULT_MIN_COMPLETENESS, regular_days, write_profiles_csv
+from .profiles import DEFAULT_MIN_COMPLETENESS, DailyProfiles, ExcludedDay, regular_days, write_profiles_csv
 from .simulator import AnomalyScript, SimOutput, period_start, scripts_by_day, simulate_period
 from .store import (
     SpanTooLong,
@@ -299,15 +301,22 @@ def _json_text(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-# The run's store and config while _analyze_store runs; forked pool
-# workers inherit them, so the readings are never pickled.
-_run: tuple[TelemetryStore, AnalysisConfig] | None = None
+# The run's config and each meter's profiles and excluded days while
+# _analyze_store runs; forked pool workers inherit them, so the profiles
+# are never pickled.
+_run: tuple[AnalysisConfig, dict[str, tuple[DailyProfiles, list[ExcludedDay]]]] | None = None
 
 
-def _meter_outputs(meter_id: str) -> tuple[MeterAnalysis, dict[str, str]]:
-    """One meter's analysis and output files, from the run's store and config."""
-    store, config = _run
-    analysis = analyze_meter(store, meter_id, config)
+def _fit(meter_id: str, k: int) -> ClusterModel:
+    """One fit of a meter's profiles, from the run's profiles and config."""
+    config, prepared = _run
+    return kmeans_fit(prepared[meter_id][0], k, seed=config.seed, restarts=config.restarts)
+
+
+def _render(meter_id: str, models: list[ClusterModel]) -> tuple[MeterAnalysis, dict[str, str]]:
+    """One meter's analysis from its fits, and its output files."""
+    config, prepared = _run
+    analysis = finish_analysis(meter_id, *prepared[meter_id], models, config)
     return analysis, _analysis_outputs(analysis, config.top_n)
 
 
@@ -324,11 +333,16 @@ def _check_directory_name(meter_id: str) -> None:
 
 
 def _analyze_store(store: TelemetryStore, out: Path, config: AnalysisConfig) -> dict[str, MeterAnalysis]:
-    """Analyse the meters in one worker process per available CPU, up to
-    the meter count (with one, or where the CPUs available to this process
-    cannot be read, in this process), and write each meter's
-    files in meter order. The first meter that fails stops the run, with
-    the files of the meters before it written, as a one-by-one run would.
+    """Analyse the meters and write each meter's files in meter order.
+
+    This process builds each meter's profiles in meter order; the first
+    meter that fails stops the run, with the files of the meters before it
+    written, as a one-by-one run would.  Each k-means fit is then one task,
+    largest k first (k is the cost known in advance), and each meter's
+    scoring and rendering one more once its fits are back.  The tasks run
+    in one worker process per available CPU, up to the number of fits
+    (with one, or where the CPUs available to this process cannot be
+    read, in this process).
     """
     global _run
     meters = store.meters()
@@ -336,36 +350,48 @@ def _analyze_store(store: TelemetryStore, out: Path, config: AnalysisConfig) -> 
         raise click.ClickException("no readings")
     for meter_id in meters:
         _check_directory_name(meter_id)
+    prepared, counts, failure = {}, {}, None
+    for meter_id in meters:
+        try:
+            profiles, excluded = meter_profiles(store, meter_id, config)
+            counts[meter_id] = fit_counts(profiles, config.k)
+        except (InsufficientDataError, SpanTooLong) as exc:
+            failure = click.ClickException("meter {}: {}".format(meter_id, exc))
+            break
+        prepared[meter_id] = profiles, excluded
+    fits = sorted(((meter_id, k) for meter_id in prepared for k in counts[meter_id]), key=lambda fit: -fit[1])
     # Without sched_getaffinity (macOS, Windows: the latter cannot fork
-    # either), the meters are analysed in this process.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(meters))
-    pool = None
-    _run = (store, config)
-    try:
-        if workers > 1:
-            # Imported here: at module level they would add about 1.3 MB to every
-            # command's memory, `serve` included, which never starts a pool.
-            from concurrent.futures import ProcessPoolExecutor
-            from multiprocessing import get_context
+    # either), the tasks run in this process.
+    workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, len(fits))
+    # Imported here: at module level they would add to every command's
+    # start-up and memory, `serve` included, which never starts a pool.
+    from concurrent.futures import ThreadPoolExecutor
 
-            pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
-        results = (pool.map if pool else map)(_meter_outputs, meters)
-        analyses: dict[str, MeterAnalysis] = {}
-        for meter_id in meters:
-            try:
-                analysis, files = next(results)
-            except (InsufficientDataError, SpanTooLong) as exc:
-                raise click.ClickException("meter {}: {}".format(meter_id, exc))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+    else:  # one thread of this process runs the tasks in turn
+        pool = ThreadPoolExecutor(1)
+    _run = (config, prepared)
+    analyses: dict[str, MeterAnalysis] = {}
+    try:
+        fitted = {fit: pool.submit(_fit, *fit) for fit in fits}
+        # Each meter's render once its fits are back, waited for in meter order.
+        rendered = {meter_id: pool.submit(_render, meter_id, [fitted[meter_id, k].result() for k in counts[meter_id]])
+                    for meter_id in prepared}
+        for meter_id, render in rendered.items():
+            analyses[meter_id], files = render.result()
             meter_out = out / meter_id
             meter_out.mkdir(parents=True, exist_ok=True)
             for name, text in files.items():
                 (meter_out / name).write_text(text, encoding="utf-8")
-            analyses[meter_id] = analysis
     finally:
         _run = None
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        pool.shutdown(cancel_futures=True)
+    if failure is not None:
+        raise failure
     chart = user_means_chart(
         {m: [list(row) for row in a.summary.centroids] for m, a in analyses.items()}
     )

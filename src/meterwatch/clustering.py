@@ -260,8 +260,7 @@ def kmeans_fit(
     if not K_MIN <= k <= K_MAX:
         raise ValueError("k must lie in {}..{}".format(K_MIN, K_MAX))
     X = profiles.values
-    if len(profiles) < k:
-        raise InsufficientDataError("{} profile(s) available, k={} requested".format(len(profiles), k))
+    fit_counts(profiles, k)  # fewer profiles than k
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
@@ -299,28 +298,47 @@ def select_k(
     seed: int = 0,
     restarts: int = DEFAULT_RESTARTS,
 ) -> KSelectionReport:
-    """Fit k=1..6 and recommend the knee of the inertia curve.
+    """Fit each of :func:`fit_counts`'s cluster counts and recommend the
+    knee of the inertia curve (:func:`knee_selection`).
+
+    Raises:
+        ValueError: with fewer than ``K_MAX`` profiles.
+    """
+    return knee_selection([kmeans_fit(profiles, k, seed=seed, restarts=restarts) for k in fit_counts(profiles)])
+
+
+def fit_counts(profiles: DailyProfiles, k: int | None = None) -> tuple[int, ...]:
+    """The cluster counts to fit: ``k`` alone, or with ``k`` None those of
+    the scan, ``K_MIN``..``K_MAX``, or ``K_MIN`` alone when the profiles
+    are all within a tiny distance of each other.
+
+    Raises:
+        InsufficientDataError: fewer profiles than ``k``, or with ``k``
+            None than ``K_MAX``, as the fits themselves would.
+    """
+    if k is not None:
+        if len(profiles) < k:
+            raise InsufficientDataError("{} profile(s) available, k={} requested".format(len(profiles), k))
+        return (k,)
+    if len(profiles) < K_MAX:
+        message = "{} profile(s) available; scanning k={}..{} needs at least {}"
+        raise InsufficientDataError(message.format(len(profiles), K_MIN, K_MAX, K_MAX))
+    return (K_MIN,) if _is_degenerate(profiles.values) else tuple(range(K_MIN, K_MAX + 1))
+
+
+def knee_selection(models: Sequence[ClusterModel]) -> KSelectionReport:
+    """The scan's report from its fits, one per count of :func:`fit_counts`.
 
     The recommendation is the smallest k whose relative inertia drop to
     k+1 falls below 15%.  Cluster counts that isolate a single day are
     treated as over-segmentation and end the scan: a routine that happens
     once is not a routine, and giving an atypical day its own centroid
-    would hide it from the anomaly ranking.  Inputs whose profiles are
-    all within a tiny distance of each other short-circuit to one k=1 fit.
-
-    Raises:
-        ValueError: with fewer than ``K_MAX`` profiles.
+    would hide it from the anomaly ranking.  A single ``K_MIN`` fit (the
+    profiles are all alike) is recommended with every inertia 0.
     """
-    if len(profiles) < K_MAX:
-        message = "{} profile(s) available; scanning k={}..{} needs at least {}"
-        raise InsufficientDataError(message.format(len(profiles), K_MIN, K_MAX, K_MAX))
-    X = profiles.values
     k_values = tuple(range(K_MIN, K_MAX + 1))
-    if _is_degenerate(X):
-        model = kmeans_fit(profiles, K_MIN, seed=seed, restarts=restarts)
-        return KSelectionReport(k_values, tuple(0.0 for _ in k_values), K_MIN, model)
-
-    models = [kmeans_fit(profiles, k, seed=seed, restarts=restarts) for k in k_values]
+    if len(models) == 1:
+        return KSelectionReport(k_values, tuple(0.0 for _ in k_values), K_MIN, models[0])
     inertias = [model.inertia for model in models]
     last_sound_k = K_MIN
     while last_sound_k < K_MAX and min(models[last_sound_k].counts()) >= 2:

@@ -276,17 +276,17 @@ def persona_from_dict(data: dict) -> HouseholdPersona:
             mode=a["mode"],
             schedule=tuple(
                 ScheduleWindow(
-                    start_slot=int(w["start_slot"]),
-                    end_slot=int(w["end_slot"]),
+                    start_slot=_whole(a["name"], "start_slot", w["start_slot"]),
+                    end_slot=_whole(a["name"], "end_slot", w["end_slot"]),
                     days=frozenset(w.get("days", range(7))),
                     probability=float(w.get("probability", 1.0)),
                 )
                 for w in a.get("schedule", [])
             ),
             duty=float(a.get("duty", 1.0)),
-            duration_slots=int(a.get("duration_slots", 1)),
+            duration_slots=_whole(a["name"], "duration_slots", a.get("duration_slots", 1)),
             cycle=tuple(a["cycle"]) if a.get("cycle") else None,
-            placement_jitter=int(a.get("placement_jitter", 0)),
+            placement_jitter=_whole(a["name"], "placement_jitter", a.get("placement_jitter", 0)),
             power_noise=float(a.get("power_noise", 0.0)),
             duty_jitter=float(a.get("duty_jitter", 0.0)),
         )
@@ -303,6 +303,20 @@ def persona_from_dict(data: dict) -> HouseholdPersona:
         template_weights=tuple(float(x) for x in data["template_weights"]),
         ambient_noise_w=float(data.get("ambient_noise_w", 0.0)),
     )
+
+
+def _whole(owner: str, field: str, value) -> int:
+    """``value`` of a persona's integer ``field``, read by
+    ``pipeline.parse_setting`` but never from text (a JSON number is not a
+    string); a ``ValueError`` refusing it names ``owner`` and the field."""
+    from .pipeline import parse_setting  # here: pipeline imports this module
+
+    try:
+        if isinstance(value, str):
+            raise ValueError("{} must be an integer, not {}".format(field, json.dumps(value)))
+        return parse_setting(field, value)
+    except ValueError as exc:
+        raise ValueError("{}: {}".format(owner, exc)) from None
 
 
 def _refuse_constant(token: str):

@@ -21,9 +21,11 @@ from .clustering import (
     KSelectionReport,
     K_MAX,
     K_MIN,
+    fit_counts,
     kmeans_fit,
+    knee_selection,
     mean_cluster_profiles,
-    select_k,
+    select_k,  # not called here: perfbench/tracing.py wraps pipeline.select_k by name
 )
 from .personas import SLOTS_PER_DAY
 from .profiles import DEFAULT_MIN_COMPLETENESS, DailyProfiles, ExcludedDay, build_daily_profiles
@@ -35,12 +37,14 @@ DEFAULT_TOP_N = 3
 # Restarts per fit; the bound keeps one analysis request's cost bounded.
 MAX_RESTARTS = 100
 # Each setting's type and inclusive bounds: the AnalysisConfig fields,
-# simulate's days, a script's day_offset and its parameters.
+# simulate's days, a script's day_offset and its parameters, and a persona's
+# integer fields.
 SETTINGS = {"seed": (int, -inf, inf), "restarts": (int, 1, MAX_RESTARTS), "min_completeness": (float, 0, 1),
             "top_n": (int, 1, inf), "k": (int, K_MIN, K_MAX), "days": (int, 1, inf), "day_offset": (int, -inf, inf),
             **dict.fromkeys(("start_slot", "end_slot", "window_start", "window_end", "shift_slots"),
                             (int, 0, SLOTS_PER_DAY)),
-            "duration_slots": (int, 1, SLOTS_PER_DAY), "with_dishwasher": (int, 0, 1)}
+            "duration_slots": (int, 1, SLOTS_PER_DAY), "with_dishwasher": (int, 0, 1),
+            "placement_jitter": (int, 0, inf)}
 
 
 def _check_bounds(key: str, value: int | float) -> int | float:
@@ -108,7 +112,8 @@ def analyze_meter(
     store: TelemetryStore, meter_id: str, config: AnalysisConfig | None = None
 ) -> MeterAnalysis:
     """Profiles -> k-scan, reusing its fit at the recommended k (or one fit
-    at a fixed k) -> anomaly ranking.
+    at a fixed k) -> anomaly ranking: :func:`meter_profiles`, a fit at each
+    of ``fit_counts``'s cluster counts, then :func:`finish_analysis`.
 
     Raises:
         InsufficientDataError: no readings, or fewer profiles than the
@@ -117,29 +122,45 @@ def analyze_meter(
             ``store.MAX_GRID_SLOTS`` slots.
     """
     config = config or AnalysisConfig()
+    profiles, excluded = meter_profiles(store, meter_id, config)
+    ks = fit_counts(profiles, config.k)
+    models = [kmeans_fit(profiles, k, seed=config.seed, restarts=config.restarts) for k in ks]
+    return finish_analysis(meter_id, profiles, excluded, models, config)
+
+
+def meter_profiles(
+    store: TelemetryStore, meter_id: str, config: AnalysisConfig
+) -> tuple[DailyProfiles, list[ExcludedDay]]:
+    """The meter's daily profiles over its whole span, and the days left out.
+
+    Raises:
+        InsufficientDataError: no readings.
+        SpanTooLong: the readings span more than ``store.MAX_GRID_SLOTS`` slots.
+    """
     span = store.span(meter_id, POSITIVE_ACTIVE_ENERGY)
     if span is None:
         raise InsufficientDataError("no readings for meter {!r}".format(meter_id))
     samples = store.mean_power_series(meter_id, POSITIVE_ACTIVE_ENERGY, span[0], span[1])
-    profiles, excluded = build_daily_profiles(samples, config.min_completeness)
+    return build_daily_profiles(samples, config.min_completeness)
 
-    if config.k is not None:
-        selection = None
-        model = kmeans_fit(profiles, config.k, seed=config.seed, restarts=config.restarts)
-    else:
-        selection = select_k(profiles, seed=config.seed, restarts=config.restarts)
-        model = selection.model
 
-    summary = mean_cluster_profiles(model)
-    report = anomaly_scores(model, profiles)
+def finish_analysis(
+    meter_id: str, profiles: DailyProfiles, excluded: list[ExcludedDay], models: list[ClusterModel],
+    config: AnalysisConfig,
+) -> MeterAnalysis:
+    """The analysis from the fits at ``fit_counts(profiles, config.k)``'s
+    cluster counts, in that order: the knee rule's pick (or the fixed-k
+    fit), its cluster summary and the anomaly ranking."""
+    selection = knee_selection(models) if config.k is None else None
+    model = models[0] if selection is None else selection.model
     return MeterAnalysis(
         meter_id=meter_id,
         profiles=profiles,
         excluded=excluded,
         selection=selection,
         model=model,
-        summary=summary,
-        report=report,
+        summary=mean_cluster_profiles(model),
+        report=anomaly_scores(model, profiles),
     )
 
 

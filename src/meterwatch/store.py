@@ -29,11 +29,12 @@ from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal, InvalidOperation
 from itertools import accumulate, chain, compress, groupby, islice, repeat
-from operator import attrgetter, eq, getitem, lt
+from operator import attrgetter, eq, lt
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .protocol import ObisCode, REGISTER_MODULUS_KWH, REGISTER_RESOLUTION_KWH
 
@@ -70,6 +71,12 @@ CSV_HEADER = ["meter_id", "timestamp", "obis", "value_kwh"]
 # log writer formats: bounds on what a replay or a large batch adds to memory.
 _CHUNK_BYTES = 2**16
 _CHUNK_RECORDS = 2**12
+# Fewer lines than this (a streamed POST, say) are read record by record:
+# reading them as columns costs more, a few dozen µs in numpy calls.
+_MIN_COLUMN_LINES = 10
+# CSV text one pass of the column reader takes: the file is in memory already,
+# and each pass adds a few times its size in arrays.
+_CSV_CHUNK_BYTES = 2**18
 
 
 class StoreError(Exception):
@@ -89,20 +96,20 @@ class SpanTooLong(StoreError):
 
 
 class ReadingsFormatError(StoreError):
-    """A readings CSV file or NDJSON record violates the expected format."""
+    """A readings CSV file or NDJSON record violates the expected format;
+    ``path`` names the file read, if there was one."""
 
-    def __init__(self, line_number: int, reason: str):
-        super().__init__("line {}: {}".format(line_number, reason))
-        self.line_number = line_number
-        self.reason = reason
+    def __init__(self, line_number: int, reason: str, path: str | Path | None = None):
+        super().__init__(line_number, reason, path)  # the arguments, so that pickle makes the same error
+        self.line_number, self.reason, self.path = line_number, reason, path
+
+    def __str__(self) -> str:
+        where = "line" if self.path is None else "{} line".format(self.path)
+        return "{} {}: {}".format(where, self.line_number, self.reason)
 
 
-class StoreLogError(StoreError):
+class StoreLogError(ReadingsFormatError):
     """A committed line of the store's append log does not parse."""
-
-    def __init__(self, path: Path, line_number: int, reason: str):
-        super().__init__("{} line {}: {}".format(path, line_number, reason))
-        self.line_number = line_number
 
 
 @dataclass(frozen=True)
@@ -285,7 +292,7 @@ class TelemetryStore:
             try:
                 readings = read_readings_ndjson(committed_chunks(fh))
             except ReadingsFormatError as exc:
-                raise StoreLogError(path, exc.line_number, exc.reason) from exc
+                raise StoreLogError(exc.line_number, exc.reason, path) from exc
         self._ingest(readings, persist=False)
         torn = path.stat().st_size - committed
         if torn:
@@ -559,14 +566,14 @@ def read_readings_ndjson(pieces: Iterable[bytes]) -> ReadingColumns:
     does, or a whole body at once.  Lines are framed by ``b"\\n"`` alone; a
     ``\\r`` before the newline is JSON whitespace, and blank lines are
     skipped.  The text is read in chunks of whole lines of about
-    ``_CHUNK_BYTES``: a chunk of canonical log lines (as
-    ``_ndjson_records`` writes them) as columns, any other chunk line by
-    line, with the same result.  Raises ``ReadingsFormatError`` naming the line.
+    ``_CHUNK_BYTES``: a chunk of at least ``_MIN_COLUMN_LINES`` canonical
+    log lines (as ``_ndjson_records`` writes them) as columns, any other
+    chunk line by line, with the same result.  Raises ``ReadingsFormatError`` naming the line.
     """
     columns, first_line = ReadingColumns(), 1
     for chunk in _chunks(pieces):
-        # latin-1 keeps one character per byte; the run pattern refuses any that is not ASCII.
-        if not _add_canonical(columns, _NDJSON_RUN, chunk.decode("latin-1"), 2, json.loads):
+        lines = chunk.count(b"\n")
+        if lines < _MIN_COLUMN_LINES or not _add_canonical(columns, _NDJSON_RUN, chunk, 2, json.loads):
             readings = []
             for line_number, line in enumerate(io.BytesIO(chunk), start=first_line):
                 if line.strip():
@@ -577,17 +584,17 @@ def read_readings_ndjson(pieces: Iterable[bytes]) -> ReadingColumns:
                         raise ReadingsFormatError(line_number, str(exc)) from exc
             for run in ReadingColumns(readings).runs:
                 columns.extend(*run)
-        first_line += chunk.count(b"\n")
+        first_line += lines
     return columns
 
 
-def _chunks(pieces: Iterable[bytes]):
-    """``pieces`` cut after the first line that ends past ``_CHUNK_BYTES``
-    bytes, as ``readlines(_CHUNK_BYTES)`` cuts a file."""
+def _chunks(pieces: Iterable[bytes], size: int = _CHUNK_BYTES):
+    """``pieces`` cut after the first line that ends past ``size`` bytes,
+    as ``readlines(size)`` cuts a file."""
     for piece in pieces:
         start = 0
         while start < len(piece):
-            end = piece.find(b"\n", start + _CHUNK_BYTES) + 1 or len(piece)
+            end = piece.find(b"\n", start + size) + 1 or len(piece)
             yield piece[start:end]
             start = end
 
@@ -613,7 +620,8 @@ def csv_field(text: str) -> str:
 
 
 def read_readings_csv(source: str | Path | TextIO) -> ReadingColumns:
-    """Parse a readings CSV; malformed rows name their line number.
+    """Parse a readings CSV; malformed rows name their line number, and the
+    file when ``source`` is a path.
 
     Files of canonical rows (``…Z`` times, ``d.ddd`` values, ``\\n`` line
     ends) are parsed as whole columns; any other file row by row.
@@ -622,84 +630,113 @@ def read_readings_csv(source: str | Path | TextIO) -> ReadingColumns:
         ReadingsFormatError: missing/invalid header, an unparsable row, or
             a file that is not UTF-8.
     """
-    if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
+    if not isinstance(source, (str, Path)):
+        text = source.read()
+        columns = _read_canonical_csv(text.encode("ascii")) if text.isascii() else None
+        return columns if columns is not None else _read_csv_rows(io.StringIO(text, newline=""))
+    data = Path(source).read_bytes()
+    try:
+        columns = _read_canonical_csv(data)
+        if columns is not None:
+            return columns
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             line = data.count(b"\n", 0, exc.start) + 1
             raise ReadingsFormatError(line, "byte 0x{:02X} is not UTF-8 text".format(data[exc.start])) from None
-    else:
-        text = source.read()
-    columns = _read_canonical_csv(text)
-    return columns if columns is not None else _read_csv_rows(io.StringIO(text, newline=""))
+        return _read_csv_rows(io.StringIO(text, newline=""))
+    except ReadingsFormatError as exc:
+        raise ReadingsFormatError(exc.line_number, exc.reason, source) from None
 
 
-_TIME = r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ"
-_VALUE = r"\d{1,6}\.\d{3}"
+_TIME = rb"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ"
+_VALUE = rb"\d{1,6}\.\d{3}"
 # One canonical CSV row, then every following row of the same meter and register.
 _CSV_RUN = re.compile(
-    r'(?P<meter>[^,"\r\n\x00]+),(?P<time>)' + _TIME + r',(?P<obis>[^,"\r\n\x00]+),(?P<value>)' + _VALUE + r"\n"
-    r"(?:(?P=meter)," + _TIME + r",(?P=obis)," + _VALUE + r"\n)*",
-    re.ASCII,
+    rb'(?P<meter>[^,"\r\n\x00\x80-\xff]+),(?P<time>)' + _TIME + rb',(?P<obis>[^,"\r\n\x00\x80-\xff]+),(?P<value>)'
+    + _VALUE + rb"\n(?:(?P=meter)," + _TIME + rb",(?P=obis)," + _VALUE + rb"\n)*"
 )
 # A JSON string as ``json.dumps`` writes it: ASCII, no raw control characters.
-_JSON_TEXT = r'"(?:[^"\\\x00-\x1f\x80-\U0010ffff]|\\["\\/bfnrt]|\\u[0-9A-Fa-f]{4})*"'
+_JSON_TEXT = rb'"(?:[^"\\\x00-\x1f\x80-\xff]|\\["\\/bfnrt]|\\u[0-9A-Fa-f]{4})*"'
 # One log line as ``_ndjson_records`` writes it, then every following line
 # of the same meter and register.
 _NDJSON_RUN = re.compile(
-    r'\{"meter_id": (?P<meter>' + _JSON_TEXT + r'), "obis": "(?P<obis>[^"\\\x00-\x1f\x80-\U0010ffff]+)", '
-    r'"timestamp": "(?P<time>)' + _TIME + r'", "value_kwh": "(?P<value>)' + _VALUE + r'"\}\n'
-    r'(?:\{"meter_id": (?P=meter), "obis": "(?P=obis)", "timestamp": "' + _TIME + r'", "value_kwh": "' + _VALUE
-    + r'"\}\n)*',
-    re.ASCII,
+    rb'\{"meter_id": (?P<meter>' + _JSON_TEXT + rb'), "obis": "(?P<obis>[^"\\\x00-\x1f\x80-\xff]+)", '
+    rb'"timestamp": "(?P<time>)' + _TIME + rb'", "value_kwh": "(?P<value>)' + _VALUE + rb'"\}\n'
+    rb'(?:\{"meter_id": (?P=meter), "obis": "(?P=obis)", "timestamp": "' + _TIME + rb'", "value_kwh": "' + _VALUE
+    + rb'"\}\n)*'
 )
+# The first digit of each two-digit field of a stamp (century, year of the
+# century, month, day, hour, minute, second), and each month's days in a
+# common year (index 1-12; 0 for the other two-digit numbers).
+_TENS = np.array([0, 2, 5, 8, 11, 14, 17])
+_MONTH_DAYS = np.zeros(100, np.uint8)
+_MONTH_DAYS[1:13] = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+# The place value in Wh of each of the 10 bytes that end a value of up to
+# 999999.999 kWh; a byte before the value's first digit weighs nothing.
+_VALUE_WEIGHTS = np.array([10**8, 10**7, 10**6, 10**5, 10**4, 10**3, 0, 100, 10, 1])
 
 
-def _read_canonical_csv(text: str) -> ReadingColumns | None:
+def _read_canonical_csv(data: bytes) -> ReadingColumns | None:
     """Columns of a file made only of canonical rows, else ``None``."""
-    header = ",".join(CSV_HEADER) + "\n"
-    if not text.startswith(header) or not text.isascii():
+    header = ",".join(CSV_HEADER).encode() + b"\n"
+    if not data.startswith(header):
         return None
     columns = ReadingColumns()
-    return columns if _add_canonical(columns, _CSV_RUN, text[len(header):], 0, str) else None
+    chunks = _chunks([data[len(header):]], _CSV_CHUNK_BYTES)
+    return columns if all(_add_canonical(columns, _CSV_RUN, c, 0, bytes.decode) for c in chunks) else None
 
 
-def _add_canonical(columns: ReadingColumns, run_re: re.Pattern, text: str, tail: int, meter_id) -> bool:
-    """Add the readings of ``text`` to ``columns`` when it is made only of
+def _add_canonical(columns: ReadingColumns, run_re: re.Pattern, data: bytes, tail: int, meter_id) -> bool:
+    """Add the readings of ``data`` to ``columns`` when it is made only of
     canonical lines; whether it was.
 
     ``run_re`` matches a canonical line and every following line of the
-    same meter and register, so its empty groups ``time`` and ``value``
-    give the offsets of the time and the value in every line of the run;
-    a value ends ``tail`` characters before its newline.  ``meter_id``
-    decodes the ``meter`` group.  The times are cut from the lines and
+    same meter and register: it is the only check of the text.  Its empty
+    groups ``time`` and ``value`` give the offsets of the time and the
+    value in every line of the run; a value ends ``tail`` bytes before its
+    newline.  ``meter_id`` decodes the ``meter`` group.  The rest is
+    arithmetic on the bytes: each line's 19-byte stamp is gathered and
     parsed by numpy in one call, refusing ones that do not exist or lie
-    before year 1; each value is the ``int`` of its digits.
+    before year 1, and each value is its digits times their place values.
     """
-    lines, runs, stamps, pos, row = text.split("\n"), [], [], 0, 0
-    while pos < len(text):
-        match = run_re.match(text, pos)
+    matches, pos = [], 0
+    while pos < len(data):
+        match = run_re.match(data, pos)
         if match is None:
             return False
-        run = lines[row : row + text.count("\n", pos, match.end())]
-        row, pos = row + len(run), match.end()
-        time_at, value_at = match.start("time") - match.start(), match.start("value") - match.start()
-        stamps += map(getitem, run, repeat(slice(time_at, time_at + 19)))
-        values = map(str.replace, map(getitem, run, repeat(slice(value_at, -tail or None))), repeat("."), repeat(""))
-        runs.append((match, len(run), list(map(int, values))))
-    if not runs:
+        matches.append(match)
+        pos = match.end()
+    if not matches:
         return True
     try:
-        seconds = np.array(stamps, dtype="datetime64[s]").astype(np.int64)
-        keys = [(meter_id(match["meter"]), ObisCode.parse(match["obis"])) for match, _, _ in runs]
+        keys = [(meter_id(match["meter"]), ObisCode.parse(match["obis"].decode())) for match in matches]
     except ValueError:
         return False
-    if seconds.min() < _FIRST // _SECOND:
+    text = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(text == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    counts = [data.count(b"\n", match.start(), match.end()) for match in matches]
+    time_at = starts + np.repeat([match.start("time") - match.start() for match in matches], counts)
+    value_at = starts + np.repeat([match.start("value") - match.start() for match in matches], counts)
+    # Each line's stamp and the 10 bytes that end its value, as rows of
+    # windows onto the text (no index array per byte).
+    stamps = as_strided(text, (len(text) - 18, 19), (1, 1))[time_at]
+    digits = as_strided(text, (len(text) - 9, 10), (1, 1))[ends - tail - 10] - ord("0")
+    # numpy's cast of bytes to datetime64 crashes the process on a date that
+    # does not exist among a few hundred stamps (numpy 2.4), so each field's
+    # range is checked first.
+    fields = (stamps[:, _TENS] - ord("0")) * 10 + stamps[:, _TENS + 1] - ord("0")
+    century, year, month, day, hour, minute, second = fields.T
+    leap = (year % 4 == 0) & ((year != 0) | (century % 4 == 0))
+    days = _MONTH_DAYS[month] + (leap & (month == 2))
+    if not (((century | year) > 0) & (day >= 1) & (day <= days) & (hour < 24) & (minute < 60) & (second < 60)).all():
         return False
-    times, start = (seconds * 1_000_000).tolist(), 0
-    for (meter, register), (_, count, values) in zip(keys, runs):
-        columns.extend(meter, register, times[start : start + count], values)
+    seconds = stamps.view("S19").ravel().astype("datetime64[s]").view(np.int64)
+    digits[np.arange(10) < (value_at - ends + tail + 10)[:, None]] = 0
+    times, values, start = (seconds * 1_000_000).tolist(), (digits.astype(np.int64) @ _VALUE_WEIGHTS).tolist(), 0
+    for (meter, register), count in zip(keys, counts):
+        columns.extend(meter, register, times[start : start + count], values[start : start + count])
         start += count
     return True
 

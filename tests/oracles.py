@@ -47,6 +47,9 @@ reference for the whole-period passes.
 does for ``\\r\\n`` line ends (``csv_row``), so a lone ``\\r`` is quoted.
 ``add_readings`` is the one-reading-at-a-time ``ReadingColumns`` builder,
 kept as the reference for its run grouping.
+``add_canonical`` is the canonical-run reader that cut each line's time and
+value out of the decoded text with string slices, kept as the reference
+for ``store._add_canonical``'s arithmetic on the bytes.
 ``power_body`` is the ``GET /power`` body the service built from one
 ``PowerSample`` and one ``rfc3339`` call per slot.
 ``reading_to_record`` and ``snapshot`` are views of a reading and of a store's index that only the
@@ -59,6 +62,7 @@ import csv
 import io
 import itertools
 import json
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
@@ -815,8 +819,60 @@ def replay_log(path) -> tuple[ReadingColumns, int]:
                 try:
                     add_readings(readings, [reading_from_record(json.loads(line.decode("utf-8")))])
                 except RECORD_ERRORS as exc:
-                    raise StoreLogError(path, line_number, str(exc)) from exc
+                    raise StoreLogError(line_number, str(exc), path) from exc
     return readings, committed
+
+
+_TIME = r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ"
+_VALUE = r"\d{1,6}\.\d{3}"
+# The canonical runs as text patterns: a CSV row, then every following row
+# of the same meter and register; a log line, then every following line of
+# the same meter and register.
+CSV_RUN = re.compile(
+    r'(?P<meter>[^,"\r\n\x00]+),(?P<time>)' + _TIME + r',(?P<obis>[^,"\r\n\x00]+),(?P<value>)' + _VALUE + r"\n"
+    r"(?:(?P=meter)," + _TIME + r",(?P=obis)," + _VALUE + r"\n)*",
+    re.ASCII,
+)
+_JSON_TEXT = r'"(?:[^"\\\x00-\x1f\x80-\U0010ffff]|\\["\\/bfnrt]|\\u[0-9A-Fa-f]{4})*"'
+NDJSON_RUN = re.compile(
+    r'\{"meter_id": (?P<meter>' + _JSON_TEXT + r'), "obis": "(?P<obis>[^"\\\x00-\x1f\x80-\U0010ffff]+)", '
+    r'"timestamp": "(?P<time>)' + _TIME + r'", "value_kwh": "(?P<value>)' + _VALUE + r'"\}\n'
+    r'(?:\{"meter_id": (?P=meter), "obis": "(?P=obis)", "timestamp": "' + _TIME + r'", "value_kwh": "' + _VALUE
+    + r'"\}\n)*',
+    re.ASCII,
+)
+
+
+def add_canonical(columns: ReadingColumns, run_re: re.Pattern, text: str, tail: int, meter_id) -> bool:
+    """Add the readings of ``text`` to ``columns`` when it is made only of
+    canonical lines (``CSV_RUN`` or ``NDJSON_RUN``, as ``run_re``); whether
+    it was.  Each line's time and value are cut out with string slices, the
+    times parsed by numpy from a list of ``str``, refusing ones that do not
+    exist or lie before year 1; a value is the ``int`` of its digits."""
+    lines, runs, stamps, pos, row = text.split("\n"), [], [], 0, 0
+    while pos < len(text):
+        match = run_re.match(text, pos)
+        if match is None:
+            return False
+        run = lines[row : row + text.count("\n", pos, match.end())]
+        row, pos = row + len(run), match.end()
+        time_at, value_at = match.start("time") - match.start(), match.start("value") - match.start()
+        stamps += [line[time_at : time_at + 19] for line in run]
+        runs.append((match, len(run), [int(line[value_at : len(line) - tail].replace(".", "")) for line in run]))
+    if not runs:
+        return True
+    try:
+        seconds = np.array(stamps, dtype="datetime64[s]").astype(np.int64)
+        keys = [(meter_id(match["meter"]), ObisCode.parse(match["obis"])) for match, _, _ in runs]
+    except ValueError:
+        return False
+    if seconds.min() < _to_us(datetime(1, 1, 1, tzinfo=timezone.utc)) // 10**6:
+        return False
+    times, start = (seconds * 1_000_000).tolist(), 0
+    for (meter, register), (_, count, values) in zip(keys, runs):
+        columns.extend(meter, register, times[start : start + count], values)
+        start += count
+    return True
 
 
 def post_readings(body: bytes) -> list[MeterReading]:

@@ -5,6 +5,7 @@ import http.client
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -17,8 +18,11 @@ from hypothesis import given, settings, strategies as st
 
 from meterwatch import cli
 from meterwatch.cli import main
-from meterwatch.clustering import K_MAX
+from meterwatch.clustering import K_MAX, InsufficientDataError
 from meterwatch.pipeline import MAX_RESTARTS
+from meterwatch.store import (
+    ConflictingDuplicate, NonMonotonicRegister, ReadingsFormatError, SpanTooLong, StoreError, StoreLogError,
+)
 
 
 @pytest.fixture()
@@ -161,13 +165,24 @@ def test_analyze_malformed_row_names_the_line(runner, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["analyze", "ingest"])
+def test_csv_error_names_the_file_with_the_line(runner, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    header = "meter_id,timestamp,obis,value_kwh\n"
+    Path("a.csv").write_text(header + "M1,2024-06-03T12:00:00Z,1.8.0,1.000\n", encoding="utf-8")
+    Path("b.csv").write_text(header + "M2,2024-06-03T12:00:00Z,1.8.0,abc\n", encoding="utf-8")
+    result = runner.invoke(main, [command, "a.csv", "b.csv", "--out" if command == "analyze" else "--store", "out"])
+    assert result.exit_code == 1, result.output
+    assert result.output == "Error: b.csv line 2: value_kwh 'abc' is not a decimal number\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "ingest"])
 def test_csv_that_is_not_utf8_is_refused_naming_its_line(runner, tmp_path, command):
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"meter_id,timestamp,obis,value_kwh\nM\xff1,2024-06-03T12:00:00Z,1.8.0,1.0\n")
     out = tmp_path / "out"
     result = runner.invoke(main, [command, str(bad), "--out" if command == "analyze" else "--store", str(out)])
     assert result.exit_code == 1, result.output
-    assert "Error: line 2: byte 0xFF is not UTF-8 text" in result.output
+    assert "Error: {} line 2: byte 0xFF is not UTF-8 text".format(bad) in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert not out.exists() or not any(out.iterdir())
 
@@ -178,7 +193,7 @@ def test_csv_field_over_the_csv_size_limit_is_refused_naming_its_line(runner, tm
     out = tmp_path / "out"
     result = runner.invoke(main, ["analyze", str(bad), "--out", str(out)])
     assert result.exit_code == 1, result.output
-    assert "Error: line 2: field larger than field limit (131072)" in result.output
+    assert "Error: {} line 2: field larger than field limit (131072)".format(bad) in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert not out.exists() or not any(out.iterdir())
 
@@ -731,6 +746,22 @@ def test_analyze_runs_in_process_where_the_cpus_cannot_be_read(runner, tmp_path,
     assert (pooled.output, tree(tmp_path / "pooled")) == (alone.output, tree(tmp_path / "alone"))
 
 
+def test_analyze_pools_the_fits_of_a_single_meter(runner, tmp_path, sims, cpus):
+    """One worker per CPU up to the number of fits: six for one meter's
+    scan, one (so no pool) for its fixed-k fit; the files are those of a
+    run on one CPU."""
+    runs = []
+    for cpu_ids, flags, pools in (({0}, [], []), ({0, 1, 2, 3}, [], [4]), ({0}, ["--k", "3"], []),
+                                  ({0, 1, 2, 3}, ["--k", "3"], [])):
+        started = cpus(cpu_ids)
+        out = tmp_path / "run{}".format(len(runs))
+        result = runner.invoke(main, ["analyze", str(sims / "S1_readings.csv"), *flags, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert started == pools
+        runs.append((result.output, tree(out)))
+    assert runs[0] == runs[1] and runs[2] == runs[3]
+
+
 @pytest.mark.parametrize("cpu_ids, pools", WORKERS, ids=["one-cpu", "two-cpus"])
 def test_analyze_stops_at_the_first_failing_meter(runner, tmp_path, sims, cpus, cpu_ids, pools):
     """S2 holds three days, too few to scan k: S1's files are written as in
@@ -747,6 +778,29 @@ def test_analyze_stops_at_the_first_failing_meter(runner, tmp_path, sims, cpus, 
     assert alone.exit_code == 0, alone.output
     s1_files = {name: data for name, data in tree(tmp_path / "alone").items() if name.startswith("S1/")}
     assert tree(tmp_path / "out") == s1_files
+
+
+# What a pool task of _analyze_store can raise: the fit's and the finish's
+# errors, and the store's (a fork of this process shares its store).
+POOL_ERRORS = [
+    InsufficientDataError("3 profile(s) available, k=6 requested"),
+    ValueError("k must lie in 1..6"),
+    StoreError("store out in use"),
+    SpanTooLong("M1 1.8.0: 2014-01-01T00:00:00Z to 2025-01-01T00:00:00Z holds more than 350688 slots (ten years)"),
+    ConflictingDuplicate("M1 1.8.0 at 2024-06-03T12:00:00+00:00: stored 1.000 vs new 2.000"),
+    NonMonotonicRegister("M1 1.8.0: 2.000 -> 1.000 between 2024-06-03T12:00:00+00:00 and 2024-06-03T12:15:00+00:00"),
+    ReadingsFormatError(3, "bad"),
+    ReadingsFormatError(2, "value_kwh 'abc' is not a decimal number", "b.csv"),
+    StoreLogError(3, "bad", Path("store") / "readings.ndjson"),
+]
+
+
+@pytest.mark.parametrize("error", POOL_ERRORS, ids=[type(e).__name__ for e in POOL_ERRORS])
+def test_a_pool_task_error_crosses_to_the_parent_as_it_was_raised(error):
+    """A worker's exception reaches the parent pickled: the copy has the same
+    type, message and attributes, so the parent reports it as it would its own."""
+    copy = pickle.loads(pickle.dumps(error))
+    assert (type(copy), str(copy), vars(copy)) == (type(error), str(error), vars(error))
 
 
 def test_store_directory_comes_from_the_environment(runner, tmp_path):

@@ -183,6 +183,31 @@ def test_load_persona_refuses_a_power_that_is_not_finite(tmp_path, text, named):
         load_persona(path)
 
 
+# The LED lighting's first window and run in S1's JSON form, as written there.
+LED_FIELDS = {"start_slot": '"start_slot": 22', "end_slot": '"end_slot": 34', "duration_slots": '"duration_slots": 6',
+              "placement_jitter": '"placement_jitter": 0'}
+
+
+@pytest.mark.parametrize("field", list(LED_FIELDS))
+@pytest.mark.parametrize("text, shown", [("22.7", "22.7"), ('"30"', '"30"'), ("1e400", "Infinity"), ("true", "true")],
+                         ids=["fraction", "text", "overflow", "bool"])
+def test_load_persona_refuses_a_slot_number_that_is_not_an_integer(tmp_path, field, text, shown):
+    data = json.dumps(persona_to_dict(build_persona("S1")))
+    written = LED_FIELDS[field]
+    path = tmp_path / "persona.json"
+    path.write_text(data.replace(written, written.rsplit(" ", 1)[0] + " " + text, 1), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_persona(path)
+    assert str(err.value) == "LED lighting: {} must be an integer, not {}".format(field, shown)
+
+
+def test_a_whole_float_slot_number_reads_as_its_integer():
+    data = json.dumps(persona_to_dict(build_persona("S1")))
+    for written in LED_FIELDS.values():
+        data = data.replace(written, written + ".0", 1)
+    assert persona_from_dict(json.loads(data)) == build_persona("S1")
+
+
 def test_list_and_array_numbers_build_the_same_simulation():
     """A weights, template_weights or cycle given as a list or numpy array is
     checked item by item and simulates as the tuple would."""

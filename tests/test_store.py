@@ -7,7 +7,7 @@ import tempfile
 from bisect import bisect_left
 from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal
-from itertools import accumulate
+from itertools import accumulate, product
 from pathlib import Path
 
 import pytest
@@ -43,6 +43,7 @@ from meterwatch.store import (
     register_delta_kwh,
     _CHUNK_BYTES,
     _CHUNK_RECORDS,
+    _CSV_RUN,
     _MISSING,
     _NDJSON_RUN,
     _add_canonical,
@@ -58,8 +59,8 @@ from meterwatch.store import (
     write_readings_csv,
 )
 from oracles import (
-    RECORD_ERRORS, DictStore, GridReading, _check_neighbours, _insert_sorted, _interpolate, add_readings,
-    ndjson_records, post_readings, readings_csv, replay_log, snapshot,
+    CSV_RUN, NDJSON_RUN, RECORD_ERRORS, DictStore, GridReading, _check_neighbours, _insert_sorted, _interpolate,
+    add_canonical, add_readings, ndjson_records, post_readings, readings_csv, replay_log, snapshot,
 )
 
 OBIS_180 = ObisCode(1, 8, 0)
@@ -795,7 +796,7 @@ LONG_SERIES = [(("M", "1.8.0"), [], [_to_us(T0) + 10**6 * i for i in range(2 * _
 def test_log_writer_matches_the_per_record_encoder(merges):
     log = b"".join(_ndjson_records({key: dict(zip(times, values)) for key, _, times, values in merges}))
     assert log == ndjson_records(merges)
-    assert _add_canonical(ReadingColumns(), _NDJSON_RUN, log.decode("ascii"), 2, json.loads)  # read back as columns
+    assert _add_canonical(ReadingColumns(), _NDJSON_RUN, log, 2, json.loads)  # read back as columns
     expected, actual = replay_outcomes(log)
     assert actual == expected
 
@@ -870,7 +871,8 @@ def test_csv_that_is_not_utf8_names_the_line_of_the_byte(tmp_path):
     path.write_bytes(CSV_TEXT.encode() + b"M1,2024-06-03T12:00:00Z,1.8.0,1.0\nM\xff1,2024-06-03T12:15:00Z,1.8.0,1.0\n")
     with pytest.raises(ReadingsFormatError) as err:
         read_readings_csv(path)
-    assert str(err.value) == "line 3: byte 0xFF is not UTF-8 text"
+    assert str(err.value) == "{} line 3: byte 0xFF is not UTF-8 text".format(path)
+    assert (err.value.path, err.value.line_number) == (path, 3)
 
 
 def test_csv_day_that_does_not_exist_names_its_line_in_a_long_file():
@@ -894,7 +896,7 @@ def test_canonical_file_is_read_as_columns():
     batch = grid_batch(["0.000", "12.345", "999999.999"]) + grid_batch(["7.000"], meter="M10")
     buf = io.StringIO()
     write_readings_csv(buf, batch)
-    columns = _read_canonical_csv(buf.getvalue())
+    columns = _read_canonical_csv(buf.getvalue().encode())
     assert columns is not None
     assert [run[0] for run in columns.runs] == ["M1", "M10"]
     assert list(columns) == batch
@@ -1001,10 +1003,93 @@ def parse_outcome(parse, text):
 @example(CSV_TEXT + "S1,0001-01-01T00:00:00Z,1.8.0,0.000\nS10,9999-12-31T23:59:59Z,2.8.0,1.000\n")
 def test_csv_columns_match_the_row_parser(text):
     rows = parse_outcome(_read_csv_rows, text)
-    columns = _read_canonical_csv(text)
+    columns = _read_canonical_csv(text.encode())
     if columns is not None:
         assert list(columns) == rows
     assert parse_outcome(read_readings_csv, text) == rows
+
+
+# Values at and past the bounds of each field of a stamp: year, month, day, hour, minute, second.
+STAMP_EDGES = [(0, 1, 1900, 2000, 2023, 2024, 9999), (0, 1, 2, 12, 13, 99), (0, 1, 28, 29, 30, 31, 32, 99),
+               (0, 23, 24, 99), (0, 59, 60, 99), (0, 59, 60, 99)]
+
+
+@st.composite
+def canonical_texts(draw):
+    """The same readings as canonical CSV rows and as canonical log lines:
+    up to four runs of one to five lines, values from 0.000 to 999999.999
+    and times from year 1 to 9999.  Half the texts also set a third of
+    their stamps' fields, one field each, to a value at or past its bound
+    (year 0, Feb 29 or 30, hour 24, second 60, ...), and now and then draw
+    a meter that is not ASCII, a register that is not a canonical OBIS
+    code, or a line that is not canonical (an offset, a short value)."""
+
+    def pick(canonical, other):
+        return draw(st.sampled_from([canonical] * 9 + ([] if strict else [other])))
+
+    strict = draw(st.booleans())
+    valid = st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)).map(
+        lambda t: (t.year, t.month, t.day, t.hour, t.minute, t.second))
+    rows, records = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        meter, obis = pick("S1", "m\u00e9") + draw(st.sampled_from(["", " 1", "%b"])), pick("1.8.0", "01.8.0")
+        for _ in range(draw(st.integers(1, 5))):
+            fields = draw(valid)
+            if not strict and draw(st.integers(0, 2)) == 0:
+                i = draw(st.integers(0, 5))
+                fields = fields[:i] + (draw(st.sampled_from(STAMP_EDGES[i])),) + fields[i + 1:]
+            stamp = "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}".format(*fields) + pick("Z", "+00:00")
+            whole = draw(st.one_of(st.sampled_from([0, 999999]), st.integers(0, 999999)))
+            value = pick("{}.{:03d}", "{}.{:02d}").format(whole, draw(st.integers(0, 999)))
+            rows.append("{},{},{},{}\n".format(meter, stamp, obis, value))
+            records.append('{{"meter_id": {}, "obis": "{}", "timestamp": "{}", "value_kwh": "{}"}}\n'.format(
+                json.dumps(meter), obis, stamp, value))
+    return "".join(rows), "".join(records)
+
+
+def canonical_outcome(add, columns_re, data, tail, meter_id):
+    columns = ReadingColumns()
+    return columns.runs if add(columns, columns_re, data, tail, meter_id) else "refused"
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_texts())
+@example(("S1,2024-02-30T00:00:00Z,1.8.0,1.000\n", '{"meter_id": "S1", "obis": "1.8.0", '
+          '"timestamp": "2024-02-30T00:00:00Z", "value_kwh": "1.000"}\n'))
+@example(("S1,0001-01-01T00:00:00Z,1.8.0,0.000\nS1,9999-12-31T23:59:59Z,1.8.0,999999.999\n"
+          "M 1,2024-02-29T12:00:00Z,2.8.0,7.010\n", ""))
+def test_canonical_reader_matches_the_line_slicing_reader(texts):
+    """``_add_canonical``'s arithmetic on the bytes reads the same columns as
+    the string slices it replaced, and refuses the same texts.  The CSV
+    reader took only ASCII files to that reader; the log reader decoded its
+    chunks as latin-1."""
+    rows, records = texts
+    data = rows.encode()
+    expected = canonical_outcome(add_canonical, CSV_RUN, rows, 0, str) if rows.isascii() else "refused"
+    assert canonical_outcome(_add_canonical, _CSV_RUN, data, 0, bytes.decode) == expected
+    data = records.encode()
+    expected = canonical_outcome(add_canonical, NDJSON_RUN, data.decode("latin-1"), 2, json.loads)
+    assert canonical_outcome(_add_canonical, _NDJSON_RUN, data, 2, json.loads) == expected
+
+
+def test_canonical_reader_takes_the_stamps_numpy_takes():
+    """Each date of the edge years, months and days at noon, and each time
+    of the edge hours, minutes and seconds on 2024-01-01, reads or is
+    refused as the line-slicing reader reads it: alone, and after over a
+    thousand stamps that read (where numpy's cast of bytes crashes on one
+    that does not exist)."""
+    stamps = [date + (12, 0, 0) for date in product(*STAMP_EDGES[:3])]
+    stamps += [(2024, 1, 1) + time for time in product(*STAMP_EDGES[3:])]
+    lines = ["S1,{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}Z,1.8.0,1.000\n".format(*stamp) for stamp in stamps]
+    read = []
+    for line in lines:
+        expected = canonical_outcome(add_canonical, CSV_RUN, line, 0, str)
+        assert canonical_outcome(_add_canonical, _CSV_RUN, line.encode(), 0, bytes.decode) == expected
+        read += [line] if expected != "refused" else []
+    many = "".join(read) * (1000 // len(read) + 1)
+    for text in (many, many + next(line for line in lines if line not in read)):
+        expected = canonical_outcome(add_canonical, CSV_RUN, text, 0, str)
+        assert canonical_outcome(_add_canonical, _CSV_RUN, text.encode(), 0, bytes.decode) == expected
 
 
 @settings(max_examples=500, deadline=None)

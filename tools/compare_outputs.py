@@ -12,6 +12,7 @@ script runs:
     meterwatch casestudy --out casestudy
     meterwatch casestudy --start 2024-10-20 --days 14 --out casestudy_dst
     meterwatch analyze sim/S1_readings.csv ... sim/S4_readings.csv --out knee
+    meterwatch analyze sim/S1_readings.csv ... sim/S4_readings.csv --out knee_1cpu   (pinned to one CPU)
     meterwatch analyze sim/S1_readings.csv ... sim/S4_readings.csv --k 3 --out k3
     meterwatch analyze sim/S3_readings.csv --top-n 1 --out s3_top1
     meterwatch analyze sim/S1_readings.csv ... sim/S4_readings.csv --top-n 6 --out knee_top6
@@ -30,6 +31,12 @@ one of them on the day the clocks go back, so the last run compares another
 seed, the scripted days and a DST day of the simulator.
 ``sim_last_day`` simulates the shortest period there is, one day, on the
 last day the calendar allows: 97 readings per persona.
+``knee_1cpu`` repeats ``knee`` with its process pinned to one CPU (by
+``os.sched_setaffinity`` on that child only, where the platform has it),
+so ``analyze`` runs its fits in the command's own process instead of a
+worker pool; on each side its stdout, stderr, exit code and every file
+must equal those of ``knee`` byte for byte, and each output that does not
+is printed and counted with the differences between the sides.
 The ``--top-n`` runs put one-panel and six-panel anomaly charts, and a
 one-panel user means chart, under the comparison; the ``--seed 7`` run
 compares other k-means++ draws and restart counts.  The two ``--config``
@@ -133,6 +140,7 @@ COMMANDS = [
     ("casestudy", ["casestudy", "--out", "casestudy"]),
     ("casestudy_dst", ["casestudy", "--start", "2024-10-20", "--days", "14", "--out", "casestudy_dst"]),
     ("knee", ["analyze", *READINGS, "--out", "knee"]),
+    ("knee_1cpu", ["analyze", *READINGS, "--out", "knee_1cpu"]),  # pinned to one CPU: see run_commands
     ("k3", ["analyze", *READINGS, "--k", "3", "--out", "k3"]),
     ("s3_top1", ["analyze", READINGS[2], "--top-n", "1", "--out", "s3_top1"]),
     ("knee_top6", ["analyze", *READINGS, "--top-n", "6", "--out", "knee_top6"]),
@@ -261,10 +269,26 @@ def run_commands(commands, side_dir: Path, env: dict) -> None:
             cwd=side_dir,
             env=env,
             capture_output=True,
+            preexec_fn=pin_to_one_cpu if name.endswith("_1cpu") else None,
         )
         (side_dir / "{}.stdout".format(name)).write_bytes(done.stdout)
         (side_dir / "{}.stderr".format(name)).write_bytes(done.stderr)
         (side_dir / "{}.exit".format(name)).write_text("{}\n".format(done.returncode))
+
+
+def pin_to_one_cpu() -> None:
+    """Let the calling process (a command's child, before it starts) run on one CPU only."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def pinned_differences(side_dir: Path) -> list[str]:
+    """Each output of ``knee_1cpu`` on one side that differs from ``knee``'s, or that only one of them has."""
+    report = ["{}: knee_1cpu.{} differs from knee.{}".format(side_dir.name, ext, ext)
+              for ext in ("stdout", "stderr", "exit")
+              if not filecmp.cmp(side_dir / ("knee." + ext), side_dir / ("knee_1cpu." + ext), shallow=False)]
+    pooled, pinned = side_dir / "knee", side_dir / "knee_1cpu"
+    return report + ["{}: {} (knee vs knee_1cpu)".format(side_dir.name, line) for line in differing_files(pooled, pinned)]
 
 
 def free_port() -> int:
@@ -426,6 +450,7 @@ def main() -> int:
     run_side(args.parent_src, work / "parent")
     run_side(args.change_src, work / "change")
     report = differing_files(work / "parent", work / "change")
+    report += pinned_differences(work / "parent") + pinned_differences(work / "change")
     for line in report:
         print(line)
     for side, src in (("parent", args.parent_src), ("change", args.change_src)):
