@@ -14,7 +14,7 @@ from __future__ import annotations
 import io
 import json
 import os
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -22,30 +22,16 @@ import click
 
 from . import __version__
 from .charts import anomaly_chart, cluster_chart, user_means_chart
-from .clustering import DEFAULT_RESTARTS, K_MAX, K_MIN, ClusterModel, fit_counts, kmeans_fit
+from .clustering import DEFAULT_RESTARTS, K_MAX, K_MIN
 from .personas import PERSONA_IDS, build_persona
 from .pipeline import (
-    AnalysisConfig,
-    DEFAULT_SEED,
-    DEFAULT_TOP_N,
-    InsufficientDataError,
-    MeterAnalysis,
+    AnalysisConfig, DEFAULT_SEED, DEFAULT_TOP_N, InThreadExecutor, InsufficientDataError, MeterAnalysis,
     analyze_meter,  # not called here: perfbench/tracing.py wraps cli.analyze_meter by name
-    canonical_json,
-    finish_analysis,
-    meter_profiles,
-    parse_setting,
+    analyze_meters, canonical_json, parse_setting,
 )
-from .profiles import DEFAULT_MIN_COMPLETENESS, DailyProfiles, ExcludedDay, regular_days, write_profiles_csv
+from .profiles import DEFAULT_MIN_COMPLETENESS, regular_days, write_profiles_csv
 from .simulator import AnomalyScript, SimOutput, period_start, scripts_by_day, simulate_period
-from .store import (
-    SpanTooLong,
-    StoreError,
-    StoreStats,
-    TelemetryStore,
-    read_readings_csv,
-    write_readings_csv,
-)
+from .store import ReadingColumns, SpanTooLong, StoreError, TelemetryStore, read_readings_csv, write_readings_csv
 
 try:
     import fcntl
@@ -229,11 +215,12 @@ def ingest(csv_files, store_dir) -> None:
     """Ingest readings CSV file(s) into a store directory."""
     store_path = Path(store_dir)
     store_path.mkdir(parents=True, exist_ok=True)
-    total = StoreStats()
     with _open_store(store_path) as store:
+        batch = ReadingColumns()  # all or nothing: every file read and checked, then one ingest
         for csv_file in csv_files:
-            total.add(store.ingest(read_readings_csv(csv_file)))
-    click.echo(canonical_json(total.to_json_dict()))
+            for run in read_readings_csv(csv_file).runs:
+                batch.extend(*run)
+        click.echo(canonical_json(store.ingest(batch).to_json_dict()))
 
 
 @contextmanager
@@ -254,12 +241,8 @@ def _open_store(store_dir: Path):
                 raise StoreError("store {} is in use by another meterwatch serve or ingest".format(store_dir)) from None
         store = TelemetryStore(store_dir / STORE_FILENAME)
         if store.dropped_tail_bytes:
-            click.echo(
-                "dropped {} byte(s) of a torn final record from {}".format(
-                    store.dropped_tail_bytes, store_dir / STORE_FILENAME
-                ),
-                err=True,
-            )
+            message = "dropped {} byte(s) of a torn final record from {}"
+            click.echo(message.format(store.dropped_tail_bytes, store_dir / STORE_FILENAME), err=True)
         yield store
     finally:
         if fd is not None:
@@ -301,25 +284,6 @@ def _json_text(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-# The run's config and each meter's profiles and excluded days while
-# _analyze_store runs; forked pool workers inherit them, so the profiles
-# are never pickled.
-_run: tuple[AnalysisConfig, dict[str, tuple[DailyProfiles, list[ExcludedDay]]]] | None = None
-
-
-def _fit(meter_id: str, k: int) -> ClusterModel:
-    """One fit of a meter's profiles, from the run's profiles and config."""
-    config, prepared = _run
-    return kmeans_fit(prepared[meter_id][0], k, seed=config.seed, restarts=config.restarts)
-
-
-def _render(meter_id: str, models: list[ClusterModel]) -> tuple[MeterAnalysis, dict[str, str]]:
-    """One meter's analysis from its fits, and its output files."""
-    config, prepared = _run
-    analysis = finish_analysis(meter_id, *prepared[meter_id], models, config)
-    return analysis, _analysis_outputs(analysis, config.top_n)
-
-
 def _check_directory_name(meter_id: str) -> None:
     """Refuse a meter id that is not one plain path component, since its
     files go to ``--out``/<meter id>: ``..`` or a ``/`` would put them
@@ -332,69 +296,43 @@ def _check_directory_name(meter_id: str) -> None:
         )
 
 
-def _analyze_store(store: TelemetryStore, out: Path, config: AnalysisConfig) -> dict[str, MeterAnalysis]:
-    """Analyse the meters and write each meter's files in meter order.
+def _pool(fits: int):
+    """The runner's executor: ``min(CPUs, fits)`` forked workers, or with one
+    (or where this process's CPUs cannot be read: macOS, Windows) this thread."""
+    workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, fits)
+    if workers <= 1:
+        return InThreadExecutor()
+    # Imported here: at module level they would add to every command's
+    # start-up and memory, `serve` included, which never starts a pool.
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
 
-    This process builds each meter's profiles in meter order; the first
-    meter that fails stops the run, with the files of the meters before it
-    written, as a one-by-one run would.  Each k-means fit is then one task,
-    largest k first (k is the cost known in advance), and each meter's
-    scoring and rendering one more once its fits are back.  The tasks run
-    in one worker process per available CPU, up to the number of fits
-    (with one, or where the CPUs available to this process cannot be
-    read, in this process).
-    """
-    global _run
+    return ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+
+
+def _analyze_store(store: TelemetryStore, out: Path, config: AnalysisConfig) -> dict[str, MeterAnalysis]:
+    """Analyse the meters with :func:`pipeline.analyze_meters` on ``_pool``'s
+    ``min(CPUs, fits)`` workers and write each meter's files in meter order,
+    then ``user_means.svg``.  The first meter that fails ends the command
+    with ``meter <id>: <reason>``, after the files of the meters before it."""
     meters = store.meters()
     if not meters:
         raise click.ClickException("no readings")
     for meter_id in meters:
         _check_directory_name(meter_id)
-    prepared, counts, failure = {}, {}, None
-    for meter_id in meters:
-        try:
-            profiles, excluded = meter_profiles(store, meter_id, config)
-            counts[meter_id] = fit_counts(profiles, config.k)
-        except (InsufficientDataError, SpanTooLong) as exc:
-            failure = click.ClickException("meter {}: {}".format(meter_id, exc))
-            break
-        prepared[meter_id] = profiles, excluded
-    fits = sorted(((meter_id, k) for meter_id in prepared for k in counts[meter_id]), key=lambda fit: -fit[1])
-    # Without sched_getaffinity (macOS, Windows: the latter cannot fork
-    # either), the tasks run in this process.
-    workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, len(fits))
-    # Imported here: at module level they would add to every command's
-    # start-up and memory, `serve` included, which never starts a pool.
-    from concurrent.futures import ThreadPoolExecutor
-
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
-    else:  # one thread of this process runs the tasks in turn
-        pool = ThreadPoolExecutor(1)
-    _run = (config, prepared)
     analyses: dict[str, MeterAnalysis] = {}
     try:
-        fitted = {fit: pool.submit(_fit, *fit) for fit in fits}
-        # Each meter's render once its fits are back, waited for in meter order.
-        rendered = {meter_id: pool.submit(_render, meter_id, [fitted[meter_id, k].result() for k in counts[meter_id]])
-                    for meter_id in prepared}
-        for meter_id, render in rendered.items():
-            analyses[meter_id], files = render.result()
-            meter_out = out / meter_id
-            meter_out.mkdir(parents=True, exist_ok=True)
-            for name, text in files.items():
-                (meter_out / name).write_text(text, encoding="utf-8")
-    finally:
-        _run = None
-        pool.shutdown(cancel_futures=True)
-    if failure is not None:
-        raise failure
-    chart = user_means_chart(
-        {m: [list(row) for row in a.summary.centroids] for m, a in analyses.items()}
-    )
+        runs = analyze_meters(store, meters, config, _pool, lambda analysis: _analysis_outputs(analysis, config.top_n))
+        with closing(runs):
+            for analysis, files in runs:
+                analyses[analysis.meter_id] = analysis
+                meter_out = out / analysis.meter_id
+                meter_out.mkdir(parents=True, exist_ok=True)
+                for name, text in files.items():
+                    (meter_out / name).write_text(text, encoding="utf-8")
+    except (InsufficientDataError, SpanTooLong) as exc:  # the meter after those written
+        raise click.ClickException("meter {}: {}".format(meters[len(analyses)], exc))
+    chart = user_means_chart({m: [list(row) for row in a.summary.centroids] for m, a in analyses.items()})
     (out / "user_means.svg").write_text(chart, encoding="utf-8")
     return analyses
 
@@ -492,29 +430,20 @@ def _write_casestudy_summary(
     for meter_id in sorted(analyses):
         analysis = analyses[meter_id]
         selection = analysis.selection
-        lines.append("## {}".format(meter_id))
-        lines.append("")
-        lines.append("- profiles: {}".format(len(analysis.profiles)))
-        lines.append(
-            "- recommended clusters: {} (inertia by k: {})".format(
-                selection.recommended_k,
-                ", ".join("{:.0f}".format(i) for i in selection.inertias),
-            )
-        )
-        counts = analysis.summary.counts
-        lines.append(
-            "- cluster sizes: {} (most typical: cluster {})".format(
-                counts, analysis.summary.most_populated + 1
-            )
-        )
-        lines.append("- top anomalous days:")
+        inertias = ", ".join("{:.0f}".format(i) for i in selection.inertias)
+        summary = analysis.summary
+        lines += [
+            "## {}".format(meter_id),
+            "",
+            "- profiles: {}".format(len(analysis.profiles)),
+            "- recommended clusters: {} (inertia by k: {})".format(selection.recommended_k, inertias),
+            "- cluster sizes: {} (most typical: cluster {})".format(summary.counts, summary.most_populated + 1),
+            "- top anomalous days:",
+        ]
         for day in analysis.report.top(top_n):
             flag = "flagged" if day in analysis.report.flagged else "not flagged"
-            lines.append(
-                "    - {}: score {:.0f} W, {} (simulated as: {})".format(
-                    day.isoformat(), analysis.report.scores[day], flag, truths[meter_id].truth_labels[day]
-                )
-            )
+            lines.append("    - {}: score {:.0f} W, {} (simulated as: {})".format(
+                day.isoformat(), analysis.report.scores[day], flag, truths[meter_id].truth_labels[day]))
         lines.append("")
     (out / "summary.md").write_text("\n".join(lines), encoding="utf-8")
 

@@ -1,8 +1,12 @@
 """End-to-end analysis shared by the CLI and the HTTP service.
 
-Both surfaces call :func:`analyze_meter` with the same configuration, so
-a file-based run and a service request over identical readings produce
-identical reports.
+One runner, :func:`analyze_meters`, composes the stages for both: each
+meter's daily profiles in the calling thread, one k-means fit task per
+(meter, k), then one finish task per meter (the knee rule, the cluster
+summary, the anomaly ranking and, for the CLI, the rendered output files).
+The CLI hands it a fork pool; the service calls :func:`analyze_meter`,
+the runner on one meter in the request's thread.  So a file-based run and
+a service request over identical readings produce identical reports.
 """
 
 from __future__ import annotations
@@ -10,27 +14,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, replace
 from math import inf
-from typing import Any
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .anomaly import AnomalyReport, anomaly_scores
 from .clustering import (
-    ClusterModel,
-    ClusterSummary,
-    DEFAULT_RESTARTS,
-    InsufficientDataError,
-    KSelectionReport,
-    K_MAX,
-    K_MIN,
-    fit_counts,
-    kmeans_fit,
-    knee_selection,
-    mean_cluster_profiles,
+    ClusterModel, ClusterSummary, DEFAULT_RESTARTS, InsufficientDataError, KSelectionReport, K_MAX, K_MIN, fit_counts,
+    kmeans_fit, knee_selection, mean_cluster_profiles,
     select_k,  # not called here: perfbench/tracing.py wraps pipeline.select_k by name
 )
 from .personas import SLOTS_PER_DAY
 from .profiles import DEFAULT_MIN_COMPLETENESS, DailyProfiles, ExcludedDay, build_daily_profiles
 from .protocol import POSITIVE_ACTIVE_ENERGY
-from .store import TelemetryStore
+from .store import SpanTooLong, TelemetryStore
 
 DEFAULT_SEED = 42
 DEFAULT_TOP_N = 3
@@ -111,9 +106,7 @@ class MeterAnalysis:
 def analyze_meter(
     store: TelemetryStore, meter_id: str, config: AnalysisConfig | None = None
 ) -> MeterAnalysis:
-    """Profiles -> k-scan, reusing its fit at the recommended k (or one fit
-    at a fixed k) -> anomaly ranking: :func:`meter_profiles`, a fit at each
-    of ``fit_counts``'s cluster counts, then :func:`finish_analysis`.
+    """One meter's analysis: :func:`analyze_meters` of that meter alone, in this thread.
 
     Raises:
         InsufficientDataError: no readings, or fewer profiles than the
@@ -121,47 +114,95 @@ def analyze_meter(
         SpanTooLong: the meter's readings span more than
             ``store.MAX_GRID_SLOTS`` slots.
     """
-    config = config or AnalysisConfig()
-    profiles, excluded = meter_profiles(store, meter_id, config)
-    ks = fit_counts(profiles, config.k)
-    models = [kmeans_fit(profiles, k, seed=config.seed, restarts=config.restarts) for k in ks]
-    return finish_analysis(meter_id, profiles, excluded, models, config)
+    [(analysis, _)] = analyze_meters(store, [meter_id], config or AnalysisConfig(), lambda fits: InThreadExecutor())
+    return analysis
 
 
-def meter_profiles(
-    store: TelemetryStore, meter_id: str, config: AnalysisConfig
-) -> tuple[DailyProfiles, list[ExcludedDay]]:
-    """The meter's daily profiles over its whole span, and the days left out.
+class InThreadExecutor:
+    """Runs each task in the thread that asks for its result, when it asks."""
 
-    Raises:
-        InsufficientDataError: no readings.
-        SpanTooLong: the readings span more than ``store.MAX_GRID_SLOTS`` slots.
+    class _Task(NamedTuple):
+        fn: Callable
+        args: tuple
+
+        def result(self) -> Any:
+            return self.fn(*self.args)
+
+    def submit(self, fn: Callable, *args) -> _Task:
+        return self._Task(fn, args)
+
+    def shutdown(self, cancel_futures: bool = False) -> None:
+        """Nothing runs ahead of its result, so nothing is left to stop."""
+
+
+# Each running analysis by run id (the id of its entry, unique while the
+# entry is here): its config, its render and each meter's profiles and
+# excluded days.  Tasks read them here, forked pool workers as they were at
+# the fork, so nothing but a task's run id, meter, k and models is pickled.
+_runs: dict[int, tuple[AnalysisConfig, Callable | None, dict[str, tuple[DailyProfiles, list[ExcludedDay]]]]] = {}
+
+
+def analyze_meters(
+    store: TelemetryStore, meter_ids: Sequence[str], config: AnalysisConfig,
+    executor: Callable[[int], Any], render: Callable[[MeterAnalysis], Any] | None = None,
+) -> Iterator[tuple[MeterAnalysis, Any]]:
+    """Each meter's analysis and ``render(analysis)`` (``None`` without a
+    render) in meter order, then the error of the first meter that failed.
+
+    This thread builds each meter's profiles and ``fit_counts``, in meter
+    order, up to the first meter that fails.  The executor that
+    ``executor(fits)`` returns runs one :func:`kmeans_fit` per (meter, k),
+    largest k first (k is the cost known in advance), then per meter, once
+    its fits are back, one :func:`_finish`.  A fork pool must fork at its
+    first ``submit``, when the run is in ``_runs``.
     """
-    span = store.span(meter_id, POSITIVE_ACTIVE_ENERGY)
-    if span is None:
-        raise InsufficientDataError("no readings for meter {!r}".format(meter_id))
-    samples = store.mean_power_series(meter_id, POSITIVE_ACTIVE_ENERGY, span[0], span[1])
-    return build_daily_profiles(samples, config.min_completeness)
+    prepared, counts, failure = {}, {}, None
+    for meter_id in meter_ids:
+        span = store.span(meter_id, POSITIVE_ACTIVE_ENERGY)
+        try:
+            if span is None:
+                raise InsufficientDataError("no readings for meter {!r}".format(meter_id))
+            series = store.mean_power_series(meter_id, POSITIVE_ACTIVE_ENERGY, *span)
+            prepared[meter_id] = build_daily_profiles(series, config.min_completeness)
+            counts[meter_id] = fit_counts(prepared[meter_id][0], config.k)
+        except (InsufficientDataError, SpanTooLong) as exc:
+            failure = exc
+            break
+    fits = sorted(((meter_id, k) for meter_id in counts for k in counts[meter_id]), key=lambda fit: -fit[1])
+    run = (config, render, prepared)
+    pool = executor(len(fits))
+    _runs[id(run)] = run
+    try:
+        fitted = {fit: pool.submit(_fit, id(run), *fit) for fit in fits}
+        # Each meter's finish once its fits are back, waited for in meter order.
+        finished = [pool.submit(_finish, id(run), meter_id, [fitted[meter_id, k].result() for k in ks])
+                    for meter_id, ks in counts.items()]
+        for task in finished:
+            yield task.result()
+    finally:
+        del _runs[id(run)]
+        pool.shutdown(cancel_futures=True)
+    if failure is not None:
+        raise failure
 
 
-def finish_analysis(
-    meter_id: str, profiles: DailyProfiles, excluded: list[ExcludedDay], models: list[ClusterModel],
-    config: AnalysisConfig,
-) -> MeterAnalysis:
-    """The analysis from the fits at ``fit_counts(profiles, config.k)``'s
+def _fit(run_id: int, meter_id: str, k: int) -> ClusterModel:
+    """One fit of a meter's profiles in run ``run_id``."""
+    config, _, prepared = _runs[run_id]
+    return kmeans_fit(prepared[meter_id][0], k, seed=config.seed, restarts=config.restarts)
+
+
+def _finish(run_id: int, meter_id: str, models: list[ClusterModel]) -> tuple[MeterAnalysis, Any]:
+    """A meter's analysis in run ``run_id`` from its fits at ``fit_counts``'s
     cluster counts, in that order: the knee rule's pick (or the fixed-k
-    fit), its cluster summary and the anomaly ranking."""
+    fit), its cluster summary and the anomaly ranking; and its render."""
+    config, render, prepared = _runs[run_id]
+    profiles, excluded = prepared[meter_id]
     selection = knee_selection(models) if config.k is None else None
     model = models[0] if selection is None else selection.model
-    return MeterAnalysis(
-        meter_id=meter_id,
-        profiles=profiles,
-        excluded=excluded,
-        selection=selection,
-        model=model,
-        summary=mean_cluster_profiles(model),
-        report=anomaly_scores(model, profiles),
-    )
+    analysis = MeterAnalysis(meter_id=meter_id, profiles=profiles, excluded=excluded, selection=selection, model=model,
+                             summary=mean_cluster_profiles(model), report=anomaly_scores(model, profiles))
+    return analysis, None if render is None else render(analysis)
 
 
 def canonical_json(data: Any) -> str:

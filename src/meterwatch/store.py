@@ -293,7 +293,10 @@ class TelemetryStore:
                 readings = read_readings_ndjson(committed_chunks(fh))
             except ReadingsFormatError as exc:
                 raise StoreLogError(exc.line_number, exc.reason, path) from exc
-        self._ingest(readings, persist=False)
+        try:
+            self._ingest(readings, persist=False)
+        except (ConflictingDuplicate, NonMonotonicRegister) as exc:
+            raise StoreLogError(_log_line(path, exc.key, exc.times), str(exc), path) from exc
         torn = path.stat().st_size - committed
         if torn:
             with open(path, "r+b") as fh:
@@ -345,8 +348,10 @@ class TelemetryStore:
                 elif known == v:
                     delta.duplicates_dropped += 1
                 else:
-                    raise ConflictingDuplicate("{} {} at {}: stored {} vs new {}".format(
+                    error = ConflictingDuplicate("{} {} at {}: stored {} vs new {}".format(
                         *key, _to_datetime(t).isoformat(), _to_kwh(known), _to_kwh(v)))
+                    error.key, error.times = key, (t,)  # for _log_line
+                    raise error
             if pending:
                 fresh.setdefault(key, pending)
 
@@ -500,11 +505,26 @@ def _merge_window(
     for i in compress(range(1, len(v)), map(lt, islice(v, 1, None), v)):
         if t[i - 1] in news or t[i] in news:
             if not _is_rollover(v[i - 1], v[i]):
-                raise NonMonotonicRegister("{} {}: {} -> {} between {} and {}".format(
+                error = NonMonotonicRegister("{} {}: {} -> {} between {} and {}".format(
                     *key, _to_kwh(v[i - 1]), _to_kwh(v[i]), _to_datetime(t[i - 1]).isoformat(),
                     _to_datetime(t[i]).isoformat()))
+                error.key, error.times = key, (t[i - 1], t[i])  # for _log_line
+                raise error
             delta.rollovers_detected += 1
     return lo, hi, t, v
+
+
+def _log_line(path: Path, key: tuple[str, str], times: tuple[int, ...]) -> int:
+    """The last committed line of the log ``path`` that holds a reading of
+    series ``key`` at one of the epoch-µs ``times``: of the readings a check
+    refused (the ``key`` and ``times`` of its error), the one logged last."""
+    data = path.read_bytes()
+    data = data[: data.rfind(b"\n") + 1]  # the committed lines
+    # The log's readings come in line order, one from each line that is not blank.
+    numbers = (number for number, line in enumerate(data.split(b"\n"), start=1) if line.strip())
+    readings = chain.from_iterable(zip(repeat((meter_id, str(register))), run_times)
+                                   for meter_id, register, run_times, _ in read_readings_ndjson([data]).runs)
+    return max((number for number, (series, t) in zip(numbers, readings) if series == key and t in times), default=0)
 
 
 def _ndjson_records(fresh: dict[tuple[str, str], dict[int, int]]) -> Iterator[bytes]:

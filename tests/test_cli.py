@@ -16,12 +16,13 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from meterwatch import cli
+from meterwatch import cli, pipeline
 from meterwatch.cli import main
-from meterwatch.clustering import K_MAX, InsufficientDataError
-from meterwatch.pipeline import MAX_RESTARTS
+from meterwatch.clustering import K_MAX, InsufficientDataError, fit_counts
+from meterwatch.pipeline import MAX_RESTARTS, AnalysisConfig, analyze_meter
 from meterwatch.store import (
     ConflictingDuplicate, NonMonotonicRegister, ReadingsFormatError, SpanTooLong, StoreError, StoreLogError,
+    TelemetryStore, read_readings_csv,
 )
 
 
@@ -504,6 +505,62 @@ def test_store_log_damage_is_reported_not_a_traceback(runner, tmp_path):
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+def test_store_log_that_fails_a_register_check_names_the_log_and_the_line(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("store").mkdir()
+    records = [{"meter_id": "S1", "obis": "1.8.0", "timestamp": "2024-06-03T00:{}:00Z".format(minute), "value_kwh": value}
+               for minute, value in (("00", "5.000"), ("15", "0.011"))]
+    Path("store/readings.ndjson").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    Path("a.csv").write_text("meter_id,timestamp,obis,value_kwh\n", encoding="utf-8")
+    result = runner.invoke(main, ["ingest", "a.csv", "--store", "store"])
+    assert result.exit_code == 1, result.output
+    assert result.output == "Error: {} line 2: S1 1.8.0: 5.000 -> 0.011 between 2024-06-03T00:00:00+00:00 and " \
+                            "2024-06-03T00:15:00+00:00\n".format(Path("store") / "readings.ndjson")
+
+
+HEADER = "meter_id,timestamp,obis,value_kwh\n"
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("M2,2024-06-03T12:00:00Z,1.8.0,abc\n", "bad.csv line 2: value_kwh 'abc' is not a decimal number"),
+    ("M1,2024-06-03T12:00:00Z,1.8.0,2.000\n",
+     "M1 1.8.0 at 2024-06-03T12:00:00+00:00: stored 1.000 vs new 2.000"),
+], ids=["malformed-file", "conflicting-reading"])
+def test_ingest_of_several_files_appends_nothing_when_one_is_refused(runner, tmp_path, monkeypatch, bad, message):
+    monkeypatch.chdir(tmp_path)
+    Path("first.csv").write_text(HEADER + "M1,2024-06-03T12:00:00Z,1.8.0,1.000\n", encoding="utf-8")
+    Path("good.csv").write_text(HEADER + "M1,2024-06-03T12:15:00Z,1.8.0,1.100\nM3,2024-06-03T12:00:00Z,1.8.0,7.000\n",
+                                encoding="utf-8")
+    Path("bad.csv").write_text(HEADER + bad, encoding="utf-8")
+    assert runner.invoke(main, ["ingest", "first.csv", "--store", "store"]).exit_code == 0
+    log = Path("store") / "readings.ndjson"
+    committed = log.read_bytes()
+    result = runner.invoke(main, ["ingest", "good.csv", "bad.csv", "--store", "store"])
+    assert result.exit_code == 1, result.output
+    assert result.output == "Error: {}\n".format(message)
+    assert log.read_bytes() == committed
+
+
+def test_ingest_of_several_files_counts_and_logs_them_as_one_batch(runner, tmp_path, monkeypatch):
+    """M1 spans both files, the later readings first: none of them is out
+    of order against the store, the repeated one is a duplicate, and the log
+    holds the new readings by meter and time."""
+    monkeypatch.chdir(tmp_path)
+    Path("first.csv").write_text(HEADER + "M1,2024-06-03T12:00:00Z,1.8.0,1.000\n", encoding="utf-8")
+    Path("later.csv").write_text(HEADER + "M2,2024-06-03T12:00:00Z,1.8.0,7.000\nM1,2024-06-03T13:00:00Z,1.8.0,1.400\n",
+                                 encoding="utf-8")
+    Path("earlier.csv").write_text(HEADER + "M1,2024-06-03T12:15:00Z,1.8.0,1.100\nM1,2024-06-03T13:00:00Z,1.8.0,1.400\n",
+                                   encoding="utf-8")
+    assert runner.invoke(main, ["ingest", "first.csv", "--store", "store"]).exit_code == 0
+    result = runner.invoke(main, ["ingest", "later.csv", "earlier.csv", "--store", "store"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output) == {"readings_accepted": 3, "duplicates_dropped": 1, "out_of_order": 0,
+                                         "rollovers_detected": 0}
+    logged = [(r["meter_id"], r["timestamp"]) for r in map(json.loads, read(Path("store") / "readings.ndjson").splitlines())]
+    assert logged == [("M1", "2024-06-03T12:00:00Z"), ("M1", "2024-06-03T12:15:00Z"), ("M1", "2024-06-03T13:00:00Z"),
+                      ("M2", "2024-06-03T12:00:00Z")]
+
+
 @pytest.mark.parametrize(
     "command",
     [["simulate", "--days", "1", "--out"], ["analyze", "READINGS", "--out"], ["casestudy", "--days", "7", "--out"],
@@ -780,8 +837,36 @@ def test_analyze_stops_at_the_first_failing_meter(runner, tmp_path, sims, cpus, 
     assert tree(tmp_path / "out") == s1_files
 
 
-# What a pool task of _analyze_store can raise: the fit's and the finish's
-# errors, and the store's (a fork of this process shares its store).
+@pytest.mark.parametrize("flags", [[], ["--k", "3"]], ids=["scan", "fixed-k"])
+def test_each_fit_runs_once_in_analyze_and_in_analyze_meter(runner, tmp_path, sims, cpus, monkeypatch, flags):
+    """On one CPU the runner's fits run in this process, so counting
+    ``pipeline.kmeans_fit`` sees each (meter, k) of ``fit_counts`` once, from
+    the CLI and from ``analyze_meter`` of each meter alike."""
+    fitted, kmeans_fit = [], pipeline.kmeans_fit
+
+    def counting_fit(profiles, k, **kwargs):
+        fitted.append((profiles.meter_id, k))
+        return kmeans_fit(profiles, k, **kwargs)
+
+    monkeypatch.setattr(pipeline, "kmeans_fit", counting_fit)
+    csv_files = [str(sims / "{}_readings.csv".format(p)) for p in ("S1", "S3", "S4")]
+    cpus({0})
+    result = runner.invoke(main, ["analyze", *csv_files, *flags, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    by_analyze = sorted(fitted)
+    fitted.clear()
+    store = TelemetryStore()
+    for csv_file in csv_files:
+        store.ingest(read_readings_csv(csv_file))
+    config = AnalysisConfig(k=3 if flags else None)
+    analyses = [analyze_meter(store, meter_id, config) for meter_id in store.meters()]
+    expected = [(a.meter_id, k) for a in analyses for k in fit_counts(a.profiles, config.k)]
+    assert len(expected) == (3 if flags else 18)
+    assert sorted(fitted) == by_analyze == sorted(expected)
+
+
+# What a pool task of pipeline.analyze_meters can raise: the fit's and the
+# finish's errors, and the store's (a fork of this process shares its store).
 POOL_ERRORS = [
     InsufficientDataError("3 profile(s) available, k=6 requested"),
     ValueError("k must lie in 1..6"),

@@ -618,6 +618,38 @@ def test_unparsable_interior_line_names_its_line(tmp_path):
         assert err.value.line_number == 2
 
 
+def log_record(minutes: int, value: str) -> bytes:
+    return json.dumps({"meter_id": "M1", "obis": "1.8.0", "timestamp": rfc3339(T0 + timedelta(minutes=minutes)),
+                       "value_kwh": value}, sort_keys=True).encode() + b"\n"
+
+
+@pytest.mark.parametrize(
+    "lines, line, error, reason",
+    [
+        ([log_record(0, "5.000"), log_record(15, "0.011")], 2, NonMonotonicRegister,
+         "M1 1.8.0: 5.000 -> 0.011 between 2024-06-03T12:00:00+00:00 and 2024-06-03T12:15:00+00:00"),
+        # The later reading in the log is named, not the later one in time; blank lines count.
+        ([log_record(15, "0.011"), b"\n", log_record(30, "0.020"), log_record(0, "5.000"), log_record(45, "0.030")],
+         4, NonMonotonicRegister,
+         "M1 1.8.0: 5.000 -> 0.011 between 2024-06-03T12:00:00+00:00 and 2024-06-03T12:15:00+00:00"),
+        ([log_record(0, "1.000"), log_record(15, "1.100"), log_record(0, "1.050"), log_record(30, "1.200")], 3,
+         ConflictingDuplicate, "M1 1.8.0 at 2024-06-03T12:00:00+00:00: stored 1.000 vs new 1.050"),
+        # Enough canonical lines to be read as columns.
+        ([log_record(15 * i, "{}.000".format(i - 7 if i >= 8 else i)) for i in range(12)], 9, NonMonotonicRegister,
+         "M1 1.8.0: 7.000 -> 1.000 between 2024-06-03T13:45:00+00:00 and 2024-06-03T14:00:00+00:00"),
+    ],
+    ids=["decrease", "decrease-logged-out-of-order", "conflict", "decrease-among-columns"],
+)
+def test_log_that_fails_a_register_check_names_the_log_and_the_line(tmp_path, lines, line, error, reason):
+    path = tmp_path / "readings.ndjson"
+    path.write_bytes(b"".join(lines) + b'{"meter_id": "M1", "timest')  # a torn tail is not a line that counts
+    with pytest.raises(StoreLogError) as err:
+        TelemetryStore(path)
+    assert (err.value.path, err.value.line_number, err.value.reason) == (path, line, reason)
+    assert str(err.value) == "{} line {}: {}".format(path, line, reason)
+    assert type(err.value.__cause__) is error
+
+
 # -- NDJSON -------------------------------------------------------------------
 
 

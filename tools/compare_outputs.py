@@ -90,7 +90,8 @@ store and a free loopback port, with no prior ``ingest``, POSTs each of
 as one NDJSON body (one record per row, ``\\n`` after each), reads
 ``GET /v1/meters/S1/anomalies``, and stops the server with SIGTERM.  It
 then starts ``serve`` again on the store it built, so the year's log is
-replayed, reads ``GET /v1/meters/S1/anomalies``, S2's power over one
+replayed, reads ``GET /v1/meters/{S1..S4}/anomalies`` and
+``GET /v1/meters/S3/anomalies?k=3``, S2's power over one
 day (``POWER_WINDOW``), S2's power over two days from a day before its
 first reading (``EARLY_WINDOW``: a day of missing slots, then measured
 ones) and S3's power over its whole span (``GET /v1/meters/S3/power``
@@ -99,7 +100,8 @@ meet the stored series (``stored_series_posts``): S4's next slot, three
 S1 readings sent again, a new S1 reading 7 s after a stored one, a
 conflicting and a decreasing S1 value (both 409), and a new meter whose
 readings roll over at 1 000 000 kWh with a reading added between them;
-it reads that meter's power and stops the server.  The four POST
+it reads that meter's power and its anomalies (409: too few days) and
+stops the server.  The four POST
 responses of the first round, both rounds' anomalies responses, the power
 responses, the restart round's POST responses, the store's log at the end
 (``serve/store/readings.ndjson``) and each server's exit code, stderr and
@@ -316,12 +318,14 @@ def run_serve(side_dir: Path, env: dict) -> None:
     requests.append(("anomalies_S1", "GET", "/v1/meters/S1/anomalies", None))
     serve_round(side_dir, env, "serve", requests)
     serve_round(side_dir, env, "serve_restart", [
-        ("restart_anomalies_S1", "GET", "/v1/meters/S1/anomalies", None),
+        *(("restart_anomalies_" + p, "GET", "/v1/meters/{}/anomalies".format(p), None) for p in PERSONAS),
+        ("restart_anomalies_S3_k3", "GET", "/v1/meters/S3/anomalies?k=3", None),
         ("restart_power_S2", "GET", "/v1/meters/S2/power?from={}&to={}".format(*POWER_WINDOW), None),
         ("restart_power_S2_early", "GET", "/v1/meters/S2/power?from={}&to={}".format(*EARLY_WINDOW), None),
         ("restart_power_S3_span", "GET", "/v1/meters/S3/power", None),
         *stored_series_posts(side_dir / "sim"),
         ("restart_power_ROLL", "GET", "/v1/meters/ROLL/power", None),
+        ("restart_anomalies_ROLL", "GET", "/v1/meters/ROLL/anomalies", None),
     ])
 
 
