@@ -4,7 +4,11 @@ Readings are keyed by (meter_id, register, timestamp); ingestion is
 idempotent and validates register monotonicity (allowing the rollover at
 the display modulus) before committing anything, so the final store state
 does not depend on arrival order.  Persistence is an append-only
-newline-delimited JSON file with the whole index held in memory.
+newline-delimited JSON file with the whole index held in memory.  While
+an append of two or more lines runs, the file ``<log>.pending`` beside
+the log holds the log's length before it; opening a log that has one (a
+crash cut that append short) cuts the log back to that length and
+removes the record, so a batch is all or nothing on disk too.
 
 Inside, a reading is two integers: epoch microseconds and its register
 value in Wh (the meter's 0.001 kWh resolution); ``datetime`` and
@@ -260,11 +264,12 @@ class TelemetryStore:
     window of stored readings it touches (``_merge_window``).  When
     constructed with a path, accepted readings are appended to that
     newline-delimited JSON file and replayed on open.  A record counts as
-    committed once its newline is on disk: a final fragment without one
-    (a torn append) is cut from the file on open and its size kept in
-    ``dropped_tail_bytes``.  Reads and writes are serialized through one
-    lock; readers always observe the state left by the last completed
-    ingest.
+    committed once its newline is on disk, and a multi-line append once it
+    is all on disk: a final fragment without a newline (a torn append), and
+    an append that its ``.pending`` record shows unfinished, are cut from
+    the file on open and their size kept in ``dropped_tail_bytes``.  Reads
+    and writes are serialized through one lock; readers always observe the
+    state left by the last completed ingest.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -277,6 +282,16 @@ class TelemetryStore:
             self._replay(self._path)
 
     def _replay(self, path: Path) -> None:
+        pending = _pending_path(path)
+        if pending.exists():  # a multi-line append that did not finish: cut it off
+            length = pending.read_bytes()
+            if not length.isdigit():
+                raise StoreLogError(1, "{!r} is not a log length".format(length), pending)
+            with open(path, "r+b") as fh:
+                self.dropped_tail_bytes = max(fh.seek(0, os.SEEK_END) - int(length), 0)
+                if self.dropped_tail_bytes:
+                    fh.truncate(int(length))
+            pending.unlink()
         committed = 0  # bytes up to and including the last newline
 
         def committed_chunks(fh):
@@ -301,7 +316,7 @@ class TelemetryStore:
         if torn:
             with open(path, "r+b") as fh:
                 fh.truncate(committed)
-            self.dropped_tail_bytes = torn
+            self.dropped_tail_bytes += torn
 
     # -- ingestion ----------------------------------------------------------
 
@@ -318,7 +333,8 @@ class TelemetryStore:
                 rollover, checked against time-adjacent neighbours in the
                 merged (stored + incoming) timeline.
             OSError: the log append failed; the log is cut back to its
-                previous length where it could be opened.
+                previous length where it could be opened, and the
+                ``.pending`` record of a multi-line append is removed.
         """
         columns = batch if isinstance(batch, ReadingColumns) else ReadingColumns(batch)
         with self._lock:
@@ -364,20 +380,28 @@ class TelemetryStore:
             delta.readings_accepted += len(news)
 
         if persist and self._path is not None and delta.readings_accepted:
-            self._append(_ndjson_records(fresh))
+            self._append(_ndjson_records(fresh), delta.readings_accepted > 1)
         for key, (lo, hi, t, v) in merges:
             times, values = self._series.setdefault(key, ([], []))
             times[lo:hi], values[lo:hi] = t, v
         self.stats.add(delta)
         return delta
 
-    def _append(self, chunks: Iterable[bytes]) -> None:
+    def _append(self, chunks: Iterable[bytes], several_lines: bool) -> None:
         """Append ``chunks`` to the log in turn, or leave the log as it was
         and raise: an exception while writing or making any chunk cuts the
-        log back to its length before the first."""
+        log back to its length before the first.  While an append of
+        ``several_lines`` runs, the ``.pending`` record holds that length,
+        so that opening the log after a crash midway cuts it back too; a
+        one-line append needs no record, as its torn line is cut on open."""
+        pending = _pending_path(self._path)
         with open(self._path, "ab", buffering=0) as fh:
             start = fh.seek(0, os.SEEK_END)
             try:
+                if several_lines:
+                    temporary = pending.with_name(pending.name + ".tmp")
+                    temporary.write_bytes(b"%d" % start)
+                    os.replace(temporary, pending)
                 for chunk in chunks:
                     view = memoryview(chunk)
                     while view:
@@ -385,6 +409,9 @@ class TelemetryStore:
             except BaseException:
                 fh.truncate(start)
                 raise
+            finally:
+                if several_lines:
+                    pending.unlink(missing_ok=True)
 
     # -- queries ------------------------------------------------------------
 
@@ -514,6 +541,11 @@ def _merge_window(
     return lo, hi, t, v
 
 
+def _pending_path(log: Path) -> Path:
+    """The pending-append record of the store log ``log``: while a multi-line append runs, the log's length before it."""
+    return log.with_name(log.name + ".pending")
+
+
 def _log_line(path: Path, key: tuple[str, str], times: tuple[int, ...]) -> int:
     """The last committed line of the log ``path`` that holds a reading of
     series ``key`` at one of the epoch-µs ``times``: of the readings a check
@@ -619,18 +651,15 @@ def _chunks(pieces: Iterable[bytes], size: int = _CHUNK_BYTES):
             start = end
 
 
-def write_readings_csv(target: str | Path | TextIO, readings: Iterable[MeterReading]) -> None:
-    """Write the readings CSV (header ``meter_id,timestamp,obis,value_kwh``), rows formatted as log lines are."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            return write_readings_csv(fh, readings)
-    target.write(",".join(CSV_HEADER) + "\n")
+def write_readings_csv(path: str | Path, readings: Iterable[MeterReading]) -> None:
+    """Write the readings CSV file (header ``meter_id,timestamp,obis,value_kwh``), rows formatted as log lines are."""
     columns = readings if isinstance(readings, ReadingColumns) else ReadingColumns(readings)
-    for meter_id, register, times, values in columns.runs:
-        # Only the meter id can need quoting: it is quoted once per run.
-        line = csv_field(meter_id).replace("%", "%%") + ",%bZ,{},%d.%03d\n".format(register)
-        for chunk in _format_readings(line.encode("utf-8", "surrogatepass"), times, values):
-            target.write(chunk.decode("utf-8", "surrogatepass"))
+    with open(path, "wb") as fh:
+        fh.write(",".join(CSV_HEADER).encode() + b"\n")
+        for meter_id, register, times, values in columns.runs:
+            # Only the meter id can need quoting: it is quoted once per run.
+            line = csv_field(meter_id).replace("%", "%%") + ",%bZ,{},%d.%03d\n".format(register)
+            fh.writelines(_format_readings(line.encode("utf-8"), times, values))
 
 
 def csv_field(text: str) -> str:
@@ -639,9 +668,8 @@ def csv_field(text: str) -> str:
     return field.getvalue()[:-3]
 
 
-def read_readings_csv(source: str | Path | TextIO) -> ReadingColumns:
-    """Parse a readings CSV; malformed rows name their line number, and the
-    file when ``source`` is a path.
+def read_readings_csv(path: str | Path) -> ReadingColumns:
+    """Parse a readings CSV file; malformed rows name the file and their line number.
 
     Files of canonical rows (``…Z`` times, ``d.ddd`` values, ``\\n`` line
     ends) are parsed as whole columns; any other file row by row.
@@ -650,11 +678,7 @@ def read_readings_csv(source: str | Path | TextIO) -> ReadingColumns:
         ReadingsFormatError: missing/invalid header, an unparsable row, or
             a file that is not UTF-8.
     """
-    if not isinstance(source, (str, Path)):
-        text = source.read()
-        columns = _read_canonical_csv(text.encode("ascii")) if text.isascii() else None
-        return columns if columns is not None else _read_csv_rows(io.StringIO(text, newline=""))
-    data = Path(source).read_bytes()
+    data = Path(path).read_bytes()
     try:
         columns = _read_canonical_csv(data)
         if columns is not None:
@@ -666,7 +690,7 @@ def read_readings_csv(source: str | Path | TextIO) -> ReadingColumns:
             raise ReadingsFormatError(line, "byte 0x{:02X} is not UTF-8 text".format(data[exc.start])) from None
         return _read_csv_rows(io.StringIO(text, newline=""))
     except ReadingsFormatError as exc:
-        raise ReadingsFormatError(exc.line_number, exc.reason, source) from None
+        raise ReadingsFormatError(exc.line_number, exc.reason, path) from None
 
 
 _TIME = rb"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ"
@@ -692,6 +716,8 @@ _NDJSON_RUN = re.compile(
 _TENS = np.array([0, 2, 5, 8, 11, 14, 17])
 _MONTH_DAYS = np.zeros(100, np.uint8)
 _MONTH_DAYS[1:13] = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+# The days from 1 March to the first of each month (index 1-12).
+_MARCH_DAYS = np.array([0, 306, 337, 0, 31, 61, 92, 122, 153, 184, 214, 245, 275])
 # The place value in Wh of each of the 10 bytes that end a value of up to
 # 999999.999 kWh; a byte before the value's first digit weighs nothing.
 _VALUE_WEIGHTS = np.array([10**8, 10**7, 10**6, 10**5, 10**4, 10**3, 0, 100, 10, 1])
@@ -716,9 +742,11 @@ def _add_canonical(columns: ReadingColumns, run_re: re.Pattern, data: bytes, tai
     groups ``time`` and ``value`` give the offsets of the time and the
     value in every line of the run; a value ends ``tail`` bytes before its
     newline.  ``meter_id`` decodes the ``meter`` group.  The rest is
-    arithmetic on the bytes: each line's 19-byte stamp is gathered and
-    parsed by numpy in one call, refusing ones that do not exist or lie
-    before year 1, and each value is its digits times their place values.
+    arithmetic on the bytes: each line's 19-byte stamp is gathered and cut
+    into its two-digit fields, a range check of the fields refuses dates
+    that do not exist or lie before year 1, and the checked fields are
+    converted to epoch seconds by integer arithmetic (Hinnant's
+    ``days_from_civil``); each value is its digits times their place values.
     """
     matches, pos = [], 0
     while pos < len(data):
@@ -743,16 +771,19 @@ def _add_canonical(columns: ReadingColumns, run_re: re.Pattern, data: bytes, tai
     # windows onto the text (no index array per byte).
     stamps = as_strided(text, (len(text) - 18, 19), (1, 1))[time_at]
     digits = as_strided(text, (len(text) - 9, 10), (1, 1))[ends - tail - 10] - ord("0")
-    # numpy's cast of bytes to datetime64 crashes the process on a date that
-    # does not exist among a few hundred stamps (numpy 2.4), so each field's
-    # range is checked first.
     fields = (stamps[:, _TENS] - ord("0")) * 10 + stamps[:, _TENS + 1] - ord("0")
     century, year, month, day, hour, minute, second = fields.T
     leap = (year % 4 == 0) & ((year != 0) | (century % 4 == 0))
     days = _MONTH_DAYS[month] + (leap & (month == 2))
     if not (((century | year) > 0) & (day >= 1) & (day <= days) & (hour < 24) & (minute < 60) & (second < 60)).all():
         return False
-    seconds = stamps.view("S19").ravel().astype("datetime64[s]").view(np.int64)
+    # days_from_civil in int64 (uint8 wraps), counting each year from March so
+    # that a leap day ends it; on 1970-01-01 the other terms sum to 719469.
+    century, year, month, day, hour, minute, second = fields.T.astype(np.int64)
+    march_year = century * 100 + year - (month <= 2)
+    leap_days = march_year // 4 - march_year // 100 + march_year // 400
+    epoch_days = march_year * 365 + leap_days + _MARCH_DAYS[month] + day - 719469
+    seconds = ((epoch_days * 24 + hour) * 60 + minute) * 60 + second
     digits[np.arange(10) < (value_at - ends + tail + 10)[:, None]] = 0
     times, values, start = (seconds * 1_000_000).tolist(), (digits.astype(np.int64) @ _VALUE_WEIGHTS).tolist(), 0
     for (meter, register), count in zip(keys, counts):

@@ -505,6 +505,31 @@ def test_store_log_damage_is_reported_not_a_traceback(runner, tmp_path):
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+def test_ingest_opens_a_store_whose_multi_line_append_was_cut_short(runner, tmp_path, monkeypatch):
+    """An accepted batch with a rollover, its log lines then cut 20 bytes
+    into the second while the ``.pending`` record is there, as a crash
+    during the append leaves them: the next ``ingest`` cuts the batch off."""
+    monkeypatch.chdir(tmp_path)
+    rows = "M,2024-06-03T00:00:00Z,1.8.0,10.000\nM,2024-06-03T01:00:00Z,1.8.0,50.000\n"
+    Path("stored.csv").write_text(HEADER + rows, encoding="utf-8")
+    rows = "M,2024-06-03T00:15:00Z,1.8.0,850000.000\nM,2024-06-03T00:30:00Z,1.8.0,999000.000\n"
+    Path("batch.csv").write_text(HEADER + rows, encoding="utf-8")
+    assert runner.invoke(main, ["ingest", "stored.csv", "--store", "store"]).exit_code == 0
+    log, pending = Path("store") / "readings.ndjson", Path("store") / "readings.ndjson.pending"
+    before = log.read_bytes()
+    assert json.loads(runner.invoke(main, ["ingest", "batch.csv", "--store", "store"]).stdout)["rollovers_detected"] == 1
+    assert not pending.exists()
+    cut = log.read_bytes().index(b"\n", len(before)) + 1 + 20
+    log.write_bytes(log.read_bytes()[:cut])
+    pending.write_bytes(b"%d" % len(before))
+    result = runner.invoke(main, ["ingest", "stored.csv", "--store", "store"])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == "dropped {} byte(s) of a torn final record from {}\n".format(cut - len(before), log)
+    assert json.loads(result.stdout) == {"readings_accepted": 0, "duplicates_dropped": 2, "out_of_order": 0,
+                                         "rollovers_detected": 0}
+    assert log.read_bytes() == before and not pending.exists()
+
+
 def test_store_log_that_fails_a_register_check_names_the_log_and_the_line(runner, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("store").mkdir()

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 from datetime import date, timedelta
 from decimal import Decimal
 
@@ -82,15 +81,14 @@ def test_register_is_non_decreasing_without_rollover():
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
-def test_determinism_is_byte_exact():
+def test_determinism_is_byte_exact(tmp_path):
     kwargs = dict(persona=build_persona("S4"), start=START, n_days=7, seed=123)
     a, b = simulate_period(**kwargs), simulate_period(**kwargs)
     assert a.readings == b.readings
     assert a.truth_labels == b.truth_labels
-    buf_a, buf_b = io.StringIO(), io.StringIO()
-    write_readings_csv(buf_a, a.readings)
-    write_readings_csv(buf_b, b.readings)
-    assert buf_a.getvalue() == buf_b.getvalue()
+    write_readings_csv(tmp_path / "a.csv", a.readings)
+    write_readings_csv(tmp_path / "b.csv", b.readings)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_scripting_one_day_leaves_other_days_untouched():

@@ -599,6 +599,100 @@ def test_torn_final_record_is_cut_and_reported(tmp_path):
     assert TelemetryStore(path).dropped_tail_bytes == 0
 
 
+@st.composite
+def rollover_batches(draw):
+    """A stored series and a batch of new readings that the store accepts,
+    counting a rollover: the new readings ``merge_cases`` draws, if the
+    store takes them, then two after all the others that roll the register
+    over, from its top 1000 kWh to its first."""
+    times, values, news = draw(merge_cases())
+    if isinstance(merged(by_window, times, values, news), str):
+        news = {}
+    series = dict(zip(times, values)) | news
+    last = max(series, default=_to_us(T0))
+    high = draw(st.integers(max(series.get(last, 0), REGISTER_MODULUS_WH - 10**6), REGISTER_MODULUS_WH - 1))
+    news[last + 10**6 * draw(st.integers(1, 1800))] = high
+    news[max(news) + 10**6 * draw(st.integers(1, 1800))] = draw(st.integers(0, 10**6))
+    return times, values, news
+
+
+def series_columns(times, values) -> ReadingColumns:
+    columns = ReadingColumns()
+    if times:
+        columns.extend("M1", OBIS_180, list(times), list(values))
+    return columns
+
+
+@settings(max_examples=20, deadline=None)  # each example opens the log once per byte of its batch
+@given(rollover_batches())
+@example((*ROLLOVER_PAIR, {_to_us(T0) + 3 * 10**8: REGISTER_MODULUS_WH - 50, _to_us(T0) + 6 * 10**8: 20}))
+def test_append_cut_anywhere_opens_as_the_store_before_it(case):
+    """Cut at any byte of a multi-line append, the log opens holding the
+    series from before the batch while the ``.pending`` record is there;
+    whole and with no record, it holds the series from after the batch."""
+    times, values, news = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "readings.ndjson"
+        pending = path.with_name("readings.ndjson.pending")
+        store = TelemetryStore(path)
+        store.ingest(series_columns(times, values))
+        before, state = path.read_bytes() if path.exists() else b"", snapshot(store)
+        assert store.ingest(series_columns(sorted(news), [news[t] for t in sorted(news)])).rollovers_detected
+        after = path.read_bytes()
+        for cut in range(len(before), len(after) + 1):
+            path.write_bytes(after[:cut])
+            pending.write_bytes(b"%d" % len(before))
+            reopened = TelemetryStore(path)
+            assert snapshot(reopened) == state and reopened.dropped_tail_bytes == cut - len(before)
+            assert path.read_bytes() == before and not pending.exists()
+        path.write_bytes(after)
+        assert snapshot(TelemetryStore(path)) == snapshot(store)
+
+
+@pytest.mark.parametrize("error", [None, OSError])
+def test_pending_record_lasts_while_a_multi_line_append_runs(tmp_path, monkeypatch, error):
+    """It holds the log's length before the append, and is gone after it,
+    whether the append succeeds or fails; a one-line append writes none."""
+    path = tmp_path / "readings.ndjson"
+    pending = tmp_path / "readings.ndjson.pending"
+    store = TelemetryStore(path)
+    store.ingest([reading(0, "1.000")])
+    log, seen = path.read_bytes(), []
+
+    def watched_writer(fresh):
+        for chunk in _ndjson_records(fresh):
+            seen.append(pending.read_bytes() if pending.exists() else None)
+            if error and len(seen) == 3:  # the batch's second chunk
+                raise error("the second chunk fails")
+            yield chunk
+
+    monkeypatch.setattr(store_module, "_ndjson_records", watched_writer)
+    store.ingest([reading(15, "1.100")])
+    assert seen == [None]
+    log = path.read_bytes()
+    batch = [reading(15 * i, "{}.000".format(i)) for i in range(2, 2 * _CHUNK_RECORDS + 2)]
+    if error:
+        with pytest.raises(error):
+            store.ingest(batch)
+        assert path.read_bytes() == log
+    else:
+        store.ingest(batch)
+    assert seen[1:] == [b"%d" % len(log)] * 2  # the batch's two chunks
+    assert not pending.exists() and not tmp_path.joinpath("readings.ndjson.pending.tmp").exists()
+
+
+@pytest.mark.parametrize("record", [b"", b"12x", b"-1", b" 5"])
+def test_pending_record_that_is_not_a_length_stops_the_open(tmp_path, record):
+    path = tmp_path / "readings.ndjson"
+    TelemetryStore(path).ingest(grid_batch(["1.000", "1.100"]))
+    log, pending = path.read_bytes(), tmp_path / "readings.ndjson.pending"
+    pending.write_bytes(record)
+    with pytest.raises(StoreLogError) as err:
+        TelemetryStore(path)
+    assert str(err.value) == "{} line 1: {!r} is not a log length".format(pending, record)
+    assert path.read_bytes() == log and pending.read_bytes() == record
+
+
 def test_unparsable_interior_line_names_its_line(tmp_path):
     path = tmp_path / "readings.ndjson"
     TelemetryStore(path).ingest(grid_batch(["1.000", "1.100"]))
@@ -853,16 +947,23 @@ def test_post_body_reader_matches_the_old_splitlines_parser(lines, newline, fina
 # -- CSV ----------------------------------------------------------------------
 
 
-def test_csv_roundtrip():
+def csv_file(directory: Path, text: str) -> Path:
+    """``text`` as the UTF-8 file ``readings.csv`` in ``directory``."""
+    path = directory / "readings.csv"
+    path.write_bytes(text.encode())
+    return path
+
+
+def test_csv_roundtrip(tmp_path):
     batch = grid_batch(["1.000", "1.100", "1.250"])
-    buf = io.StringIO()
-    write_readings_csv(buf, batch)
-    text = buf.getvalue()
+    path = tmp_path / "readings.csv"
+    write_readings_csv(path, batch)
+    text = path.read_text(encoding="utf-8")
     assert text.splitlines()[0] == ",".join(CSV_HEADER)
-    assert list(read_readings_csv(io.StringIO(text))) == batch
+    assert list(read_readings_csv(path)) == batch
 
 
-def test_csv_malformed_row_names_its_line():
+def test_csv_malformed_row_names_its_line(tmp_path):
     for bad_row in (
         "M1,not-a-time,1.8.0,2.0",
         "M1,2024-06-03T12:15:00Z,1.8.0,Infinity",
@@ -877,7 +978,7 @@ def test_csv_malformed_row_names_its_line():
     ):
         text = "meter_id,timestamp,obis,value_kwh\nM1,2024-06-03T12:00:00Z,1.8.0,1.0\n" + bad_row + "\n"
         with pytest.raises(ReadingsFormatError) as err:
-            read_readings_csv(io.StringIO(text))
+            read_readings_csv(csv_file(tmp_path, text))
         assert err.value.line_number == 3
         assert "line 3" in str(err.value)
 
@@ -888,13 +989,13 @@ def test_csv_malformed_row_names_its_line():
      ("-Infinity", "value_kwh '-Infinity' is not a decimal number"), ("-1", "register values lie in [0, 1000000) kWh")],
     ids=["not-a-number", "nan", "minus-infinity", "negative"],
 )
-def test_csv_value_error_names_the_value_and_the_line_where_its_row_starts(value, reason):
+def test_csv_value_error_names_the_value_and_the_line_where_its_row_starts(tmp_path, value, reason):
     # The first row's quoted meter id spans lines 2-3 and the third's holds a
     # lone \r, which ends no line, so the bad row starts on line 6.
     text = CSV_TEXT + '"M\n1",2024-06-03T12:00:00Z,1.8.0,1.0\nM1,2024-06-03T12:00:00Z,1.8.0,1.0\n'
     text += '"a\rb",2024-06-03T12:00:00Z,1.8.0,1.0\n'
     with pytest.raises(ReadingsFormatError) as err:
-        read_readings_csv(io.StringIO(text + "M1,2024-06-03T12:15:00Z,1.8.0,{}\n".format(value)))
+        read_readings_csv(csv_file(tmp_path, text + "M1,2024-06-03T12:15:00Z,1.8.0,{}\n".format(value)))
     assert (err.value.line_number, err.value.reason) == (6, reason)
 
 
@@ -907,28 +1008,28 @@ def test_csv_that_is_not_utf8_names_the_line_of_the_byte(tmp_path):
     assert (err.value.path, err.value.line_number) == (path, 3)
 
 
-def test_csv_day_that_does_not_exist_names_its_line_in_a_long_file():
+def test_csv_day_that_does_not_exist_names_its_line_in_a_long_file(tmp_path):
     # Read as columns by numpy's text-to-datetime64 cast, such a day in a
     # file of more than a few hundred rows crashed the process.
     rows = ["M1,2024-01-{:02d}T{:02d}:00:00Z,1.8.0,{}.000".format(1 + i // 24, i % 24, i) for i in range(600)]
     text = CSV_TEXT + "\n".join(rows + ["M1,2023-02-29T00:00:00Z,1.8.0,999.000"]) + "\n"
     with pytest.raises(ReadingsFormatError) as err:
-        read_readings_csv(io.StringIO(text))
+        read_readings_csv(csv_file(tmp_path, text))
     assert err.value.line_number == 602
 
 
-def test_csv_rejects_wrong_header_and_empty_file():
+def test_csv_rejects_wrong_header_and_empty_file(tmp_path):
     with pytest.raises(ReadingsFormatError):
-        read_readings_csv(io.StringIO("a,b,c,d\n"))
+        read_readings_csv(csv_file(tmp_path, "a,b,c,d\n"))
     with pytest.raises(ReadingsFormatError):
-        read_readings_csv(io.StringIO(""))
+        read_readings_csv(csv_file(tmp_path, ""))
 
 
-def test_canonical_file_is_read_as_columns():
+def test_canonical_file_is_read_as_columns(tmp_path):
     batch = grid_batch(["0.000", "12.345", "999999.999"]) + grid_batch(["7.000"], meter="M10")
-    buf = io.StringIO()
-    write_readings_csv(buf, batch)
-    columns = _read_canonical_csv(buf.getvalue().encode())
+    path = tmp_path / "readings.csv"
+    write_readings_csv(path, batch)
+    columns = _read_canonical_csv(path.read_bytes())
     assert columns is not None
     assert [run[0] for run in columns.runs] == ["M1", "M10"]
     assert list(columns) == batch
@@ -965,9 +1066,11 @@ def csv_batches(draw):
 
 
 def written_csv(readings) -> str:
-    buf = io.StringIO()
-    write_readings_csv(buf, readings)
-    return buf.getvalue()
+    """The text of the file ``write_readings_csv`` writes for ``readings``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "readings.csv"
+        write_readings_csv(path, readings)
+        return path.read_bytes().decode()
 
 
 FIRST_AND_LAST_READINGS = [
@@ -986,9 +1089,18 @@ LONG_RUNS = [reading(i, "{}.000".format(i), meter) for meter in ("M1", '"%b\n"')
 @example(LONG_RUNS)
 @example([reading(0, "1.000", "a\rb"), reading(15, "1.100", "a\rb")])  # a lone \r is quoted, so it reads back
 def test_csv_writer_matches_the_row_writer(readings):
-    text = written_csv(readings)
-    assert text == readings_csv(readings)
-    assert list(read_readings_csv(io.StringIO(text))) == readings
+    text = readings_csv(readings)
+    try:
+        text.encode()
+    except UnicodeEncodeError:  # a meter id with a lone surrogate, which no UTF-8 file holds
+        with pytest.raises(UnicodeEncodeError):
+            written_csv(readings)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "readings.csv"
+        write_readings_csv(path, readings)
+        assert path.read_bytes() == text.encode()
+        assert list(read_readings_csv(path)) == readings
 
 
 CSV_TEXT = "meter_id,timestamp,obis,value_kwh\n"
@@ -1021,10 +1133,15 @@ def csv_texts(draw):
 
 
 def parse_outcome(parse, text):
+    """What ``parse`` reads of ``text``: its readings, or its error's line and reason.
+    ``read_readings_csv`` reads ``text`` from a file, any other parser from a text stream."""
     try:
+        if parse is read_readings_csv:
+            with tempfile.TemporaryDirectory() as tmp:
+                return list(parse(csv_file(Path(tmp), text)))
         return list(parse(io.StringIO(text, newline="")))
     except ReadingsFormatError as exc:
-        return ("ReadingsFormatError", exc.line_number, str(exc))
+        return ("ReadingsFormatError", exc.line_number, exc.reason)
 
 
 @settings(max_examples=400, deadline=None)
@@ -1219,7 +1336,4 @@ def test_reading_columns_index_and_slice_as_a_tuple_of_their_readings(columns, d
 @settings(max_examples=50, deadline=None)
 @given(reading_columns())
 def test_csv_of_columns_is_the_csv_of_their_readings(columns):
-    from_columns, from_readings = io.StringIO(), io.StringIO()
-    write_readings_csv(from_columns, columns)
-    write_readings_csv(from_readings, list(columns))
-    assert from_columns.getvalue() == from_readings.getvalue()
+    assert written_csv(columns) == written_csv(list(columns))

@@ -23,6 +23,7 @@ script runs:
     meterwatch simulate --config simulate.json --days 15 --out sim_config
     meterwatch analyze sim/S1_readings.csv ... sim/S4_readings.csv --config analyze.json --k 3 --out config_k3
     meterwatch simulate --start 9999-12-31 --days 1 --seed 5 --out sim_last_day
+    meterwatch ingest sim_last_day/S1_readings.csv ... sim_last_day/S4_readings.csv --store store_last_day
 
 The second ingest is a no-op re-ingest, so the persisted
 ``store/readings.ndjson`` and the stats both ingests print are compared.
@@ -30,13 +31,16 @@ The second ingest is a no-op re-ingest, so the persisted
 one of them on the day the clocks go back, so the last run compares another
 seed, the scripted days and a DST day of the simulator.
 ``sim_last_day`` simulates the shortest period there is, one day, on the
-last day the calendar allows: 97 readings per persona.
+last day the calendar allows: 97 readings per persona, which ``ingest``
+then reads as whole columns into ``store_last_day``, so the canonical
+reader's stamps at the end of the calendar and a log of them are compared.
 ``knee_1cpu`` repeats ``knee`` with its process pinned to one CPU (by
 ``os.sched_setaffinity`` on that child only, where the platform has it),
 so ``analyze`` runs its fits in the command's own process instead of a
 worker pool; on each side its stdout, stderr, exit code and every file
 must equal those of ``knee`` byte for byte, and each output that does not
-is printed and counted with the differences between the sides.
+is printed and counted with the differences between the sides.  So must
+``knee_crlf``'s (below).
 The ``--top-n`` runs put one-panel and six-panel anomaly charts, and a
 one-panel user means chart, under the comparison; the ``--seed 7`` run
 compares other k-means++ draws and restart counts.  The two ``--config``
@@ -64,10 +68,12 @@ days that lost 3 h are filled as well.
 Finally it writes a non-canonical copy of the simulated readings
 (``write_noncanonical``: CRLF line ends, every seventh timestamp at
 ``+02:00``, values without trailing zeros such as ``12`` and ``1.5``, one
-quoted meter id), which the CSV reader parses row by row rather than as
+quoted meter id) and a copy that differs only in its ``\r\n`` line ends
+(``write_crlf``), which the CSV reader parses row by row rather than as
 columns, and runs
 
     meterwatch analyze noncanonical/S1_readings.csv ... --out noncanonical_knee
+    meterwatch analyze crlf/S1_readings.csv ... crlf/S4_readings.csv --out knee_crlf
 
 and, on a meter that draws a constant 400 W for ``FLAT_DAYS`` days
 (``write_flat``), so every daily profile is equal and the k scan takes its
@@ -154,6 +160,8 @@ COMMANDS = [
     ("sim_config", ["simulate", "--config", "simulate.json", "--days", "15", "--out", "sim_config"]),
     ("config_k3", ["analyze", *READINGS, "--config", "analyze.json", "--k", "3", "--out", "config_k3"]),
     ("sim_last_day", ["simulate", "--start", "9999-12-31", "--days", "1", "--seed", "5", "--out", "sim_last_day"]),
+    ("ingest_last_day", ["ingest", *("sim_last_day/{}_readings.csv".format(p) for p in PERSONAS),
+                         "--store", "store_last_day"]),
 ]
 # Settings files; the first one's 20 days are overridden by --days 15, a
 # span that holds the day the clocks go forward (2024-03-31).
@@ -169,6 +177,9 @@ SCRIPTS = {
            {"kind": "absence-morning", "day": "2024-11-18"}],
 }
 NONCANONICAL = ["noncanonical/{}_readings.csv".format(p) for p in PERSONAS]
+CRLF = ["crlf/{}_readings.csv".format(p) for p in PERSONAS]
+# Runs whose every output must equal ``knee``'s on each side.
+KNEE_TWINS = ["knee_1cpu", "knee_crlf"]
 SHORT_DAYS = 3
 FLAT_DAYS = 60
 DERIVED_COMMANDS = [
@@ -176,6 +187,7 @@ DERIVED_COMMANDS = [
     ("gappy_k3", ["analyze", *GAPPY, "--k", "3", "--out", "gappy_k3"]),
     ("gappy_all", ["analyze", *GAPPY, "--min-completeness", "0", "--out", "gappy_all"]),
     ("noncanonical_knee", ["analyze", *NONCANONICAL, "--out", "noncanonical_knee"]),
+    ("knee_crlf", ["analyze", *CRLF, "--out", "knee_crlf"]),
     ("flat_scan", ["analyze", "flat/FLAT_readings.csv", "--out", "flat_scan"]),
     ("short_s2", ["analyze", READINGS[0], "short/S2_readings.csv", *READINGS[2:], "--out", "short_s2"]),
     ("short_s2_k6", ["analyze", READINGS[0], "short/S2_readings.csv", *READINGS[2:], "--k", "6", "--out", "short_s2_k6"]),
@@ -242,6 +254,14 @@ def write_noncanonical(sim_dir: Path, out_dir: Path) -> None:
                 fh.write(",".join([meter_text, timestamp, obis, value.rstrip("0").rstrip(".")]) + "\r\n")
 
 
+def write_crlf(sim_dir: Path, out_dir: Path) -> None:
+    """Copy the simulated readings CSVs with each line ended by ``\r\n`` instead of ``\n``."""
+    out_dir.mkdir()
+    for persona in PERSONAS:
+        name = "{}_readings.csv".format(persona)
+        (out_dir / name).write_bytes((sim_dir / name).read_bytes().replace(b"\n", b"\r\n"))
+
+
 def write_flat(out_dir: Path) -> None:
     """Readings of a meter that uses 0.1 kWh every 15 minutes (400 W) for
     ``FLAT_DAYS`` days from 2024-06-03, in the simulator's CSV format."""
@@ -284,13 +304,13 @@ def pin_to_one_cpu() -> None:
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
-def pinned_differences(side_dir: Path) -> list[str]:
-    """Each output of ``knee_1cpu`` on one side that differs from ``knee``'s, or that only one of them has."""
-    report = ["{}: knee_1cpu.{} differs from knee.{}".format(side_dir.name, ext, ext)
+def twin_differences(side_dir: Path, twin: str) -> list[str]:
+    """Each output of the run ``twin`` on one side that differs from ``knee``'s, or that only one of them has."""
+    report = ["{}: {}.{} differs from knee.{}".format(side_dir.name, twin, ext, ext)
               for ext in ("stdout", "stderr", "exit")
-              if not filecmp.cmp(side_dir / ("knee." + ext), side_dir / ("knee_1cpu." + ext), shallow=False)]
-    pooled, pinned = side_dir / "knee", side_dir / "knee_1cpu"
-    return report + ["{}: {} (knee vs knee_1cpu)".format(side_dir.name, line) for line in differing_files(pooled, pinned)]
+              if not filecmp.cmp(side_dir / ("knee." + ext), side_dir / "{}.{}".format(twin, ext), shallow=False)]
+    lines = differing_files(side_dir / "knee", side_dir / twin)
+    return report + ["{}: {} (knee vs {})".format(side_dir.name, line, twin) for line in lines]
 
 
 def free_port() -> int:
@@ -412,6 +432,7 @@ def run_side(src: Path, side_dir: Path) -> None:
     run_commands(COMMANDS, side_dir, env)
     write_gappy(side_dir / "sim", side_dir / "gappy")
     write_noncanonical(side_dir / "sim", side_dir / "noncanonical")
+    write_crlf(side_dir / "sim", side_dir / "crlf")
     write_short(side_dir / "sim", side_dir / "short")
     write_flat(side_dir / "flat")
     run_commands(DERIVED_COMMANDS, side_dir, env)
@@ -454,7 +475,8 @@ def main() -> int:
     run_side(args.parent_src, work / "parent")
     run_side(args.change_src, work / "change")
     report = differing_files(work / "parent", work / "change")
-    report += pinned_differences(work / "parent") + pinned_differences(work / "change")
+    for side in ("parent", "change"):
+        report += [line for twin in KNEE_TWINS for line in twin_differences(work / side, twin)]
     for line in report:
         print(line)
     for side, src in (("parent", args.parent_src), ("change", args.change_src)):
