@@ -25,7 +25,7 @@ from .charts import anomaly_chart, cluster_chart, user_means_chart
 from .clustering import DEFAULT_RESTARTS, K_MAX, K_MIN
 from .personas import PERSONA_IDS, build_persona
 from .pipeline import (
-    AnalysisConfig, DEFAULT_SEED, DEFAULT_TOP_N, InThreadExecutor, InsufficientDataError, MeterAnalysis,
+    AnalysisConfig, DEFAULT_SEED, DEFAULT_TOP_N, InsufficientDataError, MeterAnalysis,
     analyze_meter,  # not called here: perfbench/tracing.py wraps cli.analyze_meter by name
     analyze_meters, canonical_json, parse_setting,
 )
@@ -241,7 +241,7 @@ def _open_store(store_dir: Path):
                 raise StoreError("store {} is in use by another meterwatch serve or ingest".format(store_dir)) from None
         store = TelemetryStore(store_dir / STORE_FILENAME)
         if store.dropped_tail_bytes:
-            message = "dropped {} byte(s) of a torn final record from {}"
+            message = "dropped {} byte(s) of an unfinished append from {}"
             click.echo(message.format(store.dropped_tail_bytes, store_dir / STORE_FILENAME), err=True)
         yield store
     finally:
@@ -296,33 +296,21 @@ def _check_directory_name(meter_id: str) -> None:
         )
 
 
-def _pool(fits: int):
-    """The runner's executor: ``min(CPUs, fits)`` forked workers, or with one
-    (or where this process's CPUs cannot be read: macOS, Windows) this thread."""
-    workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, fits)
-    if workers <= 1:
-        return InThreadExecutor()
-    # Imported here: at module level they would add to every command's
-    # start-up and memory, `serve` included, which never starts a pool.
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    return ProcessPoolExecutor(workers, mp_context=get_context("fork"))
-
-
 def _analyze_store(store: TelemetryStore, out: Path, config: AnalysisConfig) -> dict[str, MeterAnalysis]:
-    """Analyse the meters with :func:`pipeline.analyze_meters` on ``_pool``'s
-    ``min(CPUs, fits)`` workers and write each meter's files in meter order,
-    then ``user_means.svg``.  The first meter that fails ends the command
-    with ``meter <id>: <reason>``, after the files of the meters before it."""
+    """Analyse the meters with :func:`pipeline.analyze_meters` on one worker
+    per CPU (one where this process's CPUs cannot be read: macOS, Windows),
+    write each meter's files in meter order, then ``user_means.svg``.  The
+    first meter that fails ends the command with ``meter <id>: <reason>``,
+    after the files of the meters before it."""
     meters = store.meters()
     if not meters:
         raise click.ClickException("no readings")
     for meter_id in meters:
         _check_directory_name(meter_id)
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     analyses: dict[str, MeterAnalysis] = {}
     try:
-        runs = analyze_meters(store, meters, config, _pool, lambda analysis: _analysis_outputs(analysis, config.top_n))
+        runs = analyze_meters(store, meters, config, workers, lambda analysis: _analysis_outputs(analysis, config.top_n))
         with closing(runs):
             for analysis, files in runs:
                 analyses[analysis.meter_id] = analysis

@@ -4,9 +4,11 @@ One runner, :func:`analyze_meters`, composes the stages for both: each
 meter's daily profiles in the calling thread, one k-means fit task per
 (meter, k), then one finish task per meter (the knee rule, the cluster
 summary, the anomaly ranking and, for the CLI, the rendered output files).
-The CLI hands it a fork pool; the service calls :func:`analyze_meter`,
-the runner on one meter in the request's thread.  So a file-based run and
-a service request over identical readings produce identical reports.
+The CLI asks for one worker per CPU, which run the fits in a fork pool up
+to one per fit; the service calls :func:`analyze_meter`, the runner on one
+meter with one worker, which runs every task in the request's thread.  So
+a file-based run and a service request over identical readings produce
+identical reports.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, replace
 from math import inf
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .anomaly import AnomalyReport, anomaly_scores
 from .clustering import (
@@ -114,25 +116,8 @@ def analyze_meter(
         SpanTooLong: the meter's readings span more than
             ``store.MAX_GRID_SLOTS`` slots.
     """
-    [(analysis, _)] = analyze_meters(store, [meter_id], config or AnalysisConfig(), lambda fits: InThreadExecutor())
+    [(analysis, _)] = analyze_meters(store, [meter_id], config or AnalysisConfig())
     return analysis
-
-
-class InThreadExecutor:
-    """Runs each task in the thread that asks for its result, when it asks."""
-
-    class _Task(NamedTuple):
-        fn: Callable
-        args: tuple
-
-        def result(self) -> Any:
-            return self.fn(*self.args)
-
-    def submit(self, fn: Callable, *args) -> _Task:
-        return self._Task(fn, args)
-
-    def shutdown(self, cancel_futures: bool = False) -> None:
-        """Nothing runs ahead of its result, so nothing is left to stop."""
 
 
 # Each running analysis by run id (the id of its entry, unique while the
@@ -143,18 +128,18 @@ _runs: dict[int, tuple[AnalysisConfig, Callable | None, dict[str, tuple[DailyPro
 
 
 def analyze_meters(
-    store: TelemetryStore, meter_ids: Sequence[str], config: AnalysisConfig,
-    executor: Callable[[int], Any], render: Callable[[MeterAnalysis], Any] | None = None,
+    store: TelemetryStore, meter_ids: Sequence[str], config: AnalysisConfig, workers: int = 1,
+    render: Callable[[MeterAnalysis], Any] | None = None,
 ) -> Iterator[tuple[MeterAnalysis, Any]]:
     """Each meter's analysis and ``render(analysis)`` (``None`` without a
     render) in meter order, then the error of the first meter that failed.
 
     This thread builds each meter's profiles and ``fit_counts``, in meter
-    order, up to the first meter that fails.  The executor that
-    ``executor(fits)`` returns runs one :func:`kmeans_fit` per (meter, k),
-    largest k first (k is the cost known in advance), then per meter, once
-    its fits are back, one :func:`_finish`.  A fork pool must fork at its
-    first ``submit``, when the run is in ``_runs``.
+    order, up to the first meter that fails.  Then one :func:`kmeans_fit`
+    per (meter, k) and, per meter once its fits are back, one
+    :func:`_finish` run on ``min(workers, fits)`` workers: with one, in
+    this thread, meter by meter; with more, in a fork pool that takes the
+    fits largest k first (k is the cost known in advance).
     """
     prepared, counts, failure = {}, {}, None
     for meter_id in meter_ids:
@@ -169,19 +154,32 @@ def analyze_meters(
             failure = exc
             break
     fits = sorted(((meter_id, k) for meter_id in counts for k in counts[meter_id]), key=lambda fit: -fit[1])
+    workers = min(workers, len(fits))
     run = (config, render, prepared)
-    pool = executor(len(fits))
     _runs[id(run)] = run
     try:
-        fitted = {fit: pool.submit(_fit, id(run), *fit) for fit in fits}
-        # Each meter's finish once its fits are back, waited for in meter order.
-        finished = [pool.submit(_finish, id(run), meter_id, [fitted[meter_id, k].result() for k in ks])
-                    for meter_id, ks in counts.items()]
-        for task in finished:
-            yield task.result()
+        if workers <= 1:
+            for meter_id, ks in counts.items():
+                yield _finish(id(run), meter_id, [_fit(id(run), meter_id, k) for k in ks])
+        else:
+            # Imported here: at module level they would add to every command's
+            # start-up and memory, `serve` included, which never starts a pool.
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_context
+
+            # It forks at its first submit, when the run is in _runs.
+            pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+            try:
+                fitted = {fit: pool.submit(_fit, id(run), *fit) for fit in fits}
+                # Each meter's finish once its fits are back, waited for in meter order.
+                finished = [pool.submit(_finish, id(run), meter_id, [fitted[meter_id, k].result() for k in ks])
+                            for meter_id, ks in counts.items()]
+                for task in finished:
+                    yield task.result()
+            finally:
+                pool.shutdown(cancel_futures=True)
     finally:
         del _runs[id(run)]
-        pool.shutdown(cancel_futures=True)
     if failure is not None:
         raise failure
 

@@ -654,12 +654,14 @@ def _chunks(pieces: Iterable[bytes], size: int = _CHUNK_BYTES):
 def write_readings_csv(path: str | Path, readings: Iterable[MeterReading]) -> None:
     """Write the readings CSV file (header ``meter_id,timestamp,obis,value_kwh``), rows formatted as log lines are."""
     columns = readings if isinstance(readings, ReadingColumns) else ReadingColumns(readings)
+    # Each run's line, encoded before the file opens: text that is not UTF-8 writes nothing.
+    # Only the meter id can need quoting: it is quoted once per run.
+    lines = [(csv_field(meter_id).replace("%", "%%") + ",%bZ,{},%d.%03d\n".format(register)).encode("utf-8")
+             for meter_id, register, _, _ in columns.runs]
     with open(path, "wb") as fh:
         fh.write(",".join(CSV_HEADER).encode() + b"\n")
-        for meter_id, register, times, values in columns.runs:
-            # Only the meter id can need quoting: it is quoted once per run.
-            line = csv_field(meter_id).replace("%", "%%") + ",%bZ,{},%d.%03d\n".format(register)
-            fh.writelines(_format_readings(line.encode("utf-8"), times, values))
+        for line, (_, _, times, values) in zip(lines, columns.runs):
+            fh.writelines(_format_readings(line, times, values))
 
 
 def csv_field(text: str) -> str:

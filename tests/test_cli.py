@@ -524,7 +524,7 @@ def test_ingest_opens_a_store_whose_multi_line_append_was_cut_short(runner, tmp_
     pending.write_bytes(b"%d" % len(before))
     result = runner.invoke(main, ["ingest", "stored.csv", "--store", "store"])
     assert result.exit_code == 0, result.output
-    assert result.stderr == "dropped {} byte(s) of a torn final record from {}\n".format(cut - len(before), log)
+    assert result.stderr == "dropped {} byte(s) of an unfinished append from {}\n".format(cut - len(before), log)
     assert json.loads(result.stdout) == {"readings_accepted": 0, "duplicates_dropped": 2, "out_of_order": 0,
                                          "rollovers_detected": 0}
     assert log.read_bytes() == before and not pending.exists()

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import threading
 from datetime import date
+from pathlib import Path
 
 from meterwatch import pipeline
 from meterwatch.personas import build_persona
@@ -49,3 +52,14 @@ def test_concurrent_analyses_give_the_results_of_sequential_ones():
     assert not any(thread.is_alive() for thread in threads)
     assert results == [[expected] * 3 for expected in sequential]
     assert pipeline._runs == {}
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    """``perfbench/tracing.py`` wraps library functions by module and name
+    (``pipeline.kmeans_fit``, ``cli.analyze_meter``, the chart functions…):
+    installing it in a fresh process fails on a name that moved or went."""
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", "from perfbench import tracing; tracing.install(tracing.Recorder('t'))"],
+                          cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")), capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr

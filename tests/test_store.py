@@ -1088,16 +1088,18 @@ LONG_RUNS = [reading(i, "{}.000".format(i), meter) for meter in ("M1", '"%b\n"')
 @example(FIRST_AND_LAST_READINGS)
 @example(LONG_RUNS)
 @example([reading(0, "1.000", "a\rb"), reading(15, "1.100", "a\rb")])  # a lone \r is quoted, so it reads back
+@example([reading(0, "1.000"), reading(0, "1.000", "bad\ud800")])  # M1's run comes before the id that cannot be written
 def test_csv_writer_matches_the_row_writer(readings):
     text = readings_csv(readings)
-    try:
-        text.encode()
-    except UnicodeEncodeError:  # a meter id with a lone surrogate, which no UTF-8 file holds
-        with pytest.raises(UnicodeEncodeError):
-            written_csv(readings)
-        return
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "readings.csv"
+        try:
+            text.encode()
+        except UnicodeEncodeError:  # a meter id with a lone surrogate, which no UTF-8 file holds
+            with pytest.raises(UnicodeEncodeError):
+                write_readings_csv(path, readings)
+            assert not path.exists()  # nothing is written, not even the runs before that meter's
+            return
         write_readings_csv(path, readings)
         assert path.read_bytes() == text.encode()
         assert list(read_readings_csv(path)) == readings

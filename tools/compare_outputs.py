@@ -40,7 +40,8 @@ so ``analyze`` runs its fits in the command's own process instead of a
 worker pool; on each side its stdout, stderr, exit code and every file
 must equal those of ``knee`` byte for byte, and each output that does not
 is printed and counted with the differences between the sides.  So must
-``knee_crlf``'s (below).
+``knee_crlf``'s (below), and ``short_s2_1cpu``'s those of ``short_s2``
+(below): the failing run's stop at S2, in the command's own process.
 The ``--top-n`` runs put one-panel and six-panel anomaly charts, and a
 one-panel user means chart, under the comparison; the ``--seed 7`` run
 compares other k-means++ draws and restart counts.  The two ``--config``
@@ -81,12 +82,14 @@ one-cluster (degenerate) path,
 
     meterwatch analyze flat/FLAT_readings.csv --out flat_scan
 
-and, on a copy of S2's first three days (``write_short``), two commands
-that fail at their second meter, one in the k scan and one in the
-fixed-k fit, so their exit codes, messages and the files they leave
-(S1's only) are compared as well:
+and, on a copy of S2's first three days (``write_short``), commands
+that fail at their second meter, in the k scan (once more pinned to one
+CPU) and in the fixed-k fit, so their exit codes, messages and the files
+they leave (S1's only) are compared as well:
 
     meterwatch analyze sim/S1_readings.csv short/S2_readings.csv sim/S3_readings.csv sim/S4_readings.csv --out short_s2
+    meterwatch analyze sim/S1_readings.csv short/S2_readings.csv sim/S3_readings.csv sim/S4_readings.csv \
+        --out short_s2_1cpu   (pinned to one CPU)
     meterwatch analyze sim/S1_readings.csv short/S2_readings.csv sim/S3_readings.csv sim/S4_readings.csv --k 6 \
         --out short_s2_k6
 
@@ -178,8 +181,8 @@ SCRIPTS = {
 }
 NONCANONICAL = ["noncanonical/{}_readings.csv".format(p) for p in PERSONAS]
 CRLF = ["crlf/{}_readings.csv".format(p) for p in PERSONAS]
-# Runs whose every output must equal ``knee``'s on each side.
-KNEE_TWINS = ["knee_1cpu", "knee_crlf"]
+# Each run whose every output must equal its base run's on each side.
+TWINS = {"knee_1cpu": "knee", "knee_crlf": "knee", "short_s2_1cpu": "short_s2"}
 SHORT_DAYS = 3
 FLAT_DAYS = 60
 DERIVED_COMMANDS = [
@@ -190,6 +193,7 @@ DERIVED_COMMANDS = [
     ("knee_crlf", ["analyze", *CRLF, "--out", "knee_crlf"]),
     ("flat_scan", ["analyze", "flat/FLAT_readings.csv", "--out", "flat_scan"]),
     ("short_s2", ["analyze", READINGS[0], "short/S2_readings.csv", *READINGS[2:], "--out", "short_s2"]),
+    ("short_s2_1cpu", ["analyze", READINGS[0], "short/S2_readings.csv", *READINGS[2:], "--out", "short_s2_1cpu"]),
     ("short_s2_k6", ["analyze", READINGS[0], "short/S2_readings.csv", *READINGS[2:], "--k", "6", "--out", "short_s2_k6"]),
 ]
 # Runs of readings cut out, as (first row, rows): 3 h leaves the day below
@@ -304,13 +308,14 @@ def pin_to_one_cpu() -> None:
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
-def twin_differences(side_dir: Path, twin: str) -> list[str]:
-    """Each output of the run ``twin`` on one side that differs from ``knee``'s, or that only one of them has."""
-    report = ["{}: {}.{} differs from knee.{}".format(side_dir.name, twin, ext, ext)
+def twin_differences(side_dir: Path, twin: str, base: str) -> list[str]:
+    """Each output of the run ``twin`` on one side that differs from ``base``'s, or that only one of them has."""
+    report = ["{}: {}.{} differs from {}.{}".format(side_dir.name, twin, ext, base, ext)
               for ext in ("stdout", "stderr", "exit")
-              if not filecmp.cmp(side_dir / ("knee." + ext), side_dir / "{}.{}".format(twin, ext), shallow=False)]
-    lines = differing_files(side_dir / "knee", side_dir / twin)
-    return report + ["{}: {} (knee vs {})".format(side_dir.name, line, twin) for line in lines]
+              if not filecmp.cmp(side_dir / "{}.{}".format(base, ext), side_dir / "{}.{}".format(twin, ext),
+                                 shallow=False)]
+    lines = differing_files(side_dir / base, side_dir / twin)
+    return report + ["{}: {} ({} vs {})".format(side_dir.name, line, base, twin) for line in lines]
 
 
 def free_port() -> int:
@@ -476,7 +481,7 @@ def main() -> int:
     run_side(args.change_src, work / "change")
     report = differing_files(work / "parent", work / "change")
     for side in ("parent", "change"):
-        report += [line for twin in KNEE_TWINS for line in twin_differences(work / side, twin)]
+        report += [line for twin, base in TWINS.items() for line in twin_differences(work / side, twin, base)]
     for line in report:
         print(line)
     for side, src in (("parent", args.parent_src), ("change", args.change_src)):
